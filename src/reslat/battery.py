@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import finite, models, nilpotent, omon, ore
+from . import finite, models, omon, ore
 from .finite import check_named_property, enumerate_chain_models, validate_axioms
 from .nilpotent import (
     DyadicPair,
@@ -34,16 +34,16 @@ from .nilpotent import (
     to_matrix,
 )
 from .omon import (
+    DyadicInstance,
     M1Instance,
     S2Instance,
-    S2ChainAlgebra,
     hamvty_witness,
     m1_residual,
     residual_search,
     s2_residual,
 )
 from .ore import (
-    F2ChainAlgebra,
+    F2Instance,
     OreFraction,
     f2_cmp,
     frac_cmp_group,
@@ -143,7 +143,7 @@ def claim_heis_oracle(cfg: BatteryConfig) -> ClaimResult:
 def claim_nilpotency_laws(cfg: BatteryConfig) -> ClaimResult:
     x, y = HeisTriple(1, 0, 0), HeisTriple(0, 1, 0)
     l1 = gen_Lc(1)
-    alg = S2ChainAlgebra
+    alg = S2Instance
     a = {"x": x, "y": y}
     lhs, rhs = eval_term(l1.lhs, a, alg), eval_term(l1.rhs, a, alg)
     if lhs != HeisTriple(1, 1, 0) or rhs != HeisTriple(1, 1, 1):
@@ -187,14 +187,14 @@ def claim_divisibility_failures(cfg: BatteryConfig) -> ClaimResult:
     r = residual_search(M1Instance, x, y, "right", bound=6)
     if r != (1, 0) or omon.m1_mul(r, x) != (2, 0):
         return ClaimResult("divisibility-failures", "fail", "commutative case wrong")
-    if omon.m1_cmp(omon.m1_mul(r, x), omon.M1ChainAlgebra.meet(x, y)) == 0:
+    if omon.m1_cmp(omon.m1_mul(r, x), M1Instance.meet(x, y)) == 0:
         return ClaimResult("divisibility-failures", "fail", "divisibility unexpectedly holds")
     # positive nilpotent monoid: (x/y)y = xy != x = x meet y
     xs, ys = HeisTriple(1, 0, 0), HeisTriple(0, 1, 0)
     r2 = residual_search(S2Instance, ys, xs, "right", bound=6)
     if r2 != xs or heis_mul(r2, ys) != HeisTriple(1, 1, 0):
         return ClaimResult("divisibility-failures", "fail", "nilpotent case wrong")
-    if s2_cmp(heis_mul(r2, ys), S2ChainAlgebra.meet(xs, ys)) == 0:
+    if s2_cmp(heis_mul(r2, ys), S2Instance.meet(xs, ys)) == 0:
         return ClaimResult("divisibility-failures", "fail", "divisibility unexpectedly holds")
     return ClaimResult(
         "divisibility-failures", "pass", "both failure witnesses certified by brute force"
@@ -273,7 +273,7 @@ def claim_dyadic(cfg: BatteryConfig) -> ClaimResult:
         return ClaimResult("dyadic-claims", "fail", "truncated product witness missing")
     # the weakly-abelian inequality fails at the fixed witness
     wa = finite.PROPERTIES["weakly-abelian"][0]
-    v = check_equation_sampled(wa, nilpotent.DyadicChainAlgebra, [{"x": a, "y": b}])
+    v = check_equation_sampled(wa, DyadicInstance, [{"x": a, "y": b}])
     if v.holds:
         return ClaimResult("dyadic-claims", "fail", "weakly-abelian unexpectedly holds")
     return ClaimResult(
@@ -287,7 +287,7 @@ def claim_hamiltonian_law(cfg: BatteryConfig) -> ClaimResult:
     f2_assignments = [
         {v: random_triple(rng, 8) for v in ("x", "y", "z")} for _ in range(cfg.samples)
     ]
-    v = check_equation_sampled(eq8, F2ChainAlgebra, f2_assignments)
+    v = check_equation_sampled(eq8, F2Instance, f2_assignments)
     if not v.holds:
         return ClaimResult("hamiltonian-law", "fail", f"extended chain: {v.witness}")
 
@@ -298,7 +298,7 @@ def claim_hamiltonian_law(cfg: BatteryConfig) -> ClaimResult:
     s2_assignments = [
         {v: rand_s2() for v in ("x", "y", "z")} for _ in range(cfg.samples)
     ]
-    v = check_equation_sampled(eq8, S2ChainAlgebra, s2_assignments)
+    v = check_equation_sampled(eq8, S2Instance, s2_assignments)
     if not v.holds:
         return ClaimResult("hamiltonian-law", "fail", f"positive monoid: {v.witness}")
     return ClaimResult(

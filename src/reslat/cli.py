@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -21,16 +20,6 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
-
-
-def _max_size(default: int = 6) -> int:
-    raw = os.environ.get("RESLAT_MAX_SIZE")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(EXIT_USAGE)
 
 
 def _emit(payload: dict, as_json: bool, text: str) -> None:
@@ -49,7 +38,7 @@ def _load_model(spec: str) -> finite.FiniteResLat:
         except (OSError, json.JSONDecodeError, finite.StructureError) as exc:
             print(f"error: cannot load model {spec!r}: {exc}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
-    if s.n > _max_size(64):
+    if s.n > finite.max_size(64):
         print("error: model exceeds RESLAT_MAX_SIZE", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     return s
@@ -93,7 +82,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    cap = _max_size()
+    cap = finite.max_size(finite.DEFAULT_ENUM_CAP)
     if args.size > cap:
         print(f"error: size {args.size} exceeds cap {cap} (RESLAT_MAX_SIZE)", file=sys.stderr)
         return EXIT_USAGE
@@ -123,17 +112,21 @@ def cmd_residual(args) -> int:
             a, b = omon.m1_parse(args.a), omon.m1_parse(args.b)
         else:
             a, b = _parse_triple(args.a), _parse_triple(args.b)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+            for g in (a, b):
+                if not nilpotent.s2_member(g):
+                    raise ValueError(f"{g.triple()} is not in the positive monoid")
         if args.search:
             r = omon.residual_search(inst, a, b, args.side, bound=args.bound)
+        elif args.side == "left":
+            r = inst.ldiv(a, b)
         else:
-            r = inst.closed_residual(a, b, args.side)
+            r = inst.rdiv(b, a)
     except omon.ResidualExhausted as exc:
         print(f"exhausted: no residual within bound {exc.bound}", file=sys.stderr)
         return EXIT_EXHAUSTED
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     show = omon.m1_word(r) if args.monoid == "m1" else str(r.triple())
     payload = {"monoid": args.monoid, "side": args.side, "a": args.a, "b": args.b,
                "residual": show}
@@ -291,17 +284,17 @@ def cmd_omon(args) -> int:
         _emit(payload, args.json, "\n".join(lines))
         return EXIT_HOLDS if rep.all_certified() else EXIT_FAILS
     # chain prefix listing
-    out, it = [], inst.candidates(args.bound)
-    for g in it:
-        out.append(omon.m1_word(g) if args.monoid == "m1" else str(g.triple()))
+    out = []
+    for g in inst.candidates(args.bound):
         if len(out) >= args.count:
             break
+        out.append(omon.m1_word(g) if args.monoid == "m1" else str(g.triple()))
     _emit({"monoid": args.monoid, "prefix": out}, args.json, " > ".join(out))
     return EXIT_HOLDS
 
 
 def cmd_verify_paper(args) -> int:
-    cfg = battery.BatteryConfig(max_size=_max_size(5), samples=args.samples,
+    cfg = battery.BatteryConfig(max_size=finite.max_size(5), samples=args.samples,
                                 seed=args.seed)
     try:
         results = battery.run_battery(cfg, only=args.only)
@@ -400,6 +393,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.fn(args)
+    except finite.StructureError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 

@@ -52,6 +52,7 @@ __all__ = [
     "structure_to_json",
     "structure_from_json",
     "DEFAULT_ENUM_CAP",
+    "max_size",
 ]
 
 
@@ -604,6 +605,21 @@ def _chain_tables(n: int, unit: int) -> Iterator[Table]:
     yield from rec(0)
 
 
+def max_size(default: int) -> int:
+    """The size cap set by the RESLAT_MAX_SIZE environment variable, or
+    `default` when it is unset."""
+    raw = os.environ.get("RESLAT_MAX_SIZE")
+    if raw is None:
+        return default
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise StructureError(f"RESLAT_MAX_SIZE must be a positive integer, got {raw!r}")
+    return cap
+
+
 def enumerate_chain_models(
     n: int,
     constraints: Sequence[str] = (),
@@ -613,7 +629,7 @@ def enumerate_chain_models(
     deterministic order (unit ascending, then row-major table order),
     filtered by the named-property constraints."""
     if cap is None:
-        cap = int(os.environ.get("RESLAT_MAX_SIZE", DEFAULT_ENUM_CAP))
+        cap = max_size(DEFAULT_ENUM_CAP)
     if n > cap:
         raise StructureError(f"chain size {n} exceeds enumeration cap {cap}")
     leq = chain_leq(n)

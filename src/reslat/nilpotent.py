@@ -40,7 +40,6 @@ __all__ = [
     "dyadic_pow",
     "dyadic_cmp",
     "dyadic_conjugate",
-    "DyadicChainAlgebra",
 ]
 
 
@@ -257,29 +256,3 @@ def dyadic_cmp(g: DyadicPair, h: DyadicPair) -> int:
 def dyadic_conjugate(g: DyadicPair, b: DyadicPair) -> DyadicPair:
     return dyadic_mul(dyadic_mul(dyadic_inv(b), g), b)
 
-
-class DyadicChainAlgebra:
-    """The dyadic group as a residuated chain (total orders on groups are
-    residuated: a\\b = a^-1 b and a/b = a b^-1)."""
-
-    unit = DYADIC_UNIT
-
-    @staticmethod
-    def mul(a, b):
-        return dyadic_mul(a, b)
-
-    @staticmethod
-    def ldiv(a, b):
-        return dyadic_mul(dyadic_inv(a), b)
-
-    @staticmethod
-    def rdiv(a, b):
-        return dyadic_mul(a, dyadic_inv(b))
-
-    @staticmethod
-    def meet(a, b):
-        return a if dyadic_cmp(a, b) <= 0 else b
-
-    @staticmethod
-    def join(a, b):
-        return a if dyadic_cmp(a, b) >= 0 else b

@@ -1,4 +1,8 @@
-"""Totally ordered monoid instances with residuals by bounded search.
+"""Infinite residuated chains given by rules, with residuals by bounded search.
+
+Every infinite example is one `Chain` record: the free commutative chain
+`M1Instance`, the positive 2-nilpotent monoid `S2Instance`, the dyadic
+group `DyadicInstance` here, and the group of fractions `ore.F2Instance`.
 
 For an integral total order on a finitely generated monoid the sets
 {c : a*c <= b} always have greatest elements (the order satisfies the
@@ -11,13 +15,10 @@ reports exhaustion explicitly; the closed forms (`m1_residual`,
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
-from .finite import FiniteResLat
 from .nilpotent import (
     DYADIC_UNIT,
     DyadicPair,
@@ -25,6 +26,7 @@ from .nilpotent import (
     HeisTriple,
     dyadic_conjugate,
     dyadic_cmp,
+    dyadic_inv,
     dyadic_mul,
     dyadic_pow,
     s2_box,
@@ -35,24 +37,19 @@ from .nilpotent import (
 
 __all__ = [
     "ResidualExhausted",
-    "OrderedMonoidInstance",
+    "Chain",
     "M1Instance",
     "S2Instance",
-    "ChainInstance",
-    "LexProductInstance",
+    "DyadicInstance",
     "residual_search",
     "default_bound",
     "m1_residual",
     "s2_residual",
     "m1_word",
     "m1_parse",
-    "lex_product_order",
-    "TruncatedProduct",
     "WitnessRow",
     "HamiltonianFailureReport",
     "hamvty_witness",
-    "M1ChainAlgebra",
-    "S2ChainAlgebra",
 ]
 
 
@@ -65,38 +62,46 @@ class ResidualExhausted(RuntimeError):
 
 
 @dataclass(frozen=True)
-class OrderedMonoidInstance:
-    """A totally ordered monoid given behaviourally.
+class Chain:
+    """A totally ordered residuated monoid given by rules.
 
-    `cmp(a, b)` is the total order (negative means strictly below),
-    `candidates(bound)` streams elements strictly descending from the unit
-    within a finite box, and `size(a)` is the word-length proxy used to pick
-    default search bounds.
+    `cmp(a, b)` is the total order (negative means strictly below).  The
+    residuals follow the `a\\b`, `a/b` convention of `terms`: `ldiv(a, b)`
+    is the greatest c with a*c <= b and `rdiv(a, b)` the greatest c with
+    c*b <= a.  A chain that `residual_search` can scan also gives
+    `candidates(bound)`, streaming elements strictly descending from the
+    unit within a finite box, and `size(a)`, the word-length proxy used to
+    pick default search bounds.
     """
 
     name: str
     unit: object
     mul: Callable
     cmp: Callable
-    candidates: Callable[[int], Iterator]
-    size: Callable[[object], int]
-    integral: bool = True
-    closed_residual: Optional[Callable] = None
+    ldiv: Callable
+    rdiv: Callable
+    candidates: Optional[Callable[[int], Iterator]] = None
+    size: Optional[Callable[[object], int]] = None
 
-    def le(self, a, b) -> bool:
-        return self.cmp(a, b) <= 0
+    def meet(self, a, b):
+        return a if self.cmp(a, b) <= 0 else b
+
+    def join(self, a, b):
+        return a if self.cmp(a, b) >= 0 else b
 
 
-def default_bound(inst: OrderedMonoidInstance, a, b) -> int:
+def default_bound(inst: Chain, a, b) -> int:
     return inst.size(a) + inst.size(b) + 4
 
 
-def residual_search(inst, a, b, side: str = "left", bound: Optional[int] = None):
+def residual_search(inst: Chain, a, b, side: str = "left", bound: Optional[int] = None):
     """Greatest c with a*c <= b (left) or c*a <= b (right), by first-hit
     scan of the descending candidate stream.  Raises ResidualExhausted when
     the bound is too small; never returns a wrong answer."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    if inst.candidates is None:
+        raise ValueError(f"chain {inst.name!r} has no candidate stream to search")
     if bound is None:
         bound = default_bound(inst, a, b)
     if bound < 1:
@@ -183,14 +188,15 @@ def m1_parse(text: str) -> M1Element:
     return (a, b)
 
 
-M1Instance = OrderedMonoidInstance(
+M1Instance = Chain(
     name="m1",
     unit=M1_UNIT,
     mul=m1_mul,
     cmp=m1_cmp,
+    ldiv=lambda a, b: m1_residual(b, a),
+    rdiv=m1_residual,
     candidates=m1_candidates,
     size=lambda u: u[0] + u[1],
-    closed_residual=lambda a, b, side: m1_residual(b, a) if side == "left" else m1_residual(b, a),
 )
 
 
@@ -227,96 +233,31 @@ def s2_residual(a: HeisTriple, b: HeisTriple, side: str = "left") -> HeisTriple:
     return HeisTriple(al, be + 1, 0)
 
 
-S2Instance = OrderedMonoidInstance(
+S2Instance = Chain(
     name="s2",
     unit=HEIS_UNIT,
     mul=heis_mul,
     cmp=s2_cmp,
+    ldiv=s2_residual,
+    rdiv=lambda a, b: s2_residual(b, a, "right"),
     candidates=_s2_candidates,
     size=lambda g: g.alpha + g.beta + g.gamma,
-    closed_residual=lambda a, b, side: s2_residual(a, b, side),
 )
 
 
 # ---------------------------------------------------------------------------
-# adapters and lexicographic products
+# the dyadic group Z[1/2] x| Z and the truncated-product Hamiltonian-failure
+# witness
 
-
-def ChainInstance(s: FiniteResLat) -> OrderedMonoidInstance:
-    """View a finite residuated chain as an ordered-monoid instance."""
-    if not s.is_chain():
-        raise ValueError("structure is not totally ordered")
-    order = sorted(s.elements, key=lambda a: sum(s.leq[a]))  # descending
-
-    def cmp(a, b):
-        if a == b:
-            return 0
-        return -1 if s.le(a, b) else 1
-
-    return OrderedMonoidInstance(
-        name=s.name or f"chain{s.n}",
-        unit=s.unit,
-        mul=s.mul,
-        cmp=cmp,
-        candidates=lambda bound: iter(order),
-        size=lambda a: 1,
-        integral=all(s.le(a, s.unit) for a in s.elements),
-        closed_residual=lambda a, b, side: s.ldiv(a, b) if side == "left" else s.rdiv(b, a),
-    )
-
-
-def lex_product_order(factors: Sequence[OrderedMonoidInstance]) -> OrderedMonoidInstance:
-    """Lexicographic order on a finite product of chains: compare at the
-    first index where the coordinates differ."""
-    if not factors:
-        raise ValueError("need at least one factor")
-
-    def mul(u, v):
-        return tuple(f.mul(a, b) for f, a, b in zip(factors, u, v))
-
-    def cmp(u, v):
-        for f, a, b in zip(factors, u, v):
-            c = f.cmp(a, b)
-            if c:
-                return c
-        return 0
-
-    def candidates(bound):
-        grids = [list(itertools.islice(f.candidates(bound), 0, None)) for f in factors]
-        combos = list(itertools.product(*grids))
-        combos.sort(key=cmp_to_key(cmp), reverse=True)
-        return iter(combos)
-
-    return OrderedMonoidInstance(
-        name="lex(" + ",".join(f.name for f in factors) + ")",
-        unit=tuple(f.unit for f in factors),
-        mul=mul,
-        cmp=cmp,
-        candidates=candidates,
-        size=lambda u: sum(f.size(a) for f, a in zip(factors, u)),
-        integral=all(f.integral for f in factors),
-    )
-
-
-# ---------------------------------------------------------------------------
-# the truncated-product Hamiltonian-failure witness
-
-
-@dataclass(frozen=True)
-class TruncatedProduct:
-    """Finite truncation of a product of copies of the dyadic chain, with
-    pointwise product and pointwise (partial) order."""
-
-    length: int  # number of coordinates, indices 0..length-1
-
-    def mul(self, u, v):
-        return tuple(dyadic_mul(a, b) for a, b in zip(u, v))
-
-    def le(self, u, v) -> bool:
-        return all(dyadic_cmp(a, b) <= 0 for a, b in zip(u, v))
-
-    def conjugate(self, u, by):
-        return tuple(dyadic_conjugate(a, b) for a, b in zip(u, by))
+# a total order on a group is residuated: a\b = a^-1 b and a/b = a b^-1
+DyadicInstance = Chain(
+    name="dyadic",
+    unit=DYADIC_UNIT,
+    mul=dyadic_mul,
+    cmp=dyadic_cmp,
+    ldiv=lambda a, b: dyadic_mul(dyadic_inv(a), b),
+    rdiv=lambda a, b: dyadic_mul(a, dyadic_inv(b)),
+)
 
 
 @dataclass(frozen=True)
@@ -371,55 +312,3 @@ def hamvty_witness(
             WitnessRow(n, hit, an, conj[hit] if hit is not None else None)
         )
     return HamiltonianFailureReport(N, a, b, tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# term-evaluation adapters for the infinite chains
-
-
-class M1ChainAlgebra:
-    unit = M1_UNIT
-
-    @staticmethod
-    def mul(a, b):
-        return m1_mul(a, b)
-
-    @staticmethod
-    def ldiv(a, b):
-        return m1_residual(b, a)
-
-    @staticmethod
-    def rdiv(a, b):
-        return m1_residual(a, b)
-
-    @staticmethod
-    def meet(a, b):
-        return a if m1_cmp(a, b) <= 0 else b
-
-    @staticmethod
-    def join(a, b):
-        return a if m1_cmp(a, b) >= 0 else b
-
-
-class S2ChainAlgebra:
-    unit = HEIS_UNIT
-
-    @staticmethod
-    def mul(a, b):
-        return heis_mul(a, b)
-
-    @staticmethod
-    def ldiv(a, b):
-        return s2_residual(a, b, "left")
-
-    @staticmethod
-    def rdiv(a, b):
-        return s2_residual(b, a, "right")
-
-    @staticmethod
-    def meet(a, b):
-        return a if s2_cmp(a, b) <= 0 else b
-
-    @staticmethod
-    def join(a, b):
-        return a if s2_cmp(a, b) >= 0 else b

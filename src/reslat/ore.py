@@ -24,7 +24,7 @@ from .nilpotent import (
     s2_cmp,
     s2_member,
 )
-from .omon import ResidualExhausted, s2_residual
+from .omon import Chain, ResidualExhausted, s2_residual
 
 __all__ = [
     "OreFraction",
@@ -35,7 +35,7 @@ __all__ = [
     "conucleus_sigma",
     "ConucleusReport",
     "verify_conucleus",
-    "F2ChainAlgebra",
+    "F2Instance",
     "random_fraction",
     "random_triple",
 ]
@@ -146,30 +146,15 @@ def conucleus_sigma(f: OreFraction) -> HeisTriple:
     return s2_residual(f.den, f.num, "left")
 
 
-class F2ChainAlgebra:
-    """The whole group under the extended order, as a residuated chain."""
-
-    unit = HEIS_UNIT
-
-    @staticmethod
-    def mul(a, b):
-        return heis_mul(a, b)
-
-    @staticmethod
-    def ldiv(a, b):
-        return heis_mul(heis_inv(a), b)
-
-    @staticmethod
-    def rdiv(a, b):
-        return heis_mul(a, heis_inv(b))
-
-    @staticmethod
-    def meet(a, b):
-        return a if f2_cmp(a, b) <= 0 else b
-
-    @staticmethod
-    def join(a, b):
-        return a if f2_cmp(a, b) >= 0 else b
+# the whole group under the extended order, as a residuated chain
+F2Instance = Chain(
+    name="f2",
+    unit=HEIS_UNIT,
+    mul=heis_mul,
+    cmp=f2_cmp,
+    ldiv=lambda a, b: heis_mul(heis_inv(a), b),
+    rdiv=lambda a, b: heis_mul(a, heis_inv(b)),
+)
 
 
 def random_triple(rng: random.Random, box: int) -> HeisTriple:

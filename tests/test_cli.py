@@ -51,6 +51,14 @@ def test_enumerate_cap(capsys, monkeypatch):
     assert code == 2 and "cap" in err
 
 
+def test_max_size_not_a_positive_integer(capsys, monkeypatch):
+    for raw in ("abc", "0"):
+        monkeypatch.setenv("RESLAT_MAX_SIZE", raw)
+        code, out, err = run(capsys, "enumerate", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: RESLAT_MAX_SIZE must be a positive integer, got {raw!r}\n"
+
+
 def test_enumerate_unknown_property(capsys):
     code, _, err = run(capsys, "enumerate", "3", "--require", "bogus")
     assert code == 2
@@ -71,6 +79,20 @@ def test_residual_s2_search_agrees(capsys):
 def test_residual_bad_input(capsys):
     code, _, err = run(capsys, "residual", "s2", "left", "1,0", "0,0,0")
     assert code == 2
+
+
+@pytest.mark.parametrize("extra", [(), ("--search",)])
+def test_residual_s2_non_member(capsys, extra):
+    code, out, err = run(capsys, "residual", "s2", "left", "1,0,5", "0,0,0", *extra)
+    assert code == 2 and out == ""
+    assert err == "error: (1, 0, 5) is not in the positive monoid\n"
+
+
+def test_residual_search_bound_zero(capsys):
+    code, out, err = run(capsys, "residual", "m1", "left", "x", "y",
+                         "--search", "--bound", "0")
+    assert code == 2 and out == ""
+    assert err == "error: bound must be >= 1\n"
 
 
 def test_heis_ops(capsys):
@@ -114,6 +136,13 @@ def test_ore_witness_exhausted(capsys):
 def test_omon_prefix(capsys):
     code, out, _ = run(capsys, "omon", "m1", "prefix", "--count", "6")
     assert code == 0 and out.strip() == "e > x > y > x2 > xy > y2"
+
+
+def test_omon_prefix_count_zero(capsys):
+    code, out, _ = run(capsys, "omon", "m1", "prefix", "--count", "0")
+    assert code == 0 and out.strip() == ""
+    code, out, _ = run(capsys, "omon", "m1", "prefix", "--count", "0", "--json")
+    assert code == 0 and json.loads(out)["prefix"] == []
 
 
 def test_omon_hamvty(capsys):

@@ -214,6 +214,10 @@ def test_enumerate_env_cap(monkeypatch):
         R.enumerate_chain_models(3)
     monkeypatch.setenv("RESLAT_MAX_SIZE", "3")
     assert len(R.enumerate_chain_models(3)) == 3
+    for raw in ("abc", "-1"):
+        monkeypatch.setenv("RESLAT_MAX_SIZE", raw)
+        with pytest.raises(finite.StructureError, match="RESLAT_MAX_SIZE"):
+            R.enumerate_chain_models(3)
 
 
 def test_json_round_trip(tmp_path):

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from fractions import Fraction
 
@@ -6,13 +7,11 @@ import pytest
 import reslat as R
 from reslat.nilpotent import DyadicPair, HEIS_UNIT, HeisTriple
 from reslat.omon import (
-    M1ChainAlgebra,
+    DyadicInstance,
     M1Instance,
-    S2ChainAlgebra,
     S2Instance,
     ResidualExhausted,
     hamvty_witness,
-    lex_product_order,
     m1_cmp,
     m1_mul,
     m1_parse,
@@ -21,6 +20,7 @@ from reslat.omon import (
     residual_search,
     s2_residual,
 )
+from reslat.ore import F2Instance
 
 X, Y = HeisTriple(1, 0, 0), HeisTriple(0, 1, 0)
 
@@ -64,7 +64,7 @@ def test_m1_divisibility_fails():
     x, y = (1, 0), (0, 1)
     r = m1_residual(y, x)
     assert m1_mul(r, x) == (2, 0)
-    assert m1_cmp(m1_mul(r, x), M1ChainAlgebra.meet(x, y)) != 0
+    assert m1_cmp(m1_mul(r, x), M1Instance.meet(x, y)) != 0
 
 
 def test_s2_residual_examples():
@@ -90,7 +90,7 @@ def test_s2_divisibility_fails():
     r = s2_residual(Y, X, "right")
     prod = R.heis_mul(r, Y)
     assert prod == HeisTriple(1, 1, 0)
-    assert R.s2_cmp(prod, S2ChainAlgebra.meet(X, Y)) != 0
+    assert R.s2_cmp(prod, S2Instance.meet(X, Y)) != 0
 
 
 def test_residual_search_exhaustion():
@@ -100,28 +100,36 @@ def test_residual_search_exhaustion():
 
 def test_chain_algebra_interfaces():
     eq = R.parse_equation("x*(x\\y) ^ y = x*(x\\y)")
-    v = R.check_equation_sampled(eq, S2ChainAlgebra,
+    v = R.check_equation_sampled(eq, S2Instance,
                                  [{"x": X, "y": Y}, {"x": Y, "y": X}])
     assert v.holds  # x(x\y) <= y always
 
 
-def test_lex_product_order():
-    prod = lex_product_order([M1Instance, M1Instance])
-    e, x = (0, 0), (1, 0)
-    assert prod.unit == (e, e)
-    assert prod.mul((x, e), (e, x)) == (x, x)
-    # first coordinate dominates
-    assert prod.cmp((x, e), (e, x)) == -1
-    assert prod.cmp((x, x), (x, e)) == -1
-    assert prod.cmp((x, x), (x, x)) == 0
-    assert prod.integral
-    # the candidate stream is strictly descending and starts at the unit
-    stream = list(itertools.islice(prod.candidates(2), 6))
-    assert stream[0] == (e, e)
-    for a, b in zip(stream, stream[1:]):
-        assert prod.cmp(a, b) == 1
+def test_chain_records_follow_the_terms_convention():
+    # a\b is the greatest c with a*c <= b, and b/a the greatest c with c*a <= b
+    for inst, box in ((M1Instance, [(a, d - a) for d in range(5) for a in range(d + 1)]),
+                      (S2Instance, list(R.s2_box(2, 2)))):
+        for a in box:
+            for b in box:
+                assert inst.ldiv(a, b) == residual_search(inst, a, b, "left", bound=10)
+                assert inst.rdiv(b, a) == residual_search(inst, a, b, "right", bound=10)
+                lo, hi = inst.meet(a, b), inst.join(a, b)
+                assert {lo, hi} == {a, b} and inst.cmp(lo, hi) <= 0
+    # in the group chains both residuals are exact quotients
+    g, h = HeisTriple(2, -1, 3), HeisTriple(-1, 4, 0)
+    p, q = DyadicPair(Fraction(3, 4), 1), DyadicPair(Fraction(-5), -2)
+    for inst, a, b in ((F2Instance, g, h), (DyadicInstance, p, q)):
+        assert inst.mul(a, inst.ldiv(a, b)) == b
+        assert inst.mul(inst.rdiv(b, a), a) == b
     with pytest.raises(ValueError):
-        lex_product_order([])
+        residual_search(F2Instance, g, h)
+
+
+@pytest.mark.parametrize("module", ["finite", "nilpotent", "omon", "ore"])
+def test_public_names_resolve(module):
+    mod = importlib.import_module(f"reslat.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    exec(f"from reslat.{module} import *", {})
 
 
 def test_hamvty_witness_small():
