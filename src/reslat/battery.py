@@ -26,7 +26,6 @@ from .nilpotent import (
     dyadic_pow,
     from_matrix,
     heis_mul,
-    heis_pow,
     mat_mul,
     nth_root,
     s2_box,
@@ -162,21 +161,30 @@ def claim_nilpotency_laws(cfg: BatteryConfig) -> ClaimResult:
     )
 
 
+def _matrix_pow(g: HeisTriple, n: int) -> HeisTriple:
+    """g**n (n >= 0) by iterated unitriangular matrix products, a route
+    independent of the closed form that nth_root inverts."""
+    m = to_matrix(HEIS_UNIT)
+    for _ in range(n):
+        m = mat_mul(m, to_matrix(g))
+    return from_matrix(m)
+
+
 def claim_unique_roots(cfg: BatteryConfig) -> ClaimResult:
     box = list(s2_box(6, 6))
     for n in range(1, 5):
         seen: dict = {}
         for g in box:
-            p = heis_pow(g, n)
+            p = _matrix_pow(g, n)
             if p in seen and seen[p] != g:
                 return ClaimResult("unique-roots", "fail", f"{seen[p]}^{n} == {g}^{n}")
             seen[p] = g
             r = nth_root(p, n)
-            if r is None or heis_pow(r, n) != p:
+            if r is None or _matrix_pow(r, n) != p:
                 return ClaimResult("unique-roots", "fail", f"root of {p} (n={n}) wrong")
         for g in box:
             r = nth_root(g, n)
-            if r is not None and heis_pow(r, n) != g:
+            if r is not None and _matrix_pow(r, n) != g:
                 return ClaimResult("unique-roots", "fail", f"spurious root of {g}")
     return ClaimResult("unique-roots", "pass", f"{len(box)} elements, n <= 4, exact")
 

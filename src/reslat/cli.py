@@ -142,28 +142,36 @@ def _parse_triple(src: str) -> nilpotent.HeisTriple:
     return g
 
 
+def _second(args, parse, binary: tuple[str, ...]):
+    """The parsed second operand `h` (None if absent); an op in `binary`
+    without it is a usage error."""
+    if args.h is None and args.op in binary:
+        raise ValueError(f"{args.op} needs a second operand")
+    return None if args.h is None else parse(args.h)
+
+
 def cmd_heis(args) -> int:
+    binary = ("mul", "commutator")
     try:
         g = _parse_triple(args.g)
-        if args.op in ("mul", "commutator"):
-            h = _parse_triple(args.h)
+        h = _second(args, _parse_triple, binary) if args.op in binary else None
+        if args.op == "mul":
+            r = nilpotent.heis_mul(g, h)
+        elif args.op == "inv":
+            r = nilpotent.heis_inv(g)
+        elif args.op == "pow":
+            r = nilpotent.heis_pow(g, args.n)
+        elif args.op == "commutator":
+            r = nilpotent.heis_commutator(g, h)
+        else:  # root
+            r = nilpotent.nth_root(g, args.n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.op == "mul":
-        r = nilpotent.heis_mul(g, h)
-    elif args.op == "inv":
-        r = nilpotent.heis_inv(g)
-    elif args.op == "pow":
-        r = nilpotent.heis_pow(g, args.n)
-    elif args.op == "commutator":
-        r = nilpotent.heis_commutator(g, h)
-    else:  # root
-        r = nilpotent.nth_root(g, args.n)
-        if r is None:
-            _emit({"op": "root", "g": list(g.triple()), "n": args.n, "root": None},
-                  args.json, "no root")
-            return EXIT_FAILS
+    if r is None:
+        _emit({"op": "root", "g": list(g.triple()), "n": args.n, "root": None},
+              args.json, "no root")
+        return EXIT_FAILS
     _emit({"op": args.op, "result": list(r.triple())}, args.json, str(r.triple()))
     return EXIT_HOLDS
 
@@ -171,7 +179,7 @@ def cmd_heis(args) -> int:
 def cmd_s2(args) -> int:
     try:
         g = _parse_triple(args.g)
-        h = _parse_triple(args.h) if args.h is not None else None
+        h = _second(args, _parse_triple, ("cmp",))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -200,19 +208,19 @@ def _parse_dyadic(src: str) -> nilpotent.DyadicPair:
 def cmd_dyadic(args) -> int:
     try:
         g = _parse_dyadic(args.g)
-        h = _parse_dyadic(args.h) if args.h is not None else None
+        h = _second(args, _parse_dyadic, ("mul", "conjugate", "cmp"))
+        if args.op == "mul":
+            r = nilpotent.dyadic_mul(g, h)
+        elif args.op == "inv":
+            r = nilpotent.dyadic_inv(g)
+        elif args.op == "pow":
+            r = nilpotent.dyadic_pow(g, args.n)
+        elif args.op == "conjugate":
+            r = nilpotent.dyadic_conjugate(g, h)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.op == "mul":
-        r = nilpotent.dyadic_mul(g, h)
-    elif args.op == "inv":
-        r = nilpotent.dyadic_inv(g)
-    elif args.op == "pow":
-        r = nilpotent.dyadic_pow(g, args.n)
-    elif args.op == "conjugate":
-        r = nilpotent.dyadic_conjugate(g, h)
-    else:  # cmp
+    if args.op == "cmp":
         c = nilpotent.dyadic_cmp(g, h)
         _emit({"cmp": c}, args.json, {-1: "<", 0: "=", 1: ">"}[c])
         return EXIT_HOLDS
@@ -225,6 +233,8 @@ def cmd_ore(args) -> int:
         den, num = _parse_triple(args.den), _parse_triple(args.num)
         f = ore.OreFraction(den, num)
         g = None
+        if args.den2 is not None and args.num2 is None:
+            raise ValueError("--den2 needs --num2")
         if args.den2 is not None:
             g = ore.OreFraction(_parse_triple(args.den2), _parse_triple(args.num2))
     except ValueError as exc:
@@ -258,7 +268,11 @@ def cmd_omon(args) -> int:
         print(f"error: unknown monoid {args.monoid!r}", file=sys.stderr)
         return EXIT_USAGE
     if args.op == "hamvty":
-        rep = omon.hamvty_witness(args.size)
+        try:
+            rep = omon.hamvty_witness(args.size)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         lines = [f"truncation {rep.truncation}, all_certified={rep.all_certified()}"]
         for row in rep.rows:
             if row.coordinate is None:

@@ -38,6 +38,7 @@ __all__ = [
     "dyadic_mul",
     "dyadic_inv",
     "dyadic_pow",
+    "DYADIC_POW_BOUND",
     "dyadic_cmp",
     "dyadic_conjugate",
 ]
@@ -80,13 +81,10 @@ def heis_inv(g: HeisTriple) -> HeisTriple:
 
 
 def heis_pow(g: HeisTriple, n: int) -> HeisTriple:
-    """Plain iterated multiplication (serves as the power oracle)."""
+    """g**n in closed form: (n*alpha, n*beta, n*gamma + C(n,2)*alpha*beta)."""
     if n < 0:
         return heis_pow(heis_inv(g), -n)
-    acc = HEIS_UNIT
-    for _ in range(n):
-        acc = heis_mul(acc, g)
-    return acc
+    return HeisTriple(n * g.alpha, n * g.beta, n * g.gamma + n * (n - 1) // 2 * g.alpha * g.beta)
 
 
 def heis_commutator(g: HeisTriple, h: HeisTriple) -> HeisTriple:
@@ -238,13 +236,23 @@ def dyadic_inv(g: DyadicPair) -> DyadicPair:
     return DyadicPair(-(Fraction(2) ** (-g.n)) * g.r, -g.n)
 
 
+DYADIC_POW_BOUND = 10_000
+"""dyadic_pow refuses g**k with |k * g.n| above this: the result's numerator
+or denominator would pass 2**10000, and printing it would approach
+Python's limit on int-to-str conversion."""
+
+
 def dyadic_pow(g: DyadicPair, k: int) -> DyadicPair:
+    """g**k in closed form: (r*(2**(k*n) - 1)/(2**n - 1), k*n), or (k*r, 0)
+    when n = 0."""
+    if abs(k * g.n) > DYADIC_POW_BOUND:
+        raise ValueError(f"|k*n| = {abs(k * g.n)} exceeds the dyadic power bound {DYADIC_POW_BOUND}")
     if k < 0:
         return dyadic_pow(dyadic_inv(g), -k)
-    acc = DYADIC_UNIT
-    for _ in range(k):
-        acc = dyadic_mul(acc, g)
-    return acc
+    if g.n == 0:
+        return DyadicPair(k * g.r, 0)
+    q = Fraction(2) ** g.n
+    return DyadicPair(g.r * (q**k - 1) / (q - 1), k * g.n)
 
 
 def dyadic_cmp(g: DyadicPair, h: DyadicPair) -> int:

@@ -16,15 +16,21 @@ Concrete syntax (ASCII):
 
 Product binds tightest, then the residuals (left-associative, equal
 precedence), then meet, then join.  Equations are written "t = s" (or with
-the unicode approx sign), quasi-equations "p1, p2 => c".
+the unicode approx sign), quasi-equations "p1, p2 => c".  The parser
+refuses parentheses nested, or terms built, deeper than MAX_DEPTH.
+
+Exhaustive checks on finite structures compile each law once into nested
+loops over the structure's tables (see `_compile`); `eval_term` is the
+direct evaluator, used on the infinite chains and as the tests' oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "Term",
@@ -33,6 +39,7 @@ __all__ = [
     "Verdict",
     "TermSyntaxError",
     "EvalError",
+    "MAX_DEPTH",
     "var",
     "E",
     "mul",
@@ -65,6 +72,11 @@ class EvalError(ValueError):
     pass
 
 
+MAX_DEPTH = 100
+"""The parser refuses parentheses nested deeper than this, and terms deeper
+than this (a variable or `e` has depth 0, `x*y` depth 1)."""
+
+
 _BINOPS = ("*", "\\", "/", "^", "v")
 
 
@@ -76,6 +88,7 @@ class Term:
     name: str = ""
     left: Optional["Term"] = None
     right: Optional["Term"] = None
+    depth: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind in ("var", "e"):
@@ -86,6 +99,7 @@ class Term:
         elif self.kind in _BINOPS:
             if self.left is None or self.right is None:
                 raise ValueError("binary node needs two children")
+            object.__setattr__(self, "depth", 1 + max(self.left.depth, self.right.depth))
         else:
             raise ValueError(f"unknown node kind {self.kind!r}")
 
@@ -171,10 +185,15 @@ def le_equation(t: Term, s: Term) -> Equation:
 # parsing
 
 
+_IDENT = re.compile(r"[a-z][a-z0-9]*")
+_JOIN_OP = re.compile(r"v(?![a-z0-9])")  # a bare "v"; "v1" is an identifier
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.nesting = 0
 
     def error(self, msg: str) -> TermSyntaxError:
         return TermSyntaxError(msg, self.pos)
@@ -187,37 +206,53 @@ class _Parser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take_ident(self) -> str:
-        m = re.match(r"[a-z][a-z0-9]*", self.text[self.pos:])
-        word = m.group(0)
-        self.pos += len(word)
-        return word
-
-    def parse(self) -> Term:
-        t = self.join_()
+    def at(self, token: str) -> bool:
         self.skip_ws()
-        if self.pos != len(self.text):
+        return self.text.startswith(token, self.pos)
+
+    def end(self):
+        if self.peek():
             raise self.error(f"unexpected {self.text[self.pos]!r}")
+
+    def node(self, build: Callable[[Term, Term], Term], left: Term, right: Term) -> Term:
+        t = build(left, right)
+        if t.depth > MAX_DEPTH:
+            raise self.error(f"term deeper than {MAX_DEPTH}")
         return t
+
+    def equation(self) -> Equation:
+        lhs = self.join_()
+        if self.peek() not in ("=", "≈") or self.at("=>"):
+            raise self.error("expected '='")
+        self.pos += 1
+        return Equation(lhs, self.join_())
+
+    def quasiequation(self) -> QuasiEquation:
+        if "=>" not in self.text:
+            return QuasiEquation((), self.equation())
+        premises = []
+        while not self.at("=>"):
+            if self.at(","):
+                self.pos += 1
+                continue
+            premises.append(self.equation())
+            if not (self.at(",") or self.at("=>")):
+                raise self.error("expected ',' or '=>'")
+        self.pos += 2
+        return QuasiEquation(tuple(premises), self.equation())
 
     def join_(self) -> Term:
         t = self.meet_()
-        while True:
-            save = self.pos
-            if self.peek() == "v":
-                # only a bare "v" is the join operator; "v1" is an identifier
-                if re.match(r"v(?![a-z0-9])", self.text[self.pos:]):
-                    self.pos += 1
-                    t = join(t, self.meet_())
-                    continue
-                self.pos = save
-            return t
+        while self.peek() == "v" and _JOIN_OP.match(self.text, self.pos):
+            self.pos += 1
+            t = self.node(join, t, self.meet_())
+        return t
 
     def meet_(self) -> Term:
         t = self.resid_()
         while self.peek() == "^":
             self.pos += 1
-            t = meet(t, self.resid_())
+            t = self.node(meet, t, self.resid_())
         return t
 
     def resid_(self) -> Term:
@@ -225,8 +260,7 @@ class _Parser:
         while self.peek() in ("\\", "/"):
             op = self.text[self.pos]
             self.pos += 1
-            rhs = self.prod_()
-            t = ldiv(t, rhs) if op == "\\" else rdiv(t, rhs)
+            t = self.node(ldiv if op == "\\" else rdiv, t, self.prod_())
         return t
 
     def prod_(self) -> Term:
@@ -235,55 +269,52 @@ class _Parser:
             c = self.peek()
             if c == "*":
                 self.pos += 1
-                t = mul(t, self.atom_())
-            elif c == "(" or (c.isalpha() and c not in ("v",)) or (
-                c == "v" and re.match(r"v[a-z0-9]", self.text[self.pos:])
-            ):
-                t = mul(t, self.atom_())
-            else:
+            elif not (c == "(" or (c.isalpha() and not _JOIN_OP.match(self.text, self.pos))):
                 return t
+            t = self.node(mul, t, self.atom_())
 
     def atom_(self) -> Term:
-        c = self.peek()
-        if c == "(":
+        if self.peek() == "(":
+            self.nesting += 1
+            if self.nesting > MAX_DEPTH:
+                raise self.error(f"parentheses nested deeper than {MAX_DEPTH}")
             self.pos += 1
             t = self.join_()
             if self.peek() != ")":
                 raise self.error("expected ')'")
             self.pos += 1
+            self.nesting -= 1
             return t
-        if c.isalpha():
-            word = self.take_ident()
-            if word == "e":
-                return E
-            if word == "v":
-                self.pos -= 1
-                raise self.error("'v' is the join operator, not an identifier")
-            return var(word)
-        raise self.error("expected a term")
+        m = _IDENT.match(self.text, self.pos)
+        if m is None:
+            raise self.error("expected a term")
+        if m.group() == "v":
+            raise self.error("'v' is the join operator, not an identifier")
+        self.pos = m.end()
+        return E if m.group() == "e" else var(m.group())
 
 
 def parse_term(text: str) -> Term:
-    """Parse `text` into a Term; raises TermSyntaxError with a byte offset."""
-    return _Parser(text).parse()
+    """Parse `text` into a Term; raises TermSyntaxError with the offset of
+    the problem in `text`."""
+    p = _Parser(text)
+    t = p.join_()
+    p.end()
+    return t
 
 
 def parse_equation(text: str) -> Equation:
-    parts = re.split(r"≈|=", text)
-    if len(parts) != 2:
-        raise TermSyntaxError("an equation needs exactly one '='", text.find("="))
-    return Equation(parse_term(parts[0]), parse_term(parts[1]))
+    p = _Parser(text)
+    eq = p.equation()
+    p.end()
+    return eq
 
 
 def parse_quasiequation(text: str) -> QuasiEquation:
-    pieces = text.split("=>")
-    if len(pieces) == 1:
-        return QuasiEquation((), parse_equation(text))
-    if len(pieces) != 2:
-        raise TermSyntaxError("at most one '=>' allowed", text.find("=>"))
-    premtext, concl = pieces
-    premises = tuple(parse_equation(p) for p in premtext.split(",") if p.strip())
-    return QuasiEquation(premises, parse_equation(concl))
+    p = _Parser(text)
+    q = p.quasiequation()
+    p.end()
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -345,31 +376,108 @@ class Verdict:
         return self.holds
 
 
-def _assignments(names: Sequence[str], elements: Sequence) -> Iterator[dict]:
-    for combo in itertools.product(elements, repeat=len(names)):
-        yield dict(zip(names, combo))
+_COMPILE_CACHE_SIZE = 512
+_MAX_LOOPS = 16  # CPython refuses more than 20 statically nested blocks
+
+Law = Union[Equation, QuasiEquation]
+
+
+@functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
+def _compile(law: Law) -> tuple[tuple[str, ...], Callable]:
+    """Compile `law` into nested loops over the tables of a finite structure.
+
+    Returns the variable names in sorted order and a function of
+    (elements, unit, mul, ldiv, rdiv, meet, join) that runs one loop per
+    variable, in that order (variables past the _MAX_LOOPS-th share the
+    innermost loop through itertools.product, which keeps the order).  Each
+    distinct subterm is computed once per assignment of the variables it
+    depends on, at the outermost loop where they are all bound.  A premise
+    is tested at that level too and skips the inner loops when it fails;
+    the conclusion is tested innermost.  The function returns None when the
+    law holds, else the values of the first failing assignment.
+
+    The generated source names only the parameters above and generated
+    variables: v<i> for the i-th variable, t<j> for a subterm and r<j> for
+    a table row hoisted out of inner loops.
+    """
+    if isinstance(law, QuasiEquation):
+        premises, conclusion = law.premises, law.conclusion
+    else:
+        premises, conclusion = (), law
+    names = tuple(sorted(law.free_vars()))
+    level = {name: min(i, _MAX_LOOPS - 1) + 1 for i, name in enumerate(names)}
+    loops = max(level.values(), default=0)
+    body: list[list[str]] = [[] for _ in range(loops + 1)]
+    slots: dict[Term, tuple[str, int]] = {}
+    rows: dict[str, str] = {}
+
+    def emit(t: Term) -> tuple[str, int]:
+        """The expression naming `t`'s value, and the level it is bound at."""
+        if t not in slots:
+            if t.kind == "var":
+                slots[t] = (f"v{names.index(t.name)}", level[t.name])
+            elif t.kind == "e":
+                slots[t] = ("unit", 0)
+            else:
+                a, la = emit(t.left)
+                b, lb = emit(t.right)
+                row = f"{_OPNAMES[t.kind]}[{a}]"
+                if la < lb:  # hoist the table row out of the loops over b's variables
+                    if row not in rows:
+                        rows[row] = f"r{len(rows)}"
+                        body[la].append(f"{rows[row]} = {row}")
+                    row = rows[row]
+                slot = f"t{len(slots)}"
+                body[max(la, lb)].append(f"{slot} = {row}[{b}]")
+                slots[t] = (slot, max(la, lb))
+        return slots[t]
+
+    def differs(eq: Equation) -> tuple[str, int]:
+        (a, la), (b, lb) = emit(eq.lhs), emit(eq.rhs)
+        return f"{a} != {b}", max(la, lb)
+
+    for p in premises:
+        test, at = differs(p)
+        body[at].append(f"if {test}: " + ("continue" if at else "return None"))
+    test, _ = differs(conclusion)
+    witness = "".join(f"v{i}, " for i in range(len(names)))
+    body[loops].append(f"if {test}: return ({witness})")
+
+    lines = ["def law(elements, unit, mul, ldiv, rdiv, meet, join):"]
+    lines += ["    " + stmt for stmt in body[0]]
+    for at in range(1, loops + 1):
+        bound = [f"v{i}" for i, name in enumerate(names) if level[name] == at]
+        source = "elements" if len(bound) == 1 else f"product(elements, repeat={len(bound)})"
+        lines.append("    " * at + f"for {', '.join(bound)} in {source}:")
+        lines += ["    " * (at + 1) + stmt for stmt in body[at]]
+    lines.append("    return None")
+    namespace = {"product": itertools.product}
+    exec(compile("\n".join(lines), "<law>", "exec"), namespace)
+    return names, namespace["law"]
+
+
+def _check(law: Law, s) -> Verdict:
+    names, run = _compile(law)
+    found = run(s.elements, s.unit, s.mul_table, s.ldiv_table, s.rdiv_table,
+                s.meet_table, s.join_table)
+    if found is None:
+        return Verdict(True)
+    return Verdict(False, dict(zip(names, found)))
 
 
 def check_equation(eq: Equation, s) -> Verdict:
-    """Exhaustive check over a finite structure.
+    """Exhaustive check over a finite structure (a FiniteResLat).
 
     On failure returns the lexicographically-first witness (variables in
     sorted name order, elements in carrier index order).
     """
-    names = sorted(eq.free_vars())
-    for a in _assignments(names, list(s.elements)):
-        if eval_term(eq.lhs, a, s) != eval_term(eq.rhs, a, s):
-            return Verdict(False, dict(a))
-    return Verdict(True)
+    return _check(eq, s)
 
 
 def check_quasiequation(q: QuasiEquation, s) -> Verdict:
-    names = sorted(q.free_vars())
-    for a in _assignments(names, list(s.elements)):
-        if all(eval_term(p.lhs, a, s) == eval_term(p.rhs, a, s) for p in q.premises):
-            if eval_term(q.conclusion.lhs, a, s) != eval_term(q.conclusion.rhs, a, s):
-                return Verdict(False, dict(a))
-    return Verdict(True)
+    """Exhaustive check of a quasi-equation, with the same witness order as
+    check_equation."""
+    return _check(q, s)
 
 
 def check_equation_sampled(eq: Equation, s, assignments: Iterable[Mapping]) -> Verdict:

@@ -27,6 +27,17 @@ def test_check_parse_error(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("equation, offset", [
+    ("X = X", 0), ("é = x", 0), ("x = (y", 6), ("x ^ y", 5),
+    ("x" + "*x" * 101 + " = x", 203), ("(" * 2000 + "x" + ")" * 2000 + " = x", 100),
+])
+def test_check_parse_error_is_one_line(capsys, equation, offset):
+    code, out, err = run(capsys, "check", "godel3", equation)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.endswith(f" at offset {offset}\n")
+    assert err.count("\n") == 1
+
+
 def test_check_unknown_model(capsys):
     code, _, err = run(capsys, "check", "no-such-model", "e = e")
     assert code == 2
@@ -116,6 +127,33 @@ def test_dyadic(capsys):
     assert code == 0 and out.strip() == "(-4, 0)"
     code, out, _ = run(capsys, "dyadic", "cmp", "(-1,0)", "(0,-2)")
     assert code == 0 and out.strip() == ">"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("s2", "cmp", "1,0,0"), "cmp needs a second operand"),
+    (("heis", "mul", "1,0,0"), "mul needs a second operand"),
+    (("heis", "commutator", "1,0,0"), "commutator needs a second operand"),
+    (("dyadic", "mul", "1,1"), "mul needs a second operand"),
+    (("dyadic", "conjugate", "1,1"), "conjugate needs a second operand"),
+    (("dyadic", "cmp", "1,1"), "cmp needs a second operand"),
+    (("ore", "cmp", "1,0,0", "1,1,0", "--den2", "0,0,0"), "--den2 needs --num2"),
+    (("heis", "root", "1,0,0", "-n", "0"), "root degree must be >= 1"),
+    (("dyadic", "pow", "1,1", "-n", "100000"),
+     "|k*n| = 100000 exceeds the dyadic power bound 10000"),
+    (("omon", "s2", "hamvty", "--size", "0"), "truncation must be >= 1"),
+    (("omon", "s2", "hamvty", "--size", "5001"),
+     "|k*n| = 10002 exceeds the dyadic power bound 10000"),
+])
+def test_missing_or_bad_operand_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_powers_in_closed_form(capsys):
+    code, out, _ = run(capsys, "heis", "pow", "1,1,1", "-n", "100000000")
+    assert code == 0 and out.strip() == "(100000000, 100000000, 5000000050000000)"
+    code, out, _ = run(capsys, "dyadic", "pow", "1,1", "-n", "10000", "--json")
+    assert code == 0 and json.loads(out)["result"][1] == 10000
 
 
 def test_ore_sigma_and_cmp(capsys):

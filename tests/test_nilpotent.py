@@ -5,6 +5,7 @@ import pytest
 
 import reslat as R
 from reslat.nilpotent import (
+    DYADIC_POW_BOUND,
     DYADIC_UNIT,
     DyadicPair,
     HEIS_UNIT,
@@ -55,11 +56,12 @@ def test_power_against_iterated_product():
     rng = random.Random(6)
     for _ in range(300):
         g = HeisTriple(*(rng.randint(-9, 9) for _ in range(3)))
-        acc = HEIS_UNIT
-        for n in range(8):
-            assert heis_pow(g, n) == acc
-            acc = heis_mul(acc, g)
-        assert heis_pow(g, -3) == heis_inv(heis_pow(g, 3))
+        up = down = HEIS_UNIT
+        for n in range(31):
+            assert heis_pow(g, n) == up and heis_pow(g, -n) == down
+            up, down = heis_mul(up, g), heis_mul(down, heis_inv(g))
+    # closed form: no iteration, so huge exponents are instant
+    assert heis_pow(HeisTriple(1, 1, 1), 10**8) == HeisTriple(10**8, 10**8, 10**8 + 10**8 * (10**8 - 1) // 2)
 
 
 def test_commutators_generate_center():
@@ -126,6 +128,25 @@ def test_dyadic_group_ops():
 def test_dyadic_rejects_non_dyadic():
     with pytest.raises(ValueError):
         DyadicPair(Fraction(1, 3), 0)
+
+
+def test_dyadic_power_against_iterated_product():
+    rng = random.Random(8)
+    for _ in range(100):
+        g = DyadicPair(Fraction(rng.randint(-8, 8), 2 ** rng.randint(0, 3)), rng.randint(-3, 3))
+        up = down = DYADIC_UNIT
+        for k in range(31):
+            assert dyadic_pow(g, k) == up and dyadic_pow(g, -k) == down
+            up, down = dyadic_mul(up, g), dyadic_mul(down, dyadic_inv(g))
+
+
+def test_dyadic_power_bound():
+    assert dyadic_pow(DyadicPair(Fraction(1), 1), DYADIC_POW_BOUND).n == DYADIC_POW_BOUND
+    for g, k in [(DyadicPair(Fraction(1), 1), DYADIC_POW_BOUND + 1),
+                 (DyadicPair(Fraction(1), -2), -(DYADIC_POW_BOUND // 2 + 1))]:
+        with pytest.raises(ValueError):
+            dyadic_pow(g, k)
+    assert dyadic_pow(DyadicPair(Fraction(3, 4), 0), -(10**9)) == DyadicPair(Fraction(-3 * 10**9, 4), 0)
 
 
 def test_dyadic_order_is_biinvariant():

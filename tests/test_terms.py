@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 import reslat as R
-from reslat import models
+from reslat.terms import MAX_DEPTH, parse_quasiequation
+from reslat import finite, models
 from reslat.terms import E, join, ldiv, meet, mul, rdiv, var
 
 
@@ -41,6 +43,68 @@ def test_parse_error_offset():
 def test_parse_error_unbalanced():
     with pytest.raises(R.TermSyntaxError):
         R.parse_term("(x v y")
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("X = X", 0),
+    ("é = x", 0),
+    ("x = xY", 5),
+    ("x = (y", 6),
+    ("x ^ y", 5),
+    ("x => y = y", 2),
+    ("x = y = z", 6),
+])
+def test_equation_error_offsets_count_from_the_whole_input(text, offset):
+    with pytest.raises(R.TermSyntaxError) as exc:
+        R.parse_equation(text)
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("x = y, y = (x => x = y", 14),
+    ("x = y, z => x = y", 9),
+    ("x = y, y = x => x = Y", 20),
+    ("x = y z = x => e = e", 8),
+    ("x = y => e = e => x = x", 15),
+])
+def test_quasiequation_error_offsets_count_from_the_whole_input(text, offset):
+    with pytest.raises(R.TermSyntaxError) as exc:
+        parse_quasiequation(text)
+    assert exc.value.offset == offset
+
+
+def test_quasiequation_syntax():
+    q = parse_quasiequation(" , x = y,, y ≈ x , => e = e")
+    assert q.premises == (R.parse_equation("x = y"), R.parse_equation("y = x"))
+    assert q.conclusion == R.Equation(E, E)
+    assert parse_quasiequation("=> x = x") == R.QuasiEquation((), R.parse_equation("x = x"))
+    assert parse_quasiequation("x = x").premises == ()
+
+
+def test_depth_bound():
+    x = var("x")
+    right_nested = x
+    for _ in range(MAX_DEPTH):
+        right_nested = mul(x, right_nested)
+    # depth MAX_DEPTH parses, prints and checks, written with and without
+    # parentheses; one more level is refused where it is crossed
+    product = "*".join(["x"] * (MAX_DEPTH + 1))
+    for text in (product, str(right_nested), "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH):
+        eq = R.parse_equation(f"{text} = x")
+        assert R.parse_equation(str(eq)) == eq
+        assert R.check_equation(eq, models.godel3()).holds
+    assert R.parse_term(product).depth == MAX_DEPTH
+    with pytest.raises(R.TermSyntaxError) as exc:
+        R.parse_equation(product + "*x = x")
+    assert exc.value.offset == len(product) + 2
+    with pytest.raises(R.TermSyntaxError) as exc:
+        R.parse_equation("x = " + "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1))
+    assert exc.value.offset == 4 + MAX_DEPTH
+    with pytest.raises(R.TermSyntaxError) as exc:
+        R.parse_term("(" * 2000 + "x" + ")" * 2000)
+    assert exc.value.offset == MAX_DEPTH
+    with pytest.raises(R.TermSyntaxError):
+        R.parse_term("x*(" + str(right_nested) + ")")
 
 
 def test_e_is_reserved():
@@ -122,3 +186,109 @@ def test_check_equation_sampled():
     eq = R.parse_equation("x*y = y*x")
     v = R.check_equation_sampled(eq, g3, [{"x": 0, "y": 2}, {"x": 1, "y": 1}])
     assert v.holds
+
+
+# ---------------------------------------------------------------------------
+# the compiled checker against a per-assignment eval_term loop
+
+
+def _reference(law, s):
+    """The first failing assignment in lexicographic order, by eval_term."""
+    if isinstance(law, R.QuasiEquation):
+        premises, conclusion = law.premises, law.conclusion
+    else:
+        premises, conclusion = (), law
+    names = sorted(law.free_vars())
+    for values in itertools.product(s.elements, repeat=len(names)):
+        a = dict(zip(names, values))
+        if all(R.eval_term(p.lhs, a, s) == R.eval_term(p.rhs, a, s) for p in premises):
+            if R.eval_term(conclusion.lhs, a, s) != R.eval_term(conclusion.rhs, a, s):
+                return R.Verdict(False, a)
+    return R.Verdict(True)
+
+
+def _compiled(law, s):
+    if isinstance(law, R.QuasiEquation):
+        return R.check_quasiequation(law, s)
+    return R.check_equation(law, s)
+
+
+def _small_models():
+    return models.model_library() + [
+        s for n in range(1, 6) for s in finite.enumerate_chain_models(n)
+    ]
+
+
+def test_compiled_agrees_on_named_properties():
+    for s in _small_models():
+        for laws in R.PROPERTIES.values():
+            for law in laws:
+                assert _compiled(law, s) == _reference(law, s), (s, law)
+
+
+def test_compiled_agrees_on_random_laws():
+    rng = random.Random(2024)
+    structures = [models.godel3(), models.lukasiewicz3(), models.diamond4(), models.heyting5()]
+    structures += finite.enumerate_chain_models(4)
+    closed = 0
+    premise_only = 0
+    for i in range(400):
+        conclusion = R.Equation(_random_term(rng, 3), _random_term(rng, 3))
+        premises = tuple(
+            R.Equation(_random_term(rng, 2), _random_term(rng, 2))
+            for _ in range(rng.choice((0, 0, 1, 2)))
+        )
+        law = R.QuasiEquation(premises, conclusion) if premises else conclusion
+        if i % 10 == 0:  # no variables at all
+            law = R.Equation(_closed_term(rng, 3), _closed_term(rng, 3))
+        elif i % 10 == 1:  # a variable that only a premise mentions
+            law = R.QuasiEquation(
+                (R.Equation(var("q"), _random_term(rng, 2)),) + premises, conclusion
+            )
+        closed += not law.free_vars()
+        premise_only += "q" in law.free_vars()
+        s = structures[i % len(structures)]
+        assert _compiled(law, s) == _reference(law, s), (s, law)
+    assert closed == 40 and premise_only == 40
+
+
+def _closed_term(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return E
+    op = rng.choice([mul, ldiv, rdiv, meet, join])
+    return op(_closed_term(rng, depth - 1), _closed_term(rng, depth - 1))
+
+
+def test_closed_premise_and_premise_only_variables():
+    s = models.chain2()
+    # every closed term evaluates to e, so a closed premise always holds
+    v = R.check_quasiequation(parse_quasiequation("e = e ^ (e/e) => x = e"), s)
+    assert v == R.Verdict(False, {"x": 0})
+    v = R.check_quasiequation(parse_quasiequation("y = e => x = e"), s)
+    assert v == R.Verdict(False, {"x": 0, "y": 1})
+    assert R.check_quasiequation(parse_quasiequation("x = e => e = e"), s).holds
+
+
+def test_L4_holds_on_the_15_element_product():
+    product = models.direct_product(models.heyting5(), models.godel3())
+    assert R.check_equation(R.gen_Lc(4), product).holds
+
+
+def test_L2_fails_on_a_noncommutative_chain_with_the_reference_witness():
+    l2 = R.gen_Lc(2)
+    failing = [s for s in finite.enumerate_chain_models(4) if not R.check_equation(l2, s).holds]
+    assert failing and {s.name for s in failing} == {"chain4-u2"}
+    for s in failing:
+        assert R.check_equation(l2, s) == _reference(l2, s)
+
+
+def test_many_variables_share_the_innermost_loop():
+    # more variables than the compiler opens nested loops for
+    names = [f"x{i}" for i in range(18)]
+    lhs = var(names[0])
+    for name in names[1:]:
+        lhs = mul(lhs, var(name))
+    s = models.chain2()
+    assert R.check_equation(R.Equation(lhs, lhs), s).holds
+    v = R.check_equation(R.Equation(lhs, var("x9")), s)
+    assert v == _reference(R.Equation(lhs, var("x9")), s)
