@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import battery, finite, models, nilpotent, omon, ore, terms
 
@@ -20,6 +19,8 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
+
+_REL = {-1: "<", 0: "=", 1: ">"}  # a comparison result as printed
 
 
 def _emit(payload: dict, as_json: bool, text: str) -> None:
@@ -33,64 +34,45 @@ def _load_model(spec: str) -> finite.FiniteResLat:
     if spec in models.MODEL_BUILDERS:
         s = models.MODEL_BUILDERS[spec]()
     else:
-        try:
-            s = finite.load_structure(spec)
-        except (OSError, json.JSONDecodeError, finite.StructureError) as exc:
-            print(f"error: cannot load model {spec!r}: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+        s = finite.load_structure(spec)
     if s.n > finite.max_size(64):
-        print("error: model exceeds RESLAT_MAX_SIZE", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError("model exceeds RESLAT_MAX_SIZE")
     return s
 
 
-def _parse_eq(src: str) -> terms.Equation:
-    try:
-        return terms.parse_equation(src)
-    except terms.TermSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def _fmt_witness(s: finite.FiniteResLat, witness: dict) -> str:
-    return ", ".join(f"{v}={witness[v]}" for v in sorted(witness))
+def _require_known(what: str, name: str, known) -> None:
+    if name not in known:
+        raise ValueError(f"unknown {what} {name!r}; known: {', '.join(known)}")
 
 
 def cmd_check(args) -> int:
     s = _load_model(args.model)
     if args.property:
-        try:
-            v = finite.check_named_property(s, args.equation)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return EXIT_USAGE
+        _require_known("property", args.equation, finite.PROPERTY_NAMES)
+        v = finite.check_named_property(s, args.equation)
         label = args.equation
     else:
-        eq = _parse_eq(args.equation)
+        eq = terms.parse_equation(args.equation)
         v = terms.check_equation(eq, s)
         label = str(eq)
     if v.holds:
         _emit({"holds": True, "statement": label, "model": args.model}, args.json,
               f"holds: {label} on {args.model}")
         return EXIT_HOLDS
-    _emit(
-        {"holds": False, "statement": label, "model": args.model, "witness": v.witness},
-        args.json,
-        f"fails: {label} on {args.model} at {_fmt_witness(s, v.witness)}",
-    )
+    at = ", ".join(f"{x}={v.witness[x]}" for x in sorted(v.witness))
+    _emit({"holds": False, "statement": label, "model": args.model, "witness": v.witness},
+          args.json, f"fails: {label} on {args.model} at {at}")
     return EXIT_FAILS
 
 
 def cmd_enumerate(args) -> int:
     cap = finite.max_size(finite.DEFAULT_ENUM_CAP)
     if args.size > cap:
-        print(f"error: size {args.size} exceeds cap {cap} (RESLAT_MAX_SIZE)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"size {args.size} exceeds cap {cap} (RESLAT_MAX_SIZE)")
     constraints = tuple(args.require or ())
     for c in constraints:
         if c not in finite.PROPERTIES:
-            print(f"error: unknown property {c!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"unknown property {c!r}")
     found = finite.enumerate_chain_models(args.size, constraints=constraints, cap=cap)
     if args.json:
         print(json.dumps([finite.structure_to_json(s) for s in found], sort_keys=True,
@@ -102,44 +84,55 @@ def cmd_enumerate(args) -> int:
     return EXIT_HOLDS
 
 
-def cmd_residual(args) -> int:
-    inst = {"m1": omon.M1Instance, "s2": omon.S2Instance}.get(args.monoid)
-    if inst is None:
-        print(f"error: unknown monoid {args.monoid!r}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.monoid == "m1":
-            a, b = omon.m1_parse(args.a), omon.m1_parse(args.b)
-        else:
-            a, b = _parse_triple(args.a), _parse_triple(args.b)
-            for g in (a, b):
-                if not nilpotent.s2_member(g):
-                    raise ValueError(f"{g.triple()} is not in the positive monoid")
-        if args.search:
-            r = omon.residual_search(inst, a, b, args.side, bound=args.bound)
-        elif args.side == "left":
-            r = inst.ldiv(a, b)
-        else:
-            r = inst.rdiv(b, a)
-    except omon.ResidualExhausted as exc:
-        print(f"exhausted: no residual within bound {exc.bound}", file=sys.stderr)
-        return EXIT_EXHAUSTED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    show = omon.m1_word(r) if args.monoid == "m1" else str(r.triple())
-    payload = {"monoid": args.monoid, "side": args.side, "a": args.a, "b": args.b,
-               "residual": show}
-    _emit(payload, args.json, show)
-    return EXIT_HOLDS
+def _fields(src: str, count: int, expected: str) -> list[str]:
+    """The `count` comma- or space-separated fields of `src`, ignoring parentheses."""
+    parts = src.replace("(", " ").replace(")", " ").replace(",", " ").split()
+    if len(parts) != count:
+        raise ValueError(f"expected {expected}, got {src!r}")
+    return parts
 
 
 def _parse_triple(src: str) -> nilpotent.HeisTriple:
-    parts = src.replace("(", " ").replace(")", " ").replace(",", " ").split()
-    if len(parts) != 3:
-        raise ValueError(f"expected three integers, got {src!r}")
-    g = nilpotent.HeisTriple(*(int(p) for p in parts))
+    return nilpotent.HeisTriple(*(int(p) for p in _fields(src, 3, "three integers")))
+
+
+def _parse_dyadic(src: str) -> nilpotent.DyadicPair:
+    r, n = _fields(src, 2, "(r, n)")
+    g = nilpotent.DyadicPair(nilpotent.parse_fraction(r), int(n))
+    if abs(g.n) > nilpotent.DYADIC_POW_BOUND:
+        raise ValueError(f"|n| = {abs(g.n)} exceeds the dyadic power bound "
+                         f"{nilpotent.DYADIC_POW_BOUND}")
     return g
+
+
+def _parse_s2(*srcs: str) -> list[nilpotent.HeisTriple]:
+    """Positive-monoid elements, every one parsed before any is checked."""
+    gs = [_parse_triple(src) for src in srcs]
+    for g in gs:
+        if not nilpotent.s2_member(g):
+            raise ValueError(f"{g.triple()} is not in the positive monoid")
+    return gs
+
+
+# each `residual` and `omon` monoid: its chain record, a parser taking all
+# operands at once, and the printer of one element
+_CHAINS = {
+    "m1": (omon.M1Instance, lambda *srcs: [omon.m1_parse(src) for src in srcs], omon.m1_word),
+    "s2": (omon.S2Instance, _parse_s2, lambda g: str(g.triple())),
+}
+
+
+def cmd_residual(args) -> int:
+    inst, parse, show = _CHAINS[args.monoid]
+    a, b = parse(args.a, args.b)
+    if args.search:
+        r = omon.residual_search(inst, a, b, args.side, bound=args.bound)
+    else:
+        r = inst.ldiv(a, b) if args.side == "left" else inst.rdiv(b, a)
+    text = show(r)
+    _emit({"monoid": args.monoid, "side": args.side, "a": args.a, "b": args.b, "residual": text},
+          args.json, text)
+    return EXIT_HOLDS
 
 
 def _second(args, parse, binary: tuple[str, ...]):
@@ -152,22 +145,15 @@ def _second(args, parse, binary: tuple[str, ...]):
 
 def cmd_heis(args) -> int:
     binary = ("mul", "commutator")
-    try:
-        g = _parse_triple(args.g)
-        h = _second(args, _parse_triple, binary) if args.op in binary else None
-        if args.op == "mul":
-            r = nilpotent.heis_mul(g, h)
-        elif args.op == "inv":
-            r = nilpotent.heis_inv(g)
-        elif args.op == "pow":
-            r = nilpotent.heis_pow(g, args.n)
-        elif args.op == "commutator":
-            r = nilpotent.heis_commutator(g, h)
-        else:  # root
-            r = nilpotent.nth_root(g, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = _parse_triple(args.g)
+    h = _second(args, _parse_triple, binary) if args.op in binary else None
+    r = {
+        "mul": lambda: nilpotent.heis_mul(g, h),
+        "inv": lambda: nilpotent.heis_inv(g),
+        "pow": lambda: nilpotent.heis_pow(g, args.n),
+        "commutator": lambda: nilpotent.heis_commutator(g, h),
+        "root": lambda: nilpotent.nth_root(g, args.n),
+    }[args.op]()
     if r is None:
         _emit({"op": "root", "g": list(g.triple()), "n": args.n, "root": None},
               args.json, "no root")
@@ -177,69 +163,48 @@ def cmd_heis(args) -> int:
 
 
 def cmd_s2(args) -> int:
-    try:
-        g = _parse_triple(args.g)
-        h = _second(args, _parse_triple, ("cmp",))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = _parse_triple(args.g)
+    h = _second(args, _parse_triple, ("cmp",))
     if args.op == "member":
         ok = nilpotent.s2_member(g)
-        _emit({"member": ok, "g": list(g.triple())}, args.json,
-              "member" if ok else "not a member")
+        _emit({"member": ok, "g": list(g.triple())}, args.json, "member" if ok else "not a member")
         return EXIT_HOLDS if ok else EXIT_FAILS
-    try:
-        c = nilpotent.s2_cmp(g, h)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    rel = {-1: "<", 0: "=", 1: ">"}[c]
-    _emit({"cmp": c, "g": list(g.triple()), "h": list(h.triple())}, args.json, rel)
+    c = nilpotent.s2_cmp(g, h)
+    _emit({"cmp": c, "g": list(g.triple()), "h": list(h.triple())}, args.json, _REL[c])
     return EXIT_HOLDS
 
 
-def _parse_dyadic(src: str) -> nilpotent.DyadicPair:
-    parts = src.replace("(", " ").replace(")", " ").replace(",", " ").split()
-    if len(parts) != 2:
-        raise ValueError(f"expected (r, n), got {src!r}")
-    return nilpotent.DyadicPair(Fraction(parts[0]), int(parts[1]))
+def _dyadic_json(d):
+    return None if d is None else [str(d.r), d.n]
+
+
+def _dyadic_text(d) -> str:
+    return f"({d.r}, {d.n})"
 
 
 def cmd_dyadic(args) -> int:
-    try:
-        g = _parse_dyadic(args.g)
-        h = _second(args, _parse_dyadic, ("mul", "conjugate", "cmp"))
-        if args.op == "mul":
-            r = nilpotent.dyadic_mul(g, h)
-        elif args.op == "inv":
-            r = nilpotent.dyadic_inv(g)
-        elif args.op == "pow":
-            r = nilpotent.dyadic_pow(g, args.n)
-        elif args.op == "conjugate":
-            r = nilpotent.dyadic_conjugate(g, h)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = _parse_dyadic(args.g)
+    h = _second(args, _parse_dyadic, ("mul", "conjugate", "cmp"))
     if args.op == "cmp":
         c = nilpotent.dyadic_cmp(g, h)
-        _emit({"cmp": c}, args.json, {-1: "<", 0: "=", 1: ">"}[c])
+        _emit({"cmp": c}, args.json, _REL[c])
         return EXIT_HOLDS
-    _emit({"op": args.op, "result": [str(r.r), r.n]}, args.json, f"({r.r}, {r.n})")
+    r = {
+        "mul": lambda: nilpotent.dyadic_mul(g, h),
+        "inv": lambda: nilpotent.dyadic_inv(g),
+        "pow": lambda: nilpotent.dyadic_pow(g, args.n),
+        "conjugate": lambda: nilpotent.dyadic_conjugate(g, h),
+    }[args.op]()
+    _emit({"op": args.op, "result": _dyadic_json(r)}, args.json, _dyadic_text(r))
     return EXIT_HOLDS
 
 
 def cmd_ore(args) -> int:
-    try:
-        den, num = _parse_triple(args.den), _parse_triple(args.num)
-        f = ore.OreFraction(den, num)
-        g = None
-        if args.den2 is not None and args.num2 is None:
-            raise ValueError("--den2 needs --num2")
-        if args.den2 is not None:
-            g = ore.OreFraction(_parse_triple(args.den2), _parse_triple(args.num2))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    f = ore.OreFraction(_parse_triple(args.den), _parse_triple(args.num))
+    if args.den2 is not None and args.num2 is None:
+        raise ValueError("--den2 needs --num2")
+    g = (None if args.den2 is None
+         else ore.OreFraction(_parse_triple(args.den2), _parse_triple(args.num2)))
     if args.op == "sigma":
         r = ore.conucleus_sigma(f)
         _emit({"sigma": list(r.triple())}, args.json, str(r.triple()))
@@ -248,61 +213,36 @@ def cmd_ore(args) -> int:
         _emit({"value": list(f.value.triple())}, args.json, str(f.value.triple()))
         return EXIT_HOLDS
     if g is None:
-        print("error: cmp needs --den2/--num2", file=sys.stderr)
-        return EXIT_USAGE
-    if args.witness:
-        try:
-            c = ore.frac_cmp_witness(f, g, bound=args.bound)
-        except omon.ResidualExhausted as exc:
-            print(f"exhausted: no witness within bound {exc.bound}", file=sys.stderr)
-            return EXIT_EXHAUSTED
-    else:
-        c = ore.frac_cmp_group(f, g)
-    _emit({"cmp": c}, args.json, {-1: "<", 0: "=", 1: ">"}[c])
+        raise ValueError("cmp needs --den2/--num2")
+    c = ore.frac_cmp_witness(f, g, bound=args.bound) if args.witness else ore.frac_cmp_group(f, g)
+    _emit({"cmp": c}, args.json, _REL[c])
     return EXIT_HOLDS
 
 
 def cmd_omon(args) -> int:
-    inst = {"m1": omon.M1Instance, "s2": omon.S2Instance}.get(args.monoid)
-    if inst is None:
-        print(f"error: unknown monoid {args.monoid!r}", file=sys.stderr)
-        return EXIT_USAGE
     if args.op == "hamvty":
-        try:
-            rep = omon.hamvty_witness(args.size)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        rep = omon.hamvty_witness(args.size)
         lines = [f"truncation {rep.truncation}, all_certified={rep.all_certified()}"]
         for row in rep.rows:
             if row.coordinate is None:
                 lines.append(f"  n={row.n}: no coordinate needed")
             else:
-                lines.append(
-                    f"  n={row.n}: coordinate {row.coordinate}, "
-                    f"conjugate ({row.conjugate.r}, {row.conjugate.n}) "
-                    f"vs power ({row.power.r}, {row.power.n})"
-                )
+                lines.append(f"  n={row.n}: coordinate {row.coordinate}, conjugate "
+                             f"{_dyadic_text(row.conjugate)} vs power {_dyadic_text(row.power)}")
         payload = {
             "truncation": rep.truncation,
             "certified": rep.all_certified(),
             "rows": [
                 {"n": row.n, "coordinate": row.coordinate,
-                 "conjugate": None if row.conjugate is None
-                 else [str(row.conjugate.r), row.conjugate.n],
-                 "power": None if row.power is None
-                 else [str(row.power.r), row.power.n]}
+                 "conjugate": _dyadic_json(row.conjugate), "power": _dyadic_json(row.power)}
                 for row in rep.rows
             ],
         }
         _emit(payload, args.json, "\n".join(lines))
         return EXIT_HOLDS if rep.all_certified() else EXIT_FAILS
     # chain prefix listing
-    out = []
-    for g in inst.candidates(args.bound):
-        if len(out) >= args.count:
-            break
-        out.append(omon.m1_word(g) if args.monoid == "m1" else str(g.triple()))
+    inst, _, show = _CHAINS[args.monoid]
+    out = [show(g) for _, g in zip(range(args.count), inst.candidates(args.bound))]
     _emit({"monoid": args.monoid, "prefix": out}, args.json, " > ".join(out))
     return EXIT_HOLDS
 
@@ -310,11 +250,9 @@ def cmd_omon(args) -> int:
 def cmd_verify_paper(args) -> int:
     cfg = battery.BatteryConfig(max_size=finite.max_size(5), samples=args.samples,
                                 seed=args.seed)
-    try:
-        results = battery.run_battery(cfg, only=args.only)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.only is not None:
+        _require_known("claim", args.only, battery.CLAIMS)
+    results = battery.run_battery(cfg, only=args.only)
     if args.json:
         print(json.dumps(
             [{"claim": r.claim, "status": r.status, "detail": r.detail} for r in results],
@@ -399,6 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  This is the only place where an error becomes an
+    exit code: a ValueError (which covers TermSyntaxError and
+    StructureError) is a usage error and a ResidualExhausted an exhausted
+    bound, each reported as one line on stderr.  Anything else is a bug and
+    keeps its traceback."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -406,12 +349,16 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors already; normalize --help to 0
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        if [] in vars(args).values():
+            # argparse before 3.12 passes an operand "--" after the "--" separator as []
+            raise ValueError("'--' cannot be an operand")
         return args.fn(args)
-    except finite.StructureError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except omon.ResidualExhausted as exc:
+        print(f"exhausted: no {exc.what} within bound {exc.bound}", file=sys.stderr)
+        return EXIT_EXHAUSTED
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ __all__ = [
     "NotECyclic",
     "derive_residuals",
     "validate_axioms",
+    "PROPERTIES",
     "PROPERTY_NAMES",
     "check_named_property",
     "negative_cone",
@@ -51,6 +52,7 @@ __all__ = [
     "chain_leq",
     "structure_to_json",
     "structure_from_json",
+    "load_structure",
     "DEFAULT_ENUM_CAP",
     "max_size",
 ]
@@ -123,13 +125,6 @@ class FiniteResLat:
     def le(self, a: int, b: int) -> bool:
         return self.leq[a][b]
 
-    def is_chain(self) -> bool:
-        return all(
-            self.leq[a][b] or self.leq[b][a]
-            for a in range(self.n)
-            for b in range(self.n)
-        )
-
     def __repr__(self) -> str:
         tag = self.name or f"{self.n}-element"
         return f"<FiniteResLat {tag}>"
@@ -147,6 +142,34 @@ def _two_maximal(leq, members: Sequence[int]) -> list[int]:
     return maximal[:2]
 
 
+def _check_square(key: str, rows, n: int) -> None:
+    if not isinstance(rows, (list, tuple)) or len(rows) != n:
+        raise StructureError(f"{key} must be a list of {n} rows")
+    for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)) or len(row) != n:
+            raise StructureError(f"{key} row {i} must be a list of {n} entries")
+
+
+def _is_element(v, n: int) -> bool:
+    return isinstance(v, int) and 0 <= v < n
+
+
+def _order_violations(leq, n: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Every failure of reflexivity, antisymmetry and transitivity, as
+    (property, witness): `derive_residuals` raises on the first one,
+    `validate_axioms` reports them all."""
+    rng = range(n)
+    for a in rng:
+        if not leq[a][a]:
+            yield "reflexive", (a,)
+        for b in rng:
+            if a != b and leq[a][b] and leq[b][a]:
+                yield "antisymmetric", (a, b)
+            for c in rng:
+                if leq[a][b] and leq[b][c] and not leq[a][c]:
+                    yield "transitive", (a, b, c)
+
+
 def derive_residuals(
     leq: Sequence[Sequence[bool]],
     mul: Sequence[Sequence[int]],
@@ -155,23 +178,29 @@ def derive_residuals(
 ) -> FiniteResLat:
     """Build a FiniteResLat, computing meets, joins and residual tables.
 
-    Raises NotALattice / NotAMonoid / NotResiduated with a witness in the
-    message when the input fails the corresponding requirement.
+    Raises StructureError naming the table, row or cell when `leq` and `mul`
+    are not n x n tables over range(n) or `unit` is not in range(n), and
+    NotALattice / NotAMonoid / NotResiduated with a witness in the message
+    when the input fails the corresponding requirement.
     """
+    if not isinstance(leq, (list, tuple)):
+        raise StructureError("leq must be a list of rows")
     n = len(leq)
+    _check_square("leq", leq, n)
+    _check_square("mul", mul, n)
+    for a, row in enumerate(mul):
+        for b, v in enumerate(row):
+            if not _is_element(v, n):
+                raise StructureError(f"mul cell ({a},{b}) = {v!r} is not in range({n})")
+    if not _is_element(unit, n):
+        raise StructureError(f"unit {unit!r} is not in range({n})")
     leq = tuple(tuple(bool(x) for x in row) for row in leq)
     mul = _freeze(mul)
     rng = range(n)
 
-    for a in rng:
-        if not leq[a][a]:
-            raise NotALattice(f"order not reflexive at {a}")
-        for b in rng:
-            if a != b and leq[a][b] and leq[b][a]:
-                raise NotALattice(f"order not antisymmetric at ({a},{b})")
-            for c in rng:
-                if leq[a][b] and leq[b][c] and not leq[a][c]:
-                    raise NotALattice(f"order not transitive at ({a},{b},{c})")
+    for prop, witness in _order_violations(leq, n):
+        at = witness[0] if len(witness) == 1 else f"({','.join(map(str, witness))})"
+        raise NotALattice(f"order not {prop} at {at}")
 
     meet_t = [[0] * n for _ in rng]
     join_t = [[0] * n for _ in rng]
@@ -251,20 +280,11 @@ def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
     its standard consequences (product preserves joins, the left residual
     preserves meets in the numerator).
     """
-    out: list[tuple[str, dict]] = []
     n, leq, mul = s.n, s.leq, s.mul_table
     rng = range(n)
-
-    for a in rng:
-        if not leq[a][a]:
-            out.append(("order-reflexive", {"a": a}))
-    for a in rng:
-        for b in rng:
-            if a != b and leq[a][b] and leq[b][a]:
-                out.append(("order-antisymmetric", {"a": a, "b": b}))
-            for c in rng:
-                if leq[a][b] and leq[b][c] and not leq[a][c]:
-                    out.append(("order-transitive", {"a": a, "b": b, "c": c}))
+    out: list[tuple[str, dict]] = [
+        (f"order-{prop}", dict(zip("abc", witness))) for prop, witness in _order_violations(leq, n)
+    ]
 
     for a in rng:
         for b in rng:
@@ -420,9 +440,6 @@ class ConvexSubuniverse:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def sorted(self) -> list[int]:
-        return sorted(self.members)
 
 
 def _require_ecyclic(s: FiniteResLat):
@@ -630,6 +647,8 @@ def enumerate_chain_models(
     filtered by the named-property constraints."""
     if cap is None:
         cap = max_size(DEFAULT_ENUM_CAP)
+    if n < 1:
+        raise StructureError(f"chain size must be >= 1, got {n}")
     if n > cap:
         raise StructureError(f"chain size {n} exceeds enumeration cap {cap}")
     leq = chain_leq(n)
@@ -659,13 +678,23 @@ def structure_to_json(s: FiniteResLat) -> dict:
 
 
 def structure_from_json(d: dict) -> FiniteResLat:
+    if not isinstance(d, dict):
+        raise StructureError(f"a structure must be a JSON object, got {type(d).__name__}")
+    for key in ("leq", "mul", "unit"):
+        if key not in d:
+            raise StructureError(f"structure has no {key!r} key")
     s = derive_residuals(d["leq"], d["mul"], d["unit"], name=d.get("name", ""))
     for key, table in (("ldiv", s.ldiv_table), ("rdiv", s.rdiv_table)):
-        if key in d and _freeze(d[key]) != table:
+        if key in d and d[key] != [list(row) for row in table]:
             raise StructureError(f"stored {key} table disagrees with recomputation")
     return s
 
 
 def load_structure(path: str) -> FiniteResLat:
-    with open(path) as fh:
-        return structure_from_json(json.load(fh))
+    """Read a structure JSON file.  Any failure, from opening the file to
+    checking its tables, raises StructureError naming the path."""
+    try:
+        with open(path) as fh:
+            return structure_from_json(json.load(fh))
+    except (OSError, ValueError) as exc:
+        raise StructureError(f"cannot load model {path!r}: {exc}") from exc

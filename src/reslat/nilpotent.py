@@ -14,6 +14,7 @@ route is kept alongside as an independent oracle.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -35,6 +36,7 @@ __all__ = [
     "nth_root",
     "DyadicPair",
     "DYADIC_UNIT",
+    "parse_fraction",
     "dyadic_mul",
     "dyadic_inv",
     "dyadic_pow",
@@ -60,9 +62,6 @@ class HeisTriple:
 
     def __pow__(self, n: int) -> "HeisTriple":
         return heis_pow(self, n)
-
-    def inv(self) -> "HeisTriple":
-        return heis_inv(self)
 
 
 HEIS_UNIT = HeisTriple(0, 0, 0)
@@ -240,6 +239,19 @@ DYADIC_POW_BOUND = 10_000
 """dyadic_pow refuses g**k with |k * g.n| above this: the result's numerator
 or denominator would pass 2**10000, and printing it would approach
 Python's limit on int-to-str conversion."""
+
+
+def parse_fraction(text: str) -> Fraction:
+    """`Fraction(text)`, raising ValueError for every malformed literal: also
+    for a zero denominator ("1/0"), and for a decimal exponent above
+    DYADIC_POW_BOUND ("1e99999999"), which Fraction would expand in full."""
+    m = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*$", text)
+    if m and abs(int(m.group(1))) > DYADIC_POW_BOUND:
+        raise ValueError(f"exponent {m.group(1)} exceeds the dyadic power bound {DYADIC_POW_BOUND}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def dyadic_pow(g: DyadicPair, k: int) -> DyadicPair:

@@ -54,11 +54,13 @@ __all__ = [
 
 
 class ResidualExhausted(RuntimeError):
-    """The candidate stream ran out before a hit; the bound was too small."""
+    """A bounded search ran out before a hit; the bound was too small.
+    `what` names the object searched for: a residual, or an order witness."""
 
-    def __init__(self, bound: int):
-        super().__init__(f"residual search exhausted within bound {bound}")
+    def __init__(self, bound: int, what: str = "residual"):
+        super().__init__(f"{what} search exhausted within bound {bound}")
         self.bound = bound
+        self.what = what
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,10 @@ def m1_parse(text: str) -> M1Element:
         import json
 
         a, b = json.loads(text)
-        return (int(a), int(b))
+        try:
+            return (int(a), int(b))
+        except (TypeError, OverflowError):  # null, a list, or an infinite float
+            raise ValueError(f"cannot parse monoid word {text!r}") from None
     if text == "e":
         return (0, 0)
     import re
@@ -274,10 +279,6 @@ class HamiltonianFailureReport:
     base: DyadicPair
     conjugator: DyadicPair
     rows: tuple[WitnessRow, ...]
-
-    @property
-    def certified(self) -> list[int]:
-        return [r.n for r in self.rows if r.coordinate is not None]
 
     def all_certified(self) -> bool:
         return all(r.coordinate is not None for r in self.rows if r.n >= 1)

@@ -129,7 +129,9 @@ def _witness_below(f: OreFraction, g: OreFraction, bound: int) -> bool:
 def frac_cmp_witness(f: OreFraction, g: OreFraction, bound: int = 8) -> int:
     """Decide the extended order from the witness-pair definition alone.
     Raises ResidualExhausted if neither direction yields a witness within
-    the bound."""
+    the bound, and ValueError for a bound below 0."""
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
     below = _witness_below(f, g, bound)
     above = _witness_below(g, f, bound)
     if below and above:
@@ -138,7 +140,7 @@ def frac_cmp_witness(f: OreFraction, g: OreFraction, bound: int = 8) -> int:
         return -1
     if above:
         return 1
-    raise ResidualExhausted(bound)
+    raise ResidualExhausted(bound, "witness")
 
 
 def conucleus_sigma(f: OreFraction) -> HeisTriple:

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from reslat import finite, models
 from reslat.cli import main
 
 
@@ -41,6 +45,20 @@ def test_check_parse_error_is_one_line(capsys, equation, offset):
 def test_check_unknown_model(capsys):
     code, _, err = run(capsys, "check", "no-such-model", "e = e")
     assert code == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"leq": [[true]], "unit": 0}', "structure has no 'mul' key"),
+    ("[1,2]", "a structure must be a JSON object, got list"),
+    ('{"leq": [[1,1],[0,1]], "mul": [[0,0],[0]], "unit": 1}', "mul row 1 must be a list of 2 entries"),
+    ('{"leq": [[1,1],[0,1]], "mul": [[0,0],[0,1]], "unit": 7}', "unit 7 is not in range(2)"),
+    ("{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+])
+def test_check_malformed_structure_file(capsys, tmp_path, text, message):
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", str(path), "x = x")
+    assert (code, out, err) == (2, "", f"error: cannot load model {str(path)!r}: {message}\n")
 
 
 def test_check_json_stable(capsys):
@@ -143,6 +161,15 @@ def test_dyadic(capsys):
     (("omon", "s2", "hamvty", "--size", "0"), "truncation must be >= 1"),
     (("omon", "s2", "hamvty", "--size", "5001"),
      "|k*n| = 10002 exceeds the dyadic power bound 10000"),
+    (("enumerate", "0"), "chain size must be >= 1, got 0"),
+    (("enumerate", "-1"), "chain size must be >= 1, got -1"),
+    (("ore", "cmp", "1,0,0", "0,0,0", "--den2", "0,1,0", "--num2", "0,0,0", "--witness",
+      "--bound", "-1"), "bound must be >= 0"),
+    (("dyadic", "mul", "1,20000", "1,0"), "|n| = 20000 exceeds the dyadic power bound 10000"),
+    (("dyadic", "inv", "1,-20000"), "|n| = 20000 exceeds the dyadic power bound 10000"),
+    (("dyadic", "inv", "1/0,1"), "Fraction(1, 0)"),
+    (("dyadic", "inv", "1e10001,0"), "exponent 10001 exceeds the dyadic power bound 10000"),
+    (("residual", "m1", "left", "x", "[null,1]"), "cannot parse monoid word '[null,1]'"),
 ])
 def test_missing_or_bad_operand_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -207,3 +234,112 @@ def test_verify_paper_unknown_claim(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+# --- fuzz: every request ends in an exit code, never in a traceback ---------
+
+_FAST_CLAIMS = ["nilpotency-laws", "divisibility-failures", "conucleus-battery",
+                "dyadic-claims", "hamiltonian-law", "convex-suite", "bogus", ""]
+_OPERAND = st.one_of(
+    st.sampled_from([
+        "1,0,0", "0,1,0", "0,0,0", "2,2,1", "(1,1,1)", "1,0,5", "-1,2,3", "(3,-4,5)",
+        "1,1", "(-1,0)", "(0,-2)", "1/2,3", "1/3,0", "1/0,1", "-1/0,2", "1,10000", "1,20000",
+        "1,-20000", "e", "x", "y", "x2y3", "[1,2]", "[null,1]", "[1e400,1]", "[1,2,3]", "zz",
+        "1e99999,0", "2.5e1,0", "", "a,b,c", "1,2,3,4", "--", "-n", "9" * 5000 + ",0,0",
+    ]),
+    st.text(alphabet="0123456789,-/().exy[] ", max_size=10),
+)
+_SMALL = st.sampled_from(["-3", "-1", "0", "1", "2", "3", "x"])
+
+
+def _choice(*values):
+    return st.sampled_from(values).map(lambda v: [v])
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _flag(flag):
+    return st.sampled_from([[], [flag]])
+
+
+_UNARY_OR_BINARY = st.one_of(_OPERAND.map(lambda g: [g]), st.tuples(_OPERAND, _OPERAND).map(list))
+_EQUATION = st.one_of(
+    st.sampled_from(["x*y = y*x", "x\\x = e", "x = e", "x v y = e => x = e", "LPL", "bogus", ""]),
+    st.text(alphabet="xyzeXv*\\/^()= ", max_size=12),
+)
+
+
+def _specs(models):
+    """(subcommand, positional parts, option parts); each part draws a list."""
+    return [
+        ("check", [st.sampled_from(models).map(lambda m: [m]), _EQUATION.map(lambda q: [q])],
+         [_flag("-p")]),
+        ("enumerate", [_choice("-3", "-1", "0", "1", "2", "3", "4", "7", "x")],
+         [_opt("--require", st.sampled_from(["integral", "commutative", "bogus"]))]),
+        ("residual", [_choice("m1", "s2", "z3"), _choice("left", "right"),
+                      st.tuples(_OPERAND, _OPERAND).map(list)],
+         [st.sampled_from([[], ["--search", "--bound", "-1"], ["--search", "--bound", "0"],
+                           ["--search", "--bound", "3"]])]),
+        ("heis", [_choice("mul", "inv", "pow", "commutator", "root"), _UNARY_OR_BINARY],
+         [_opt("-n", _SMALL)]),
+        ("s2", [_choice("member", "cmp"), _UNARY_OR_BINARY], []),
+        ("dyadic", [_choice("mul", "inv", "pow", "conjugate", "cmp"), _UNARY_OR_BINARY],
+         [_opt("-n", _SMALL)]),
+        ("ore", [_choice("cmp", "sigma", "value"), st.tuples(_OPERAND, _OPERAND).map(list)],
+         [_opt("--den2", _OPERAND), _opt("--num2", _OPERAND), _flag("--witness"),
+          _opt("--bound", _SMALL)]),
+        ("omon", [_choice("m1", "s2"), _choice("prefix", "hamvty")],
+         [_opt("--count", _SMALL), _opt("--bound", _SMALL),
+          _opt("--size", st.sampled_from(["-1", "0", "3", "8", "5001"]))]),
+        ("verify-paper", [],
+         [st.sampled_from(_FAST_CLAIMS).map(lambda c: ["--only", c]),
+          _opt("--samples", st.sampled_from(["-1", "0", "5"]))]),
+    ]
+
+
+@st.composite
+def _argv(draw, models):
+    name, positionals, options = draw(st.sampled_from(_specs(models)))
+    argv = [name]
+    for part in options + [_flag("--json")]:
+        argv += draw(part)
+    if draw(st.booleans()):
+        argv.append("--")  # lets an operand with a leading minus through
+    for part in positionals:
+        argv += draw(part)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def structure_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("structures")
+    texts = {"good": json.dumps(finite.structure_to_json(models.godel3())),
+             "no-mul": '{"leq": [[true]], "unit": 0}', "list": "[1,2]",
+             "unit7": '{"leq": [[1,1],[0,1]], "mul": [[0,0],[0,1]], "unit": 7}',
+             "short-row": '{"leq": [[1,1],[0,1]], "mul": [[0,0],[0]], "unit": 1}',
+             "not-json": "{"}
+    for name, text in texts.items():
+        (root / f"{name}.json").write_text(text)
+    return [str(root / f"{name}.json") for name in texts] + [str(root / "missing.json")]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzz_every_request_ends_in_an_exit_code(structure_files, data):
+    argv = data.draw(_argv(["godel3", "heyting5", "no-such-model"] + structure_files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # any exception fails the test
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    if err.startswith("usage:"):  # refused by argparse
+        assert code == 2 and out == ""
+    elif code in (2, 3):
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: " if code == 2 else "exhausted: ")
+    else:
+        assert err == ""
+        assert code == 0 or out  # a failure comes with its witness

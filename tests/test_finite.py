@@ -1,5 +1,8 @@
+import ast
+import inspect
 import itertools
 import json
+import re
 
 import pytest
 
@@ -206,6 +209,9 @@ def test_enumerate_trivial_and_cap():
     assert len(R.enumerate_chain_models(1)) == 1
     with pytest.raises(finite.StructureError):
         R.enumerate_chain_models(9, cap=6)
+    for n in (0, -1):
+        with pytest.raises(finite.StructureError, match=f"chain size must be >= 1, got {n}"):
+            R.enumerate_chain_models(n)
 
 
 def test_enumerate_env_cap(monkeypatch):
@@ -238,6 +244,56 @@ def test_json_rejects_bad_tables():
     blob["ldiv"][0][0] = (blob["ldiv"][0][0] + 1) % 3
     with pytest.raises(finite.StructureError):
         R.structure_from_json(blob)
+
+
+def _godel3_json(**changes):
+    blob = R.structure_to_json(models.godel3())
+    blob.update(changes)
+    return blob
+
+
+_G3_MUL = _godel3_json()["mul"]
+
+
+@pytest.mark.parametrize("blob, message", [
+    ([1, 2], "a structure must be a JSON object, got list"),
+    ({"leq": [[True]], "unit": 0}, "structure has no 'mul' key"),
+    ({"mul": [[0]], "unit": 0}, "structure has no 'leq' key"),
+    (_godel3_json(leq=3), "leq must be a list of rows"),
+    (_godel3_json(leq=[[1, 1, 1], [0, 1], [0, 0, 1]]), "leq row 1 must be a list of 3 entries"),
+    (_godel3_json(mul=5), "mul must be a list of 3 rows"),
+    (_godel3_json(mul=_G3_MUL[:2]), "mul must be a list of 3 rows"),
+    (_godel3_json(mul=[[0, 0, 0], [0, 1], [0, 1, 2]]), "mul row 1 must be a list of 3 entries"),
+    (_godel3_json(mul=[[0, 0, 0], [0, 9, 1], [0, 1, 2]]), "mul cell (1,1) = 9 is not in range(3)"),
+    (_godel3_json(mul=[[0, 0, 0], [0, -1, 1], [0, 1, 2]]), "mul cell (1,1) = -1 is not in range(3)"),
+    (_godel3_json(mul=[[0, 0, 0], [0, 1.0, 1], [0, 1, 2]]), "mul cell (1,1) = 1.0 is not in range(3)"),
+    (_godel3_json(unit=7), "unit 7 is not in range(3)"),
+    (_godel3_json(unit=-1), "unit -1 is not in range(3)"),
+    ({"leq": [], "mul": [], "unit": 0}, "unit 0 is not in range(0)"),
+    (_godel3_json(ldiv=4), "stored ldiv table disagrees with recomputation"),
+    # the order axioms, with the messages derive_residuals has always given
+    (_godel3_json(leq=[[0, 1, 1], [0, 1, 1], [0, 0, 1]]), "order not reflexive at 0"),
+    (_godel3_json(leq=[[1, 1, 1], [1, 1, 1], [0, 0, 1]]), "order not antisymmetric at (0,1)"),
+    (_godel3_json(leq=[[1, 1, 0], [0, 1, 1], [0, 0, 1]]), "order not transitive at (0,1,2)"),
+])
+def test_malformed_structure_is_refused(blob, message):
+    with pytest.raises(finite.StructureError, match=f"^{re.escape(message)}$"):
+        R.structure_from_json(blob)
+
+
+def test_order_violations_reported_in_full():
+    s = models.godel3()
+    broken = finite.FiniteResLat(**{**s.__dict__, "leq": ((False, True, False),) + s.leq[1:]})
+    laws = [law for law, _ in R.validate_axioms(broken) if law.startswith("order-")]
+    assert laws == ["order-reflexive", "order-transitive"]
+
+
+def test_package_imports_only_public_finite_names():
+    tree = ast.parse(inspect.getsource(R))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "finite"
+                for alias in node.names}
+    assert imported <= set(finite.__all__)
 
 
 def test_direct_product():

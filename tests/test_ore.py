@@ -77,8 +77,11 @@ def test_witness_exhaustion():
     # x^{-1} vs y^{-1}: at bound 0 neither direction admits a monoid pair
     f = OreFraction(X, E)
     g = OreFraction(Y, E)
-    with pytest.raises(ResidualExhausted):
+    with pytest.raises(ResidualExhausted) as info:
         frac_cmp_witness(f, g, bound=0)
+    assert (info.value.bound, info.value.what) == (0, "witness")
+    with pytest.raises(ValueError, match="bound must be >= 0"):
+        frac_cmp_witness(f, g, bound=-1)
     assert frac_cmp_witness(f, g, bound=4) == frac_cmp_group(f, g) == 1
 
 
