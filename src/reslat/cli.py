@@ -31,11 +31,11 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
 
 
 def _load_model(spec: str) -> finite.FiniteResLat:
-    if spec in models.MODEL_BUILDERS:
-        s = models.MODEL_BUILDERS[spec]()
-    else:
-        s = finite.load_structure(spec)
-    if s.n > finite.max_size(64):
+    cap = finite.max_size(64)
+    if spec not in models.MODEL_BUILDERS:
+        return finite.load_structure(spec, max_n=cap)
+    s = models.MODEL_BUILDERS[spec]()
+    if s.n > cap:
         raise ValueError("model exceeds RESLAT_MAX_SIZE")
     return s
 
@@ -108,9 +108,7 @@ def _parse_dyadic(src: str) -> nilpotent.DyadicPair:
 def _parse_s2(*srcs: str) -> list[nilpotent.HeisTriple]:
     """Positive-monoid elements, every one parsed before any is checked."""
     gs = [_parse_triple(src) for src in srcs]
-    for g in gs:
-        if not nilpotent.s2_member(g):
-            raise ValueError(f"{g.triple()} is not in the positive monoid")
+    nilpotent.s2_require(*gs)
     return gs
 
 

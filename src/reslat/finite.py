@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .terms import (
@@ -690,11 +690,16 @@ def structure_from_json(d: dict) -> FiniteResLat:
     return s
 
 
-def load_structure(path: str) -> FiniteResLat:
+def load_structure(path: str, max_n: Optional[int] = None) -> FiniteResLat:
     """Read a structure JSON file.  Any failure, from opening the file to
-    checking its tables, raises StructureError naming the path."""
+    checking its tables, raises StructureError naming the path.  A `leq` of
+    more than `max_n` rows is refused before any table is derived."""
     try:
         with open(path) as fh:
-            return structure_from_json(json.load(fh))
+            d = json.load(fh)
+        leq = d.get("leq") if isinstance(d, dict) else None
+        if max_n is None or not isinstance(leq, list) or len(leq) <= max_n:
+            return structure_from_json(d)
     except (OSError, ValueError) as exc:
         raise StructureError(f"cannot load model {path!r}: {exc}") from exc
+    raise StructureError("model exceeds RESLAT_MAX_SIZE")

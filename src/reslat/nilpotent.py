@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 __all__ = [
     "HeisTriple",
@@ -30,6 +30,8 @@ __all__ = [
     "from_matrix",
     "mat_mul",
     "s2_member",
+    "s2_require",
+    "heis_cmp",
     "s2_cmp",
     "s2_le",
     "s2_box",
@@ -46,33 +48,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HeisTriple:
-    """Normal-form exponents (alpha, beta, gamma); arbitrary precision."""
+class HeisTriple(NamedTuple):
+    """Normal-form exponents (alpha, beta, gamma); arbitrary precision.
+
+    A plain int tuple: it equals and hashes like (alpha, beta, gamma), and
+    compares lexicographically.  On a tuple `*` means repetition, so
+    multiply with `heis_mul` and take powers with `heis_pow`."""
 
     alpha: int
     beta: int
     gamma: int
 
     def triple(self) -> tuple[int, int, int]:
-        return (self.alpha, self.beta, self.gamma)
-
-    def __mul__(self, other: "HeisTriple") -> "HeisTriple":
-        return heis_mul(self, other)
-
-    def __pow__(self, n: int) -> "HeisTriple":
-        return heis_pow(self, n)
+        return tuple(self)
 
 
 HEIS_UNIT = HeisTriple(0, 0, 0)
 
 
 def heis_mul(g: HeisTriple, h: HeisTriple) -> HeisTriple:
-    return HeisTriple(
-        g.alpha + h.alpha,
-        g.beta + h.beta,
-        g.gamma + h.gamma + g.beta * h.alpha,
-    )
+    a1, b1, g1 = g
+    a2, b2, g2 = h
+    return HeisTriple(a1 + a2, b1 + b2, g1 + g2 + b1 * a2)
 
 
 def heis_inv(g: HeisTriple) -> HeisTriple:
@@ -118,23 +115,30 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def s2_member(g: HeisTriple) -> bool:
-    return g.alpha >= 0 and g.beta >= 0 and 0 <= g.gamma <= g.alpha * g.beta
+    alpha, beta, gamma = g
+    return alpha >= 0 and beta >= 0 and 0 <= gamma <= alpha * beta
 
 
-def _require_s2(g: HeisTriple):
-    if not s2_member(g):
-        raise ValueError(f"{g} is not in the positive monoid")
+def s2_require(*gs: HeisTriple) -> None:
+    """Raise ValueError naming the first of `gs` outside the positive monoid."""
+    for g in gs:
+        if not s2_member(g):
+            raise ValueError(f"{tuple(g)} is not in the positive monoid")
+
+
+def heis_cmp(g: HeisTriple, h: HeisTriple) -> int:
+    """The reverse-lexicographic order: g below h iff the triple of g is
+    lexicographically above that of h.  Returns -1 / 0 / 1.  On the positive
+    monoid it is the chain order, with the unit on top; it checks nothing."""
+    if g == h:
+        return 0
+    return -1 if g > h else 1
 
 
 def s2_cmp(g: HeisTriple, h: HeisTriple) -> int:
-    """The integral chain order on the positive monoid: g below h iff the
-    exponent triple of g is lexicographically above that of h.  Returns
-    -1 / 0 / 1; the unit is the greatest element."""
-    _require_s2(g)
-    _require_s2(h)
-    if g.triple() == h.triple():
-        return 0
-    return -1 if g.triple() > h.triple() else 1
+    """`heis_cmp` on two elements checked to be in the positive monoid."""
+    s2_require(g, h)
+    return heis_cmp(g, h)
 
 
 def s2_le(g: HeisTriple, h: HeisTriple) -> bool:
@@ -216,12 +220,6 @@ class DyadicPair:
             num //= 2
             e += 1
         return e
-
-    def __mul__(self, other: "DyadicPair") -> "DyadicPair":
-        return dyadic_mul(self, other)
-
-    def __pow__(self, k: int) -> "DyadicPair":
-        return dyadic_pow(self, k)
 
 
 DYADIC_UNIT = DyadicPair(Fraction(0), 0)

@@ -15,6 +15,8 @@ reports exhaustion explicitly; the closed forms (`m1_residual`,
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
@@ -29,20 +31,21 @@ from .nilpotent import (
     dyadic_inv,
     dyadic_mul,
     dyadic_pow,
-    s2_box,
-    s2_cmp,
-    s2_member,
+    heis_cmp,
     heis_mul,
+    s2_box,
+    s2_member,
+    s2_require,
 )
 
 __all__ = [
     "ResidualExhausted",
+    "SEARCH_BOUND",
     "Chain",
     "M1Instance",
     "S2Instance",
     "DyadicInstance",
     "residual_search",
-    "default_bound",
     "m1_residual",
     "s2_residual",
     "m1_word",
@@ -63,6 +66,11 @@ class ResidualExhausted(RuntimeError):
         self.what = what
 
 
+SEARCH_BOUND = 32
+"""residual_search and ore.frac_cmp_witness refuse a bound above this: an s2
+residual scan visits about bound**4/4 candidates (279,873 at bound 32)."""
+
+
 @dataclass(frozen=True)
 class Chain:
     """A totally ordered residuated monoid given by rules.
@@ -72,8 +80,9 @@ class Chain:
     is the greatest c with a*c <= b and `rdiv(a, b)` the greatest c with
     c*b <= a.  A chain that `residual_search` can scan also gives
     `candidates(bound)`, streaming elements strictly descending from the
-    unit within a finite box, and `size(a)`, the word-length proxy used to
-    pick default search bounds.
+    unit within a finite box, `size(a)`, the word-length proxy used to pick
+    default search bounds, and `member(a)`, which the search checks its
+    operands with before scanning, so that `cmp` itself validates nothing.
     """
 
     name: str
@@ -84,6 +93,7 @@ class Chain:
     rdiv: Callable
     candidates: Optional[Callable[[int], Iterator]] = None
     size: Optional[Callable[[object], int]] = None
+    member: Optional[Callable[[object], bool]] = None
 
     def meet(self, a, b):
         return a if self.cmp(a, b) <= 0 else b
@@ -92,25 +102,28 @@ class Chain:
         return a if self.cmp(a, b) >= 0 else b
 
 
-def default_bound(inst: Chain, a, b) -> int:
-    return inst.size(a) + inst.size(b) + 4
-
-
 def residual_search(inst: Chain, a, b, side: str = "left", bound: Optional[int] = None):
     """Greatest c with a*c <= b (left) or c*a <= b (right), by first-hit
     scan of the descending candidate stream.  Raises ResidualExhausted when
-    the bound is too small; never returns a wrong answer."""
+    the bound is too small; never returns a wrong answer.  Raises ValueError
+    for an operand outside the chain, or a bound below 1 or above
+    SEARCH_BOUND (the default is size(a) + size(b) + 4)."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if inst.candidates is None:
         raise ValueError(f"chain {inst.name!r} has no candidate stream to search")
+    for x in (a, b):
+        if not inst.member(x):
+            raise ValueError(f"{x!r} is not an element of chain {inst.name!r}")
     if bound is None:
-        bound = default_bound(inst, a, b)
+        bound = inst.size(a) + inst.size(b) + 4
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if bound > SEARCH_BOUND:
+        raise ValueError(f"bound {bound} exceeds the search bound {SEARCH_BOUND}")
+    mul, cmp, left = inst.mul, inst.cmp, side == "left"
     for c in inst.candidates(bound):
-        prod = inst.mul(a, c) if side == "left" else inst.mul(c, a)
-        if inst.cmp(prod, b) <= 0:
+        if cmp(mul(a, c) if left else mul(c, a), b) <= 0:
             return c
     raise ResidualExhausted(bound)
 
@@ -172,19 +185,16 @@ def m1_word(u: M1Element) -> str:
 
 
 def m1_parse(text: str) -> M1Element:
+    """A word (`x2y`, `e`) or a JSON pair of int exponents >= 0 (`[2, 1]`)."""
     text = text.strip()
     if text.startswith("["):
-        import json
-
-        a, b = json.loads(text)
-        try:
-            return (int(a), int(b))
-        except (TypeError, OverflowError):  # null, a list, or an infinite float
-            raise ValueError(f"cannot parse monoid word {text!r}") from None
+        u = json.loads(text)
+        if (isinstance(u, list) and len(u) == 2 and all(type(k) is int for k in u)
+                and M1Instance.member(u)):
+            return tuple(u)
+        raise ValueError(f"cannot parse monoid word {text!r}")
     if text == "e":
         return (0, 0)
-    import re
-
     m = re.fullmatch(r"(?:x(\d*))?(?:y(\d*))?", text)
     if not m or not text:
         raise ValueError(f"cannot parse monoid word {text!r}")
@@ -201,7 +211,8 @@ M1Instance = Chain(
     ldiv=lambda a, b: m1_residual(b, a),
     rdiv=m1_residual,
     candidates=m1_candidates,
-    size=lambda u: u[0] + u[1],
+    size=sum,
+    member=lambda u: u[0] >= 0 and u[1] >= 0,
 )
 
 
@@ -209,21 +220,15 @@ M1Instance = Chain(
 # the positive 2-nilpotent monoid
 
 
-def _s2_candidates(bound: int) -> Iterator[HeisTriple]:
-    return s2_box(bound, bound)
-
-
 def s2_residual(a: HeisTriple, b: HeisTriple, side: str = "left") -> HeisTriple:
     """Closed-form residual in the integral chain on the positive monoid:
     the lexicographically least exponent triple c (hence chain-greatest
     element) with a*c lex-above b (left) or c*a lex-above b (right)."""
-    for g in (a, b):
-        if not s2_member(g):
-            raise ValueError(f"{g} is not in the positive monoid")
+    s2_require(a, b)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    a1, b1, g1 = a.triple()
-    a2, b2, g2 = b.triple()
+    a1, b1, g1 = a
+    a2, b2, g2 = b
     if a2 < a1:
         return HEIS_UNIT
     al = a2 - a1
@@ -242,11 +247,12 @@ S2Instance = Chain(
     name="s2",
     unit=HEIS_UNIT,
     mul=heis_mul,
-    cmp=s2_cmp,
+    cmp=heis_cmp,
     ldiv=s2_residual,
     rdiv=lambda a, b: s2_residual(b, a, "right"),
-    candidates=_s2_candidates,
-    size=lambda g: g.alpha + g.beta + g.gamma,
+    candidates=s2_box,
+    size=sum,
+    member=s2_member,
 )
 
 

@@ -13,18 +13,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from .nilpotent import (
     HEIS_UNIT,
     HeisTriple,
+    heis_cmp,
     heis_inv,
     heis_mul,
-    s2_box,
-    s2_cmp,
     s2_member,
+    s2_require,
 )
-from .omon import Chain, ResidualExhausted, s2_residual
+from .omon import SEARCH_BOUND, Chain, ResidualExhausted, s2_residual
 
 __all__ = [
     "OreFraction",
@@ -53,9 +52,7 @@ class OreFraction:
     num: HeisTriple
 
     def __post_init__(self):
-        for part in (self.den, self.num):
-            if not s2_member(part):
-                raise ValueError(f"{part} is not in the positive monoid")
+        s2_require(self.den, self.num)
 
     @property
     def value(self) -> HeisTriple:
@@ -64,7 +61,7 @@ class OreFraction:
     @classmethod
     def from_group(cls, g: HeisTriple) -> "OreFraction":
         """A canonical monoid factorization of an arbitrary group element."""
-        alpha, beta, gamma = g.triple()
+        alpha, beta, gamma = g
         B = abs(beta) + 1
         A = abs(gamma) + (B + 1) * abs(alpha) + 1
         t = gamma + B * alpha
@@ -85,12 +82,7 @@ class OreFraction:
         return f"{self.den.triple()}^-1*{self.num.triple()}"
 
 
-def f2_cmp(g: HeisTriple, h: HeisTriple) -> int:
-    """The extension of the monoid chain order to the whole group:
-    reverse-lexicographic on exponent triples.  Returns -1 / 0 / 1."""
-    if g.triple() == h.triple():
-        return 0
-    return -1 if g.triple() > h.triple() else 1
+f2_cmp = heis_cmp  # the monoid's chain order extends to the group as reverse-lex order
 
 
 def f2_le(g: HeisTriple, h: HeisTriple) -> bool:
@@ -105,7 +97,7 @@ def _witness_below(f: OreFraction, g: OreFraction, bound: int) -> bool:
     """Search monoid pairs (m, n) with m*den_f = n*den_g and
     m*num_f <= n*num_g, ascending by exponent sum of m."""
     shift = heis_mul(f.den, heis_inv(g.den))  # n = m * shift
-    sa, sb, sg = shift.triple()
+    sa, sb, sg = shift
     # offset the box so that n has a chance of landing in the monoid
     lo_a, lo_b = max(0, -sa), max(0, -sb)
     ms = []
@@ -114,14 +106,14 @@ def _witness_below(f: OreFraction, g: OreFraction, bound: int) -> bool:
             lo_g = max(0, -(sg + mb * sa))
             for mg in range(lo_g, min(ma * mb, lo_g + bound) + 1):
                 ms.append(HeisTriple(ma, mb, mg))
-    ms.sort(key=lambda t: (sum(t.triple()), t.triple()))
+    ms.sort(key=lambda t: (sum(t), t))
     for m in ms:
         n = heis_mul(m, shift)
         if not s2_member(n):
             continue
         mb = heis_mul(m, f.num)
         nd = heis_mul(n, g.num)
-        if s2_cmp(mb, nd) <= 0:
+        if heis_cmp(mb, nd) <= 0:
             return True
     return False
 
@@ -129,9 +121,11 @@ def _witness_below(f: OreFraction, g: OreFraction, bound: int) -> bool:
 def frac_cmp_witness(f: OreFraction, g: OreFraction, bound: int = 8) -> int:
     """Decide the extended order from the witness-pair definition alone.
     Raises ResidualExhausted if neither direction yields a witness within
-    the bound, and ValueError for a bound below 0."""
+    the bound, and ValueError for a bound below 0 or above SEARCH_BOUND."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
+    if bound > SEARCH_BOUND:
+        raise ValueError(f"bound {bound} exceeds the search bound {SEARCH_BOUND}")
     below = _witness_below(f, g, bound)
     above = _witness_below(g, f, bound)
     if below and above:
@@ -153,7 +147,7 @@ F2Instance = Chain(
     name="f2",
     unit=HEIS_UNIT,
     mul=heis_mul,
-    cmp=f2_cmp,
+    cmp=heis_cmp,
     ldiv=lambda a, b: heis_mul(heis_inv(a), b),
     rdiv=lambda a, b: heis_mul(a, heis_inv(b)),
 )

@@ -61,6 +61,17 @@ def test_check_malformed_structure_file(capsys, tmp_path, text, message):
     assert (code, out, err) == (2, "", f"error: cannot load model {str(path)!r}: {message}\n")
 
 
+def test_model_size_is_checked_before_the_tables(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "s.json"
+    # four elements, and an order that is not reflexive
+    path.write_text(json.dumps({"leq": [[0] * 4] * 4, "mul": [[0] * 4] * 4, "unit": 0}))
+    assert run(capsys, "check", str(path), "x = x") == (
+        2, "", f"error: cannot load model {str(path)!r}: order not reflexive at 0\n")
+    monkeypatch.setenv("RESLAT_MAX_SIZE", "3")
+    assert run(capsys, "check", str(path), "x = x") == (2, "", "error: model exceeds RESLAT_MAX_SIZE\n")
+    assert run(capsys, "check", "heyting5", "x = x") == (2, "", "error: model exceeds RESLAT_MAX_SIZE\n")
+
+
 def test_check_json_stable(capsys):
     code1, out1, _ = run(capsys, "check", "godel3", "x*y = y*x", "--json")
     code2, out2, _ = run(capsys, "check", "godel3", "x*y = y*x", "--json")
@@ -170,6 +181,18 @@ def test_dyadic(capsys):
     (("dyadic", "inv", "1/0,1"), "Fraction(1, 0)"),
     (("dyadic", "inv", "1e10001,0"), "exponent 10001 exceeds the dyadic power bound 10000"),
     (("residual", "m1", "left", "x", "[null,1]"), "cannot parse monoid word '[null,1]'"),
+    (("residual", "m1", "left", "[-1,0]", "x"), "cannot parse monoid word '[-1,0]'"),
+    (("residual", "m1", "left", "[-1,0]", "x", "--search"), "cannot parse monoid word '[-1,0]'"),
+    (("residual", "m1", "left", "[1.5,0]", "x"), "cannot parse monoid word '[1.5,0]'"),
+    (("residual", "m1", "right", "x", "[true,0]"), "cannot parse monoid word '[true,0]'"),
+    (("residual", "m1", "right", "x", "[1,2,3]"), "cannot parse monoid word '[1,2,3]'"),
+    (("residual", "m1", "left", "x", "y", "--search", "--bound", "33"),
+     "bound 33 exceeds the search bound 32"),
+    (("residual", "m1", "left", "x15", "x14", "--search"), "bound 33 exceeds the search bound 32"),
+    (("residual", "s2", "left", "0,0,0", "60,0,0", "--search"),
+     "bound 64 exceeds the search bound 32"),
+    (("ore", "cmp", "1,0,0", "1,1,0", "--den2", "0,0,0", "--num2", "0,1,0", "--witness",
+      "--bound", "33"), "bound 33 exceeds the search bound 32"),
 ])
 def test_missing_or_bad_operand_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -37,6 +37,16 @@ def test_product_examples():
     assert heis_mul(Y, X).triple() == (1, 1, 1)
 
 
+def test_triple_is_a_plain_tuple():
+    g = HeisTriple(1, 0, 5)
+    assert g == (1, 0, 5) and hash(g) == hash((1, 0, 5))
+    assert g.triple() == (1, 0, 5) and type(g.triple()) is tuple
+    assert repr(g) == "HeisTriple(alpha=1, beta=0, gamma=5)"
+    # on a tuple `*` repeats; heis_mul is the product
+    assert X * 2 == (1, 0, 0, 1, 0, 0)
+    assert heis_mul(X, X) == HeisTriple(2, 0, 0) == heis_pow(X, 2)
+
+
 def test_inverse():
     for g in [X, Y, HeisTriple(2, -3, 5), HeisTriple(-1, 4, -7)]:
         assert heis_mul(g, heis_inv(g)) == HEIS_UNIT
@@ -87,6 +97,8 @@ def test_s2_order_examples():
     assert s2_cmp(HeisTriple(1, 1, 1), HeisTriple(1, 1, 0)) == -1
     with pytest.raises(ValueError):
         s2_cmp(HeisTriple(-1, 0, 0), X)
+    with pytest.raises(ValueError, match=r"^\(1, 0, 5\) is not in the positive monoid$"):
+        s2_cmp(X, HeisTriple(1, 0, 5))
 
 
 def test_s2_box_shape():

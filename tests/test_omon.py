@@ -98,6 +98,16 @@ def test_residual_search_exhaustion():
         residual_search(M1Instance, (0, 0), (5, 5), "left", bound=1)
 
 
+@pytest.mark.parametrize("inst, good, bad", [
+    (S2Instance, X, HeisTriple(1, 0, 5)),
+    (M1Instance, (1, 0), (-1, 0)),
+])
+def test_residual_search_checks_operands_at_entry(inst, good, bad):
+    for a, b in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match=f"is not an element of chain {inst.name!r}"):
+            residual_search(inst, a, b, "left", bound=4)
+
+
 def test_chain_algebra_interfaces():
     eq = R.parse_equation("x*(x\\y) ^ y = x*(x\\y)")
     v = R.check_equation_sampled(eq, S2Instance,
