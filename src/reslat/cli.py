@@ -239,6 +239,8 @@ def cmd_omon(args) -> int:
         _emit(payload, args.json, "\n".join(lines))
         return EXIT_HOLDS if rep.all_certified() else EXIT_FAILS
     # chain prefix listing
+    if args.bound > omon.SEARCH_BOUND:
+        raise ValueError(f"bound {args.bound} exceeds the search bound {omon.SEARCH_BOUND}")
     inst, _, show = _CHAINS[args.monoid]
     out = [show(g) for _, g in zip(range(args.count), inst.candidates(args.bound))]
     _emit({"monoid": args.monoid, "prefix": out}, args.json, " > ".join(out))

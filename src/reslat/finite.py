@@ -131,10 +131,16 @@ class FiniteResLat:
 
 
 def _greatest(leq, members: Sequence[int]) -> Optional[int]:
-    for m in members:
-        if all(leq[c][m] for c in members):
-            return m
-    return None
+    """The greatest of `members` under the partial order `leq`, or None.
+    Climbing to each member above the current one ends at it if it exists:
+    once reached, antisymmetry keeps the climb there."""
+    if not members:
+        return None
+    top = members[0]
+    for c in members:
+        if leq[top][c]:
+            top = c
+    return top if all(leq[c][top] for c in members) else None
 
 
 def _two_maximal(leq, members: Sequence[int]) -> list[int]:
@@ -239,19 +245,19 @@ def derive_residuals(
     for a in rng:
         for b in rng:
             cand = [c for c in rng if leq[mul[a][c]][b]]
-            g = _greatest(leq, cand) if cand else None
+            g = _greatest(leq, cand)
             if g is None:
                 raise NotResiduated(
                     f"no left residual {a}\\{b}; maximal candidates "
-                    f"{_two_maximal(leq, cand) if cand else []}"
+                    f"{_two_maximal(leq, cand)}"
                 )
             ldiv_t[a][b] = g
             cand = [c for c in rng if leq[mul[c][a]][b]]
-            g = _greatest(leq, cand) if cand else None
+            g = _greatest(leq, cand)
             if g is None:
                 raise NotResiduated(
                     f"no right residual {b}/{a}; maximal candidates "
-                    f"{_two_maximal(leq, cand) if cand else []}"
+                    f"{_two_maximal(leq, cand)}"
                 )
             rdiv_t[b][a] = g
 
@@ -302,18 +308,10 @@ def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
     for a in rng:
         if mul[s.unit][a] != a or mul[a][s.unit] != a:
             out.append(("monoid-unit", {"a": a}))
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    out.append(("monoid-associative", {"a": a, "b": b, "c": c}))
-                    break
-            else:
-                continue
-            break
-        else:
-            continue
-        break
+    bad = next(((a, b, c) for a in rng for b in rng for c in rng
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]), None)
+    if bad is not None:
+        out.append(("monoid-associative", dict(zip("abc", bad))))
 
     for a in rng:
         for b in rng:
@@ -571,51 +569,48 @@ def chain_leq(n: int) -> tuple[tuple[bool, ...], ...]:
 def _chain_tables(n: int, unit: int) -> Iterator[Table]:
     """All monotone monoid tables on the n-chain with the given unit whose
     bottom is absorbing (a necessary condition for residuation).  Emitted in
-    row-major lexicographic order of the table entries."""
+    row-major lexicographic order of the table entries.
+
+    The free cells are filled row-major, so when (i, j) is reached the cells
+    above it and to its left are set, and the only set cells below it or to
+    its right are in the unit's row and column: monotonicity bounds the value
+    by those neighbours.  After each cell is set, every associativity triple
+    that uses it and has all four cells set is tested, so each triple is
+    tested as soon as its last cell is set and a failing table is cut there."""
     grid: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
     for j in range(n):
         grid[unit][j] = j
         grid[j][unit] = j
         grid[0][j] = 0
         grid[j][0] = 0
-    free = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i not in (0, unit) and j not in (0, unit)
-    ]
+    rng = range(n)
+    free = [(i, j) for i in rng for j in rng if i not in (0, unit) and j not in (0, unit)]
 
-    def monotone_ok(i: int, j: int, v: int) -> bool:
-        for i2 in range(n):
-            w = grid[i2][j]
-            if w is None:
-                continue
-            if (i2 < i and w > v) or (i2 > i and w < v):
-                return False
-        for j2 in range(n):
-            w = grid[i][j2]
-            if w is None:
-                continue
-            if (j2 < j and w > v) or (j2 > j and w < v):
-                return False
-        return True
+    def fails(a: int, b: int, c: int) -> bool:
+        ab, bc = grid[a][b], grid[b][c]
+        if ab is None or bc is None:
+            return False
+        left, right = grid[ab][c], grid[a][bc]
+        return left is not None and right is not None and left != right
 
-    def associative(mul: Table) -> bool:
-        r = range(n)
-        return all(
-            mul[mul[a][b]][c] == mul[a][mul[b][c]] for a in r for b in r for c in r
+    def associative_at(i: int, j: int) -> bool:
+        # the triples whose a·b, b·c, (a·b)·c or a·(b·c) is the cell (i, j)
+        return not (
+            any(fails(i, j, c) or fails(c, i, j) for c in rng)
+            or any(fails(a, b, j) for a in rng for b in rng if grid[a][b] == i)
+            or any(fails(i, b, c) for b in rng for c in rng if grid[b][c] == j)
         )
 
     def rec(k: int) -> Iterator[Table]:
         if k == len(free):
-            mul = _freeze(grid)
-            if associative(mul):
-                yield mul
+            yield _freeze(grid)
             return
         i, j = free[k]
-        for v in range(n):
-            if monotone_ok(i, j, v):
-                grid[i][j] = v
+        lo = max(grid[i - 1][j], grid[i][j - 1])
+        hi = min(j if i < unit else n - 1, i if j < unit else n - 1)
+        for v in range(lo, hi + 1):
+            grid[i][j] = v
+            if associative_at(i, j):
                 yield from rec(k + 1)
         grid[i][j] = None
 

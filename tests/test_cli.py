@@ -193,6 +193,8 @@ def test_dyadic(capsys):
      "bound 64 exceeds the search bound 32"),
     (("ore", "cmp", "1,0,0", "1,1,0", "--den2", "0,0,0", "--num2", "0,1,0", "--witness",
       "--bound", "33"), "bound 33 exceeds the search bound 32"),
+    (("omon", "s2", "prefix", "--bound", "33"), "bound 33 exceeds the search bound 32"),
+    (("omon", "m1", "prefix", "--bound", "33"), "bound 33 exceeds the search bound 32"),
 ])
 def test_missing_or_bad_operand_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -81,6 +81,11 @@ def test_validate_axioms_clean_and_defect():
     )
     defects = R.validate_axioms(broken)
     assert defects and any("adjunction" in d[0] or "residual" in d[0] for d in defects)
+    # (1·2)·1 = 0 ≠ 1 = 1·(2·1) and (2·1)·1 = 2 ≠ 0 = 2·(1·1): only the first is reported
+    mul = ((0, 0, 0), (0, 0, 1), (0, 2, 2))
+    defects = R.validate_axioms(finite.FiniteResLat(**{**g3.__dict__, "mul_table": mul}))
+    assert [d for d in defects if d[0] == "monoid-associative"] == [
+        ("monoid-associative", {"a": 1, "b": 2, "c": 1})]
 
 
 def test_named_properties_on_library():
@@ -205,6 +210,59 @@ def test_enumerate_n3_against_raw_oracle():
     assert oracle == tables
 
 
+def _reference_chain_tables(n, unit):
+    """The chain tables by the plain route: fill the free cells row-major
+    with every value monotone against all set cells, and keep the full
+    tables that are associative."""
+    rng = range(n)
+    grid = [[None] * n for _ in rng]
+    for j in rng:
+        grid[unit][j] = grid[j][unit] = j
+        grid[0][j] = grid[j][0] = 0
+    free = [(i, j) for i in rng for j in rng if i not in (0, unit) and j not in (0, unit)]
+
+    def monotone(i, j, v):
+        column = [grid[k][j] for k in rng]
+        return all(w is None or (w <= v if k < pos else w >= v)
+                   for line, pos in ((column, i), (grid[i], j))
+                   for k, w in enumerate(line) if k != pos)
+
+    def rec(k):
+        if k == len(free):
+            if all(grid[grid[a][b]][c] == grid[a][grid[b][c]]
+                   for a in rng for b in rng for c in rng):
+                yield tuple(map(tuple, grid))
+            return
+        i, j = free[k]
+        for v in rng:
+            if monotone(i, j, v):
+                grid[i][j] = v
+                yield from rec(k + 1)
+        grid[i][j] = None
+
+    yield from rec(0)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pruned_fill_matches_the_reference_fill(n):
+    for unit in ([0] if n == 1 else range(1, n)):
+        assert list(finite._chain_tables(n, unit)) == list(_reference_chain_tables(n, unit))
+
+
+def test_enumeration_counts():
+    assert [len(R.enumerate_chain_models(n)) for n in range(1, 7)] == [1, 1, 3, 15, 84, 575]
+
+
+def test_seven_element_tables_are_closed_under_transpose():
+    # the opposite monoid of each table is reached by a different fill path
+    tables = [t for unit in range(1, 7) for t in finite._chain_tables(7, unit)]
+    assert len(tables) == 4687
+    assert len(set(tables)) == len(tables)
+    transposed = {tuple(zip(*t)) for t in tables}
+    assert transposed == set(tables)
+    assert sum(t == tuple(zip(*t)) for t in tables) == 1073
+
+
 def test_enumerate_trivial_and_cap():
     assert len(R.enumerate_chain_models(1)) == 1
     with pytest.raises(finite.StructureError):
@@ -275,6 +333,13 @@ _G3_MUL = _godel3_json()["mul"]
     (_godel3_json(leq=[[0, 1, 1], [0, 1, 1], [0, 0, 1]]), "order not reflexive at 0"),
     (_godel3_json(leq=[[1, 1, 1], [1, 1, 1], [0, 0, 1]]), "order not antisymmetric at (0,1)"),
     (_godel3_json(leq=[[1, 1, 0], [0, 1, 1], [0, 0, 1]]), "order not transitive at (0,1,2)"),
+    # no meet, no join, no residual: an empty and a non-empty set without a greatest element
+    ({"leq": [[1, 0], [0, 1]], "mul": [[0, 0], [0, 1]], "unit": 1}, "missing meet or join for (0,1)"),
+    ({"leq": [[1, 1, 1, 1, 1], [0, 1, 0, 1, 1], [0, 0, 1, 1, 1], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
+      "mul": [[0] * 5] * 5, "unit": 0}, "missing meet or join for (1,2)"),
+    ({"leq": [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]],
+      "mul": [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 2], [0, 1, 2, 3]], "unit": 3},
+     "no left residual 1\\0; maximal candidates [1, 2]"),
 ])
 def test_malformed_structure_is_refused(blob, message):
     with pytest.raises(finite.StructureError, match=f"^{re.escape(message)}$"):

@@ -1,0 +1,117 @@
+"""Time the residuated-chain enumerator at fixed sizes and record the result.
+
+Two jobs per size: table generation alone (`finite._chain_tables` over every
+unit) and the whole `enumerate_chain_models(n)`, which also derives the
+residuals of every table.  Sizes are 5 and 6, and 7 with `cap=7`.  Each job
+runs in a fresh interpreter, REPEAT times; a run that exceeds TIMEOUT_S
+seconds is recorded as timed out and the job is not repeated.
+
+    python tools/bench_enumerate.py --label after
+    python tools/bench_enumerate.py --src OTHER_CHECKOUT/src --label before
+
+Each call stores its numbers under its label in `BENCH_enumerate.json` at
+the repository root and keeps the other labels, so a before/after pair is
+two calls against two checkouts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+OUT = os.path.join(ROOT, "BENCH_enumerate.json")
+REPEAT = 3
+TIMEOUT_S = 120.0
+
+JOBS = {
+    "tables_n5": "sum(1 for u in range(1, 5) for _ in finite._chain_tables(5, u))",
+    "tables_n6": "sum(1 for u in range(1, 6) for _ in finite._chain_tables(6, u))",
+    "tables_n7": "sum(1 for u in range(1, 7) for _ in finite._chain_tables(7, u))",
+    "enumerate_n5": "len(finite.enumerate_chain_models(5))",
+    "enumerate_n6": "len(finite.enumerate_chain_models(6))",
+    "enumerate_n7_cap7": "len(finite.enumerate_chain_models(7, cap=7))",
+}
+
+# runs in the child: import, time one evaluation, print count and seconds
+_CHILD = """
+import time
+from reslat import finite
+t = time.perf_counter()
+count = {expr}
+print(count, time.perf_counter() - t)
+"""
+
+
+def _run(src: str, expr: str):
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("RESLAT_MAX_SIZE", None)
+    try:
+        done = subprocess.run([sys.executable, "-c", _CHILD.format(expr=expr)], env=env,
+                              capture_output=True, text=True, timeout=TIMEOUT_S, check=True)
+    except subprocess.TimeoutExpired:
+        return None
+    count, seconds = done.stdout.split()
+    return int(count), float(seconds)
+
+
+def _source_commit(src: str) -> str:
+    def git(*argv):
+        return subprocess.run(["git", "-C", src, *argv], capture_output=True,
+                              text=True).stdout.strip()
+    head = git("rev-parse", "--short", "HEAD") or "unknown"
+    return head + (" (modified)" if git("status", "--porcelain", "--", ".") else "")
+
+
+def measure(src: str) -> dict:
+    results = {}
+    for name, expr in JOBS.items():
+        runs, count = [], None
+        for _ in range(REPEAT):
+            got = _run(src, expr)
+            if got is None:
+                break
+            count, seconds = got
+            runs.append(round(seconds, 4))
+        results[name] = (
+            {"count": count, "median_s": round(statistics.median(runs), 4), "runs_s": runs}
+            if runs else {"timed_out_after_s": TIMEOUT_S}
+        )
+        print(f"{name:20s} {results[name]}", flush=True)
+    return results
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--src", default=os.path.join(ROOT, "src"),
+                   help="source directory that holds the reslat package")
+    p.add_argument("--label", required=True, help="key for these numbers, e.g. before/after")
+    args = p.parse_args(argv)
+
+    record = {"runs": {}}
+    if os.path.exists(OUT):
+        with open(OUT) as fh:
+            record = json.load(fh)
+    record["jobs"] = JOBS
+    record["runs"][args.label] = {
+        "source": _source_commit(args.src),
+        "date": time.strftime("%Y-%m-%d"),
+        "host": {"python": platform.python_version(), "machine": platform.machine(),
+                 "cpus": os.cpu_count()},
+        "repeat": REPEAT,
+        "results": measure(args.src),
+    }
+    with open(OUT, "w") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
