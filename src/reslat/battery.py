@@ -61,6 +61,11 @@ class BatteryConfig:
     samples: int = 1000
     seed: int = DEFAULT_SEED
 
+    def __post_init__(self):
+        for name in ("max_size", "samples"):
+            if (value := getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
 
 @dataclass
 class ClaimResult:

@@ -8,6 +8,7 @@ Exit codes: 0 the checked statement holds (or the command succeeded),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -239,6 +240,10 @@ def cmd_omon(args) -> int:
         _emit(payload, args.json, "\n".join(lines))
         return EXIT_HOLDS if rep.all_certified() else EXIT_FAILS
     # chain prefix listing
+    if args.bound < 1:
+        raise ValueError("bound must be >= 1")
+    if args.count < 0:
+        raise ValueError("count must be >= 0")
     if args.bound > omon.SEARCH_BOUND:
         raise ValueError(f"bound {args.bound} exceeds the search bound {omon.SEARCH_BOUND}")
     inst, _, show = _CHAINS[args.monoid]
@@ -248,10 +253,10 @@ def cmd_omon(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    cfg = battery.BatteryConfig(max_size=finite.max_size(5), samples=args.samples,
-                                seed=args.seed)
+    max_size = finite.max_size(5)
     if args.only is not None:
         _require_known("claim", args.only, battery.CLAIMS)
+    cfg = battery.BatteryConfig(max_size=max_size, samples=args.samples, seed=args.seed)
     results = battery.run_battery(cfg, only=args.only)
     if args.json:
         print(json.dumps(
@@ -263,6 +268,7 @@ def cmd_verify_paper(args) -> int:
     return EXIT_HOLDS if all(r.status != "fail" for r in results) else EXIT_FAILS
 
 
+@functools.cache  # the tree depends only on constants, so main builds it once
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="reslat", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)

@@ -2,7 +2,8 @@
 
 Every test drives the corresponding claim in reslat.battery at its full
 verification box and prints a single PASS/FAIL line.  All checks are exact
-(integer / rational arithmetic); there are no numeric tolerances.
+(integer / rational arithmetic); there are no numeric tolerances.  A last
+test checks that the battery refuses a configuration that gathers no evidence.
 """
 
 import pytest
@@ -33,3 +34,10 @@ def test_acceptance(label, claim):
     line = f"{'PASS' if result.status == 'pass' else 'FAIL'} {label}: {result.detail}"
     print(line)
     assert result.status == "pass", line
+
+
+@pytest.mark.parametrize("field", ["max_size", "samples"])
+@pytest.mark.parametrize("value", [0, -4])
+def test_config_without_evidence_is_refused(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
+        battery.BatteryConfig(**{field: value})

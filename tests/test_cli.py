@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reslat import finite, models
-from reslat.cli import main
+from reslat.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -195,6 +195,11 @@ def test_dyadic(capsys):
       "--bound", "33"), "bound 33 exceeds the search bound 32"),
     (("omon", "s2", "prefix", "--bound", "33"), "bound 33 exceeds the search bound 32"),
     (("omon", "m1", "prefix", "--bound", "33"), "bound 33 exceeds the search bound 32"),
+    (("omon", "s2", "prefix", "--bound", "0"), "bound must be >= 1"),
+    (("omon", "m1", "prefix", "--bound", "-5"), "bound must be >= 1"),
+    (("omon", "s2", "prefix", "--count", "-1"), "count must be >= 0"),
+    (("verify-paper", "--only", "hamiltonian-law", "--samples", "0"), "samples must be >= 1, got 0"),
+    (("verify-paper", "--samples", "-4"), "samples must be >= 1, got -4"),
 ])
 def test_missing_or_bad_operand_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -261,6 +266,30 @@ def test_usage_error_exit_code(capsys):
     assert main([]) == 2
 
 
+def test_parser_reuse_leaks_no_state(capsys, monkeypatch):
+    assert build_parser() is build_parser()  # built once per process
+    build_parser.cache_clear()
+    first = run(capsys, "heis", "pow", "1,1,1")  # the default -n 2
+    assert first == (0, "(2, 2, 3)\n", "")
+    # an argparse usage error that had already read -n 5, then a ValueError
+    assert run(capsys, "heis", "-n", "5", "bogus", "1,0,0")[0] == 2
+    assert run(capsys, "heis", "pow", "1,1,1") == first
+    assert run(capsys, "heis", "root", "1,0,0", "-n", "0")[0] == 2
+    assert run(capsys, "heis", "pow", "1,1,1") == first
+    # --require appends to a fresh list each time; every 3-chain is
+    # commutative, so only an integral filter tells the lists apart
+    filtered = json.loads(run(capsys, "enumerate", "3", "--require", "integral", "--json")[1])
+    unfiltered = json.loads(run(capsys, "enumerate", "3", "--json")[1])
+    assert (len(filtered), len(unfiltered)) == (2, 3)
+    for argv in (["--help"], ["check", "--help"]):
+        assert run(capsys, *argv) == run(capsys, *argv)
+    # RESLAT_MAX_SIZE is read by each request, not by the parser
+    monkeypatch.setenv("RESLAT_MAX_SIZE", "2")
+    assert run(capsys, "enumerate", "3")[0] == 2
+    monkeypatch.delenv("RESLAT_MAX_SIZE")
+    assert run(capsys, "enumerate", "3")[0] == 0
+
+
 # --- fuzz: every request ends in an exit code, never in a traceback ---------
 
 _FAST_CLAIMS = ["nilpotency-laws", "divisibility-failures", "conucleus-battery",
@@ -306,7 +335,8 @@ def _specs(models):
         ("residual", [_choice("m1", "s2", "z3"), _choice("left", "right"),
                       st.tuples(_OPERAND, _OPERAND).map(list)],
          [st.sampled_from([[], ["--search", "--bound", "-1"], ["--search", "--bound", "0"],
-                           ["--search", "--bound", "3"]])]),
+                           ["--search", "--bound", "3"], ["--search", "--bound", "8"],
+                           ["--search", "--bound", "33"]])]),
         ("heis", [_choice("mul", "inv", "pow", "commutator", "root"), _UNARY_OR_BINARY],
          [_opt("-n", _SMALL)]),
         ("s2", [_choice("member", "cmp"), _UNARY_OR_BINARY], []),

@@ -16,16 +16,13 @@ two calls against two checkouts.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
-import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from bench_record import ROOT, record
+
 OUT = os.path.join(ROOT, "BENCH_enumerate.json")
 REPEAT = 3
 TIMEOUT_S = 120.0
@@ -61,14 +58,6 @@ def _run(src: str, expr: str):
     return int(count), float(seconds)
 
 
-def _source_commit(src: str) -> str:
-    def git(*argv):
-        return subprocess.run(["git", "-C", src, *argv], capture_output=True,
-                              text=True).stdout.strip()
-    head = git("rev-parse", "--short", "HEAD") or "unknown"
-    return head + (" (modified)" if git("status", "--porcelain", "--", ".") else "")
-
-
 def measure(src: str) -> dict:
     results = {}
     for name, expr in JOBS.items():
@@ -88,29 +77,7 @@ def measure(src: str) -> dict:
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--src", default=os.path.join(ROOT, "src"),
-                   help="source directory that holds the reslat package")
-    p.add_argument("--label", required=True, help="key for these numbers, e.g. before/after")
-    args = p.parse_args(argv)
-
-    record = {"runs": {}}
-    if os.path.exists(OUT):
-        with open(OUT) as fh:
-            record = json.load(fh)
-    record["jobs"] = JOBS
-    record["runs"][args.label] = {
-        "source": _source_commit(args.src),
-        "date": time.strftime("%Y-%m-%d"),
-        "host": {"python": platform.python_version(), "machine": platform.machine(),
-                 "cpus": os.cpu_count()},
-        "repeat": REPEAT,
-        "results": measure(args.src),
-    }
-    with open(OUT, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    return 0
+    return record(OUT, JOBS, __doc__, measure, argv, repeat=REPEAT)
 
 
 if __name__ == "__main__":
