@@ -13,7 +13,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .terms import (
     Equation,
@@ -130,19 +130,6 @@ class FiniteResLat:
         return f"<FiniteResLat {tag}>"
 
 
-def _greatest(leq, members: Sequence[int]) -> Optional[int]:
-    """The greatest of `members` under the partial order `leq`, or None.
-    Climbing to each member above the current one ends at it if it exists:
-    once reached, antisymmetry keeps the climb there."""
-    if not members:
-        return None
-    top = members[0]
-    for c in members:
-        if leq[top][c]:
-            top = c
-    return top if all(leq[c][top] for c in members) else None
-
-
 def _two_maximal(leq, members: Sequence[int]) -> list[int]:
     maximal = [m for m in members if all(not leq[m][c] or c == m for c in members)]
     return maximal[:2]
@@ -157,23 +144,147 @@ def _check_square(key: str, rows, n: int) -> None:
 
 
 def _is_element(v, n: int) -> bool:
-    return isinstance(v, int) and 0 <= v < n
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
+
+
+def _mask(flags: Iterable) -> int:
+    """The set of positions whose flag is true, as an int bitmask."""
+    return sum(1 << i for i, x in enumerate(flags) if x)
 
 
 def _order_violations(leq, n: int) -> Iterator[tuple[str, tuple[int, ...]]]:
     """Every failure of reflexivity, antisymmetry and transitivity, as
     (property, witness): `derive_residuals` raises on the first one,
     `validate_axioms` reports them all."""
-    rng = range(n)
-    for a in rng:
+    up = [_mask(row) for row in leq]
+    for a in range(n):
         if not leq[a][a]:
             yield "reflexive", (a,)
+        for b in range(n):
+            if leq[a][b]:
+                if a != b and leq[b][a]:
+                    yield "antisymmetric", (a, b)
+                bad = up[b] & ~up[a]
+                if bad:
+                    yield from (("transitive", (a, b, c)) for c in range(n) if bad >> c & 1)
+
+
+def _first_gap(s: Sequence[Sequence], t: Sequence[Sequence]) -> Optional[tuple[int, int]]:
+    """The first cell in row-major order that is None in `s` or in `t`."""
+    if all(None not in row for row in (*s, *t)):
+        return None
+    return next((a, b) for a, (rs, rt) in enumerate(zip(s, t))
+                for b, (x, y) in enumerate(zip(rs, rt)) if x is None or y is None)
+
+
+class _LatticeOrder(NamedTuple):
+    """A checked lattice order with its meet and join tables, and what the
+    monoid part of `derive_residuals` needs of it: `principal` maps each
+    down-set mask to the element it is the down-set of, `covers` pairs each
+    element with its lower covers, in a linear extension, and `le_pairs`
+    holds every (x, y) with x <= y."""
+
+    leq: tuple[tuple[bool, ...], ...]
+    meet: Table
+    join: Table
+    principal: dict[int, int]
+    covers: tuple[tuple[int, tuple[int, ...]], ...]
+    le_pairs: frozenset[tuple[int, int]]
+
+
+def _lattice_order(leq: tuple[tuple[bool, ...], ...]) -> _LatticeOrder:
+    """Check that `leq` is a lattice order and tabulate its meets and joins.
+    In a partial order the meet of a and b exists iff down[a] & down[b] is
+    the down-set of some element, which is then the meet; joins likewise
+    with up-sets."""
+    n = len(leq)
+    rng = range(n)
+    for prop, witness in _order_violations(leq, n):
+        at = witness[0] if len(witness) == 1 else f"({','.join(map(str, witness))})"
+        raise NotALattice(f"order not {prop} at {at}")
+    down = tuple(map(_mask, zip(*leq)))
+    up = tuple(map(_mask, leq))
+    principal = {m: a for a, m in enumerate(down)}
+    above = {m: a for a, m in enumerate(up)}
+    meet = tuple(tuple(principal.get(x & y) for y in down) for x in down)
+    join = tuple(tuple(above.get(x & y) for y in up) for x in up)
+    gap = _first_gap(meet, join)
+    if gap is not None:
+        raise NotALattice(f"missing meet or join for ({gap[0]},{gap[1]})")
+    # d is a lower cover of b iff the interval [d, b] is {d, b}
+    covers = tuple((b, tuple(d for d in rng if (down[b] & up[d]).bit_count() == 2))
+                   for b in sorted(rng, key=lambda b: down[b].bit_count()))
+    le_pairs = frozenset((x, y) for x in rng for y in rng if leq[x][y])
+    return _LatticeOrder(leq, meet, join, principal, covers, le_pairs)
+
+
+def _residual_row(order: _LatticeOrder, row: Sequence[int]) -> tuple[Optional[int], ...]:
+    """For each b, the greatest c with row[c] <= b, or None if there is none.
+    With `row` monotone, {c : row[c] <= b} is a down-set: the union of the
+    preimages of everything below b, accumulated along lower covers."""
+    below = [0] * len(row)
+    for c, v in enumerate(row):
+        below[v] |= 1 << c
+    for b, lows in order.covers:
+        for d in lows:
+            below[b] |= below[d]
+    return tuple(map(order.principal.get, below))
+
+
+def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str) -> FiniteResLat:
+    """The monoid part of `derive_residuals`: check the unit, associativity
+    and monotonicity of `mul` over a checked lattice order, then derive
+    both residual tables."""
+    leq = order.leq
+    rng = range(len(leq))
+    for a in rng:
+        if mul[unit][a] != a or mul[a][unit] != a:
+            raise NotAMonoid(f"unit law fails at {a}")
+        row = mul[a]
         for b in rng:
-            if a != b and leq[a][b] and leq[b][a]:
-                yield "antisymmetric", (a, b)
-            for c in rng:
-                if leq[a][b] and leq[b][c] and not leq[a][c]:
-                    yield "transitive", (a, b, c)
+            if tuple(map(row.__getitem__, mul[b])) != mul[row[b]]:
+                c = next(c for c in rng if mul[row[b]][c] != row[mul[b][c]])
+                raise NotAMonoid(f"associativity fails at ({a},{b},{c})")
+
+    # monotone on every cover pair is monotone: find the first witness otherwise
+    cols = tuple(zip(*mul))
+    le = order.le_pairs.__contains__
+    if not all(all(map(le, zip(t[d], t[b]))) for t in (mul, cols)
+               for b, lows in order.covers for d in lows):
+        for a in rng:
+            for b in rng:
+                if leq[a][b]:
+                    for c in rng:
+                        if not leq[mul[a][c]][mul[b][c]] or not leq[mul[c][a]][mul[c][b]]:
+                            raise NotResiduated(
+                                f"product not order-preserving: {a}<={b} but "
+                                f"multiplication by {c} breaks it"
+                            )
+
+    ldiv = tuple(_residual_row(order, row) for row in mul)
+    rdiv_by_divisor = tuple(_residual_row(order, col) for col in cols)
+    gap = _first_gap(ldiv, rdiv_by_divisor)
+    if gap is not None:
+        a, b = gap
+        if ldiv[a][b] is None:
+            cand = [c for c in rng if leq[mul[a][c]][b]]
+            raise NotResiduated(
+                f"no left residual {a}\\{b}; maximal candidates {_two_maximal(leq, cand)}")
+        cand = [c for c in rng if leq[mul[c][a]][b]]
+        raise NotResiduated(
+            f"no right residual {b}/{a}; maximal candidates {_two_maximal(leq, cand)}")
+
+    return FiniteResLat(
+        n=len(leq),
+        leq=leq,
+        mul_table=mul,
+        unit=unit,
+        meet_table=order.meet,
+        join_table=order.join,
+        ldiv_table=ldiv,
+        rdiv_table=tuple(zip(*rdiv_by_divisor)),
+        name=name,
+    )
 
 
 def derive_residuals(
@@ -185,9 +296,10 @@ def derive_residuals(
     """Build a FiniteResLat, computing meets, joins and residual tables.
 
     Raises StructureError naming the table, row or cell when `leq` and `mul`
-    are not n x n tables over range(n) or `unit` is not in range(n), and
-    NotALattice / NotAMonoid / NotResiduated with a witness in the message
-    when the input fails the corresponding requirement.
+    are not n x n tables, a `leq` cell is not a boolean or 0/1, a `mul` cell
+    or `unit` is not an int in range(n), and NotALattice / NotAMonoid /
+    NotResiduated with a witness in the message when the input fails the
+    corresponding requirement.
     """
     if not isinstance(leq, (list, tuple)):
         raise StructureError("leq must be a list of rows")
@@ -200,78 +312,12 @@ def derive_residuals(
                 raise StructureError(f"mul cell ({a},{b}) = {v!r} is not in range({n})")
     if not _is_element(unit, n):
         raise StructureError(f"unit {unit!r} is not in range({n})")
-    leq = tuple(tuple(bool(x) for x in row) for row in leq)
-    mul = _freeze(mul)
-    rng = range(n)
-
-    for prop, witness in _order_violations(leq, n):
-        at = witness[0] if len(witness) == 1 else f"({','.join(map(str, witness))})"
-        raise NotALattice(f"order not {prop} at {at}")
-
-    meet_t = [[0] * n for _ in rng]
-    join_t = [[0] * n for _ in rng]
-    geq = tuple(tuple(leq[y][x] for y in rng) for x in rng)
-    for a in rng:
-        for b in rng:
-            lower = [c for c in rng if leq[c][a] and leq[c][b]]
-            upper = [c for c in rng if leq[a][c] and leq[b][c]]
-            m = _greatest(leq, lower)
-            j = _greatest(geq, upper)
-            if m is None or j is None:
-                raise NotALattice(f"missing meet or join for ({a},{b})")
-            meet_t[a][b] = m
-            join_t[a][b] = j
-
-    for a in rng:
-        if mul[unit][a] != a or mul[a][unit] != a:
-            raise NotAMonoid(f"unit law fails at {a}")
-        for b in rng:
-            for c in rng:
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    raise NotAMonoid(f"associativity fails at ({a},{b},{c})")
-
-    for a in rng:
-        for b in rng:
-            if leq[a][b]:
-                for c in rng:
-                    if not leq[mul[a][c]][mul[b][c]] or not leq[mul[c][a]][mul[c][b]]:
-                        raise NotResiduated(
-                            f"product not order-preserving: {a}<={b} but "
-                            f"multiplication by {c} breaks it"
-                        )
-
-    ldiv_t = [[0] * n for _ in rng]
-    rdiv_t = [[0] * n for _ in rng]
-    for a in rng:
-        for b in rng:
-            cand = [c for c in rng if leq[mul[a][c]][b]]
-            g = _greatest(leq, cand)
-            if g is None:
-                raise NotResiduated(
-                    f"no left residual {a}\\{b}; maximal candidates "
-                    f"{_two_maximal(leq, cand)}"
-                )
-            ldiv_t[a][b] = g
-            cand = [c for c in rng if leq[mul[c][a]][b]]
-            g = _greatest(leq, cand)
-            if g is None:
-                raise NotResiduated(
-                    f"no right residual {b}/{a}; maximal candidates "
-                    f"{_two_maximal(leq, cand)}"
-                )
-            rdiv_t[b][a] = g
-
-    return FiniteResLat(
-        n=n,
-        leq=leq,
-        mul_table=mul,
-        unit=unit,
-        meet_table=_freeze(meet_t),
-        join_table=_freeze(join_t),
-        ldiv_table=_freeze(ldiv_t),
-        rdiv_table=_freeze(rdiv_t),
-        name=name,
-    )
+    for a, row in enumerate(leq):
+        for b, x in enumerate(row):
+            if not (isinstance(x, int) and x in (0, 1)):
+                raise StructureError(f"leq cell ({a},{b}) = {x!r} is not 0, 1, true or false")
+    order = _lattice_order(tuple(tuple(map(bool, row)) for row in leq))
+    return _residuated(order, _freeze(mul), unit, name)
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +338,15 @@ def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
         (f"order-{prop}", dict(zip("abc", witness))) for prop, witness in _order_violations(leq, n)
     ]
 
+    down = [_mask(leq[c][a] for c in rng) for a in rng]
+    up = [_mask(leq[a][c] for c in rng) for a in rng]
     for a in rng:
         for b in rng:
             m = s.meet_table[a][b]
-            if not (leq[m][a] and leq[m][b]) or any(
-                leq[c][a] and leq[c][b] and not leq[c][m] for c in rng
-            ):
+            if not (leq[m][a] and leq[m][b]) or down[a] & down[b] & ~down[m]:
                 out.append(("meet-glb", {"a": a, "b": b}))
             j = s.join_table[a][b]
-            if not (leq[a][j] and leq[b][j]) or any(
-                leq[a][c] and leq[b][c] and not leq[j][c] for c in rng
-            ):
+            if not (leq[a][j] and leq[b][j]) or up[a] & up[b] & ~up[j]:
                 out.append(("join-lub", {"a": a, "b": b}))
 
     for a in rng:
@@ -646,12 +690,12 @@ def enumerate_chain_models(
         raise StructureError(f"chain size must be >= 1, got {n}")
     if n > cap:
         raise StructureError(f"chain size {n} exceeds enumeration cap {cap}")
-    leq = chain_leq(n)
+    order = _lattice_order(chain_leq(n))
     units = [0] if n == 1 else range(1, n)
     found = []
     for unit in units:
         for mul in _chain_tables(n, unit):
-            s = derive_residuals(leq, mul, unit, name=f"chain{n}-u{unit}")
+            s = _residuated(order, mul, unit, name=f"chain{n}-u{unit}")
             if all(check_named_property(s, c).holds for c in constraints):
                 found.append(s)
     return found

@@ -52,6 +52,8 @@ def test_check_unknown_model(capsys):
     ("[1,2]", "a structure must be a JSON object, got list"),
     ('{"leq": [[1,1],[0,1]], "mul": [[0,0],[0]], "unit": 1}', "mul row 1 must be a list of 2 entries"),
     ('{"leq": [[1,1],[0,1]], "mul": [[0,0],[0,1]], "unit": 7}', "unit 7 is not in range(2)"),
+    ('{"leq": [[1,"no"],[0,1]], "mul": [[0,0],[0,1]], "unit": 1}',
+     "leq cell (0,1) = 'no' is not 0, 1, true or false"),
     ("{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
 ])
 def test_check_malformed_structure_file(capsys, tmp_path, text, message):

@@ -2,6 +2,7 @@ import ast
 import inspect
 import itertools
 import json
+import random
 import re
 
 import pytest
@@ -21,8 +22,10 @@ def test_derive_residuals_godel3():
 
 def test_derive_residuals_oracle_agreement():
     # independent route: brute-force maxima straight from the definition
-    for build in models.MODEL_BUILDERS.values():
-        s = build()
+    structures = [build() for build in models.MODEL_BUILDERS.values()]
+    structures += [s for n in range(1, 6) for s in R.enumerate_chain_models(n)]
+    structures.append(models.direct_product(models.heyting5(), models.godel3()))
+    for s in structures:
         for a in s.elements:
             for b in s.elements:
                 cand = [c for c in s.elements if s.leq[s.mul_table[a][c]][b]]
@@ -31,6 +34,113 @@ def test_derive_residuals_oracle_agreement():
                 cand = [c for c in s.elements if s.leq[s.mul_table[c][a]][b]]
                 best = max(cand, key=lambda c: sum(s.leq[d][c] for d in s.elements))
                 assert s.rdiv(b, a) == best, (s.name, a, b)
+
+
+def _reference_greatest(leq, members):
+    if not members:
+        return None
+    top = members[0]
+    for c in members:
+        if leq[top][c]:
+            top = c
+    return top if all(leq[c][top] for c in members) else None
+
+
+def _reference_derive(leq, mul, unit):
+    """The derivation by the plain O(n^3) route: for every cell, list the
+    candidates and climb to their greatest element.  Takes tables that
+    passed the shape checks; returns the fields or (error class, message)."""
+    leq = tuple(tuple(bool(x) for x in row) for row in leq)
+    mul = tuple(map(tuple, mul))
+    n = len(leq)
+    rng = range(n)
+    for a in rng:
+        if not leq[a][a]:
+            return finite.NotALattice, f"order not reflexive at {a}"
+        for b in rng:
+            if a != b and leq[a][b] and leq[b][a]:
+                return finite.NotALattice, f"order not antisymmetric at ({a},{b})"
+            for c in rng:
+                if leq[a][b] and leq[b][c] and not leq[a][c]:
+                    return finite.NotALattice, f"order not transitive at ({a},{b},{c})"
+    geq = tuple(tuple(leq[y][x] for y in rng) for x in rng)
+    meet = [[0] * n for _ in rng]
+    join = [[0] * n for _ in rng]
+    for a in rng:
+        for b in rng:
+            m = _reference_greatest(leq, [c for c in rng if leq[c][a] and leq[c][b]])
+            j = _reference_greatest(geq, [c for c in rng if leq[a][c] and leq[b][c]])
+            if m is None or j is None:
+                return finite.NotALattice, f"missing meet or join for ({a},{b})"
+            meet[a][b], join[a][b] = m, j
+    for a in rng:
+        if mul[unit][a] != a or mul[a][unit] != a:
+            return finite.NotAMonoid, f"unit law fails at {a}"
+        for b in rng:
+            for c in rng:
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    return finite.NotAMonoid, f"associativity fails at ({a},{b},{c})"
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                if leq[a][b] and (not leq[mul[a][c]][mul[b][c]] or not leq[mul[c][a]][mul[c][b]]):
+                    return finite.NotResiduated, (f"product not order-preserving: {a}<={b} but "
+                                                  f"multiplication by {c} breaks it")
+    ldiv = [[0] * n for _ in rng]
+    rdiv = [[0] * n for _ in rng]
+    for a in rng:
+        for b in rng:
+            cand = [c for c in rng if leq[mul[a][c]][b]]
+            ldiv[a][b] = _reference_greatest(leq, cand)
+            if ldiv[a][b] is None:
+                return finite.NotResiduated, (f"no left residual {a}\\{b}; maximal candidates "
+                                              f"{finite._two_maximal(leq, cand)}")
+            cand = [c for c in rng if leq[mul[c][a]][b]]
+            rdiv[b][a] = _reference_greatest(leq, cand)
+            if rdiv[b][a] is None:
+                return finite.NotResiduated, (f"no right residual {b}/{a}; maximal candidates "
+                                              f"{finite._two_maximal(leq, cand)}")
+    return tuple(tuple(map(tuple, t)) for t in (meet, join, ldiv, rdiv))
+
+
+def _mutants(structures, count, seed):
+    """`count` seeded mutants: each flips a leq cell, changes a mul cell or
+    moves the unit, one to three times."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        s = rng.choice(structures)
+        leq, mul, unit = [list(r) for r in s.leq], [list(r) for r in s.mul_table], s.unit
+        for _ in range(rng.randint(1, 3)):
+            i, j, kind = rng.randrange(s.n), rng.randrange(s.n), rng.randrange(3)
+            if kind == 0:
+                leq[i][j] = not leq[i][j]
+            elif kind == 1:
+                mul[i][j] = rng.randrange(s.n)
+            else:
+                unit = i
+        yield leq, mul, unit
+
+
+def test_bitset_derivation_matches_the_reference_derivation():
+    structures = list(models.model_library())
+    structures += [s for n in range(1, 7) for s in R.enumerate_chain_models(n)]
+    structures.append(models.direct_product(models.heyting5(), models.godel3()))
+    inputs = [(s.leq, s.mul_table, s.unit) for s in structures]
+    inputs += _mutants(structures, 3000, seed=20240826)
+    outcomes = set()
+    for leq, mul, unit in inputs:
+        want = _reference_derive(leq, mul, unit)
+        try:
+            s = finite.derive_residuals(leq, mul, unit)
+            got = (s.meet_table, s.join_table, s.ldiv_table, s.rdiv_table)
+            assert (s.n, s.leq, s.mul_table, s.unit) == (
+                len(leq), tuple(tuple(map(bool, r)) for r in leq), tuple(map(tuple, mul)), unit)
+        except finite.StructureError as exc:
+            got = type(exc), str(exc)
+        assert got == want, (leq, mul, unit)
+        outcomes.add(got[1].split(" ")[0] if isinstance(got[1], str) else "ok")
+    # every outcome the derivation can have is reached
+    assert outcomes == {"ok", "order", "missing", "unit", "associativity", "product", "no"}
 
 
 def test_adjunction_all_models():
@@ -340,6 +450,12 @@ _G3_MUL = _godel3_json()["mul"]
     ({"leq": [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]],
       "mul": [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 2], [0, 1, 2, 3]], "unit": 3},
      "no left residual 1\\0; maximal candidates [1, 2]"),
+    # cells of the wrong type: a bool is not an element, and only booleans and 0/1 are order cells
+    (_godel3_json(unit=True), "unit True is not in range(3)"),
+    (_godel3_json(mul=[[0, 0, 0], [0, False, 1], [0, 1, 2]]), "mul cell (1,1) = False is not in range(3)"),
+    ({"leq": [[1, "no"], [0, 1]], "mul": [[0, 0], [0, 1]], "unit": 1},
+     "leq cell (0,1) = 'no' is not 0, 1, true or false"),
+    (_godel3_json(leq=[[1, 1, 1], [0, 1, 1], [0, 0.0, 1]]), "leq cell (2,1) = 0.0 is not 0, 1, true or false"),
 ])
 def test_malformed_structure_is_refused(blob, message):
     with pytest.raises(finite.StructureError, match=f"^{re.escape(message)}$"):
