@@ -41,15 +41,9 @@ def _load_model(spec: str) -> finite.FiniteResLat:
     return s
 
 
-def _require_known(what: str, name: str, known) -> None:
-    if name not in known:
-        raise ValueError(f"unknown {what} {name!r}; known: {', '.join(known)}")
-
-
 def cmd_check(args) -> int:
     s = _load_model(args.model)
     if args.property:
-        _require_known("property", args.equation, finite.PROPERTY_NAMES)
         v = finite.check_named_property(s, args.equation)
         label = args.equation
     else:
@@ -67,14 +61,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    cap = finite.max_size(finite.DEFAULT_ENUM_CAP)
-    if args.size > cap:
-        raise ValueError(f"size {args.size} exceeds cap {cap} (RESLAT_MAX_SIZE)")
-    constraints = tuple(args.require or ())
-    for c in constraints:
-        if c not in finite.PROPERTIES:
-            raise ValueError(f"unknown property {c!r}")
-    found = finite.enumerate_chain_models(args.size, constraints=constraints, cap=cap)
+    found = finite.enumerate_chain_models(args.size, constraints=args.require or ())
     if args.json:
         print(json.dumps([finite.structure_to_json(s) for s in found], sort_keys=True,
                          separators=(",", ":")))
@@ -240,12 +227,9 @@ def cmd_omon(args) -> int:
         _emit(payload, args.json, "\n".join(lines))
         return EXIT_HOLDS if rep.all_certified() else EXIT_FAILS
     # chain prefix listing
-    if args.bound < 1:
-        raise ValueError("bound must be >= 1")
+    omon.check_bound(args.bound)
     if args.count < 0:
         raise ValueError("count must be >= 0")
-    if args.bound > omon.SEARCH_BOUND:
-        raise ValueError(f"bound {args.bound} exceeds the search bound {omon.SEARCH_BOUND}")
     inst, _, show = _CHAINS[args.monoid]
     out = [show(g) for _, g in zip(range(args.count), inst.candidates(args.bound))]
     _emit({"monoid": args.monoid, "prefix": out}, args.json, " > ".join(out))
@@ -253,10 +237,8 @@ def cmd_omon(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    max_size = finite.max_size(5)
-    if args.only is not None:
-        _require_known("claim", args.only, battery.CLAIMS)
-    cfg = battery.BatteryConfig(max_size=max_size, samples=args.samples, seed=args.seed)
+    cfg = battery.BatteryConfig(max_size=finite.max_size(5), samples=args.samples,
+                                seed=args.seed)
     results = battery.run_battery(cfg, only=args.only)
     if args.json:
         print(json.dumps(

@@ -29,7 +29,6 @@ from .terms import (
 
 __all__ = [
     "FiniteResLat",
-    "ConvexSubuniverse",
     "ConvexFamily",
     "StructureError",
     "NotALattice",
@@ -421,10 +420,15 @@ PROPERTIES: dict[str, list[Union[Equation, QuasiEquation]]] = {
 PROPERTY_NAMES = tuple(sorted(PROPERTIES))
 
 
+def _unknown_property(name: str) -> ValueError:
+    return ValueError(f"unknown property {name!r}; known: {', '.join(PROPERTY_NAMES)}")
+
+
 def check_named_property(s, name: str) -> Verdict:
-    """Check a registered property on any finite structure."""
+    """Check a registered property on any finite structure.  Raises
+    ValueError for an unknown property name."""
     if name not in PROPERTIES:
-        raise KeyError(f"unknown property {name!r}; known: {', '.join(PROPERTY_NAMES)}")
+        raise _unknown_property(name)
     for law in PROPERTIES[name]:
         if isinstance(law, QuasiEquation):
             v = check_quasiequation(law, s)
@@ -472,25 +476,13 @@ def conjugates(s: FiniteResLat, a: int, b: int) -> tuple[int, int]:
 # convex subuniverses
 
 
-@dataclass(frozen=True)
-class ConvexSubuniverse:
-    members: frozenset[int]
-    parent: FiniteResLat
-
-    def __contains__(self, a: int) -> bool:
-        return a in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 def _require_ecyclic(s: FiniteResLat):
     v = check_named_property(s, "e-cyclic")
     if not v.holds:
         raise NotECyclic(f"structure is not e-cyclic, witness {v.witness}")
 
 
-def convex_closure(s: FiniteResLat, gens: Iterable[int]) -> ConvexSubuniverse:
+def convex_closure(s: FiniteResLat, gens: Iterable[int]) -> frozenset[int]:
     """Least convex subuniverse containing `gens`, via the interval description:
     an element c belongs iff t <= |c| for some t in the submonoid generated
     by the absolute values of the generators."""
@@ -502,10 +494,9 @@ def convex_closure(s: FiniteResLat, gens: Iterable[int]) -> ConvexSubuniverse:
         if not new:
             break
         monoid |= new
-    members = frozenset(
+    return frozenset(
         c for c in s.elements if any(s.le(t, absolute_value(s, c)) for t in monoid)
     )
-    return ConvexSubuniverse(members, s)
 
 
 def convex_closure_fixpoint(s: FiniteResLat, gens: Iterable[int]) -> frozenset[int]:
@@ -548,7 +539,6 @@ def _is_convex_subuniverse(s: FiniteResLat, members: frozenset[int]) -> bool:
 class ConvexFamily:
     """All convex subuniverses of a structure, with lattice operations."""
 
-    parent: FiniteResLat
     members: list[frozenset[int]]
 
     def meet(self, h: frozenset[int], k: frozenset[int]) -> frozenset[int]:
@@ -587,7 +577,7 @@ def all_convex_subuniverses(
             if _is_convex_subuniverse(s, members):
                 found.append(members)
     found.sort(key=lambda m: (len(m), sorted(m)))
-    return ConvexFamily(s, found)
+    return ConvexFamily(found)
 
 
 def is_hamiltonian_structure(s: FiniteResLat, cap: int = DEFAULT_CONVEX_CAP) -> Verdict:
@@ -683,13 +673,18 @@ def enumerate_chain_models(
 ) -> list[FiniteResLat]:
     """All residuated lattices on the n-chain, any unit position, in a
     deterministic order (unit ascending, then row-major table order),
-    filtered by the named-property constraints."""
+    filtered by the named-property constraints.  Raises ValueError for a
+    size outside 1..cap (default: `max_size(DEFAULT_ENUM_CAP)`) or an
+    unknown constraint name, before enumerating anything."""
     if cap is None:
         cap = max_size(DEFAULT_ENUM_CAP)
     if n < 1:
         raise StructureError(f"chain size must be >= 1, got {n}")
     if n > cap:
         raise StructureError(f"chain size {n} exceeds enumeration cap {cap}")
+    for c in constraints:
+        if c not in PROPERTIES:
+            raise _unknown_property(c)
     order = _lattice_order(chain_leq(n))
     units = [0] if n == 1 else range(1, n)
     found = []

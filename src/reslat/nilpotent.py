@@ -196,31 +196,6 @@ class DyadicPair:
         if not _is_dyadic(r):
             raise ValueError(f"{r} is not a dyadic rational")
 
-    @property
-    def num(self) -> int:
-        """Odd numerator (0 for zero)."""
-        if self.r == 0:
-            return 0
-        k = self.r.numerator
-        while k % 2 == 0:
-            k //= 2
-        return k
-
-    @property
-    def exp(self) -> int:
-        """Exponent of 2 such that r = num * 2**exp (0 for zero)."""
-        if self.r == 0:
-            return 0
-        e = 0
-        num, den = self.r.numerator, self.r.denominator
-        while den > 1:
-            den //= 2
-            e -= 1
-        while num % 2 == 0:
-            num //= 2
-            e += 1
-        return e
-
 
 DYADIC_UNIT = DyadicPair(Fraction(0), 0)
 

@@ -41,11 +41,14 @@ from .nilpotent import (
 __all__ = [
     "ResidualExhausted",
     "SEARCH_BOUND",
+    "check_bound",
     "Chain",
     "M1Instance",
     "S2Instance",
     "DyadicInstance",
     "residual_search",
+    "m1_mul",
+    "m1_cmp",
     "m1_residual",
     "s2_residual",
     "m1_word",
@@ -71,6 +74,15 @@ SEARCH_BOUND = 32
 residual scan visits about bound**4/4 candidates (279,873 at bound 32)."""
 
 
+def check_bound(bound: int, least: int = 1) -> None:
+    """Refuse a search bound below `least` or above SEARCH_BOUND with
+    ValueError."""
+    if bound < least:
+        raise ValueError(f"bound must be >= {least}")
+    if bound > SEARCH_BOUND:
+        raise ValueError(f"bound {bound} exceeds the search bound {SEARCH_BOUND}")
+
+
 @dataclass(frozen=True)
 class Chain:
     """A totally ordered residuated monoid given by rules.
@@ -80,8 +92,7 @@ class Chain:
     is the greatest c with a*c <= b and `rdiv(a, b)` the greatest c with
     c*b <= a.  A chain that `residual_search` can scan also gives
     `candidates(bound)`, streaming elements strictly descending from the
-    unit within a finite box, `size(a)`, the word-length proxy used to pick
-    default search bounds, and `member(a)`, which the search checks its
+    unit within a finite box, and `member(a)`, which the search checks its
     operands with before scanning, so that `cmp` itself validates nothing.
     """
 
@@ -92,7 +103,6 @@ class Chain:
     ldiv: Callable
     rdiv: Callable
     candidates: Optional[Callable[[int], Iterator]] = None
-    size: Optional[Callable[[object], int]] = None
     member: Optional[Callable[[object], bool]] = None
 
     def meet(self, a, b):
@@ -107,7 +117,8 @@ def residual_search(inst: Chain, a, b, side: str = "left", bound: Optional[int] 
     scan of the descending candidate stream.  Raises ResidualExhausted when
     the bound is too small; never returns a wrong answer.  Raises ValueError
     for an operand outside the chain, or a bound below 1 or above
-    SEARCH_BOUND (the default is size(a) + size(b) + 4)."""
+    SEARCH_BOUND (the default is sum(a) + sum(b) + 4, the exponent sums of
+    the operands plus 4)."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if inst.candidates is None:
@@ -116,11 +127,8 @@ def residual_search(inst: Chain, a, b, side: str = "left", bound: Optional[int] 
         if not inst.member(x):
             raise ValueError(f"{x!r} is not an element of chain {inst.name!r}")
     if bound is None:
-        bound = inst.size(a) + inst.size(b) + 4
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    if bound > SEARCH_BOUND:
-        raise ValueError(f"bound {bound} exceeds the search bound {SEARCH_BOUND}")
+        bound = sum(a) + sum(b) + 4
+    check_bound(bound)
     mul, cmp, left = inst.mul, inst.cmp, side == "left"
     for c in inst.candidates(bound):
         if cmp(mul(a, c) if left else mul(c, a), b) <= 0:
@@ -211,7 +219,6 @@ M1Instance = Chain(
     ldiv=lambda a, b: m1_residual(b, a),
     rdiv=m1_residual,
     candidates=m1_candidates,
-    size=sum,
     member=lambda u: u[0] >= 0 and u[1] >= 0,
 )
 
@@ -251,7 +258,6 @@ S2Instance = Chain(
     ldiv=s2_residual,
     rdiv=lambda a, b: s2_residual(b, a, "right"),
     candidates=s2_box,
-    size=sum,
     member=s2_member,
 )
 

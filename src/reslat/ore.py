@@ -23,7 +23,7 @@ from .nilpotent import (
     s2_member,
     s2_require,
 )
-from .omon import SEARCH_BOUND, Chain, ResidualExhausted, s2_residual
+from .omon import Chain, ResidualExhausted, check_bound, s2_residual
 
 __all__ = [
     "OreFraction",
@@ -122,10 +122,7 @@ def frac_cmp_witness(f: OreFraction, g: OreFraction, bound: int = 8) -> int:
     """Decide the extended order from the witness-pair definition alone.
     Raises ResidualExhausted if neither direction yields a witness within
     the bound, and ValueError for a bound below 0 or above SEARCH_BOUND."""
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    if bound > SEARCH_BOUND:
-        raise ValueError(f"bound {bound} exceeds the search bound {SEARCH_BOUND}")
+    check_bound(bound, least=0)
     below = _witness_below(f, g, bound)
     above = _witness_below(g, f, bound)
     if below and above:

@@ -30,7 +30,7 @@ CRITERIA = [
 
 @pytest.mark.parametrize("label,claim", CRITERIA, ids=[c[0] for c in CRITERIA])
 def test_acceptance(label, claim):
-    result = battery.CLAIMS[claim](CFG)
+    (result,) = battery.run_battery(CFG, only=claim)
     line = f"{'PASS' if result.status == 'pass' else 'FAIL'} {label}: {result.detail}"
     print(line)
     assert result.status == "pass", line
@@ -41,3 +41,27 @@ def test_acceptance(label, claim):
 def test_config_without_evidence_is_refused(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
         battery.BatteryConfig(**{field: value})
+
+
+def test_run_battery_builds_every_outcome(monkeypatch):
+    def refuted(cfg):
+        raise battery.ClaimFailed("counterexample at 3")
+
+    claims = {"refuted": refuted, "holds": lambda cfg: "evidence",
+              "enumeration-count": battery.CLAIMS["enumeration-count"]}
+    monkeypatch.setattr(battery, "CLAIMS", claims)
+    results = battery.run_battery(battery.BatteryConfig(max_size=2))
+    assert [(r.claim, r.status, r.detail) for r in results] == [
+        ("refuted", "fail", "counterexample at 3"),
+        ("holds", "pass", "evidence"),
+        ("enumeration-count", "skipped", "enumeration cap too low"),
+    ]
+    assert all(r.seconds >= 0 for r in results)
+
+
+def test_unknown_claim_is_refused_before_any_claim_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr(battery, "CLAIMS", {"a": ran.append, "b": ran.append})
+    with pytest.raises(ValueError, match="^unknown claim 'bogus'; known: a, b$"):
+        battery.run_battery(CFG, only="bogus")
+    assert ran == []

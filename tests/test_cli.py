@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from reslat import finite, models
+from reslat import battery, finite, models
 from reslat.cli import build_parser, main
 
 
@@ -102,8 +102,9 @@ def test_max_size_not_a_positive_integer(capsys, monkeypatch):
 
 
 def test_enumerate_unknown_property(capsys):
-    code, _, err = run(capsys, "enumerate", "3", "--require", "bogus")
-    assert code == 2
+    code, out, err = run(capsys, "enumerate", "3", "--require", "bogus")
+    known = ", ".join(finite.PROPERTY_NAMES)
+    assert (code, out, err) == (2, "", f"error: unknown property 'bogus'; known: {known}\n")
 
 
 def test_residual_m1(capsys):
@@ -259,8 +260,9 @@ def test_verify_paper_single_claim_json(capsys):
 
 
 def test_verify_paper_unknown_claim(capsys):
-    code, _, err = run(capsys, "verify-paper", "--only", "bogus")
-    assert code == 2
+    code, out, err = run(capsys, "verify-paper", "--only", "bogus")
+    known = ", ".join(battery.CLAIMS)
+    assert (code, out, err) == (2, "", f"error: unknown claim 'bogus'; known: {known}\n")
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import itertools
 import json
@@ -207,7 +208,7 @@ def test_named_properties_on_library():
     assert R.check_named_property(g3, "LPL").holds
     assert not R.check_named_property(g3, "cancellative").holds
     assert R.check_named_property(models.trivial1(), "cancellative").holds
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         R.check_named_property(g3, "nonsense")
 
 
@@ -267,7 +268,7 @@ def test_convex_closure_against_fixpoint_oracle():
             continue
         for r in range(s.n + 1):
             for gens in itertools.combinations(s.elements, r):
-                got = R.convex_closure(s, gens).members
+                got = R.convex_closure(s, gens)
                 want = R.convex_closure_fixpoint(s, gens)
                 assert got == want, (s.name, gens)
 
@@ -382,6 +383,14 @@ def test_enumerate_trivial_and_cap():
             R.enumerate_chain_models(n)
 
 
+def test_enumerate_refuses_an_unknown_constraint_before_enumerating():
+    known = ", ".join(finite.PROPERTY_NAMES)
+    # "cancellative" rejects every 3-chain, so a lazy lookup never reaches "bogus"
+    for constraints in (("cancellative", "bogus"), ("bogus",)):
+        with pytest.raises(ValueError, match=f"^unknown property 'bogus'; known: {re.escape(known)}$"):
+            R.enumerate_chain_models(3, constraints=constraints)
+
+
 def test_enumerate_env_cap(monkeypatch):
     monkeypatch.setenv("RESLAT_MAX_SIZE", "2")
     with pytest.raises(finite.StructureError):
@@ -469,12 +478,16 @@ def test_order_violations_reported_in_full():
     assert laws == ["order-reflexive", "order-transitive"]
 
 
-def test_package_imports_only_public_finite_names():
+def test_package_imports_only_public_names():
     tree = ast.parse(inspect.getsource(R))
-    imported = {alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.module == "finite"
-                for alias in node.names}
-    assert imported <= set(finite.__all__)
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    assert set(imported) == {"terms", "finite", "models", "nilpotent", "omon", "ore", "battery"}
+    for module, names in imported.items():
+        public = set(importlib.import_module(f"reslat.{module}").__all__)
+        assert names - public == set(), module
 
 
 def test_direct_product():

@@ -185,10 +185,3 @@ def test_dyadic_claims_small_n():
                           dyadic_mul(dyadic_pow(b, n), dyadic_pow(a, 2 ** n))) == -1
         conj = dyadic_mul(dyadic_mul(dyadic_pow(b, -n), a), dyadic_pow(b, n))
         assert dyadic_cmp(conj, dyadic_pow(a, n)) == -1
-
-
-def test_dyadic_num_exp_form():
-    g = DyadicPair(Fraction(-3, 4), 1)
-    # r = num * 2**exp with num odd
-    assert g.num == -3 and g.exp == -2
-    assert DyadicPair(Fraction(0), 5).num == 0
