@@ -20,11 +20,8 @@ from .terms import (
     QuasiEquation,
     Verdict,
     check_equation,
-    check_quasiequation,
-    le_equation,
     parse_equation,
     parse_quasiequation,
-    parse_term,
 )
 
 __all__ = [
@@ -381,7 +378,9 @@ def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
 
 _half = "(x ^ e)*(x ^ e)"
 
-_PROPERTY_SOURCES: dict[str, object] = {
+# An entry is one law or a list of laws; a law with "=>" is a quasi-equation.
+# weakly-abelian and hamilt-eq are inequalities t <= s, written as t ^ s = t.
+_PROPERTY_SOURCES: dict[str, Union[str, list[str]]] = {
     "LPL": "(x\\y ^ e) v (y\\x ^ e) = e",
     "RPL": "(x/y ^ e) v (y/x ^ e) = e",
     "LPL2": "(y ^ z)\\x = (y\\x) v (z\\x)",
@@ -398,24 +397,16 @@ _PROPERTY_SOURCES: dict[str, object] = {
     "e-join-dist": "e ^ (y v z) = (e ^ y) v (e ^ z)",
     "selfdiv-left": "x\\x = e",
     "selfdiv-right": "x/x = e",
-    "weakly-abelian": ("le", _half, "y\\((x ^ e)*y)"),
-    "hamilt-eq": ("le", _half, "(y\\(x*y) ^ e) ^ ((z*x)/z ^ e)"),
+    "weakly-abelian": f"{_half} ^ y\\((x ^ e)*y) = {_half}",
+    "hamilt-eq": f"{_half} ^ ((y\\(x*y) ^ e) ^ ((z*x)/z ^ e)) = {_half}",
     "semilin-qeq": "x v y = e => (u\\(x*u) ^ e) v ((w*y)/w ^ e) = e",
 }
 
 
-def _compile_property(src) -> list[Union[Equation, QuasiEquation]]:
-    if isinstance(src, tuple) and src[0] == "le":
-        return [le_equation(parse_term(src[1]), parse_term(src[2]))]
-    if isinstance(src, list):
-        return [parse_equation(x) for x in src]
-    if "=>" in src:
-        return [parse_quasiequation(src)]
-    return [parse_equation(src)]
-
-
 PROPERTIES: dict[str, list[Union[Equation, QuasiEquation]]] = {
-    name: _compile_property(src) for name, src in _PROPERTY_SOURCES.items()
+    name: [parse_quasiequation(law) if "=>" in law else parse_equation(law)
+           for law in ([src] if isinstance(src, str) else src)]
+    for name, src in _PROPERTY_SOURCES.items()
 }
 PROPERTY_NAMES = tuple(sorted(PROPERTIES))
 
@@ -430,10 +421,7 @@ def check_named_property(s, name: str) -> Verdict:
     if name not in PROPERTIES:
         raise _unknown_property(name)
     for law in PROPERTIES[name]:
-        if isinstance(law, QuasiEquation):
-            v = check_quasiequation(law, s)
-        else:
-            v = check_equation(law, s)
+        v = check_equation(law, s)
         if not v.holds:
             return v
     return Verdict(True)

@@ -33,7 +33,6 @@ __all__ = [
     "s2_require",
     "heis_cmp",
     "s2_cmp",
-    "s2_le",
     "s2_box",
     "nth_root",
     "DyadicPair",
@@ -139,10 +138,6 @@ def s2_cmp(g: HeisTriple, h: HeisTriple) -> int:
     """`heis_cmp` on two elements checked to be in the positive monoid."""
     s2_require(g, h)
     return heis_cmp(g, h)
-
-
-def s2_le(g: HeisTriple, h: HeisTriple) -> bool:
-    return s2_cmp(g, h) <= 0
 
 
 def s2_box(amax: int, bmax: Optional[int] = None, gmax: Optional[int] = None) -> Iterator[HeisTriple]:

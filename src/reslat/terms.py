@@ -47,14 +47,12 @@ __all__ = [
     "rdiv",
     "meet",
     "join",
-    "le_equation",
     "parse_term",
     "parse_equation",
     "parse_quasiequation",
     "term_to_str",
     "eval_term",
     "check_equation",
-    "check_quasiequation",
     "check_equation_sampled",
     "gen_Lc",
 ]
@@ -174,11 +172,6 @@ class QuasiEquation:
         if not self.premises:
             return str(self.conclusion)
         return ", ".join(map(str, self.premises)) + " => " + str(self.conclusion)
-
-
-def le_equation(t: Term, s: Term) -> Equation:
-    """The inequality t <= s rendered as the equation t ^ s = t."""
-    return Equation(meet(t, s), t)
 
 
 # ---------------------------------------------------------------------------
@@ -456,28 +449,19 @@ def _compile(law: Law) -> tuple[tuple[str, ...], Callable]:
     return names, namespace["law"]
 
 
-def _check(law: Law, s) -> Verdict:
+def check_equation(law: Law, s) -> Verdict:
+    """Exhaustive check of an equation or quasi-equation over a finite
+    structure (a FiniteResLat).
+
+    On failure returns the lexicographically-first witness (variables in
+    sorted name order, elements in carrier index order).
+    """
     names, run = _compile(law)
     found = run(s.elements, s.unit, s.mul_table, s.ldiv_table, s.rdiv_table,
                 s.meet_table, s.join_table)
     if found is None:
         return Verdict(True)
     return Verdict(False, dict(zip(names, found)))
-
-
-def check_equation(eq: Equation, s) -> Verdict:
-    """Exhaustive check over a finite structure (a FiniteResLat).
-
-    On failure returns the lexicographically-first witness (variables in
-    sorted name order, elements in carrier index order).
-    """
-    return _check(eq, s)
-
-
-def check_quasiequation(q: QuasiEquation, s) -> Verdict:
-    """Exhaustive check of a quasi-equation, with the same witness order as
-    check_equation."""
-    return _check(q, s)
 
 
 def check_equation_sampled(eq: Equation, s, assignments: Iterable[Mapping]) -> Verdict:

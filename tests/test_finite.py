@@ -212,6 +212,15 @@ def test_named_properties_on_library():
         R.check_named_property(g3, "nonsense")
 
 
+def test_inequality_properties_are_in_meet_form():
+    # t <= s is registered as t ^ s = t; built here from separately parsed
+    # sides, so a misplaced parenthesis in the registry text would show
+    t = R.parse_term("(x ^ e)*(x ^ e)")
+    for name, s in [("weakly-abelian", "y\\((x ^ e)*y)"),
+                    ("hamilt-eq", "(y\\(x*y) ^ e) ^ ((z*x)/z ^ e)")]:
+        assert R.PROPERTIES[name] == [R.Equation(R.meet(t, R.parse_term(s)), t)]
+
+
 def test_prelinearity_implications_exhaustive():
     # the three one-way implications, checked over every chain up to size 4
     # and the hand library

@@ -135,7 +135,7 @@ def test_chain_records_follow_the_terms_convention():
         residual_search(F2Instance, g, h)
 
 
-@pytest.mark.parametrize("module", ["finite", "nilpotent", "omon", "ore"])
+@pytest.mark.parametrize("module", ["terms", "finite", "models", "nilpotent", "omon", "ore", "battery"])
 def test_public_names_resolve(module):
     mod = importlib.import_module(f"reslat.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
