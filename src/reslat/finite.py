@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .terms import (
+    HOLDS,
     Equation,
     QuasiEquation,
     Verdict,
@@ -424,7 +425,7 @@ def check_named_property(s, name: str) -> Verdict:
         v = check_equation(law, s)
         if not v.holds:
             return v
-    return Verdict(True)
+    return HOLDS
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +578,7 @@ def is_hamiltonian_structure(s: FiniteResLat, cap: int = DEFAULT_CONVEX_CAP) -> 
                 lam, rho = conjugates(s, a, b)
                 if lam not in h or rho not in h:
                     return Verdict(False, {"H": sorted(h), "a": a, "b": b})
-    return Verdict(True)
+    return HOLDS
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ __all__ = [
     "Equation",
     "QuasiEquation",
     "Verdict",
+    "HOLDS",
     "TermSyntaxError",
     "EvalError",
     "MAX_DEPTH",
@@ -76,23 +77,25 @@ than this (a variable or `e` has depth 0, `x*y` depth 1)."""
 
 
 _BINOPS = ("*", "\\", "/", "^", "v")
+_IDENT = re.compile(r"[a-z][a-z0-9]*")
 
 
 @dataclass(frozen=True)
 class Term:
-    """AST node: kind is 'var', 'e', or one of the binary operators."""
+    """AST node: kind is 'var', 'e', or a binary operator; its hash is computed once."""
 
     kind: str
     name: str = ""
     left: Optional["Term"] = None
     right: Optional["Term"] = None
     depth: int = field(default=0, init=False, repr=False, compare=False)
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind in ("var", "e"):
             if self.left is not None or self.right is not None:
                 raise ValueError("leaf node with children")
-            if self.kind == "var" and not re.fullmatch(r"[a-z][a-z0-9]*", self.name):
+            if self.kind == "var" and not _IDENT.fullmatch(self.name):
                 raise ValueError(f"bad variable name {self.name!r}")
         elif self.kind in _BINOPS:
             if self.left is None or self.right is None:
@@ -100,6 +103,14 @@ class Term:
             object.__setattr__(self, "depth", 1 + max(self.left.depth, self.right.depth))
         else:
             raise ValueError(f"unknown node kind {self.kind!r}")
+        object.__setattr__(self, "_hash", hash((self.kind, self.name, self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # a str hash is salted per process: rebuild, so the stored hash is this process's
+        return Term, (self.kind, self.name, self.left, self.right)
 
     def free_vars(self) -> frozenset[str]:
         if self.kind == "var":
@@ -178,7 +189,6 @@ class QuasiEquation:
 # parsing
 
 
-_IDENT = re.compile(r"[a-z][a-z0-9]*")
 _JOIN_OP = re.compile(r"v(?![a-z0-9])")  # a bare "v"; "v1" is an identifier
 
 
@@ -369,6 +379,9 @@ class Verdict:
         return self.holds
 
 
+HOLDS = Verdict(True)  # every check that holds returns this one: it is frozen, with no witness
+
+
 _COMPILE_CACHE_SIZE = 512
 _MAX_LOOPS = 16  # CPython refuses more than 20 statically nested blocks
 
@@ -460,7 +473,7 @@ def check_equation(law: Law, s) -> Verdict:
     found = run(s.elements, s.unit, s.mul_table, s.ldiv_table, s.rdiv_table,
                 s.meet_table, s.join_table)
     if found is None:
-        return Verdict(True)
+        return HOLDS
     return Verdict(False, dict(zip(names, found)))
 
 
@@ -469,7 +482,7 @@ def check_equation_sampled(eq: Equation, s, assignments: Iterable[Mapping]) -> V
     for a in assignments:
         if eval_term(eq.lhs, a, s) != eval_term(eq.rhs, a, s):
             return Verdict(False, dict(a))
-    return Verdict(True)
+    return HOLDS
 
 
 # ---------------------------------------------------------------------------

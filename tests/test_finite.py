@@ -497,6 +497,11 @@ def test_package_imports_only_public_names():
     for module, names in imported.items():
         public = set(importlib.import_module(f"reslat.{module}").__all__)
         assert names - public == set(), module
+    # every parser is on the package, so a quasi-equation needs no import from reslat.terms
+    parsers = {name for name in importlib.import_module("reslat.terms").__all__
+               if name.startswith("parse_")}
+    assert parsers == {"parse_term", "parse_equation", "parse_quasiequation"}
+    assert parsers <= imported["terms"]
 
 
 def test_direct_product():

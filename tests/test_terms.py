@@ -1,10 +1,15 @@
+import copy
+import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 import reslat as R
-from reslat.terms import MAX_DEPTH, parse_quasiequation
+from reslat.terms import HOLDS, MAX_DEPTH, _compile, parse_quasiequation
 from reslat import finite, models
 from reslat.terms import E, join, ldiv, meet, mul, rdiv, var
 
@@ -286,3 +291,87 @@ def test_many_variables_share_the_innermost_loop():
     assert R.check_equation(R.Equation(lhs, lhs), s).holds
     v = R.check_equation(R.Equation(lhs, var("x9")), s)
     assert v == _reference(R.Equation(lhs, var("x9")), s)
+
+
+# ---------------------------------------------------------------------------
+# the hash a term stores when it is built
+
+
+_PICKLE_LAWS = """
+import pickle, sys
+from reslat import finite, gen_Lc
+laws = [law for laws in finite.PROPERTIES.values() for law in laws] + [gen_Lc(3)]
+sys.stdout.buffer.write(pickle.dumps(laws))
+"""
+
+# prints the position of every loaded law that does not hash like a fresh one
+_LOAD_LAWS = """
+import pickle, sys
+from reslat import finite, gen_Lc
+fresh = [law for laws in finite.PROPERTIES.values() for law in laws] + [gen_Lc(3)]
+loaded = pickle.loads(sys.stdin.buffer.read())
+assert loaded == fresh
+fresh_set = set(fresh)
+print([i for i, (old, new) in enumerate(zip(loaded, fresh))
+       if hash(old) != hash(new) or old not in fresh_set])
+"""
+
+
+def _run_python(code: str, seed: int, stdin: bytes = b"") -> bytes:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(R.__file__)))
+    env = {**os.environ, "PYTHONHASHSEED": str(seed),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout
+
+
+def test_a_law_pickled_under_one_hash_seed_hashes_like_a_fresh_parse_under_another():
+    pickled = _run_python(_PICKLE_LAWS, seed=1)
+    assert _run_python(_LOAD_LAWS, seed=2, stdin=pickled).decode().strip() == "[]"
+
+
+def test_copies_and_replacements_hash_like_fresh_terms():
+    for law in [law for laws in R.PROPERTIES.values() for law in laws] + [R.gen_Lc(3)]:
+        copied = copy.deepcopy(law)
+        assert copied == law and hash(copied) == hash(law)
+    t = R.parse_term("x*(y v z)")
+    replaced = dataclasses.replace(t, kind="\\", right=dataclasses.replace(t.right, kind="^"))
+    assert replaced == R.parse_term("x\\(y ^ z)")
+    assert hash(replaced) == hash(R.parse_term("x\\(y ^ z)"))
+
+
+def test_every_registered_property_hashes_like_its_reparsed_source():
+    for name, src in finite._PROPERTY_SOURCES.items():
+        texts = [src] if isinstance(src, str) else src
+        for text, law in zip(texts, R.PROPERTIES[name], strict=True):
+            parse = parse_quasiequation if "=>" in text else R.parse_equation
+            for again in (parse(text), parse(str(law))):
+                assert again is not law
+                assert again == law and hash(again) == hash(law), (name, text)
+
+
+def test_an_equal_law_parsed_again_hits_the_compile_cache():
+    h5 = models.heyting5()
+    first = R.check_equation(R.PROPERTIES["LPL"][0], h5)
+    before = _compile.cache_info()
+    again = R.check_equation(R.parse_equation(finite._PROPERTY_SOURCES["LPL"]), h5)
+    after = _compile.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert again == first and again.witness == {"x": 1, "y": 2}
+
+
+def test_a_holding_check_returns_the_shared_verdict_and_a_failing_one_its_own_witness():
+    g3, h5 = models.godel3(), models.heyting5()
+    commutative = R.parse_equation("x*y = y*x")
+    assert R.check_equation(commutative, g3) is HOLDS
+    assert R.check_equation_sampled(commutative, g3, [{"x": 0, "y": 2}]) is HOLDS
+    assert R.check_named_property(g3, "LPL") is HOLDS
+    assert R.is_hamiltonian_structure(g3) is HOLDS
+    assert HOLDS == R.Verdict(True) and HOLDS.witness is None
+    lpl = R.PROPERTIES["LPL"][0]
+    first = R.check_equation(lpl, h5)
+    first.witness["x"] = 4
+    assert R.check_equation(lpl, h5).witness == {"x": 1, "y": 2}
+    assert R.check_named_property(h5, "LPL").witness == {"x": 1, "y": 2}

@@ -7,9 +7,12 @@ residuals of every table.  Sizes are 5 and 6, and 7 with `cap=7`.  Four
 per-call jobs time `derive_residuals` on the 575 tables of size 6 and 100
 times on the 15-element `heyting5 x godel3`, `validate_axioms` on the 575
 models of size 6, and their JSON round trip; their inputs are built before
-the clock starts.  Each job runs in a fresh interpreter, REPEAT times; a run
-that exceeds TIMEOUT_S seconds is recorded as timed out and the job is not
-repeated.
+the clock starts.  One law-check job runs every named property on the
+library models and the chains up to size 5, 100 times; a pass before the
+clock compiles the laws, so it times the fixed cost of one small check,
+which dominates there, and its count is the checks that hold.  Each job
+runs in a fresh interpreter, REPEAT times; a run that exceeds TIMEOUT_S
+seconds is recorded as timed out and the job is not repeated.
 
     python tools/bench_enumerate.py --label after
     python tools/bench_enumerate.py --src OTHER_CHECKOUT/src --label before
@@ -34,6 +37,10 @@ TIMEOUT_S = 120.0
 
 CHAINS6 = "chains6 = finite.enumerate_chain_models(6)"
 PRODUCT = "product = models.direct_product(models.heyting5(), models.godel3())"
+UNIVERSE = ("universe = models.model_library() + [s for n in range(1, 6)"
+            " for s in finite.enumerate_chain_models(n)]\n"
+            "checks = [(s, p) for s in universe for p in finite.PROPERTY_NAMES]\n"
+            "[finite.check_named_property(s, p) for s, p in checks]")
 
 # name -> (untimed set-up, timed expression whose value is the count)
 JOBS = {
@@ -51,6 +58,9 @@ JOBS = {
     "validate_axioms_chains6": (CHAINS6, "sum(not finite.validate_axioms(s) for s in chains6)"),
     "json_round_trip_chains6": (
         CHAINS6, "len([finite.structure_from_json(finite.structure_to_json(s)) for s in chains6])"),
+    "named_properties_x100": (
+        UNIVERSE, "sum(finite.check_named_property(s, p).holds"
+                  " for _ in range(100) for s, p in checks)"),
 }
 
 # runs in the child: import, set up, time one evaluation, print count and seconds
