@@ -12,13 +12,11 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from . import finite, models, omon
 from .finite import check_named_property, enumerate_chain_models, validate_axioms
 from .nilpotent import (
-    DyadicPair,
     HEIS_UNIT,
     HeisTriple,
     dyadic_cmp,
@@ -33,6 +31,8 @@ from .nilpotent import (
     to_matrix,
 )
 from .omon import (
+    HAMVTY_BASE,
+    HAMVTY_CONJUGATOR,
     DyadicInstance,
     M1Instance,
     S2Instance,
@@ -141,6 +141,12 @@ def claim_heis_oracle(cfg: BatteryConfig) -> str:
     return "10^4 random triples agree"
 
 
+def _random_s2(rng: random.Random, box: int) -> HeisTriple:
+    """A positive-monoid element: alpha, beta in [0, box], gamma in [0, alpha*beta]."""
+    al, be = rng.randint(0, box), rng.randint(0, box)
+    return HeisTriple(al, be, rng.randint(0, al * be))
+
+
 def claim_nilpotency_laws(cfg: BatteryConfig) -> str:
     x, y = HeisTriple(1, 0, 0), HeisTriple(0, 1, 0)
     l1 = gen_Lc(1)
@@ -150,14 +156,10 @@ def claim_nilpotency_laws(cfg: BatteryConfig) -> str:
     if lhs != HeisTriple(1, 1, 0) or rhs != HeisTriple(1, 1, 1):
         raise ClaimFailed("commutativity witness wrong")
     rng = random.Random(cfg.seed)
-    l2 = gen_Lc(2)
-    for _ in range(cfg.samples):
-        asn = {}
-        for v in ("x", "y", "z1"):
-            al, be = rng.randint(0, 6), rng.randint(0, 6)
-            asn[v] = HeisTriple(al, be, rng.randint(0, al * be))
-        if eval_term(l2.lhs, asn, alg) != eval_term(l2.rhs, asn, alg):
-            raise ClaimFailed(f"class-2 law fails at {asn}")
+    samples = ({v: _random_s2(rng, 6) for v in ("x", "y", "z1")} for _ in range(cfg.samples))
+    v = check_equation_sampled(gen_Lc(2), alg, samples)
+    if not v.holds:
+        raise ClaimFailed(f"class-2 law fails at {v.witness}")
     return f"L1 fails at (x,y); L2 holds on {cfg.samples} samples"
 
 
@@ -248,8 +250,7 @@ def claim_conucleus(cfg: BatteryConfig) -> str:
 
 
 def claim_dyadic(cfg: BatteryConfig) -> str:
-    a = DyadicPair(Fraction(-1), 0)
-    b = DyadicPair(Fraction(0), -2)
+    a, b = HAMVTY_BASE, HAMVTY_CONJUGATOR
     if dyadic_cmp(dyadic_mul(a, b), dyadic_mul(b, dyadic_pow(a, 2))) >= 0:
         raise ClaimFailed("base inequality ab < ba^2 fails")
     for n in range(1, 13):
@@ -264,7 +265,7 @@ def claim_dyadic(cfg: BatteryConfig) -> str:
         conj = dyadic_mul(dyadic_mul(dyadic_pow(b, -n), a), dyadic_pow(b, n))
         if dyadic_cmp(conj, dyadic_pow(a, n)) >= 0:
             raise ClaimFailed(f"conjugate bound fails at n={n}")
-    rep = hamvty_witness(8, a, b)
+    rep = hamvty_witness(8)
     if not rep.all_certified():
         raise ClaimFailed("truncated product witness missing")
     # the weakly-abelian inequality fails at the fixed witness
@@ -278,23 +279,12 @@ def claim_dyadic(cfg: BatteryConfig) -> str:
 def claim_hamiltonian_law(cfg: BatteryConfig) -> str:
     eq8 = finite.PROPERTIES["hamilt-eq"][0]
     rng = random.Random(cfg.seed + 2)
-    f2_assignments = [
-        {v: random_triple(rng, 8) for v in ("x", "y", "z")} for _ in range(cfg.samples)
-    ]
-    v = check_equation_sampled(eq8, F2Instance, f2_assignments)
-    if not v.holds:
-        raise ClaimFailed(f"extended chain: {v.witness}")
-
-    def rand_s2():
-        al, be = rng.randint(0, 8), rng.randint(0, 8)
-        return HeisTriple(al, be, rng.randint(0, al * be))
-
-    s2_assignments = [
-        {v: rand_s2() for v in ("x", "y", "z")} for _ in range(cfg.samples)
-    ]
-    v = check_equation_sampled(eq8, S2Instance, s2_assignments)
-    if not v.holds:
-        raise ClaimFailed(f"positive monoid: {v.witness}")
+    for label, inst, draw in (("extended chain", F2Instance, random_triple),
+                              ("positive monoid", S2Instance, _random_s2)):
+        samples = ({v: draw(rng, 8) for v in ("x", "y", "z")} for _ in range(cfg.samples))
+        v = check_equation_sampled(eq8, inst, samples)
+        if not v.holds:
+            raise ClaimFailed(f"{label}: {v.witness}")
     return f"{cfg.samples} samples in each chain"
 
 

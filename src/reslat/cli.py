@@ -122,17 +122,17 @@ def cmd_residual(args) -> int:
 
 
 def _second(args, parse, binary: tuple[str, ...]):
-    """The parsed second operand `h` (None if absent); an op in `binary`
-    without it is a usage error."""
-    if args.h is None and args.op in binary:
-        raise ValueError(f"{args.op} needs a second operand")
+    """The parsed second operand `h`, which an op has iff it is in `binary`
+    (None for the other ops); a missing or surplus `h` is a usage error."""
+    if (args.h is not None) != (args.op in binary):
+        raise ValueError(f"{args.op} takes one operand" if args.h is not None
+                         else f"{args.op} needs a second operand")
     return None if args.h is None else parse(args.h)
 
 
 def cmd_heis(args) -> int:
-    binary = ("mul", "commutator")
     g = _parse_triple(args.g)
-    h = _second(args, _parse_triple, binary) if args.op in binary else None
+    h = _second(args, _parse_triple, ("mul", "commutator"))
     r = {
         "mul": lambda: nilpotent.heis_mul(g, h),
         "inv": lambda: nilpotent.heis_inv(g),

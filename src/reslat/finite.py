@@ -551,13 +551,11 @@ class ConvexFamily:
         return None
 
 
-def all_convex_subuniverses(
-    s: FiniteResLat, cap: int = DEFAULT_CONVEX_CAP
-) -> ConvexFamily:
+def all_convex_subuniverses(s: FiniteResLat) -> ConvexFamily:
     """Enumerate every convex subuniverse by subset filtering (desk scale)."""
     _require_ecyclic(s)
-    if s.n > cap:
-        raise StructureError(f"carrier size {s.n} exceeds enumeration cap {cap}")
+    if s.n > DEFAULT_CONVEX_CAP:
+        raise StructureError(f"carrier size {s.n} exceeds enumeration cap {DEFAULT_CONVEX_CAP}")
     rest = [a for a in s.elements if a != s.unit]
     found = []
     for r in range(len(rest) + 1):
@@ -569,9 +567,9 @@ def all_convex_subuniverses(
     return ConvexFamily(found)
 
 
-def is_hamiltonian_structure(s: FiniteResLat, cap: int = DEFAULT_CONVEX_CAP) -> Verdict:
+def is_hamiltonian_structure(s: FiniteResLat) -> Verdict:
     """Holds iff every convex subuniverse is closed under both conjugations."""
-    family = all_convex_subuniverses(s, cap=cap)
+    family = all_convex_subuniverses(s)
     for h in family.members:
         for a in h:
             for b in s.elements:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .finite import FiniteResLat, chain_leq, derive_residuals
+from .finite import FiniteResLat, _lattice_order, chain_leq, derive_residuals
 
 __all__ = [
     "trivial1",
@@ -58,16 +58,10 @@ def lukasiewicz4() -> FiniteResLat:
 
 
 def _meet_algebra(leq, name: str) -> FiniteResLat:
+    """The lattice on the 0/1 order `leq` with product = meet and unit = top."""
     n = len(leq)
-    meets = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            lower = [c for c in range(n) if leq[c][a] and leq[c][b]]
-            row.append(next(m for m in lower if all(leq[c][m] for c in lower)))
-        meets.append(row)
     top = next(a for a in range(n) if all(leq[b][a] for b in range(n)))
-    return derive_residuals(leq, meets, top, name=name)
+    return derive_residuals(leq, _lattice_order(leq).meet, top, name=name)
 
 
 def diamond4() -> FiniteResLat:
@@ -78,7 +72,7 @@ def diamond4() -> FiniteResLat:
         [0, 0, 1, 1],
         [0, 0, 0, 1],
     ]
-    return _meet_algebra([[bool(x) for x in row] for row in leq], "diamond4")
+    return _meet_algebra(leq, "diamond4")
 
 
 def heyting5() -> FiniteResLat:
@@ -91,10 +85,10 @@ def heyting5() -> FiniteResLat:
         [0, 0, 0, 1, 1],
         [0, 0, 0, 0, 1],
     ]
-    return _meet_algebra([[bool(x) for x in row] for row in leq], "heyting5")
+    return _meet_algebra(leq, "heyting5")
 
 
-def direct_product(s: FiniteResLat, t: FiniteResLat, name: str = "") -> FiniteResLat:
+def direct_product(s: FiniteResLat, t: FiniteResLat) -> FiniteResLat:
     """Componentwise product of two structures."""
     pairs = [(a, b) for a in s.elements for b in t.elements]
     idx = {p: i for i, p in enumerate(pairs)}
@@ -105,9 +99,7 @@ def direct_product(s: FiniteResLat, t: FiniteResLat, name: str = "") -> FiniteRe
         [idx[(s.mul(a1, a2), t.mul(b1, b2))] for (a2, b2) in pairs]
         for (a1, b1) in pairs
     ]
-    return derive_residuals(
-        leq, mul, idx[(s.unit, t.unit)], name=name or f"{s.name}x{t.name}"
-    )
+    return derive_residuals(leq, mul, idx[(s.unit, t.unit)], name=f"{s.name}x{t.name}")
 
 
 MODEL_BUILDERS = {

@@ -45,6 +45,7 @@ __all__ = [
     "Chain",
     "M1Instance",
     "S2Instance",
+    "group_chain",
     "DyadicInstance",
     "residual_search",
     "m1_mul",
@@ -55,6 +56,8 @@ __all__ = [
     "m1_parse",
     "WitnessRow",
     "HamiltonianFailureReport",
+    "HAMVTY_BASE",
+    "HAMVTY_CONJUGATOR",
     "hamvty_witness",
 ]
 
@@ -121,7 +124,7 @@ def residual_search(inst: Chain, a, b, side: str = "left", bound: Optional[int] 
     the operands plus 4)."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if inst.candidates is None:
+    if inst.candidates is None or inst.member is None:
         raise ValueError(f"chain {inst.name!r} has no candidate stream to search")
     for x in (a, b):
         if not inst.member(x):
@@ -263,18 +266,21 @@ S2Instance = Chain(
 
 
 # ---------------------------------------------------------------------------
-# the dyadic group Z[1/2] x| Z and the truncated-product Hamiltonian-failure
-# witness
+# totally ordered groups, the dyadic group Z[1/2] x| Z and the
+# truncated-product Hamiltonian-failure witness
 
-# a total order on a group is residuated: a\b = a^-1 b and a/b = a b^-1
-DyadicInstance = Chain(
-    name="dyadic",
-    unit=DYADIC_UNIT,
-    mul=dyadic_mul,
-    cmp=dyadic_cmp,
-    ldiv=lambda a, b: dyadic_mul(dyadic_inv(a), b),
-    rdiv=lambda a, b: dyadic_mul(a, dyadic_inv(b)),
-)
+
+def group_chain(name: str, unit, mul: Callable, inv: Callable, cmp: Callable) -> Chain:
+    """A totally ordered group as a residuated chain: a\\b = a^-1 b and a/b = a b^-1."""
+    return Chain(name, unit, mul, cmp, ldiv=lambda a, b: mul(inv(a), b),
+                 rdiv=lambda a, b: mul(a, inv(b)))
+
+
+DyadicInstance = group_chain("dyadic", DYADIC_UNIT, dyadic_mul, dyadic_inv, dyadic_cmp)
+
+# the pair of `hamvty_witness`, which the battery's dyadic claims check too
+HAMVTY_BASE = DyadicPair(Fraction(-1), 0)
+HAMVTY_CONJUGATOR = DyadicPair(Fraction(0), -2)
 
 
 @dataclass(frozen=True)
@@ -288,28 +294,21 @@ class WitnessRow:
 @dataclass(frozen=True)
 class HamiltonianFailureReport:
     truncation: int
-    base: DyadicPair
-    conjugator: DyadicPair
     rows: tuple[WitnessRow, ...]
 
     def all_certified(self) -> bool:
         return all(r.coordinate is not None for r in self.rows if r.n >= 1)
 
 
-def hamvty_witness(
-    N: int,
-    a: Optional[DyadicPair] = None,
-    b: Optional[DyadicPair] = None,
-) -> HamiltonianFailureReport:
+def hamvty_witness(N: int) -> HamiltonianFailureReport:
     """Build the truncated product over coordinates 0..N with the constant
-    tuple of `a` and the tuple of powers of `b`, and for each n <= N report
-    a coordinate where the n-th power of the constant tuple fails to lie
-    below the conjugate tuple.  A row for every n certifies the failure of
-    the Hamiltonian property up to the truncation."""
+    tuple of HAMVTY_BASE and the tuple of powers of HAMVTY_CONJUGATOR, and
+    for each n <= N report a coordinate where the n-th power of the constant
+    tuple fails to lie below the conjugate tuple.  A row for every n
+    certifies the failure of the Hamiltonian property up to the truncation."""
     if N < 1:
         raise ValueError("truncation must be >= 1")
-    a = a if a is not None else DyadicPair(Fraction(-1), 0)
-    b = b if b is not None else DyadicPair(Fraction(0), -2)
+    a, b = HAMVTY_BASE, HAMVTY_CONJUGATOR
     conj = [dyadic_conjugate(a, dyadic_pow(b, i)) for i in range(N + 1)]
     rows = []
     for n in range(0, N + 1):
@@ -324,4 +323,4 @@ def hamvty_witness(
         rows.append(
             WitnessRow(n, hit, an, conj[hit] if hit is not None else None)
         )
-    return HamiltonianFailureReport(N, a, b, tuple(rows))
+    return HamiltonianFailureReport(N, tuple(rows))

@@ -23,7 +23,7 @@ from .nilpotent import (
     s2_member,
     s2_require,
 )
-from .omon import Chain, ResidualExhausted, check_bound, s2_residual
+from .omon import ResidualExhausted, check_bound, group_chain, s2_residual
 
 __all__ = [
     "OreFraction",
@@ -122,14 +122,7 @@ def conucleus_sigma(f: OreFraction) -> HeisTriple:
 
 
 # the whole group under the extended order, as a residuated chain
-F2Instance = Chain(
-    name="f2",
-    unit=HEIS_UNIT,
-    mul=heis_mul,
-    cmp=heis_cmp,
-    ldiv=lambda a, b: heis_mul(heis_inv(a), b),
-    rdiv=lambda a, b: heis_mul(a, heis_inv(b)),
-)
+F2Instance = group_chain("f2", HEIS_UNIT, heis_mul, heis_inv, heis_cmp)
 
 
 def random_triple(rng: random.Random, box: int) -> HeisTriple:

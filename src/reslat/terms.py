@@ -467,18 +467,26 @@ def check_equation(law: Law, s) -> Verdict:
     structure (a FiniteResLat).
 
     On failure returns the lexicographically-first witness (variables in
-    sorted name order, elements in carrier index order).
+    sorted name order, elements in carrier index order).  Raises ValueError
+    for a structure without tables, such as a rule-given chain.
     """
     names, run = _compile(law)
-    found = run(s.elements, s.unit, s.mul_table, s.ldiv_table, s.rdiv_table,
-                s.meet_table, s.join_table)
+    try:  # the compiled law only indexes tables, so only the reads can raise this
+        found = run(s.elements, s.unit, s.mul_table, s.ldiv_table, s.rdiv_table,
+                    s.meet_table, s.join_table)
+    except AttributeError:
+        raise ValueError(f"cannot check a law exhaustively on a {type(s).__name__}, "
+                         "which has no tables; use check_equation_sampled") from None
     if found is None:
         return HOLDS
     return Verdict(False, dict(zip(names, found)))
 
 
 def check_equation_sampled(eq: Equation, s, assignments: Iterable[Mapping]) -> Verdict:
-    """Check `eq` on the given assignments only (for infinite structures)."""
+    """Check `eq` on the given assignments only (for infinite structures).
+    Raises ValueError for a quasi-equation."""
+    if not isinstance(eq, Equation):
+        raise ValueError(f"check_equation_sampled takes an Equation, not a {type(eq).__name__}")
     for a in assignments:
         if eval_term(eq.lhs, a, s) != eval_term(eq.rhs, a, s):
             return Verdict(False, dict(a))

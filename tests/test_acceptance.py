@@ -8,7 +8,7 @@ test checks that the battery refuses a configuration that gathers no evidence.
 
 import pytest
 
-from reslat import battery
+from reslat import battery, finite, terms
 
 CFG = battery.BatteryConfig(max_size=5, samples=1000, seed=battery.DEFAULT_SEED)
 
@@ -34,6 +34,19 @@ def test_acceptance(label, claim):
     line = f"{'PASS' if result.status == 'pass' else 'FAIL'} {label}: {result.detail}"
     print(line)
     assert result.status == "pass", line
+
+
+def test_nilpotency_claim_fails_when_the_class_2_law_is_the_commutative_law(monkeypatch):
+    monkeypatch.setattr(battery, "gen_Lc", lambda c: terms.gen_Lc(1 if c == 2 else c))
+    (result,) = battery.run_battery(CFG, only="nilpotency-laws")
+    assert result.status == "fail" and result.detail.startswith("class-2 law fails at {")
+
+
+def test_hamiltonian_claim_fails_on_a_law_of_groups_but_not_of_the_monoid(monkeypatch):
+    # x*(x\e) = e holds in the group F2 and fails in the integral monoid S2
+    monkeypatch.setitem(finite.PROPERTIES, "hamilt-eq", [terms.parse_equation("x*(x\\e) = e")])
+    (result,) = battery.run_battery(CFG, only="hamiltonian-law")
+    assert result.status == "fail" and result.detail.startswith("positive monoid: {")
 
 
 @pytest.mark.parametrize("field", ["max_size", "samples"])

@@ -203,6 +203,9 @@ def test_dyadic(capsys):
     (("omon", "s2", "prefix", "--count", "-1"), "count must be >= 0"),
     (("verify-paper", "--only", "hamiltonian-law", "--samples", "0"), "samples must be >= 1, got 0"),
     (("verify-paper", "--samples", "-4"), "samples must be >= 1, got -4"),
+    (("heis", "inv", "1,2,3", "junk"), "inv takes one operand"),
+    (("s2", "member", "1,1,1", "2,2,2"), "member takes one operand"),
+    (("dyadic", "inv", "1,0", "2,0"), "inv takes one operand"),
 ])
 def test_missing_or_bad_operand_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -292,6 +292,12 @@ def test_convex_families():
     assert fam.is_distributive() is None
 
 
+def test_convex_enumeration_refuses_a_carrier_above_the_cap():
+    product = models.direct_product(models.godel3(), models.godel3())
+    with pytest.raises(R.StructureError, match="^carrier size 9 exceeds enumeration cap 8$"):
+        R.all_convex_subuniverses(product)
+
+
 def test_convex_family_lattice_ops():
     g3 = models.godel3()
     fam = R.all_convex_subuniverses(g3)

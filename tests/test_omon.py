@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 from fractions import Fraction
@@ -106,6 +107,12 @@ def test_residual_search_checks_operands_at_entry(inst, good, bad):
     for a, b in ((bad, good), (good, bad)):
         with pytest.raises(ValueError, match=f"is not an element of chain {inst.name!r}"):
             residual_search(inst, a, b, "left", bound=4)
+
+
+def test_a_chain_without_member_check_cannot_be_searched():
+    unchecked = dataclasses.replace(S2Instance, member=None)
+    with pytest.raises(ValueError, match="^chain 's2' has no candidate stream to search$"):
+        residual_search(unchecked, X, Y)
 
 
 def test_chain_algebra_interfaces():

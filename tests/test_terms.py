@@ -193,6 +193,20 @@ def test_check_equation_sampled():
     assert v.holds
 
 
+def test_a_rule_given_chain_is_refused_by_the_exhaustive_checks():
+    refusal = "cannot check a law exhaustively on a Chain, which has no tables; use check_equation_sampled"
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        R.check_equation(R.gen_Lc(2), R.S2Instance)
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        R.check_named_property(R.S2Instance, "LPL")
+
+
+def test_a_sampled_check_refuses_a_quasi_equation():
+    law = finite.PROPERTIES["semilin-qeq"][0]
+    with pytest.raises(ValueError, match="^check_equation_sampled takes an Equation, not a QuasiEquation$"):
+        R.check_equation_sampled(law, R.S2Instance, [])
+
+
 # ---------------------------------------------------------------------------
 # the compiled checker against a per-assignment eval_term loop
 
