@@ -54,11 +54,12 @@ from .terms import check_equation_sampled, eval_term, gen_Lc
 __all__ = ["BatteryConfig", "ClaimFailed", "ClaimResult", "CLAIMS", "run_battery"]
 
 DEFAULT_SEED = 20240826
+UNIVERSE_CAP = 5  # the largest chains in the finite-model universe
 
 
 @dataclass
 class BatteryConfig:
-    max_size: int = 5  # enumeration cap for the finite-model universe
+    max_size: int = UNIVERSE_CAP  # chain cap of the finite-model universe, at most UNIVERSE_CAP
     samples: int = 1000
     seed: int = DEFAULT_SEED
 
@@ -82,10 +83,10 @@ class ClaimFailed(Exception):
 
 
 def _model_universe(cfg: BatteryConfig):
-    """Full chain enumeration at sizes <= max_size plus the hand library."""
+    """The hand library plus every chain of size <= min(max_size, UNIVERSE_CAP)."""
     universe = list(models.model_library())
-    for n in range(1, min(cfg.max_size, 5) + 1):
-        universe.extend(enumerate_chain_models(n, cap=max(cfg.max_size, n)))
+    for n in range(1, min(cfg.max_size, UNIVERSE_CAP) + 1):
+        universe.extend(enumerate_chain_models(n))
     return universe
 
 
@@ -321,11 +322,7 @@ def claim_convex(cfg: BatteryConfig) -> str:
 
 
 def claim_enumeration_count(cfg: BatteryConfig) -> str:
-    got = [
-        s
-        for s in enumerate_chain_models(3, constraints=("integral",), cap=max(cfg.max_size, 3))
-        if s.unit == 2
-    ]
+    got = [s for s in enumerate_chain_models(3, constraints=("integral",)) if s.unit == 2]
     # independent oracle: filter all 3^9 raw tables directly
     import itertools
 

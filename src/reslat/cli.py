@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import battery, finite, models, nilpotent, omon, ore, terms
@@ -31,8 +32,24 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
         print(text)
 
 
+def _max_size(default: int) -> int:
+    """The size cap set by the RESLAT_MAX_SIZE environment variable, or
+    `default` when it is unset.  No other module reads the environment: the
+    CLI passes each cap on as an argument."""
+    raw = os.environ.get("RESLAT_MAX_SIZE")
+    if raw is None:
+        return default
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"RESLAT_MAX_SIZE must be a positive integer, got {raw!r}")
+    return cap
+
+
 def _load_model(spec: str) -> finite.FiniteResLat:
-    cap = finite.max_size(64)
+    cap = _max_size(64)
     if spec not in models.MODEL_BUILDERS:
         return finite.load_structure(spec, max_n=cap)
     s = models.MODEL_BUILDERS[spec]()
@@ -47,9 +64,9 @@ def cmd_check(args) -> int:
         v = finite.check_named_property(s, args.equation)
         label = args.equation
     else:
-        eq = terms.parse_equation(args.equation)
-        v = terms.check_equation(eq, s)
-        label = str(eq)
+        law = terms.parse_quasiequation(args.equation)
+        v = terms.check_equation(law, s)
+        label = str(law)
     if v.holds:
         _emit({"holds": True, "statement": label, "model": args.model}, args.json,
               f"holds: {label} on {args.model}")
@@ -61,7 +78,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    found = finite.enumerate_chain_models(args.size, constraints=args.require or ())
+    found = finite.enumerate_chain_models(args.size, constraints=args.require or (),
+                                          cap=_max_size(finite.DEFAULT_ENUM_CAP))
     if args.json:
         print(json.dumps([finite.structure_to_json(s) for s in found], sort_keys=True,
                          separators=(",", ":")))
@@ -187,19 +205,18 @@ def cmd_dyadic(args) -> int:
 
 def cmd_ore(args) -> int:
     f = ore.OreFraction(_parse_triple(args.den), _parse_triple(args.num))
+    if args.op != "cmp":
+        # the arity rule of `_second`: a one-fraction op takes no second fraction
+        if args.den2 is not None or args.num2 is not None:
+            raise ValueError(f"{args.op} takes one operand")
+        r = ore.conucleus_sigma(f) if args.op == "sigma" else f.value
+        _emit({args.op: list(r.triple())}, args.json, str(r.triple()))
+        return EXIT_HOLDS
     if args.den2 is not None and args.num2 is None:
         raise ValueError("--den2 needs --num2")
-    g = (None if args.den2 is None
-         else ore.OreFraction(_parse_triple(args.den2), _parse_triple(args.num2)))
-    if args.op == "sigma":
-        r = ore.conucleus_sigma(f)
-        _emit({"sigma": list(r.triple())}, args.json, str(r.triple()))
-        return EXIT_HOLDS
-    if args.op == "value":
-        _emit({"value": list(f.value.triple())}, args.json, str(f.value.triple()))
-        return EXIT_HOLDS
-    if g is None:
+    if args.den2 is None:
         raise ValueError("cmp needs --den2/--num2")
+    g = ore.OreFraction(_parse_triple(args.den2), _parse_triple(args.num2))
     c = ore.frac_cmp_witness(f, g, bound=args.bound) if args.witness else ore.frac_cmp_group(f, g)
     _emit({"cmp": c}, args.json, _REL[c])
     return EXIT_HOLDS
@@ -237,8 +254,8 @@ def cmd_omon(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    cfg = battery.BatteryConfig(max_size=finite.max_size(5), samples=args.samples,
-                                seed=args.seed)
+    cfg = battery.BatteryConfig(max_size=_max_size(battery.UNIVERSE_CAP),
+                                samples=args.samples, seed=args.seed)
     results = battery.run_battery(cfg, only=args.only)
     if args.json:
         print(json.dumps(

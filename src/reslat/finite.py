@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -51,7 +50,6 @@ __all__ = [
     "structure_from_json",
     "load_structure",
     "DEFAULT_ENUM_CAP",
-    "max_size",
 ]
 
 
@@ -177,16 +175,14 @@ def _first_gap(s: Sequence[Sequence], t: Sequence[Sequence]) -> Optional[tuple[i
 class _LatticeOrder(NamedTuple):
     """A checked lattice order with its meet and join tables, and what the
     monoid part of `derive_residuals` needs of it: `principal` maps each
-    down-set mask to the element it is the down-set of, `covers` pairs each
-    element with its lower covers, in a linear extension, and `le_pairs`
-    holds every (x, y) with x <= y."""
+    down-set mask to the element it is the down-set of, and `covers` pairs
+    each element with its lower covers, in a linear extension."""
 
     leq: tuple[tuple[bool, ...], ...]
     meet: Table
     join: Table
     principal: dict[int, int]
     covers: tuple[tuple[int, tuple[int, ...]], ...]
-    le_pairs: frozenset[tuple[int, int]]
 
 
 def _lattice_order(leq: tuple[tuple[bool, ...], ...]) -> _LatticeOrder:
@@ -211,14 +207,13 @@ def _lattice_order(leq: tuple[tuple[bool, ...], ...]) -> _LatticeOrder:
     # d is a lower cover of b iff the interval [d, b] is {d, b}
     covers = tuple((b, tuple(d for d in rng if (down[b] & up[d]).bit_count() == 2))
                    for b in sorted(rng, key=lambda b: down[b].bit_count()))
-    le_pairs = frozenset((x, y) for x in rng for y in rng if leq[x][y])
-    return _LatticeOrder(leq, meet, join, principal, covers, le_pairs)
+    return _LatticeOrder(leq, meet, join, principal, covers)
 
 
 def _residual_row(order: _LatticeOrder, row: Sequence[int]) -> tuple[Optional[int], ...]:
-    """For each b, the greatest c with row[c] <= b, or None if there is none.
-    With `row` monotone, {c : row[c] <= b} is a down-set: the union of the
-    preimages of everything below b, accumulated along lower covers."""
+    """For each b, the c whose down-set is {c : row[c] <= b}, or None if that
+    set is not a principal down-set.  The set is the union of the preimages
+    of everything below b, accumulated along lower covers."""
     below = [0] * len(row)
     for c, v in enumerate(row):
         below[v] |= 1 << c
@@ -229,9 +224,13 @@ def _residual_row(order: _LatticeOrder, row: Sequence[int]) -> tuple[Optional[in
 
 
 def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str) -> FiniteResLat:
-    """The monoid part of `derive_residuals`: check the unit, associativity
-    and monotonicity of `mul` over a checked lattice order, then derive
-    both residual tables."""
+    """The monoid part of `derive_residuals`: check the unit and
+    associativity of `mul` over a checked lattice order, then derive both
+    residual tables.  Monotonicity has no test of its own: when every
+    {c : a*c <= b} and {c : c*a <= b} is a principal down-set, c <= c'
+    gives a*c <= a*c' and c*a <= c'*a.  So a product that is not
+    order-preserving always leaves a residual gap, and a gap is first
+    reported as that failure, at its lex-first witness."""
     leq = order.leq
     rng = range(len(leq))
     for a in rng:
@@ -243,11 +242,10 @@ def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str) -> Finit
                 c = next(c for c in rng if mul[row[b]][c] != row[mul[b][c]])
                 raise NotAMonoid(f"associativity fails at ({a},{b},{c})")
 
-    # monotone on every cover pair is monotone: find the first witness otherwise
-    cols = tuple(zip(*mul))
-    le = order.le_pairs.__contains__
-    if not all(all(map(le, zip(t[d], t[b]))) for t in (mul, cols)
-               for b, lows in order.covers for d in lows):
+    ldiv = tuple(_residual_row(order, row) for row in mul)
+    rdiv_by_divisor = tuple(_residual_row(order, col) for col in zip(*mul))
+    gap = _first_gap(ldiv, rdiv_by_divisor)
+    if gap is not None:
         for a in rng:
             for b in rng:
                 if leq[a][b]:
@@ -257,11 +255,6 @@ def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str) -> Finit
                                 f"product not order-preserving: {a}<={b} but "
                                 f"multiplication by {c} breaks it"
                             )
-
-    ldiv = tuple(_residual_row(order, row) for row in mul)
-    rdiv_by_divisor = tuple(_residual_row(order, col) for col in cols)
-    gap = _first_gap(ldiv, rdiv_by_divisor)
-    if gap is not None:
         a, b = gap
         if ldiv[a][b] is None:
             cand = [c for c in rng if leq[mul[a][c]][b]]
@@ -638,33 +631,16 @@ def _chain_tables(n: int, unit: int) -> Iterator[Table]:
     yield from rec(0)
 
 
-def max_size(default: int) -> int:
-    """The size cap set by the RESLAT_MAX_SIZE environment variable, or
-    `default` when it is unset."""
-    raw = os.environ.get("RESLAT_MAX_SIZE")
-    if raw is None:
-        return default
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise StructureError(f"RESLAT_MAX_SIZE must be a positive integer, got {raw!r}")
-    return cap
-
-
 def enumerate_chain_models(
     n: int,
     constraints: Sequence[str] = (),
-    cap: Optional[int] = None,
+    cap: int = DEFAULT_ENUM_CAP,
 ) -> list[FiniteResLat]:
     """All residuated lattices on the n-chain, any unit position, in a
     deterministic order (unit ascending, then row-major table order),
     filtered by the named-property constraints.  Raises ValueError for a
-    size outside 1..cap (default: `max_size(DEFAULT_ENUM_CAP)`) or an
-    unknown constraint name, before enumerating anything."""
-    if cap is None:
-        cap = max_size(DEFAULT_ENUM_CAP)
+    size outside 1..cap or an unknown constraint name, before enumerating
+    anything."""
     if n < 1:
         raise StructureError(f"chain size must be >= 1, got {n}")
     if n > cap:

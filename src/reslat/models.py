@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .finite import FiniteResLat, _lattice_order, chain_leq, derive_residuals
+from .finite import FiniteResLat, _lattice_order, _residuated, chain_leq, derive_residuals
 
 __all__ = [
     "trivial1",
@@ -59,9 +59,9 @@ def lukasiewicz4() -> FiniteResLat:
 
 def _meet_algebra(leq, name: str) -> FiniteResLat:
     """The lattice on the 0/1 order `leq` with product = meet and unit = top."""
-    n = len(leq)
-    top = next(a for a in range(n) if all(leq[b][a] for b in range(n)))
-    return derive_residuals(leq, _lattice_order(leq).meet, top, name=name)
+    order = _lattice_order(tuple(tuple(map(bool, row)) for row in leq))
+    top = order.principal[(1 << len(leq)) - 1]
+    return _residuated(order, order.meet, top, name)
 
 
 def diamond4() -> FiniteResLat:

@@ -26,6 +26,18 @@ def test_check_fails_with_witness(capsys):
     assert "x=1" in out and "y=2" in out
 
 
+def test_check_quasiequation(capsys):
+    assert run(capsys, "check", "godel3", "x = e => x*x = x") == (
+        0, "holds: x = e => x*x = x on godel3\n", "")
+    # sugihara3's top t is idempotent and above the unit
+    assert run(capsys, "check", "sugihara3", "x*x = x => x ^ e = x") == (
+        1, "fails: x*x = x => x ^ e = x on sugihara3 at x=2\n", "")
+    code, out, _ = run(capsys, "check", "sugihara3", "x*x = x => x ^ e = x", "--json")
+    assert code == 1 and json.loads(out) == {
+        "holds": False, "statement": "x*x = x => x ^ e = x", "model": "sugihara3",
+        "witness": {"x": 2}}
+
+
 def test_check_parse_error(capsys):
     code, _, err = run(capsys, "check", "godel3", "x \\")
     assert code == 2 and "error" in err
@@ -94,7 +106,7 @@ def test_enumerate_cap(capsys, monkeypatch):
 
 
 def test_max_size_not_a_positive_integer(capsys, monkeypatch):
-    for raw in ("abc", "0"):
+    for raw in ("abc", "0", "-1"):
         monkeypatch.setenv("RESLAT_MAX_SIZE", raw)
         code, out, err = run(capsys, "enumerate", "3")
         assert code == 2 and out == ""
@@ -206,6 +218,11 @@ def test_dyadic(capsys):
     (("heis", "inv", "1,2,3", "junk"), "inv takes one operand"),
     (("s2", "member", "1,1,1", "2,2,2"), "member takes one operand"),
     (("dyadic", "inv", "1,0", "2,0"), "inv takes one operand"),
+    (("ore", "sigma", "1,0,0", "1,1,0", "--den2", "0,0,0", "--num2", "0,1,0"),
+     "sigma takes one operand"),
+    (("ore", "value", "1,0,0", "1,1,0", "--den2", "0,0,0"), "value takes one operand"),
+    (("ore", "sigma", "1,0,0", "1,1,0", "--num2", "0,1,0"), "sigma takes one operand"),
+    (("ore", "cmp", "1,0,0", "1,1,0", "--num2", "0,1,0"), "cmp needs --den2/--num2"),
 ])
 def test_missing_or_bad_operand_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -406,16 +406,12 @@ def test_enumerate_refuses_an_unknown_constraint_before_enumerating():
             R.enumerate_chain_models(3, constraints=constraints)
 
 
-def test_enumerate_env_cap(monkeypatch):
+def test_enumerate_cap_comes_only_from_its_argument(monkeypatch):
+    # RESLAT_MAX_SIZE is the CLI's setting; the library never reads it
     monkeypatch.setenv("RESLAT_MAX_SIZE", "2")
-    with pytest.raises(finite.StructureError):
-        R.enumerate_chain_models(3)
-    monkeypatch.setenv("RESLAT_MAX_SIZE", "3")
     assert len(R.enumerate_chain_models(3)) == 3
-    for raw in ("abc", "-1"):
-        monkeypatch.setenv("RESLAT_MAX_SIZE", raw)
-        with pytest.raises(finite.StructureError, match="RESLAT_MAX_SIZE"):
-            R.enumerate_chain_models(3)
+    with pytest.raises(finite.StructureError, match="^chain size 7 exceeds enumeration cap 6$"):
+        R.enumerate_chain_models(7)
 
 
 def test_json_round_trip(tmp_path):

@@ -1,6 +1,6 @@
-"""A standard-library lint for src/reslat: every import is used, and every
-top-level private name is referenced somewhere in the package.  Deleting
-code tends to leave both behind."""
+"""A standard-library lint for src/reslat: every import is used, every
+top-level private name is referenced somewhere in the package (deleting
+code tends to leave both behind), and only the CLI reads the environment."""
 
 import ast
 import pathlib
@@ -8,6 +8,7 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "reslat"
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 MODULES = [name for name in TREES if name != "__init__.py"]
+ENV_READERS = {"environ", "getenv"}
 
 
 def _read_names(tree: ast.Module) -> set[str]:
@@ -65,3 +66,22 @@ def test_every_private_name_is_referenced():
     dead = [f"{module}: {name}" for module in MODULES
             for name in _top_level_private(TREES[module]) if name not in referenced]
     assert dead == []
+
+
+def _environment_reads(tree: ast.Module) -> set[str]:
+    """`os.environ` and `os.getenv` as a module uses them: as attributes, or
+    as names imported from os."""
+    reads = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ENV_READERS}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads |= {alias.name for alias in node.names} & ENV_READERS
+    return reads
+
+
+def test_only_the_cli_reads_the_environment():
+    # library limits come from arguments; the CLI reads RESLAT_MAX_SIZE and passes them on
+    readers = [f"{module}: {name}" for module in TREES if module != "cli.py"
+               for name in sorted(_environment_reads(TREES[module]))]
+    assert readers == []
+    assert _environment_reads(TREES["cli.py"]) == {"environ"}
