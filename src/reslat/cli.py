@@ -50,12 +50,16 @@ def _max_size(default: int) -> int:
 
 def _load_model(spec: str) -> finite.FiniteResLat:
     cap = _max_size(64)
-    if spec not in models.MODEL_BUILDERS:
-        return finite.load_structure(spec, max_n=cap)
-    s = models.MODEL_BUILDERS[spec]()
-    if s.n > cap:
-        raise ValueError("model exceeds RESLAT_MAX_SIZE")
-    return s
+    if spec in models.MODEL_BUILDERS:
+        s = models.MODEL_BUILDERS[spec]()
+        if s.n <= cap:
+            return s
+    else:
+        try:
+            return finite.load_structure(spec, max_n=cap)
+        except finite.ModelTooLarge:
+            pass
+    raise ValueError("model exceeds RESLAT_MAX_SIZE")
 
 
 def cmd_check(args) -> int:
@@ -209,6 +213,8 @@ def cmd_ore(args) -> int:
         # the arity rule of `_second`: a one-fraction op takes no second fraction
         if args.den2 is not None or args.num2 is not None:
             raise ValueError(f"{args.op} takes one operand")
+        if args.witness or args.bound is not None:
+            raise ValueError(f"{args.op} takes no {'--witness' if args.witness else '--bound'}")
         r = ore.conucleus_sigma(f) if args.op == "sigma" else f.value
         _emit({args.op: list(r.triple())}, args.json, str(r.triple()))
         return EXIT_HOLDS
@@ -217,7 +223,8 @@ def cmd_ore(args) -> int:
     if args.den2 is None:
         raise ValueError("cmp needs --den2/--num2")
     g = ore.OreFraction(_parse_triple(args.den2), _parse_triple(args.num2))
-    c = ore.frac_cmp_witness(f, g, bound=args.bound) if args.witness else ore.frac_cmp_group(f, g)
+    bound = () if args.bound is None else (args.bound,)  # else frac_cmp_witness's default
+    c = ore.frac_cmp_witness(f, g, *bound) if args.witness else ore.frac_cmp_group(f, g)
     _emit({"cmp": c}, args.json, _REL[c])
     return EXIT_HOLDS
 
@@ -323,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--num2")
     sp.add_argument("--witness", action="store_true",
                     help="decide the order by witness search, not group arithmetic")
-    sp.add_argument("--bound", type=int, default=8)
+    sp.add_argument("--bound", type=int, default=None)
 
     sp = add("omon", cmd_omon, help="ordered-monoid utilities")
     sp.add_argument("monoid", choices=["m1", "s2"])

@@ -49,6 +49,7 @@ __all__ = [
     "structure_to_json",
     "structure_from_json",
     "load_structure",
+    "ModelTooLarge",
     "DEFAULT_ENUM_CAP",
 ]
 
@@ -71,6 +72,10 @@ class NotResiduated(StructureError):
 
 class NotECyclic(StructureError):
     pass
+
+
+class ModelTooLarge(StructureError):
+    """A structure file with more elements than the cap it was loaded under."""
 
 
 DEFAULT_ENUM_CAP = 6
@@ -699,4 +704,4 @@ def load_structure(path: str, max_n: Optional[int] = None) -> FiniteResLat:
             return structure_from_json(d)
     except (OSError, ValueError) as exc:
         raise StructureError(f"cannot load model {path!r}: {exc}") from exc
-    raise StructureError("model exceeds RESLAT_MAX_SIZE")
+    raise ModelTooLarge(f"model has {len(leq)} elements, above max_n={max_n}")

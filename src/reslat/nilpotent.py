@@ -10,6 +10,10 @@ x^alpha y^beta [x,y]^gamma and stored as integer triples.  The product law
 agrees with multiplication of 3x3 unitriangular integer matrices under the
 assignment alpha -> (2,3) entry, beta -> (1,2), gamma -> (1,3); the matrix
 route is kept alongside as an independent oracle.
+
+`HeisTriple(a, b, g)` is the public constructor.  Library hot paths build
+triples through the private `_triple`, which makes the same object without
+calling the class.
 """
 
 from __future__ import annotations
@@ -64,22 +68,30 @@ class HeisTriple(NamedTuple):
 
 HEIS_UNIT = HeisTriple(0, 0, 0)
 
+_tuple_new = tuple.__new__
+
+
+def _triple(alpha: int, beta: int, gamma: int) -> HeisTriple:
+    """HeisTriple(alpha, beta, gamma), built without `type.__call__` and the
+    NamedTuple's Python-level `__new__`."""
+    return _tuple_new(HeisTriple, (alpha, beta, gamma))
+
 
 def heis_mul(g: HeisTriple, h: HeisTriple) -> HeisTriple:
     a1, b1, g1 = g
     a2, b2, g2 = h
-    return HeisTriple(a1 + a2, b1 + b2, g1 + g2 + b1 * a2)
+    return _triple(a1 + a2, b1 + b2, g1 + g2 + b1 * a2)
 
 
 def heis_inv(g: HeisTriple) -> HeisTriple:
-    return HeisTriple(-g.alpha, -g.beta, g.alpha * g.beta - g.gamma)
+    return _triple(-g.alpha, -g.beta, g.alpha * g.beta - g.gamma)
 
 
 def heis_pow(g: HeisTriple, n: int) -> HeisTriple:
     """g**n in closed form: (n*alpha, n*beta, n*gamma + C(n,2)*alpha*beta)."""
     if n < 0:
         return heis_pow(heis_inv(g), -n)
-    return HeisTriple(n * g.alpha, n * g.beta, n * g.gamma + n * (n - 1) // 2 * g.alpha * g.beta)
+    return _triple(n * g.alpha, n * g.beta, n * g.gamma + n * (n - 1) // 2 * g.alpha * g.beta)
 
 
 def heis_commutator(g: HeisTriple, h: HeisTriple) -> HeisTriple:
@@ -100,7 +112,7 @@ def to_matrix(g: HeisTriple) -> Matrix:
 
 
 def from_matrix(m: Matrix) -> HeisTriple:
-    return HeisTriple(alpha=m[1][2], beta=m[0][1], gamma=m[0][2])
+    return _triple(m[1][2], m[0][1], m[0][2])
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -149,7 +161,7 @@ def s2_box(amax: int, bmax: Optional[int] = None, gmax: Optional[int] = None) ->
         for b in range(bmax + 1):
             top = a * b if gmax is None else min(a * b, gmax)
             for g in range(top + 1):
-                yield HeisTriple(a, b, g)
+                yield _triple(a, b, g)
 
 
 def nth_root(g: HeisTriple, n: int) -> Optional[HeisTriple]:
@@ -164,7 +176,7 @@ def nth_root(g: HeisTriple, n: int) -> Optional[HeisTriple]:
     rem = g.gamma - binom * a * b
     if rem % n:
         return None
-    return HeisTriple(a, b, rem // n)
+    return _triple(a, b, rem // n)
 
 
 # --- the dyadic ordered group -------------------------------------------------

@@ -26,6 +26,7 @@ from .nilpotent import (
     DyadicPair,
     HEIS_UNIT,
     HeisTriple,
+    _triple,
     dyadic_conjugate,
     dyadic_cmp,
     dyadic_inv,
@@ -243,14 +244,14 @@ def s2_residual(a: HeisTriple, b: HeisTriple, side: str = "left") -> HeisTriple:
         return HEIS_UNIT
     al = a2 - a1
     if b2 < b1:
-        return HeisTriple(al, 0, 0)
+        return _triple(al, 0, 0)
     be = b2 - b1
     # with the first two coordinates matched, minimize the central exponent
     cross = b1 * al if side == "left" else be * a1
     lo = g2 - g1 - cross
     if lo <= al * be:
-        return HeisTriple(al, be, max(0, lo))
-    return HeisTriple(al, be + 1, 0)
+        return _triple(al, be, max(0, lo))
+    return _triple(al, be + 1, 0)
 
 
 S2Instance = Chain(

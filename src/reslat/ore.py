@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .nilpotent import (
     HEIS_UNIT,
     HeisTriple,
+    _triple,
     heis_cmp,
     heis_inv,
     heis_mul,
@@ -64,7 +65,7 @@ class OreFraction:
         A = abs(gamma) + (B + 1) * abs(alpha) + 1
         t = gamma + B * alpha
         ga = max(0, -t)
-        den = HeisTriple(A, B, ga)
+        den = _triple(A, B, ga)
         return cls(den, heis_mul(den, g))
 
     def __eq__(self, other) -> bool:
@@ -93,7 +94,7 @@ def _witness_below(f: OreFraction, g: OreFraction, bound: int) -> bool:
         for mb in range(lo_b, lo_b + bound + 1):
             lo_g = max(0, -(sg + mb * sa))
             for mg in range(lo_g, min(ma * mb, lo_g + bound) + 1):
-                m = HeisTriple(ma, mb, mg)
+                m = _triple(ma, mb, mg)
                 n = heis_mul(m, shift)
                 if s2_member(n) and heis_cmp(heis_mul(m, f.num), heis_mul(n, g.num)) <= 0:
                     return True
@@ -107,13 +108,9 @@ def frac_cmp_witness(f: OreFraction, g: OreFraction, bound: int = 8) -> int:
     check_bound(bound, least=0)
     below = _witness_below(f, g, bound)
     above = _witness_below(g, f, bound)
-    if below and above:
-        return 0
-    if below:
-        return -1
-    if above:
-        return 1
-    raise ResidualExhausted(bound, "witness")
+    if not (below or above):
+        raise ResidualExhausted(bound, "witness")
+    return above - below  # both: equal; one: strictly on that side
 
 
 def conucleus_sigma(f: OreFraction) -> HeisTriple:
@@ -126,9 +123,7 @@ F2Instance = group_chain("f2", HEIS_UNIT, heis_mul, heis_inv, heis_cmp)
 
 
 def random_triple(rng: random.Random, box: int) -> HeisTriple:
-    return HeisTriple(
-        rng.randint(-box, box), rng.randint(-box, box), rng.randint(-box, box)
-    )
+    return _triple(rng.randint(-box, box), rng.randint(-box, box), rng.randint(-box, box))
 
 
 def random_fraction(rng: random.Random, box: int) -> OreFraction:
@@ -177,12 +172,12 @@ def verify_conucleus(samples: int = 1000, box: int = 8, seed: int = 0) -> Conucl
         if heis_cmp(heis_mul(sf, sg), prod) > 0:
             note("lax-multiplicative", f"sigma(f)sigma(g) above sigma(fg) at {f}, {g}")
         # representative independence: multiply den and num by a common factor
-        m = HeisTriple(rng.randint(0, 3), rng.randint(0, 3), 0)
+        m = _triple(rng.randint(0, 3), rng.randint(0, 3), 0)
         f2 = OreFraction(heis_mul(m, f.den), heis_mul(m, f.num))
         if conucleus_sigma(f2) != sf:
             note("representative", f"sigma depends on the representative of {f}")
         # monoid elements are fixed points
-        s = HeisTriple(rng.randint(0, box), rng.randint(0, box), 0)
+        s = _triple(rng.randint(0, box), rng.randint(0, box), 0)
         if conucleus_sigma(OreFraction(HEIS_UNIT, s)) != s:
             note("fixpoint", f"monoid element {s} moved")
 

@@ -29,6 +29,8 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -80,36 +82,48 @@ _BINOPS = ("*", "\\", "/", "^", "v")
 _IDENT = re.compile(r"[a-z][a-z0-9]*")
 
 
-@dataclass(frozen=True)
+_TERMS: "weakref.WeakValueDictionary[tuple, Term]" = weakref.WeakValueDictionary()
+_TERMS_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Term:
-    """AST node: kind is 'var', 'e', or a binary operator; its hash is computed once."""
+    """AST node: kind is 'var', 'e', or a binary operator.  Terms are
+    interned: building a term equal to a live one returns that object, so
+    terms compare and hash by identity, in O(1).  The intern table holds
+    terms weakly and keeps none alive."""
 
     kind: str
     name: str = ""
     left: Optional["Term"] = None
     right: Optional["Term"] = None
-    depth: int = field(default=0, init=False, repr=False, compare=False)
-    _hash: int = field(default=0, init=False, repr=False, compare=False)
+    depth: int = field(default=0, init=False, repr=False)
 
-    def __post_init__(self):
-        if self.kind in ("var", "e"):
-            if self.left is not None or self.right is not None:
+    def __new__(cls, kind: str, name: str = "", left: Optional[Term] = None,
+                right: Optional[Term] = None):
+        key = (kind, name, left, right)
+        t = _TERMS.get(key)
+        if t is not None:
+            return t
+        depth = 0
+        if kind in ("var", "e"):
+            if left is not None or right is not None:
                 raise ValueError("leaf node with children")
-            if self.kind == "var" and not _IDENT.fullmatch(self.name):
-                raise ValueError(f"bad variable name {self.name!r}")
-        elif self.kind in _BINOPS:
-            if self.left is None or self.right is None:
+            if kind == "var" and not _IDENT.fullmatch(name):
+                raise ValueError(f"bad variable name {name!r}")
+        elif kind in _BINOPS:
+            if left is None or right is None:
                 raise ValueError("binary node needs two children")
-            object.__setattr__(self, "depth", 1 + max(self.left.depth, self.right.depth))
+            depth = 1 + max(left.depth, right.depth)
         else:
-            raise ValueError(f"unknown node kind {self.kind!r}")
-        object.__setattr__(self, "_hash", hash((self.kind, self.name, self.left, self.right)))
-
-    def __hash__(self) -> int:
-        return self._hash
+            raise ValueError(f"unknown node kind {kind!r}")
+        t = super().__new__(cls)
+        vars(t).update(kind=kind, name=name, left=left, right=right, depth=depth)
+        with _TERMS_LOCK:  # two threads building one term get the same object
+            return _TERMS.setdefault(key, t)
 
     def __reduce__(self):
-        # a str hash is salted per process: rebuild, so the stored hash is this process's
+        # rebuild through the constructor, so a copy or an unpickled term is interned
         return Term, (self.kind, self.name, self.left, self.right)
 
     def free_vars(self) -> frozenset[str]:

@@ -223,6 +223,10 @@ def test_dyadic(capsys):
     (("ore", "value", "1,0,0", "1,1,0", "--den2", "0,0,0"), "value takes one operand"),
     (("ore", "sigma", "1,0,0", "1,1,0", "--num2", "0,1,0"), "sigma takes one operand"),
     (("ore", "cmp", "1,0,0", "1,1,0", "--num2", "0,1,0"), "cmp needs --den2/--num2"),
+    (("ore", "sigma", "1,0,0", "1,1,0", "--witness", "--bound", "99"), "sigma takes no --witness"),
+    (("ore", "value", "1,0,0", "1,1,0", "--witness"), "value takes no --witness"),
+    (("ore", "sigma", "1,0,0", "1,1,0", "--bound", "8"), "sigma takes no --bound"),
+    (("ore", "value", "1,0,0", "1,1,0", "--bound", "3"), "value takes no --bound"),
 ])
 def test_missing_or_bad_operand_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -242,6 +246,15 @@ def test_ore_sigma_and_cmp(capsys):
     code, out, _ = run(capsys, "ore", "cmp", "1,0,0", "1,1,0",
                        "--den2", "0,0,0", "--num2", "0,1,0", "--witness")
     assert code == 0 and out.strip() == "="
+
+
+def test_ore_witness_default_bound_is_8(capsys):
+    # x^-8 above y^-8 needs a witness pair with exponent 8; x^-9 above y^-9 needs 9
+    for k, expected in ((8, (0, ">\n", "")), (9, (3, "", "exhausted: no witness within bound 8\n"))):
+        assert run(capsys, "ore", "cmp", f"{k},0,0", "0,0,0", "--den2", f"0,{k},0",
+                   "--num2", "0,0,0", "--witness") == expected
+    assert run(capsys, "ore", "cmp", "8,0,0", "0,0,0", "--den2", "0,8,0", "--num2", "0,0,0",
+               "--witness", "--bound", "7") == (3, "", "exhausted: no witness within bound 7\n")
 
 
 def test_ore_witness_exhausted(capsys):

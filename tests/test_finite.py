@@ -426,6 +426,15 @@ def test_json_round_trip(tmp_path):
     assert s2.mul_table == g3.mul_table
 
 
+def test_load_structure_refuses_a_model_above_its_cap(tmp_path):
+    path = tmp_path / "h5.json"
+    path.write_text(json.dumps(R.structure_to_json(models.heyting5())))
+    with pytest.raises(finite.ModelTooLarge, match=r"^model has 5 elements, above max_n=2$") as info:
+        R.load_structure(str(path), max_n=2)
+    assert isinstance(info.value, R.StructureError)
+    assert R.load_structure(str(path), max_n=5).n == 5
+
+
 def test_json_rejects_bad_tables():
     g3 = models.godel3()
     blob = R.structure_to_json(g3)

@@ -1,6 +1,7 @@
 """A standard-library lint for src/reslat: every import is used, every
 top-level private name is referenced somewhere in the package (deleting
-code tends to leave both behind), and only the CLI reads the environment."""
+code tends to leave both behind), only the CLI reads the environment, and
+no loop in the 2-nilpotent modules calls the HeisTriple class."""
 
 import ast
 import pathlib
@@ -85,3 +86,28 @@ def test_only_the_cli_reads_the_environment():
                for name in sorted(_environment_reads(TREES[module]))]
     assert readers == []
     assert _environment_reads(TREES["cli.py"]) == {"environ"}
+
+
+TRIPLE_MODULES = ("nilpotent.py", "omon.py", "ore.py")
+REPEATED = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+            ast.GeneratorExp)
+
+
+def _callee(call: ast.Call) -> str:
+    """The name a call calls: `f` for `f(...)` and `m.f(...)`, else ''."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def _class_calls_in_loops(tree: ast.Module, cls: str) -> list[int]:
+    """Line numbers of the calls of `cls` inside a loop or comprehension."""
+    return sorted({node.lineno for loop in ast.walk(tree) if isinstance(loop, REPEATED)
+                   for node in ast.walk(loop)
+                   if isinstance(node, ast.Call) and _callee(node) == cls})
+
+
+def test_no_loop_calls_the_heistriple_class():
+    # the class call is slower than nilpotent._triple, which builds the same object
+    calls = [f"{module}:{line}" for module in TRIPLE_MODULES
+             for line in _class_calls_in_loops(TREES[module], "HeisTriple")]
+    assert calls == []

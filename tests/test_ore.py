@@ -145,3 +145,37 @@ def test_weakly_abelian_fails_on_dyadic():
     b = DyadicPair(Fraction(0), -2)
     v = R.check_equation_sampled(wa, DyadicInstance, [{"x": a, "y": b}])
     assert not v.holds
+
+
+def test_every_triple_returning_function_returns_a_heistriple():
+    # the CLI and the benchmark call .triple() on these results
+    from reslat import nilpotent
+    from reslat.omon import S2Instance, residual_search
+
+    g, h = HeisTriple(1, 2, 1), HeisTriple(2, 1, 0)
+    f = OreFraction.from_group(HeisTriple(-1, 2, -3))
+    results = {
+        "heis_mul": heis_mul(g, h),
+        "heis_inv": heis_inv(g),
+        "heis_pow": nilpotent.heis_pow(g, 3),
+        "heis_pow negative": nilpotent.heis_pow(g, -2),
+        "heis_commutator": nilpotent.heis_commutator(g, h),
+        "nth_root": nilpotent.nth_root(nilpotent.heis_pow(g, 3), 3),
+        "from_matrix": nilpotent.from_matrix(nilpotent.to_matrix(g)),
+        "s2_residual left": s2_residual(g, h),
+        "s2_residual right": s2_residual(g, h, "right"),
+        "residual_search": residual_search(S2Instance, g, h, "left", bound=8),
+        "conucleus_sigma": conucleus_sigma(f),
+        "OreFraction.value": f.value,
+        "from_group den": f.den,
+        "from_group num": f.num,
+        "random_triple": random_triple(random.Random(0), 3),
+    }
+    results.update((f"s2_box item {i}", t) for i, t in enumerate(nilpotent.s2_box(2)))
+    wrong = {name: type(r).__name__ for name, r in results.items() if type(r) is not HeisTriple}
+    assert wrong == {}
+    built = nilpotent._triple(1, 2, 3)
+    assert built == HeisTriple(1, 2, 3) == (1, 2, 3) and hash(built) == hash((1, 2, 3))
+    assert repr(built) == "HeisTriple(alpha=1, beta=2, gamma=3)"
+    assert built.triple() == (1, 2, 3) and type(built.triple()) is tuple
+    assert (built.alpha, built.beta, built.gamma) == (1, 2, 3)

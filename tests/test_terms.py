@@ -1,15 +1,17 @@
 import copy
 import dataclasses
+import gc
 import itertools
 import os
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 import reslat as R
-from reslat.terms import HOLDS, MAX_DEPTH, _compile, parse_quasiequation
+from reslat.terms import HOLDS, MAX_DEPTH, _TERMS, _compile, parse_quasiequation
 from reslat import finite, models
 from reslat.terms import E, join, ldiv, meet, mul, rdiv, var
 
@@ -308,7 +310,7 @@ def test_many_variables_share_the_innermost_loop():
 
 
 # ---------------------------------------------------------------------------
-# the hash a term stores when it is built
+# interned terms: copies, unpickled terms and reparses compare and hash like the live term
 
 
 _PICKLE_LAWS = """
@@ -364,6 +366,28 @@ def test_every_registered_property_hashes_like_its_reparsed_source():
             for again in (parse(text), parse(str(law))):
                 assert again is not law
                 assert again == law and hash(again) == hash(law), (name, text)
+
+
+def test_equal_terms_built_apart_are_one_object():
+    first, second = R.gen_Lc(4), R.gen_Lc(4)
+    assert first is not second  # an Equation is not interned, its sides are
+    assert first.lhs is second.lhs and first.rhs is second.rhs
+    src = finite._PROPERTY_SOURCES["hamilt-eq"]
+    one, two = R.parse_equation(src), R.parse_equation(src)
+    assert one.lhs is two.lhs and one.rhs is two.rhs
+    assert one.lhs is R.PROPERTIES["hamilt-eq"][0].lhs
+    assert copy.deepcopy(one.lhs) is one.lhs
+    assert R.parse_term("x*y") is not R.parse_term("y*x")
+
+
+def test_the_intern_table_keeps_no_term_alive():
+    t = R.parse_term("fresh1 * (fresh2 v fresh3)")
+    dead = weakref.ref(t)
+    assert (t.kind, t.name, t.left, t.right) in _TERMS
+    del t
+    gc.collect()
+    assert dead() is None
+    assert not any(key[1].startswith("fresh") for key in list(_TERMS.keys()))
 
 
 def test_an_equal_law_parsed_again_hits_the_compile_cache():
