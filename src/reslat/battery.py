@@ -293,8 +293,8 @@ def claim_convex(cfg: BatteryConfig) -> str:
     import itertools
 
     tested = 0
-    for s in models.model_library(max_size=6):
-        if not check_named_property(s, "e-cyclic").holds:
+    for s in models.model_library():
+        if s.n > finite.DEFAULT_CONVEX_CAP or not check_named_property(s, "e-cyclic").holds:
             continue
         for r in range(s.n + 1):
             for gens in itertools.combinations(range(s.n), r):

@@ -135,6 +135,8 @@ def cmd_residual(args) -> int:
     a, b = parse(args.a, args.b)
     if args.search:
         r = omon.residual_search(inst, a, b, args.side, bound=args.bound)
+    elif args.bound is not None:
+        raise ValueError("--bound needs --search")
     else:
         r = inst.ldiv(a, b) if args.side == "left" else inst.rdiv(b, a)
     text = show(r)
@@ -223,6 +225,8 @@ def cmd_ore(args) -> int:
     if args.den2 is None:
         raise ValueError("cmp needs --den2/--num2")
     g = ore.OreFraction(_parse_triple(args.den2), _parse_triple(args.num2))
+    if args.bound is not None and not args.witness:
+        raise ValueError("--bound needs --witness")
     bound = () if args.bound is None else (args.bound,)  # else frac_cmp_witness's default
     c = ore.frac_cmp_witness(f, g, *bound) if args.witness else ore.frac_cmp_group(f, g)
     _emit({"cmp": c}, args.json, _REL[c])
@@ -230,8 +234,11 @@ def cmd_ore(args) -> int:
 
 
 def cmd_omon(args) -> int:
+    for unread in ("count", "bound") if args.op == "hamvty" else ("size",):
+        if getattr(args, unread) is not None:
+            raise ValueError(f"{args.op} takes no --{unread}")
     if args.op == "hamvty":
-        rep = omon.hamvty_witness(args.size)
+        rep = omon.hamvty_witness(8 if args.size is None else args.size)
         lines = [f"truncation {rep.truncation}, all_certified={rep.all_certified()}"]
         for row in rep.rows:
             if row.coordinate is None:
@@ -251,11 +258,13 @@ def cmd_omon(args) -> int:
         _emit(payload, args.json, "\n".join(lines))
         return EXIT_HOLDS if rep.all_certified() else EXIT_FAILS
     # chain prefix listing
-    omon.check_bound(args.bound)
-    if args.count < 0:
+    count = 10 if args.count is None else args.count
+    bound = 8 if args.bound is None else args.bound
+    omon.check_bound(bound)
+    if count < 0:
         raise ValueError("count must be >= 0")
     inst, _, show = _CHAINS[args.monoid]
-    out = [show(g) for _, g in zip(range(args.count), inst.candidates(args.bound))]
+    out = [show(g) for _, g in zip(range(count), inst.candidates(bound))]
     _emit({"monoid": args.monoid, "prefix": out}, args.json, " > ".join(out))
     return EXIT_HOLDS
 
@@ -335,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("omon", cmd_omon, help="ordered-monoid utilities")
     sp.add_argument("monoid", choices=["m1", "s2"])
     sp.add_argument("op", choices=["prefix", "hamvty"])
-    sp.add_argument("--count", type=int, default=10)
-    sp.add_argument("--bound", type=int, default=8)
-    sp.add_argument("--size", type=int, default=8)
+    sp.add_argument("--count", type=int)  # the defaults are in cmd_omon
+    sp.add_argument("--bound", type=int)
+    sp.add_argument("--size", type=int)
 
     sp = add("verify-paper", cmd_verify_paper,
              help="run the full claim battery and report pass/fail per claim")

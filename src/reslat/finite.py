@@ -644,8 +644,10 @@ def enumerate_chain_models(
     """All residuated lattices on the n-chain, any unit position, in a
     deterministic order (unit ascending, then row-major table order),
     filtered by the named-property constraints.  Raises ValueError for a
-    size outside 1..cap or an unknown constraint name, before enumerating
-    anything."""
+    bool size or cap, a size outside 1..cap or an unknown constraint name,
+    before enumerating anything."""
+    if isinstance(n, bool) or isinstance(cap, bool):
+        raise StructureError(f"chain size and cap must be integers, got {n!r} and {cap!r}")
     if n < 1:
         raise StructureError(f"chain size must be >= 1, got {n}")
     if n > cap:

@@ -115,11 +115,9 @@ MODEL_BUILDERS = {
 }
 
 
-def model_library(max_size: int | None = None) -> list[FiniteResLat]:
+def model_library() -> list[FiniteResLat]:
     """The standard hand-built models, plus two small products of chains."""
     out = [build() for build in MODEL_BUILDERS.values()]
     out.append(direct_product(godel3(), chain2()))
     out.append(direct_product(godel3(), godel3()))
-    if max_size is not None:
-        out = [s for s in out if s.n <= max_size]
     return out

@@ -79,8 +79,10 @@ residual scan visits about bound**4/4 candidates (279,873 at bound 32)."""
 
 
 def check_bound(bound: int, least: int = 1) -> None:
-    """Refuse a search bound below `least` or above SEARCH_BOUND with
-    ValueError."""
+    """Refuse a bool, or a search bound below `least` or above
+    SEARCH_BOUND, with ValueError."""
+    if bound.__class__ is bool:  # isinstance(bound, bool) without a call: on every search
+        raise ValueError(f"bound must be an integer, got {bound!r}")
     if bound < least:
         raise ValueError(f"bound must be >= {least}")
     if bound > SEARCH_BOUND:

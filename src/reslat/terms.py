@@ -517,13 +517,16 @@ def _q(c: int, x: Term, y: Term, zs: Sequence[Term]) -> Term:
     return mul(mul(_q(c - 1, x, y, zs), zs[c - 2]), _q(c - 1, y, x, zs))
 
 
+MAX_LC_CLASS = 8  # the largest class gen_Lc builds: each side of L_8 has 383 leaves
+
+
 def gen_Lc(c: int) -> Equation:
     """The nilpotency-class-c law: the recursive commutation terms made equal.
 
     Uses variables x, y, z1..z(c-1); each side has 2**c + 2**(c-1) - 1 leaves.
     """
-    if c < 1:
-        raise ValueError("nilpotency class must be >= 1")
+    if isinstance(c, bool) or not 1 <= c <= MAX_LC_CLASS:
+        raise ValueError(f"nilpotency class must be an integer in 1..{MAX_LC_CLASS}, got {c!r}")
     x, y = var("x"), var("y")
     zs = [var(f"z{i}") for i in range(1, c)]
     return Equation(_q(c, x, y, zs), _q(c, y, x, zs))

@@ -227,6 +227,14 @@ def test_dyadic(capsys):
     (("ore", "value", "1,0,0", "1,1,0", "--witness"), "value takes no --witness"),
     (("ore", "sigma", "1,0,0", "1,1,0", "--bound", "8"), "sigma takes no --bound"),
     (("ore", "value", "1,0,0", "1,1,0", "--bound", "3"), "value takes no --bound"),
+    (("residual", "s2", "left", "1,0,0", "1,1,0", "--bound", "99"), "--bound needs --search"),
+    (("residual", "m1", "right", "x", "y", "--bound", "8"), "--bound needs --search"),
+    (("ore", "cmp", "1,0,0", "1,1,0", "--den2", "0,0,0", "--num2", "0,1,0", "--bound", "99"),
+     "--bound needs --witness"),
+    (("omon", "s2", "hamvty", "--size", "2", "--bound", "99", "--count", "5"),
+     "hamvty takes no --count"),
+    (("omon", "s2", "hamvty", "--bound", "8"), "hamvty takes no --bound"),
+    (("omon", "m1", "prefix", "--size", "99"), "prefix takes no --size"),
 ])
 def test_missing_or_bad_operand_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -382,7 +390,14 @@ def _two(values):
 
 def _specs(models, bad_models):
     """(subcommand, positional parts, option parts); each part draws a list,
-    mostly a well-formed one."""
+    mostly a well-formed one.  `ore` and `omon` have a spec per group of
+    ops, so each option is drawn mostly with the ops that read it."""
+    second_fraction = st.tuples(_opt("--den2", _OPERAND), _opt("--num2", _OPERAND)).map(
+        lambda parts: sum(parts, []))
+    witness = st.tuples(_flag("--witness"), _opt("--bound", _mostly(st.just("8"), _SMALL))).map(
+        lambda parts: sum(parts, []))
+    size = _opt("--size", _mostly(st.sampled_from(["3", "8"]),
+                                  st.sampled_from(["-1", "0", "3", "8", "5001"])))
     return [
         ("check", [_mostly(st.sampled_from(models), st.sampled_from(models + bad_models))
                    .map(lambda m: [m]),
@@ -408,15 +423,18 @@ def _specs(models, bad_models):
         ("dyadic", [_choice("mul", "inv", "pow", "conjugate", "cmp"),
                     _mostly(_two(_PAIR), _UNARY_OR_BINARY)],
          [_opt("-n", _mostly(_POSITIVE, _SMALL))]),
-        ("ore", [_choice("cmp", "sigma", "value"), _mostly(_two(_TRIPLE), _two(_OPERAND))],
-         [_mostly(_two(_TRIPLE).map(lambda g: ["--den2", g[0], "--num2", g[1]]),
-                  st.tuples(_opt("--den2", _OPERAND), _opt("--num2", _OPERAND)).map(
-                      lambda parts: sum(parts, []))),
-          _flag("--witness"), _opt("--bound", _mostly(st.just("8"), _SMALL))]),
-        ("omon", [_choice("m1", "s2"), _choice("prefix", "hamvty")],
+        ("ore", [_choice("cmp"), _mostly(_two(_TRIPLE), _two(_OPERAND))],
+         [_mostly(_two(_TRIPLE).map(lambda g: ["--den2", g[0], "--num2", g[1]]), second_fraction),
+          _mostly(st.sampled_from([[], ["--witness"], ["--witness", "--bound", "8"]]),
+                  witness)]),
+        ("ore", [_choice("sigma", "value"), _mostly(_two(_TRIPLE), _two(_OPERAND))],
+         [_mostly(st.just([]), second_fraction), _mostly(st.just([]), witness)]),
+        ("omon", [_choice("m1", "s2"), _choice("prefix")],
          [_opt("--count", _mostly(_POSITIVE, _SMALL)), _opt("--bound", _mostly(_POSITIVE, _SMALL)),
-          _opt("--size", _mostly(st.sampled_from(["3", "8"]),
-                                 st.sampled_from(["-1", "0", "3", "8", "5001"])))]),
+          _mostly(st.just([]), size)]),
+        ("omon", [_choice("m1", "s2"), _choice("hamvty")],
+         [_mostly(st.just([]), _opt("--count", _SMALL)),
+          _mostly(st.just([]), _opt("--bound", _SMALL)), size]),
         ("verify-paper", [],
          [_mostly(st.sampled_from(_FAST_CLAIMS), st.sampled_from(_FAST_CLAIMS + ["bogus", ""]))
           .map(lambda c: ["--only", c]),

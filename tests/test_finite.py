@@ -272,8 +272,8 @@ def test_absolute_values_and_conjugates():
 
 
 def test_convex_closure_against_fixpoint_oracle():
-    for s in models.model_library(max_size=6):
-        if not R.check_named_property(s, "e-cyclic").holds:
+    for s in models.model_library():
+        if s.n > finite.DEFAULT_CONVEX_CAP or not R.check_named_property(s, "e-cyclic").holds:
             continue
         for r in range(s.n + 1):
             for gens in itertools.combinations(s.elements, r):
@@ -396,6 +396,13 @@ def test_enumerate_trivial_and_cap():
     for n in (0, -1):
         with pytest.raises(finite.StructureError, match=f"chain size must be >= 1, got {n}"):
             R.enumerate_chain_models(n)
+    # a bool is an int to Python, but not a size: True would build chainTrue-u0
+    with pytest.raises(finite.StructureError, match="^chain size and cap must be integers, "
+                                                    "got True and 6$"):
+        R.enumerate_chain_models(True)
+    with pytest.raises(finite.StructureError, match="^chain size and cap must be integers, "
+                                                    "got 3 and True$"):
+        R.enumerate_chain_models(3, cap=True)
 
 
 def test_enumerate_refuses_an_unknown_constraint_before_enumerating():

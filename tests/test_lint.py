@@ -1,13 +1,17 @@
-"""A standard-library lint for src/reslat: every import is used, every
-top-level private name is referenced somewhere in the package (deleting
-code tends to leave both behind), only the CLI reads the environment, and
-no loop in the 2-nilpotent modules calls the HeisTriple class."""
+"""A standard-library lint for src/reslat: every import is used (in the
+scripts under tools/ too), every top-level private name is referenced
+somewhere in the package (deleting code tends to leave both behind), only
+the CLI reads the environment, and no loop in the 2-nilpotent modules calls
+the HeisTriple class."""
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "reslat"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "reslat"
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+TOOLS = {f"tools/{path.name}": ast.parse(path.read_text(), str(path))
+         for path in sorted((ROOT / "tools").glob("*.py"))}
 MODULES = [name for name in TREES if name != "__init__.py"]
 ENV_READERS = {"environ", "getenv"}
 
@@ -57,8 +61,9 @@ def _top_level_private(tree: ast.Module) -> list[str]:
 
 
 def test_every_import_is_used():
-    unused = [f"{module}: {name}" for module in MODULES
-              for name in _imported(TREES[module]) if name not in _read_names(TREES[module])]
+    trees = {**{module: TREES[module] for module in MODULES}, **TOOLS}
+    unused = [f"{module}: {name}" for module, tree in trees.items()
+              for name in _imported(tree) if name not in _read_names(tree)]
     assert unused == []
 
 

@@ -12,6 +12,7 @@ from reslat.omon import (
     M1Instance,
     S2Instance,
     ResidualExhausted,
+    check_bound,
     hamvty_witness,
     m1_cmp,
     m1_mul,
@@ -107,6 +108,16 @@ def test_residual_search_checks_operands_at_entry(inst, good, bad):
     for a, b in ((bad, good), (good, bad)):
         with pytest.raises(ValueError, match=f"is not an element of chain {inst.name!r}"):
             residual_search(inst, a, b, "left", bound=4)
+
+
+def test_a_bool_bound_is_refused_before_any_scan():
+    # True == 1 would scan one candidate; check_bound also guards
+    # frac_cmp_witness and `omon prefix`
+    for search in (lambda: residual_search(S2Instance, X, Y, bound=True),
+                   lambda: R.frac_cmp_witness(R.OreFraction(X, Y), R.OreFraction(Y, X), False),
+                   lambda: check_bound(True)):
+        with pytest.raises(ValueError, match="^bound must be an integer, got (True|False)$"):
+            search()
 
 
 def test_a_chain_without_member_check_cannot_be_searched():

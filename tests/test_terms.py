@@ -149,8 +149,11 @@ def test_gen_Lc_shapes():
         assert lc.lhs.atoms() == 2**c + 2 ** (c - 1) - 1
         assert lc.rhs.atoms() == 2**c + 2 ** (c - 1) - 1
         assert lc.lhs.free_vars() == {"x", "y"} | {f"z{i}" for i in range(1, c)}
-    with pytest.raises(ValueError):
-        R.gen_Lc(0)
+    for c in (0, True, 9):
+        with pytest.raises(ValueError, match=f"^nilpotency class must be an integer in 1..8, "
+                                             f"got {c}$"):
+            R.gen_Lc(c)
+    assert R.gen_Lc(8).lhs.atoms() == 383
 
 
 def test_eval_term_on_godel3():
