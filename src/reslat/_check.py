@@ -1,0 +1,11 @@
+"""The one rule for integer arguments: sizes, bounds, counts and exponents."""
+
+
+def check_int(value, name: str, least=None, most=None) -> None:
+    """Refuse with ValueError a value whose class is not exactly int (so also
+    a bool or a float), or an int outside least..most.  An end given as None
+    is open; `most` is only given together with `least`."""
+    if value.__class__ is int and (least is None or value >= least) and (most is None or value <= most):
+        return
+    span = f" in {least}..{most}" if most is not None else "" if least is None else f" >= {least}"
+    raise ValueError(f"{name} must be an integer{span}, got {value!r}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import finite, models, omon
+from ._check import check_int
 from .finite import check_named_property, enumerate_chain_models, validate_axioms
 from .nilpotent import (
     HEIS_UNIT,
@@ -64,9 +65,8 @@ class BatteryConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        for name in ("max_size", "samples"):
-            if (value := getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        check_int(self.max_size, "max_size", 1)
+        check_int(self.samples, "samples", 1)
 
 
 @dataclass

@@ -14,6 +14,7 @@ import os
 import sys
 
 from . import battery, finite, models, nilpotent, omon, ore, terms
+from ._check import check_int
 
 __all__ = ["main"]
 
@@ -260,9 +261,8 @@ def cmd_omon(args) -> int:
     # chain prefix listing
     count = 10 if args.count is None else args.count
     bound = 8 if args.bound is None else args.bound
-    omon.check_bound(bound)
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    check_int(bound, "bound", 1, omon.SEARCH_BOUND)
+    check_int(count, "count", 0)
     inst, _, show = _CHAINS[args.monoid]
     out = [show(g) for _, g in zip(range(count), inst.candidates(bound))]
     _emit({"monoid": args.monoid, "prefix": out}, args.json, " > ".join(out))

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
+from ._check import check_int
+
 __all__ = [
     "HeisTriple",
     "HEIS_UNIT",
@@ -89,6 +91,7 @@ def heis_inv(g: HeisTriple) -> HeisTriple:
 
 def heis_pow(g: HeisTriple, n: int) -> HeisTriple:
     """g**n in closed form: (n*alpha, n*beta, n*gamma + C(n,2)*alpha*beta)."""
+    check_int(n, "exponent")
     if n < 0:
         return heis_pow(heis_inv(g), -n)
     return _triple(n * g.alpha, n * g.beta, n * g.gamma + n * (n - 1) // 2 * g.alpha * g.beta)
@@ -167,8 +170,7 @@ def s2_box(amax: int, bmax: Optional[int] = None, gmax: Optional[int] = None) ->
 def nth_root(g: HeisTriple, n: int) -> Optional[HeisTriple]:
     """The unique h with h**n == g, or None.  Closed form: h exists iff n
     divides alpha and beta and the corrected central exponent."""
-    if n < 1:
-        raise ValueError("root degree must be >= 1")
+    check_int(n, "root degree", 1)
     if g.alpha % n or g.beta % n:
         return None
     a, b = g.alpha // n, g.beta // n
@@ -237,6 +239,7 @@ def parse_fraction(text: str) -> Fraction:
 def dyadic_pow(g: DyadicPair, k: int) -> DyadicPair:
     """g**k in closed form: (r*(2**(k*n) - 1)/(2**n - 1), k*n), or (k*r, 0)
     when n = 0."""
+    check_int(k, "exponent")
     if abs(k * g.n) > DYADIC_POW_BOUND:
         raise ValueError(f"|k*n| = {abs(k * g.n)} exceeds the dyadic power bound {DYADIC_POW_BOUND}")
     if k < 0:

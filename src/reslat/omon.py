@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
+from ._check import check_int
 from .nilpotent import (
+    DYADIC_POW_BOUND,
     DYADIC_UNIT,
     DyadicPair,
     HEIS_UNIT,
@@ -42,7 +44,6 @@ from .nilpotent import (
 __all__ = [
     "ResidualExhausted",
     "SEARCH_BOUND",
-    "check_bound",
     "Chain",
     "M1Instance",
     "S2Instance",
@@ -78,17 +79,6 @@ SEARCH_BOUND = 32
 residual scan visits about bound**4/4 candidates (279,873 at bound 32)."""
 
 
-def check_bound(bound: int, least: int = 1) -> None:
-    """Refuse a bool, or a search bound below `least` or above
-    SEARCH_BOUND, with ValueError."""
-    if bound.__class__ is bool:  # isinstance(bound, bool) without a call: on every search
-        raise ValueError(f"bound must be an integer, got {bound!r}")
-    if bound < least:
-        raise ValueError(f"bound must be >= {least}")
-    if bound > SEARCH_BOUND:
-        raise ValueError(f"bound {bound} exceeds the search bound {SEARCH_BOUND}")
-
-
 @dataclass(frozen=True)
 class Chain:
     """A totally ordered residuated monoid given by rules.
@@ -122,9 +112,9 @@ def residual_search(inst: Chain, a, b, side: str = "left", bound: Optional[int] 
     """Greatest c with a*c <= b (left) or c*a <= b (right), by first-hit
     scan of the descending candidate stream.  Raises ResidualExhausted when
     the bound is too small; never returns a wrong answer.  Raises ValueError
-    for an operand outside the chain, or a bound below 1 or above
-    SEARCH_BOUND (the default is sum(a) + sum(b) + 4, the exponent sums of
-    the operands plus 4)."""
+    for an operand outside the chain, or a bound that is not an int in
+    1..SEARCH_BOUND (the default is sum(a) + sum(b) + 4, the exponent sums
+    of the operands plus 4)."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if inst.candidates is None or inst.member is None:
@@ -134,7 +124,7 @@ def residual_search(inst: Chain, a, b, side: str = "left", bound: Optional[int] 
             raise ValueError(f"{x!r} is not an element of chain {inst.name!r}")
     if bound is None:
         bound = sum(a) + sum(b) + 4
-    check_bound(bound)
+    check_int(bound, "bound", 1, SEARCH_BOUND)
     mul, cmp, left = inst.mul, inst.cmp, side == "left"
     for c in inst.candidates(bound):
         if cmp(mul(a, c) if left else mul(c, a), b) <= 0:
@@ -308,9 +298,9 @@ def hamvty_witness(N: int) -> HamiltonianFailureReport:
     tuple of HAMVTY_BASE and the tuple of powers of HAMVTY_CONJUGATOR, and
     for each n <= N report a coordinate where the n-th power of the constant
     tuple fails to lie below the conjugate tuple.  A row for every n
-    certifies the failure of the Hamiltonian property up to the truncation."""
-    if N < 1:
-        raise ValueError("truncation must be >= 1")
+    certifies the failure of the Hamiltonian property up to the truncation.
+    N is an int in 1..DYADIC_POW_BOUND // 2: b**N stays in the power bound."""
+    check_int(N, "truncation", 1, DYADIC_POW_BOUND // 2)
     a, b = HAMVTY_BASE, HAMVTY_CONJUGATOR
     conj = [dyadic_conjugate(a, dyadic_pow(b, i)) for i in range(N + 1)]
     rows = []

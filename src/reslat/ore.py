@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ._check import check_int
 from .nilpotent import (
     HEIS_UNIT,
     HeisTriple,
@@ -24,7 +25,7 @@ from .nilpotent import (
     s2_member,
     s2_require,
 )
-from .omon import ResidualExhausted, check_bound, group_chain, s2_residual
+from .omon import SEARCH_BOUND, ResidualExhausted, group_chain, s2_residual
 
 __all__ = [
     "OreFraction",
@@ -104,8 +105,8 @@ def _witness_below(f: OreFraction, g: OreFraction, bound: int) -> bool:
 def frac_cmp_witness(f: OreFraction, g: OreFraction, bound: int = 8) -> int:
     """Decide the extended order from the witness-pair definition alone.
     Raises ResidualExhausted if neither direction yields a witness within
-    the bound, and ValueError for a bound below 0 or above SEARCH_BOUND."""
-    check_bound(bound, least=0)
+    the bound, and ValueError for a bound that is not an int in 0..SEARCH_BOUND."""
+    check_int(bound, "bound", 0, SEARCH_BOUND)
     below = _witness_below(f, g, bound)
     above = _witness_below(g, f, bound)
     if not (below or above):
@@ -143,7 +144,10 @@ class ConucleusReport:
 def verify_conucleus(samples: int = 1000, box: int = 8, seed: int = 0) -> ConucleusReport:
     """Random battery for the conucleus laws: unit fixed, contracting,
     order-preserving, idempotent, lax multiplicative, image equal to the
-    positive monoid, and representative-independence."""
+    positive monoid, and representative-independence.  Raises ValueError
+    unless `samples` is an int >= 1 and `box` an int >= 0."""
+    check_int(samples, "samples", 1)
+    check_int(box, "box", 0)
     rng = random.Random(seed)
     bad: list[tuple[str, str]] = []
 

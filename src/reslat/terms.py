@@ -34,6 +34,8 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
+from ._check import check_int
+
 __all__ = [
     "Term",
     "Equation",
@@ -525,8 +527,7 @@ def gen_Lc(c: int) -> Equation:
 
     Uses variables x, y, z1..z(c-1); each side has 2**c + 2**(c-1) - 1 leaves.
     """
-    if isinstance(c, bool) or not 1 <= c <= MAX_LC_CLASS:
-        raise ValueError(f"nilpotency class must be an integer in 1..{MAX_LC_CLASS}, got {c!r}")
+    check_int(c, "nilpotency class", 1, MAX_LC_CLASS)
     x, y = var("x"), var("y")
     zs = [var(f"z{i}") for i in range(1, c)]
     return Equation(_q(c, x, y, zs), _q(c, y, x, zs))

@@ -52,7 +52,7 @@ def test_hamiltonian_claim_fails_on_a_law_of_groups_but_not_of_the_monoid(monkey
 @pytest.mark.parametrize("field", ["max_size", "samples"])
 @pytest.mark.parametrize("value", [0, -4])
 def test_config_without_evidence_is_refused(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got {value}$"):
         battery.BatteryConfig(**{field: value})
 
 

@@ -9,7 +9,7 @@ import re
 import pytest
 
 import reslat as R
-from reslat import finite, models
+from reslat import battery, finite, models
 
 
 def test_derive_residuals_godel3():
@@ -255,6 +255,13 @@ def test_negative_cone():
     assert R.check_named_property(cone, "integral").holds
     g3 = models.godel3()
     assert R.negative_cone(g3).n == 3  # already integral
+    # the cone's derived residuals are the parent's, truncated at the unit
+    for s in battery._model_universe(battery.BatteryConfig()):
+        cone = R.negative_cone(s)
+        members = [a for a in s.elements if s.le(a, s.unit)]
+        for (i, a), (j, b) in itertools.product(enumerate(members), repeat=2):
+            assert cone.ldiv(i, j) == members.index(s.meet(s.ldiv(a, b), s.unit))
+            assert cone.rdiv(i, j) == members.index(s.meet(s.rdiv(a, b), s.unit))
 
 
 def test_absolute_values_and_conjugates():
@@ -391,17 +398,15 @@ def test_seven_element_tables_are_closed_under_transpose():
 
 def test_enumerate_trivial_and_cap():
     assert len(R.enumerate_chain_models(1)) == 1
-    with pytest.raises(finite.StructureError):
+    with pytest.raises(ValueError, match=r"^chain size must be an integer in 1\.\.6, got 9$"):
         R.enumerate_chain_models(9, cap=6)
     for n in (0, -1):
-        with pytest.raises(finite.StructureError, match=f"chain size must be >= 1, got {n}"):
+        with pytest.raises(ValueError, match=rf"^chain size must be an integer in 1\.\.6, got {n}$"):
             R.enumerate_chain_models(n)
     # a bool is an int to Python, but not a size: True would build chainTrue-u0
-    with pytest.raises(finite.StructureError, match="^chain size and cap must be integers, "
-                                                    "got True and 6$"):
+    with pytest.raises(ValueError, match=r"^chain size must be an integer in 1\.\.6, got True$"):
         R.enumerate_chain_models(True)
-    with pytest.raises(finite.StructureError, match="^chain size and cap must be integers, "
-                                                    "got 3 and True$"):
+    with pytest.raises(ValueError, match="^cap must be an integer >= 1, got True$"):
         R.enumerate_chain_models(3, cap=True)
 
 
@@ -417,7 +422,7 @@ def test_enumerate_cap_comes_only_from_its_argument(monkeypatch):
     # RESLAT_MAX_SIZE is the CLI's setting; the library never reads it
     monkeypatch.setenv("RESLAT_MAX_SIZE", "2")
     assert len(R.enumerate_chain_models(3)) == 3
-    with pytest.raises(finite.StructureError, match="^chain size 7 exceeds enumeration cap 6$"):
+    with pytest.raises(ValueError, match=r"^chain size must be an integer in 1\.\.6, got 7$"):
         R.enumerate_chain_models(7)
 
 

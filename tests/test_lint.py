@@ -1,8 +1,9 @@
 """A standard-library lint for src/reslat: every import is used (in the
 scripts under tools/ too), every top-level private name is referenced
 somewhere in the package (deleting code tends to leave both behind), only
-the CLI reads the environment, and no loop in the 2-nilpotent modules calls
-the HeisTriple class."""
+the CLI reads the environment, no loop in the 2-nilpotent modules calls
+the HeisTriple class, and no module tests for bool (integer arguments go
+through `_check.check_int`, which refuses any class but int)."""
 
 import ast
 import pathlib
@@ -116,3 +117,26 @@ def test_no_loop_calls_the_heistriple_class():
     calls = [f"{module}:{line}" for module in TRIPLE_MODULES
              for line in _class_calls_in_loops(TREES[module], "HeisTriple")]
     assert calls == []
+
+
+def _bool_tests(tree: ast.Module) -> list[int]:
+    """Line numbers of `isinstance(<x>, bool)`, with bool alone or in a
+    tuple, and of a comparison with bool, such as `<x>.__class__ is bool`."""
+    def is_bool(node: ast.expr) -> bool:
+        return isinstance(node, ast.Name) and node.id == "bool"
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _callee(node) == "isinstance" and len(node.args) == 2:
+            kinds = node.args[1]
+            if any(map(is_bool, kinds.elts if isinstance(kinds, ast.Tuple) else [kinds])):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Compare) and any(map(is_bool, [node.left, *node.comparators])):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_tests_for_bool():
+    # the bool policy of integer arguments lives in one function
+    tests = [f"{module}:{line}" for module, tree in TREES.items() for line in _bool_tests(tree)]
+    assert tests == []

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import importlib
 import itertools
@@ -6,13 +7,13 @@ from fractions import Fraction
 import pytest
 
 import reslat as R
+from reslat.cli import cmd_omon
 from reslat.nilpotent import DyadicPair, HEIS_UNIT, HeisTriple
 from reslat.omon import (
     DyadicInstance,
     M1Instance,
     S2Instance,
     ResidualExhausted,
-    check_bound,
     hamvty_witness,
     m1_cmp,
     m1_mul,
@@ -111,12 +112,14 @@ def test_residual_search_checks_operands_at_entry(inst, good, bad):
 
 
 def test_a_bool_bound_is_refused_before_any_scan():
-    # True == 1 would scan one candidate; check_bound also guards
+    # True == 1 would scan one candidate; the same rule guards
     # frac_cmp_witness and `omon prefix`
-    for search in (lambda: residual_search(S2Instance, X, Y, bound=True),
-                   lambda: R.frac_cmp_witness(R.OreFraction(X, Y), R.OreFraction(Y, X), False),
-                   lambda: check_bound(True)):
-        with pytest.raises(ValueError, match="^bound must be an integer, got (True|False)$"):
+    prefix = argparse.Namespace(monoid="s2", op="prefix", count=None, bound=True, size=None)
+    for search, least, value in ((lambda: residual_search(S2Instance, X, Y, bound=True), 1, True),
+                                 (lambda: R.frac_cmp_witness(R.OreFraction(X, Y),
+                                                             R.OreFraction(Y, X), False), 0, False),
+                                 (lambda: cmd_omon(prefix), 1, True)):
+        with pytest.raises(ValueError, match=rf"^bound must be an integer in {least}\.\.32, got {value}$"):
             search()
 
 
@@ -175,5 +178,5 @@ def test_hamvty_witness_small():
 
 
 def test_hamvty_rejects_bad_truncation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^truncation must be an integer in 1\.\.5000, got 0$"):
         hamvty_witness(0)
