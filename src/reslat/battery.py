@@ -39,6 +39,7 @@ from .omon import (
     S2Instance,
     hamvty_witness,
     m1_residual,
+    residual_scan,
     residual_search,
     s2_residual,
 )
@@ -211,21 +212,21 @@ def claim_divisibility_failures(cfg: BatteryConfig) -> str:
 
 
 def claim_residual_agreement(cfg: BatteryConfig) -> str:
-    # commutative instance, words up to length 12
+    # commutative instance, words up to length 12; one scan per z answers every w
     words = [(a, d - a) for d in range(13) for a in range(d + 1)]
+    scans = {z: residual_scan(M1Instance, z, words, "left", 26) for z in words}
     for w in words:
         for z in words:
-            got = m1_residual(w, z)
-            want = residual_search(M1Instance, z, w, "left", bound=26)
+            got, want = m1_residual(w, z), scans[z][w]
             if got != want:
                 raise ClaimFailed(f"m1 {w}/{z}: {got} vs {want}")
-    # nilpotent instance, box alpha, beta, gamma <= 6
+    # nilpotent instance, box alpha, beta, gamma <= 6; one scan per (a, side)
     box = list(s2_box(6, 6, 6))
     for a in box:
+        scans = {side: residual_scan(S2Instance, a, box, side, 14) for side in ("left", "right")}
         for b in box:
             for side in ("left", "right"):
-                got = s2_residual(a, b, side)
-                want = residual_search(S2Instance, a, b, side, bound=14)
+                got, want = s2_residual(a, b, side), scans[side][b]
                 if got != want:
                     raise ClaimFailed(f"s2 {side} {a.triple()}, {b.triple()}: {got} vs {want}")
     return f"m1 {len(words)}^2 pairs, s2 {len(box)}^2 pairs x 2 sides"

@@ -13,7 +13,7 @@ route is kept alongside as an independent oracle.
 
 `HeisTriple(a, b, g)` is the public constructor.  Library hot paths build
 triples through the private `_triple`, which makes the same object without
-calling the class.
+calling the class (`heis_mul` calls the `tuple.__new__` inside it directly).
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def _triple(alpha: int, beta: int, gamma: int) -> HeisTriple:
 def heis_mul(g: HeisTriple, h: HeisTriple) -> HeisTriple:
     a1, b1, g1 = g
     a2, b2, g2 = h
-    return _triple(a1 + a2, b1 + b2, g1 + g2 + b1 * a2)
+    return _tuple_new(HeisTriple, (a1 + a2, b1 + b2, g1 + g2 + b1 * a2))
 
 
 def heis_inv(g: HeisTriple) -> HeisTriple:
@@ -130,7 +130,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def s2_member(g: HeisTriple) -> bool:
     alpha, beta, gamma = g
-    return alpha >= 0 and beta >= 0 and 0 <= gamma <= alpha * beta
+    return (alpha.__class__ is int and beta.__class__ is int and gamma.__class__ is int
+            and alpha >= 0 and beta >= 0 and 0 <= gamma <= alpha * beta)
 
 
 def s2_require(*gs: HeisTriple) -> None:
@@ -200,6 +201,7 @@ class DyadicPair:
     n: int
 
     def __post_init__(self):
+        check_int(self.n, "n")
         r = self.r if isinstance(self.r, Fraction) else Fraction(self.r)
         object.__setattr__(self, "r", r)
         if not _is_dyadic(r):

@@ -19,6 +19,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cmp_to_key
+from itertools import chain, product, starmap
 from typing import Callable, Iterator, Optional
 
 from ._check import check_int
@@ -36,7 +38,6 @@ from .nilpotent import (
     dyadic_pow,
     heis_cmp,
     heis_mul,
-    s2_box,
     s2_member,
     s2_require,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "group_chain",
     "DyadicInstance",
     "residual_search",
+    "residual_scan",
     "m1_mul",
     "m1_cmp",
     "m1_residual",
@@ -75,8 +77,9 @@ class ResidualExhausted(RuntimeError):
 
 
 SEARCH_BOUND = 32
-"""residual_search and ore.frac_cmp_witness refuse a bound above this: an s2
-residual scan visits about bound**4/4 candidates (279,873 at bound 32)."""
+"""The searches, ore.frac_cmp_witness and the candidate streams refuse a
+bound above this: an s2 residual scan visits about bound**4/4 candidates
+(279,873 at bound 32), which is also the most the s2 row memo holds."""
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,16 @@ class Chain:
         return a if self.cmp(a, b) >= 0 else b
 
 
+def _check_search(inst: Chain, side: str, *operands) -> None:
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    if inst.candidates is None or inst.member is None:
+        raise ValueError(f"chain {inst.name!r} has no candidate stream to search")
+    for x in operands:
+        if not inst.member(x):
+            raise ValueError(f"{x!r} is not an element of chain {inst.name!r}")
+
+
 def residual_search(inst: Chain, a, b, side: str = "left", bound: Optional[int] = None):
     """Greatest c with a*c <= b (left) or c*a <= b (right), by first-hit
     scan of the descending candidate stream.  Raises ResidualExhausted when
@@ -115,20 +128,40 @@ def residual_search(inst: Chain, a, b, side: str = "left", bound: Optional[int] 
     for an operand outside the chain, or a bound that is not an int in
     1..SEARCH_BOUND (the default is sum(a) + sum(b) + 4, the exponent sums
     of the operands plus 4)."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    if inst.candidates is None or inst.member is None:
-        raise ValueError(f"chain {inst.name!r} has no candidate stream to search")
-    for x in (a, b):
-        if not inst.member(x):
-            raise ValueError(f"{x!r} is not an element of chain {inst.name!r}")
+    _check_search(inst, side, a, b)
     if bound is None:
         bound = sum(a) + sum(b) + 4
     check_int(bound, "bound", 1, SEARCH_BOUND)
-    mul, cmp, left = inst.mul, inst.cmp, side == "left"
+    mul, cmp = inst.mul, inst.cmp
+    if side == "left":
+        for c in inst.candidates(bound):
+            if cmp(mul(a, c), b) <= 0:
+                return c
+    else:
+        for c in inst.candidates(bound):
+            if cmp(mul(c, a), b) <= 0:
+                return c
+    raise ResidualExhausted(bound)
+
+
+def residual_scan(inst: Chain, a, bs, side: str, bound: int) -> dict:
+    """{b: residual_search(inst, a, b, side, bound) for b in bs}, in one pass
+    over the candidates using only `mul` and `cmp`: the b wait greatest first,
+    and a product p answers every waiting b >= p, always a prefix of them, so
+    each b gets the first hit of its own scan.  Raises ResidualExhausted if
+    the stream ends first."""
+    _check_search(inst, side, a, *bs)
+    check_int(bound, "bound", 1, SEARCH_BOUND)
+    waiting = sorted(dict.fromkeys(bs), key=cmp_to_key(inst.cmp), reverse=True)
+    found, mul, cmp, left = {}, inst.mul, inst.cmp, side == "left"
+    if not waiting:
+        return found
     for c in inst.candidates(bound):
-        if cmp(mul(a, c) if left else mul(c, a), b) <= 0:
-            return c
+        p = mul(a, c) if left else mul(c, a)
+        while cmp(p, waiting[len(found)]) <= 0:
+            found[waiting[len(found)]] = c
+            if len(found) == len(waiting):
+                return found
     raise ResidualExhausted(bound)
 
 
@@ -154,22 +187,31 @@ def m1_cmp(u: M1Element, v: M1Element) -> int:
     return -1 if ka < kb else 1
 
 
+@cache
+def _m1_level(d: int) -> tuple[M1Element, ...]:
+    return tuple((a, d - a) for a in range(d, -1, -1))
+
+
 def m1_candidates(bound: int) -> Iterator[M1Element]:
-    for d in range(bound + 1):
-        for a in range(d, -1, -1):
-            yield (a, d - a)
+    """Words of length <= bound, descending, from memoised levels (d, 0) ... (0, d)."""
+    check_int(bound, "bound", 0, SEARCH_BOUND)
+    return chain.from_iterable(map(_m1_level, range(bound + 1)))
 
 
 def m1_residual(w: M1Element, z: M1Element) -> M1Element:
     """Greatest c with z*c <= w (the monoid is commutative, so both
     residuals coincide).  Closed form by case analysis on total degree."""
-    d = (w[0] + w[1]) - (z[0] + z[1])
+    (w0, w1), (z0, z1) = w, z
+    if not (w0.__class__ is w1.__class__ is z0.__class__ is z1.__class__ is int
+            and w0 >= 0 and w1 >= 0 and z0 >= 0 and z1 >= 0):
+        raise ValueError(f"{z if M1Instance.member(w) else w} is not in the free commutative monoid")
+    d = (w0 + w1) - (z0 + z1)
     if d < 0:
         return M1_UNIT
     # candidates of degree d: need z+c == w, or first coordinate strictly low
-    if w[0] - z[0] >= 0 and w[1] - z[1] >= 0:
-        return (w[0] - z[0], w[1] - z[1])
-    if w[0] - z[0] > d:
+    if w0 - z0 >= 0 and w1 - z1 >= 0:
+        return (w0 - z0, w1 - z1)
+    if w0 - z0 > d:
         # every degree-d candidate stays strictly below in the first slot
         return (d, 0)
     # no degree-d candidate; degree d+1 wins on length alone
@@ -215,12 +257,24 @@ M1Instance = Chain(
     ldiv=lambda a, b: m1_residual(b, a),
     rdiv=m1_residual,
     candidates=m1_candidates,
-    member=lambda u: u[0] >= 0 and u[1] >= 0,
+    member=lambda u: u[0].__class__ is int and u[1].__class__ is int and u[0] >= 0 and u[1] >= 0,
 )
 
 
 # ---------------------------------------------------------------------------
 # the positive 2-nilpotent monoid
+
+
+@cache
+def _s2_row(alpha: int, beta: int) -> tuple[HeisTriple, ...]:
+    return tuple(_triple(alpha, beta, g) for g in range(alpha * beta + 1))
+
+
+def s2_candidates(bound: int) -> Iterator[HeisTriple]:
+    """`nilpotent.s2_box(bound)` chained from the rows (alpha, beta, 0..alpha*beta),
+    each memoised once a scan reaches it, so a scan allocates only its products."""
+    check_int(bound, "bound", 0, SEARCH_BOUND)
+    return chain.from_iterable(starmap(_s2_row, product(range(bound + 1), repeat=2)))
 
 
 def s2_residual(a: HeisTriple, b: HeisTriple, side: str = "left") -> HeisTriple:
@@ -253,7 +307,7 @@ S2Instance = Chain(
     cmp=heis_cmp,
     ldiv=s2_residual,
     rdiv=lambda a, b: s2_residual(b, a, "right"),
-    candidates=s2_box,
+    candidates=s2_candidates,
     member=s2_member,
 )
 

@@ -8,7 +8,8 @@ test checks that the battery refuses a configuration that gathers no evidence.
 
 import pytest
 
-from reslat import battery, finite, terms
+from reslat import battery, finite, omon, terms
+from reslat.nilpotent import HeisTriple
 
 CFG = battery.BatteryConfig(max_size=5, samples=1000, seed=battery.DEFAULT_SEED)
 
@@ -47,6 +48,23 @@ def test_hamiltonian_claim_fails_on_a_law_of_groups_but_not_of_the_monoid(monkey
     monkeypatch.setitem(finite.PROPERTIES, "hamilt-eq", [terms.parse_equation("x*(x\\e) = e")])
     (result,) = battery.run_battery(CFG, only="hamiltonian-law")
     assert result.status == "fail" and result.detail.startswith("positive monoid: {")
+
+
+def test_residual_claim_reports_the_first_mismatch_in_loop_order(monkeypatch):
+    # two planted faults per instance; the claim names the one its loops reach first
+    m1_bad = {((0, 1), (2, 0)), ((1, 0), (0, 0))}  # w outer, z inner
+    monkeypatch.setattr(battery, "m1_residual",
+                        lambda w, z: (9, 9) if (w, z) in m1_bad else omon.m1_residual(w, z))
+    (result,) = battery.run_battery(CFG, only="residual-agreement")
+    assert (result.status, result.detail) == ("fail", "m1 (0, 1)/(2, 0): (9, 9) vs (0, 0)")
+    monkeypatch.undo()
+    a, b1, b2, bad = HeisTriple(1, 1, 0), HeisTriple(0, 2, 0), HeisTriple(1, 0, 0), HeisTriple(9, 9, 9)
+    s2_bad = {(a, b1, "right"), (a, b2, "left")}  # a outer, then b, then the side
+    monkeypatch.setattr(battery, "s2_residual",
+                        lambda *case: bad if case in s2_bad else omon.s2_residual(*case))
+    (result,) = battery.run_battery(CFG, only="residual-agreement")
+    want = omon.s2_residual(a, b1, "right")
+    assert (result.status, result.detail) == ("fail", f"s2 right (1, 1, 0), (0, 2, 0): {bad} vs {want}")
 
 
 @pytest.mark.parametrize("field", ["max_size", "samples"])

@@ -26,6 +26,10 @@ def _prefix(**options):
 SITES = {
     "residual_search": (lambda v: omon.residual_search(omon.M1Instance, (0, 0), (0, 0), bound=v),
                         "bound", 1, 32, " in 1..32"),
+    "residual_scan": (lambda v: omon.residual_scan(omon.M1Instance, (0, 0), [(0, 0)], "left", v),
+                      "bound", 1, 32, " in 1..32"),
+    "M1Instance.candidates": (omon.M1Instance.candidates, "bound", 0, 32, " in 0..32"),
+    "S2Instance.candidates": (omon.S2Instance.candidates, "bound", 0, 32, " in 0..32"),
     "frac_cmp_witness": (lambda v: ore.frac_cmp_witness(FRACTION, FRACTION, v),
                          "bound", 0, 32, " in 0..32"),
     "omon prefix --bound": (lambda v: _prefix(bound=v), "bound", 1, 32, " in 1..32"),
@@ -39,6 +43,7 @@ SITES = {
     "nth_root": (lambda v: nilpotent.nth_root(X, v), "root degree", 1, None, " >= 1"),
     "heis_pow": (lambda v: nilpotent.heis_pow(X, v), "exponent", None, None, ""),
     "dyadic_pow": (lambda v: nilpotent.dyadic_pow(DyadicPair(1, 0), v), "exponent", None, None, ""),
+    "DyadicPair n": (lambda v: DyadicPair(1, v), "n", None, None, ""),
     "verify_conucleus samples": (lambda v: ore.verify_conucleus(v), "samples", 1, None, " >= 1"),
     "verify_conucleus box": (lambda v: ore.verify_conucleus(1, box=v), "box", 0, None, " >= 0"),
     "load_structure max_n": (lambda v: finite.load_structure("one.json", max_n=v),

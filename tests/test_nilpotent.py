@@ -87,6 +87,8 @@ def test_s2_membership():
     assert s2_member(HEIS_UNIT)
     assert not s2_member(HeisTriple(1, 2, 5))  # gamma > alpha*beta
     assert not s2_member(HeisTriple(-1, 0, 0))
+    assert not s2_member(HeisTriple(1.5, 1, 0))  # every exponent must be of class int
+    assert not s2_member(HeisTriple(1, 1, True))
 
 
 def test_s2_order_examples():

@@ -2,14 +2,17 @@ import argparse
 import dataclasses
 import importlib
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 
 import reslat as R
+from reslat import omon
 from reslat.cli import cmd_omon
-from reslat.nilpotent import DyadicPair, HEIS_UNIT, HeisTriple
+from reslat.nilpotent import DyadicPair, HEIS_UNIT, HeisTriple, heis_cmp
 from reslat.omon import (
+    Chain,
     DyadicInstance,
     M1Instance,
     S2Instance,
@@ -20,6 +23,7 @@ from reslat.omon import (
     m1_parse,
     m1_residual,
     m1_word,
+    residual_scan,
     residual_search,
     s2_residual,
 )
@@ -103,12 +107,88 @@ def test_residual_search_exhaustion():
 
 @pytest.mark.parametrize("inst, good, bad", [
     (S2Instance, X, HeisTriple(1, 0, 5)),
+    (S2Instance, X, HeisTriple(1.5, 1, 0)),
+    (S2Instance, X, HeisTriple(True, 0, 0)),
     (M1Instance, (1, 0), (-1, 0)),
+    (M1Instance, (1, 0), (1.0, 0.0)),
 ])
 def test_residual_search_checks_operands_at_entry(inst, good, bad):
+    message = f"^{re.escape(repr(bad))} is not an element of chain {inst.name!r}$"
     for a, b in ((bad, good), (good, bad)):
-        with pytest.raises(ValueError, match=f"is not an element of chain {inst.name!r}"):
+        with pytest.raises(ValueError, match=message):
             residual_search(inst, a, b, "left", bound=4)
+        with pytest.raises(ValueError, match=message):
+            residual_scan(inst, a, [good, b], "left", 4)
+    with pytest.raises(ValueError, match=message):
+        residual_search(inst, bad, good)  # before the default bound is derived from it
+
+
+def test_closed_forms_refuse_a_non_int_exponent():
+    assert not R.s2_member(HeisTriple(1.5, 1, 0)) and not M1Instance.member((2.5, 0))
+    with pytest.raises(ValueError, match=r"^\(1\.5, 1, 0\) is not in the positive monoid$"):
+        s2_residual(HeisTriple(1.5, 1, 0), HeisTriple(2, 2, 0))
+    with pytest.raises(ValueError, match=r"^\(2\.5, 0\) is not in the free commutative monoid$"):
+        m1_residual((2.5, 0), (1, 0))
+    with pytest.raises(ValueError, match=r"^\(1, True\) is not in the free commutative monoid$"):
+        m1_residual((2, 0), (1, True))
+
+
+def _old_m1_candidates(bound):
+    for d in range(bound + 1):
+        for a in range(d, -1, -1):
+            yield (a, d - a)
+
+
+def test_candidate_streams_match_their_generators():
+    for bound in (1, 2, 14, 32):
+        assert list(S2Instance.candidates(bound)) == list(R.s2_box(bound))
+    for bound in (0, 1, 12, 26, 32):
+        assert list(M1Instance.candidates(bound)) == list(_old_m1_candidates(bound))
+
+
+def test_s2_rows_are_memoised_only_as_far_as_a_scan_reads():
+    omon._s2_row.cache_clear()
+    # the hit (0, 3, 0) is the only triple of row (0, 3), the fourth row
+    assert residual_search(S2Instance, HEIS_UNIT, HeisTriple(0, 3, 0), "left", bound=32) == (0, 3, 0)
+    assert omon._s2_row.cache_info().currsize == 4
+    assert residual_search(S2Instance, X, HeisTriple(1, 3, 0), "left", bound=32) == (0, 3, 0)
+    assert omon._s2_row.cache_info().currsize == 4  # rows are reused, not rebuilt
+
+
+def _per_b_scan(stream, mul, cmp, a, b, side):
+    """The first-hit scan of one b, as residual_search made it before
+    residual_scan existed."""
+    for c in stream:
+        if cmp(mul(a, c) if side == "left" else mul(c, a), b) <= 0:
+            return c
+    raise ResidualExhausted(0)
+
+
+def test_residual_scan_matches_the_per_b_scan():
+    box = list(R.s2_box(3, 3, 3))
+    for a in box:
+        for side in ("left", "right"):
+            want = {b: _per_b_scan(R.s2_box(8), R.heis_mul, heis_cmp, a, b, side) for b in box}
+            assert residual_scan(S2Instance, a, box[::-1] + box, side, 8) == want
+    assert residual_scan(S2Instance, X, [], "left", 8) == {}
+
+
+# a chain on the ints <= 0 whose product is not monotone in either factor
+TOY = Chain("toy", 0, mul=lambda x, y: (3 * x + 7 * y) % 11 - 10,
+            cmp=lambda x, y: (x > y) - (x < y), ldiv=None, rdiv=None,
+            candidates=lambda bound: range(0, -bound - 1, -1), member=lambda x: x.__class__ is int)
+
+
+def test_residual_scan_needs_no_monotone_product():
+    bs = list(range(-10, 1))
+    for a in bs:
+        for side in ("left", "right"):
+            want = {b: _per_b_scan(range(0, -11, -1), TOY.mul, TOY.cmp, a, b, side) for b in bs}
+            assert residual_scan(TOY, a, bs, side, 10) == want
+            with pytest.raises(ResidualExhausted, match="^residual search exhausted within bound 10$"):
+                residual_scan(TOY, a, bs + [-11], side, 10)  # no product is below -10
+    with pytest.raises(ResidualExhausted):
+        residual_scan(M1Instance, (0, 0), [(0, 0), (5, 5)], "left", 1)
 
 
 def test_a_bool_bound_is_refused_before_any_scan():

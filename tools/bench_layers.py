@@ -15,9 +15,10 @@ SUITE is one of:
   (after an untimed pass that compiles the laws), one evaluation per run.
 - `triples`: triple construction (`nilpotent._triple` where the sources
   have it) against the `HeisTriple` class call, `heis_mul`, one
-  `residual_search` candidate on `S2Instance` at bound 14 and one
-  `frac_cmp_witness` at bound 8, on seeded inputs; a run reports the best
-  of ROUNDS rounds per unit of work.
+  `residual_search` candidate on `S2Instance` at bound 14, one on
+  `M1Instance` at bound 26 (over the 91**2 pairs of words up to length 12)
+  and one `frac_cmp_witness` at bound 8, on seeded inputs; a run reports
+  the best of ROUNDS rounds per unit of work.
 
 Every job runs REPEAT times (TRIPLES_REPEAT for `triples`), each in a fresh
 interpreter with PYTHONPATH set to `--src`, RESLAT_MAX_SIZE unset and a
@@ -131,24 +132,35 @@ def products(n=200_000):
         mul(g, h)
     return n
 """
-_S2_CASES = """
+_SEARCHES = """
+def search_job(inst, cases, bound):
+    # count the candidates that residual_search scans on `cases` once, untimed,
+    # through a counting copy of the stream; the timed function returns it
+    count, stream = 0, inst.candidates
+    def counted(b):
+        nonlocal count
+        for c in stream(b):
+            count += 1
+            yield c
+    counting = dataclasses.replace(inst, candidates=counted)
+    for a, b, side in cases:
+        omon.residual_search(counting, a, b, side, bound=bound)
+    def searches():
+        for a, b, side in cases:
+            omon.residual_search(inst, a, b, side, bound=bound)
+        return count
+    return searches
+"""
+_S2_CASES = _SEARCHES + """
 box = list(nilpotent.s2_box(6, 6, 6))
 cases = [(a, HeisTriple(al, be, rng.randint(0, min(al * be, 6))), side)
          for a in box[::8] for side in ("left", "right")
          for al, be in itertools.product(range(7), repeat=2)]
-count = 0
-def counted(bound):
-    global count
-    for c in nilpotent.s2_box(bound):
-        count += 1
-        yield c
-counting = dataclasses.replace(omon.S2Instance, candidates=counted)
-for a, b, side in cases:
-    omon.residual_search(counting, a, b, side, bound=14)
-def searches():
-    for a, b, side in cases:
-        omon.residual_search(omon.S2Instance, a, b, side, bound=14)
-    return count
+searches = search_job(omon.S2Instance, cases, 14)
+"""
+_M1_CASES = _SEARCHES + """
+words = [(a, d - a) for d in range(13) for a in range(d + 1)]
+searches = search_job(omon.M1Instance, [(z, w, "left") for w in words for z in words], 26)
 """
 _FRACTIONS = """
 def fraction():
@@ -212,6 +224,7 @@ SUITES = {
             "class_call": (_BUILDS, "builds(HeisTriple)", "ns per HeisTriple(a, b, g)"),
             "heis_mul": (_PRODUCTS, "products()", "ns per product"),
             "s2_search": (_S2_CASES, "searches()", "ns per candidate"),
+            "m1_search": (_M1_CASES, "searches()", "ns per candidate"),
             "frac_cmp_witness": (_FRACTIONS, "comparisons()", "us per pair"),
         }, ROUNDS, TRIPLES_REPEAT, _triples_summary, {"rounds": ROUNDS, "seed": SEED}),
 }
