@@ -89,7 +89,7 @@ class Chain:
     `cmp(a, b)` is the total order (negative means strictly below).  The
     residuals follow the `a\\b`, `a/b` convention of `terms`: `ldiv(a, b)`
     is the greatest c with a*c <= b and `rdiv(a, b)` the greatest c with
-    c*b <= a.  A chain that `residual_search` can scan also gives
+    c*b <= a.  A chain that `residual_search` and `residual_scan` can scan gives
     `candidates(bound)`, streaming elements strictly descending from the
     unit within a finite box, and `member(a)`, which the search checks its
     operands with before scanning, so that `cmp` itself validates nothing.

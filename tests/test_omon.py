@@ -107,9 +107,9 @@ def test_residual_search_exhaustion():
 
 @pytest.mark.parametrize("inst, good, bad", [
     (S2Instance, X, HeisTriple(1, 0, 5)),
+    (M1Instance, (1, 0), (-1, 0)),
     (S2Instance, X, HeisTriple(1.5, 1, 0)),
     (S2Instance, X, HeisTriple(True, 0, 0)),
-    (M1Instance, (1, 0), (-1, 0)),
     (M1Instance, (1, 0), (1.0, 0.0)),
 ])
 def test_residual_search_checks_operands_at_entry(inst, good, bad):
