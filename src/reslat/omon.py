@@ -202,6 +202,7 @@ def m1_residual(w: M1Element, z: M1Element) -> M1Element:
     """Greatest c with z*c <= w (the monoid is commutative, so both
     residuals coincide).  Closed form by case analysis on total degree."""
     (w0, w1), (z0, z1) = w, z
+    # M1Instance.member inline: two calls of it would double this closed form's cost
     if not (w0.__class__ is w1.__class__ is z0.__class__ is z1.__class__ is int
             and w0 >= 0 and w1 >= 0 and z0 >= 0 and z1 >= 0):
         raise ValueError(f"{z if M1Instance.member(w) else w} is not in the free commutative monoid")
