@@ -13,7 +13,9 @@ route is kept alongside as an independent oracle.
 
 `HeisTriple(a, b, g)` is the public constructor.  Library hot paths build
 triples through the private `_triple`, which makes the same object without
-calling the class (`heis_mul` calls the `tuple.__new__` inside it directly).
+calling the class.  `heis_mul` wraps the private `_mul`, the product on plain
+int triples; `omon.S2Instance.mul` is `_mul`, so its products (and `eval_term`
+products on S2) are plain triples equal to their `HeisTriple` form.
 """
 
 from __future__ import annotations
@@ -79,14 +81,19 @@ def _triple(alpha: int, beta: int, gamma: int) -> HeisTriple:
     return _tuple_new(HeisTriple, (alpha, beta, gamma))
 
 
-def heis_mul(g: HeisTriple, h: HeisTriple) -> HeisTriple:
+def _mul(g: tuple, h: tuple) -> tuple[int, int, int]:
     a1, b1, g1 = g
     a2, b2, g2 = h
-    return _tuple_new(HeisTriple, (a1 + a2, b1 + b2, g1 + g2 + b1 * a2))
+    return (a1 + a2, b1 + b2, g1 + g2 + b1 * a2)
+
+
+def heis_mul(g: HeisTriple, h: HeisTriple) -> HeisTriple:
+    return _tuple_new(HeisTriple, _mul(g, h))
 
 
 def heis_inv(g: HeisTriple) -> HeisTriple:
-    return _triple(-g.alpha, -g.beta, g.alpha * g.beta - g.gamma)
+    a, b, c = g
+    return _triple(-a, -b, a * b - c)
 
 
 def heis_pow(g: HeisTriple, n: int) -> HeisTriple:
@@ -94,7 +101,8 @@ def heis_pow(g: HeisTriple, n: int) -> HeisTriple:
     check_int(n, "exponent")
     if n < 0:
         return heis_pow(heis_inv(g), -n)
-    return _triple(n * g.alpha, n * g.beta, n * g.gamma + n * (n - 1) // 2 * g.alpha * g.beta)
+    a, b, c = g
+    return _triple(n * a, n * b, n * c + n * (n - 1) // 2 * a * b)
 
 
 def heis_commutator(g: HeisTriple, h: HeisTriple) -> HeisTriple:
@@ -107,11 +115,8 @@ Matrix = tuple[tuple[int, int, int], ...]
 
 
 def to_matrix(g: HeisTriple) -> Matrix:
-    return (
-        (1, g.beta, g.gamma),
-        (0, 1, g.alpha),
-        (0, 0, 1),
-    )
+    a, b, c = g
+    return ((1, b, c), (0, 1, a), (0, 0, 1))
 
 
 def from_matrix(m: Matrix) -> HeisTriple:
@@ -172,22 +177,17 @@ def nth_root(g: HeisTriple, n: int) -> Optional[HeisTriple]:
     """The unique h with h**n == g, or None.  Closed form: h exists iff n
     divides alpha and beta and the corrected central exponent."""
     check_int(n, "root degree", 1)
-    if g.alpha % n or g.beta % n:
+    alpha, beta, gamma = g
+    if alpha % n or beta % n:
         return None
-    a, b = g.alpha // n, g.beta // n
-    binom = n * (n - 1) // 2
-    rem = g.gamma - binom * a * b
+    a, b = alpha // n, beta // n
+    rem = gamma - n * (n - 1) // 2 * a * b
     if rem % n:
         return None
     return _triple(a, b, rem // n)
 
 
 # --- the dyadic ordered group -------------------------------------------------
-
-
-def _is_dyadic(r: Fraction) -> bool:
-    d = r.denominator
-    return d & (d - 1) == 0
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ class DyadicPair:
         check_int(self.n, "n")
         r = self.r if isinstance(self.r, Fraction) else Fraction(self.r)
         object.__setattr__(self, "r", r)
-        if not _is_dyadic(r):
+        if r.denominator & (r.denominator - 1):  # not a power of 2
             raise ValueError(f"{r} is not a dyadic rational")
 
 

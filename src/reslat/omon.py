@@ -30,6 +30,7 @@ from .nilpotent import (
     DyadicPair,
     HEIS_UNIT,
     HeisTriple,
+    _mul,
     _triple,
     dyadic_conjugate,
     dyadic_cmp,
@@ -37,7 +38,6 @@ from .nilpotent import (
     dyadic_mul,
     dyadic_pow,
     heis_cmp,
-    heis_mul,
     s2_member,
     s2_require,
 )
@@ -304,7 +304,7 @@ def s2_residual(a: HeisTriple, b: HeisTriple, side: str = "left") -> HeisTriple:
 S2Instance = Chain(
     name="s2",
     unit=HEIS_UNIT,
-    mul=heis_mul,
+    mul=_mul,  # plain triples: the scans compare products and drop them
     cmp=heis_cmp,
     ldiv=s2_residual,
     rdiv=lambda a, b: s2_residual(b, a, "right"),

@@ -18,6 +18,7 @@ from ._check import check_int
 from .nilpotent import (
     HEIS_UNIT,
     HeisTriple,
+    _mul,
     _triple,
     heis_cmp,
     heis_inv,
@@ -64,9 +65,7 @@ class OreFraction:
         alpha, beta, gamma = g
         B = abs(beta) + 1
         A = abs(gamma) + (B + 1) * abs(alpha) + 1
-        t = gamma + B * alpha
-        ga = max(0, -t)
-        den = _triple(A, B, ga)
+        den = _triple(A, B, max(0, -(gamma + B * alpha)))
         return cls(den, heis_mul(den, g))
 
     def __eq__(self, other) -> bool:
@@ -76,7 +75,7 @@ class OreFraction:
         return hash(self.value)
 
     def __str__(self) -> str:
-        return f"{self.den.triple()}^-1*{self.num.triple()}"
+        return f"{tuple(self.den)}^-1*{tuple(self.num)}"
 
 
 def frac_cmp_group(f: OreFraction, g: OreFraction) -> int:
@@ -87,7 +86,7 @@ def frac_cmp_group(f: OreFraction, g: OreFraction) -> int:
 def _witness_below(f: OreFraction, g: OreFraction, bound: int) -> bool:
     """Search monoid pairs (m, n) with m*den_f = n*den_g and
     m*num_f <= n*num_g, for m in a box of side bound + 1 per exponent."""
-    shift = heis_mul(f.den, heis_inv(g.den))  # n = m * shift
+    shift = _mul(f.den, heis_inv(g.den))  # n = m * shift
     sa, sb, sg = shift
     # offset the box so that n has a chance of landing in the monoid
     lo_a, lo_b = max(0, -sa), max(0, -sb)
@@ -95,9 +94,9 @@ def _witness_below(f: OreFraction, g: OreFraction, bound: int) -> bool:
         for mb in range(lo_b, lo_b + bound + 1):
             lo_g = max(0, -(sg + mb * sa))
             for mg in range(lo_g, min(ma * mb, lo_g + bound) + 1):
-                m = _triple(ma, mb, mg)
-                n = heis_mul(m, shift)
-                if s2_member(n) and heis_cmp(heis_mul(m, f.num), heis_mul(n, g.num)) <= 0:
+                m = (ma, mb, mg)  # plain triples: every product here is dropped
+                n = _mul(m, shift)
+                if s2_member(n) and heis_cmp(_mul(m, f.num), _mul(n, g.num)) <= 0:
                     return True
     return False
 

@@ -150,7 +150,7 @@ def test_weakly_abelian_fails_on_dyadic():
 def test_every_triple_returning_function_returns_a_heistriple():
     # the CLI and the benchmark call .triple() on these results
     from reslat import nilpotent
-    from reslat.omon import S2Instance, residual_search
+    from reslat.omon import S2Instance, residual_scan, residual_search, s2_candidates
 
     g, h = HeisTriple(1, 2, 1), HeisTriple(2, 1, 0)
     f = OreFraction.from_group(HeisTriple(-1, 2, -3))
@@ -172,6 +172,11 @@ def test_every_triple_returning_function_returns_a_heistriple():
         "random_triple": random_triple(random.Random(0), 3),
     }
     results.update((f"s2_box item {i}", t) for i, t in enumerate(nilpotent.s2_box(2)))
+    results.update((f"s2_candidates item {i}", t) for i, t in enumerate(s2_candidates(2)))
+    box = list(nilpotent.s2_box(2))
+    for side in ("left", "right"):
+        scan = residual_scan(S2Instance, g, box, side, 8)
+        results.update((f"residual_scan {side} {b}", c) for b, c in scan.items())
     wrong = {name: type(r).__name__ for name, r in results.items() if type(r) is not HeisTriple}
     assert wrong == {}
     built = nilpotent._triple(1, 2, 3)
@@ -179,3 +184,74 @@ def test_every_triple_returning_function_returns_a_heistriple():
     assert repr(built) == "HeisTriple(alpha=1, beta=2, gamma=3)"
     assert built.triple() == (1, 2, 3) and type(built.triple()) is tuple
     assert (built.alpha, built.beta, built.gamma) == (1, 2, 3)
+
+
+def test_every_triple_function_accepts_a_plain_int_triple():
+    # S2Instance.mul multiplies plain triples; each public function treats one
+    # like its HeisTriple, and still returns a HeisTriple
+    from reslat import nilpotent
+    from reslat.omon import S2Instance
+
+    g, h = HeisTriple(2, 3, 4), HeisTriple(1, 1, 0)
+    assert S2Instance.mul(g, h) == heis_mul(g, h) and type(S2Instance.mul(g, h)) is tuple
+    table = {
+        "heis_mul": lambda g, h: heis_mul(g, h),
+        "heis_inv": lambda g, h: heis_inv(g),
+        "heis_pow": lambda g, h: nilpotent.heis_pow(g, 3),
+        "heis_pow negative": lambda g, h: nilpotent.heis_pow(g, -2),
+        "heis_commutator": lambda g, h: nilpotent.heis_commutator(g, h),
+        "nth_root": lambda g, h: nilpotent.nth_root(g, 1),
+        "to_matrix": lambda g, h: nilpotent.from_matrix(nilpotent.to_matrix(g)),
+        "s2_residual left": lambda g, h: s2_residual(g, h),
+        "s2_residual right": lambda g, h: s2_residual(g, h, "right"),
+        "OreFraction.value": lambda g, h: OreFraction(g, h).value,
+        "conucleus_sigma": lambda g, h: conucleus_sigma(OreFraction(g, h)),
+        "from_group den": lambda g, h: OreFraction.from_group(heis_inv(g)).den,
+        "from_group num": lambda g, h: OreFraction.from_group(heis_inv(g)).num,
+    }
+    for name, fn in table.items():
+        want, got = fn(g, h), fn(tuple(g), tuple(h))
+        assert (got, type(got), type(want)) == (want, HeisTriple, HeisTriple), name
+    assert nilpotent.to_matrix((1, 2, 3)) == nilpotent.to_matrix(HeisTriple(1, 2, 3))
+    assert nilpotent.nth_root((2, 2, 3), 2) == HeisTriple(1, 1, 1)
+    assert type(nilpotent.nth_root((2, 2, 3), 2)) is HeisTriple
+    assert nilpotent.nth_root((2, 2, 2), 2) is None
+    plain, named = OreFraction((1, 1, 0), (1, 0, 0)), OreFraction(HeisTriple(1, 1, 0), X)
+    assert str(plain) == str(named) == "(1, 1, 0)^-1*(1, 0, 0)"
+    assert plain == named and hash(plain) == hash(named)
+    assert frac_cmp_witness(plain, OreFraction(E, E)) == frac_cmp_group(plain, named) + 1 == 1
+
+
+def _witness_below_reference(f, g, bound):
+    # the witness search with every triple a HeisTriple built through heis_mul
+    shift = heis_mul(f.den, heis_inv(g.den))
+    sa, sb, sg = shift
+    lo_a, lo_b = max(0, -sa), max(0, -sb)
+    for ma in range(lo_a, lo_a + bound + 1):
+        for mb in range(lo_b, lo_b + bound + 1):
+            lo_g = max(0, -(sg + mb * sa))
+            for mg in range(lo_g, min(ma * mb, lo_g + bound) + 1):
+                m = HeisTriple(ma, mb, mg)
+                n = heis_mul(m, shift)
+                if R.s2_member(n) and heis_cmp(heis_mul(m, f.num), heis_mul(n, g.num)) <= 0:
+                    return True
+    return False
+
+
+def test_witness_search_matches_its_heistriple_reference():
+    import itertools
+
+    fracs = [OreFraction.from_group(HeisTriple(*t))
+             for t in itertools.product((-1, 0, 1), repeat=3)]
+    exhausted = 0
+    for f, g in itertools.product(fracs, repeat=2):
+        below, above = _witness_below_reference(f, g, 8), _witness_below_reference(g, f, 8)
+        assert (below or above) and frac_cmp_witness(f, g, 8) == above - below, (f, g)
+        below, above = _witness_below_reference(f, g, 0), _witness_below_reference(g, f, 0)
+        if below or above:
+            assert frac_cmp_witness(f, g, 0) == above - below, (f, g)
+        else:
+            exhausted += 1
+            with pytest.raises(ResidualExhausted):
+                frac_cmp_witness(f, g, 0)
+    assert 0 < exhausted < len(fracs) ** 2
