@@ -418,9 +418,20 @@ def _compile(law: Law) -> tuple[tuple[str, ...], Callable]:
     the conclusion is tested innermost.  The function returns None when the
     law holds, else the values of the first failing assignment.
 
+    From the second loop on, a loop may be memoised.  Loop L's key is the
+    set of names bound in loops 1..L-1 that loop L and the loops inside it
+    read (a hoisted row counts as the value it indexes; the witness is not
+    a read).  When the key has at most two names, and fewer names than
+    there are enclosing loops, the code skips loop L for a key it has
+    already seen in this call.  This is exact: the inner loops' verdict
+    depends only on the key, and a key whose inner loops fail ends the
+    check, so a key seen before held throughout, and the first failure is
+    still the lexicographically first.  Each such set holds at most n**2
+    keys, and lives for one call.
+
     The generated source names only the parameters above and generated
-    variables: v<i> for the i-th variable, t<j> for a subterm and r<j> for
-    a table row hoisted out of inner loops.
+    variables: v<i> for the i-th variable, t<j> for a subterm, r<j> for a
+    table row hoisted out of inner loops, and k and seen<L> for the memo.
     """
     if isinstance(law, QuasiEquation):
         premises, conclusion = law.premises, law.conclusion
@@ -432,6 +443,7 @@ def _compile(law: Law) -> tuple[tuple[str, ...], Callable]:
     body: list[list[str]] = [[] for _ in range(loops + 1)]
     slots: dict[Term, tuple[str, int]] = {}
     rows: dict[str, str] = {}
+    reads: list[set[tuple[str, int]]] = [set() for _ in range(loops + 1)]
 
     def emit(t: Term) -> tuple[str, int]:
         """The expression naming `t`'s value, and the level it is bound at."""
@@ -451,23 +463,40 @@ def _compile(law: Law) -> tuple[tuple[str, ...], Callable]:
                     row = rows[row]
                 slot = f"t{len(slots)}"
                 body[max(la, lb)].append(f"{slot} = {row}[{b}]")
+                reads[max(la, lb)].update(((a, la), (b, lb)))
                 slots[t] = (slot, max(la, lb))
         return slots[t]
 
-    def differs(eq: Equation) -> tuple[str, int]:
+    def differs(eq: Equation, at: Optional[int] = None) -> tuple[str, int]:
+        """The test that `eq` fails, placed at level `at` (default: where it is bound)."""
         (a, la), (b, lb) = emit(eq.lhs), emit(eq.rhs)
-        return f"{a} != {b}", max(la, lb)
+        at = max(la, lb) if at is None else at
+        reads[at].update(((a, la), (b, lb)))
+        return f"{a} != {b}", at
 
     for p in premises:
         test, at = differs(p)
         body[at].append(f"if {test}: " + ("continue" if at else "return None"))
-    test, _ = differs(conclusion)
+    test, _ = differs(conclusion, loops)
     witness = "".join(f"v{i}, " for i in range(len(names)))
     body[loops].append(f"if {test}: return ({witness})")
 
+    memo: dict[int, list[str]] = {}
+    inner: set[tuple[str, int]] = set()  # what levels at..loops read
+    for at in range(loops, 1, -1):
+        inner |= reads[at]
+        key = sorted({name for name, bound in inner if 0 < bound < at})
+        if len(key) <= 2 and len(key) < at - 1:
+            memo[at] = key
+
     lines = ["def law(elements, unit, mul, ldiv, rdiv, meet, join):"]
+    lines += [f"    seen{at} = set()" for at in sorted(memo)]
     lines += ["    " + stmt for stmt in body[0]]
     for at in range(1, loops + 1):
+        if at in memo:
+            lines += ["    " * at + stmt for stmt in (
+                f"k = ({''.join(name + ', ' for name in memo[at])})",
+                f"if k in seen{at}: continue", f"seen{at}.add(k)")]
         bound = [f"v{i}" for i, name in enumerate(names) if level[name] == at]
         source = "elements" if len(bound) == 1 else f"product(elements, repeat={len(bound)})"
         lines.append("    " * at + f"for {', '.join(bound)} in {source}:")

@@ -4,6 +4,7 @@ import gc
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -12,7 +13,7 @@ import pytest
 
 import reslat as R
 from reslat.terms import HOLDS, MAX_DEPTH, _TERMS, _compile, parse_quasiequation
-from reslat import finite, models
+from reslat import finite, models, terms
 from reslat.terms import E, join, ldiv, meet, mul, rdiv, var
 
 
@@ -310,6 +311,99 @@ def test_many_variables_share_the_innermost_loop():
     assert R.check_equation(R.Equation(lhs, lhs), s).holds
     v = R.check_equation(R.Equation(lhs, var("x9")), s)
     assert v == _reference(R.Equation(lhs, var("x9")), s)
+
+
+# ---------------------------------------------------------------------------
+# memo levels: a loop skipped for an outer key already proven
+
+
+def _memo_keys(law, monkeypatch) -> dict[str, tuple[str, ...]]:
+    """seen<L> -> the names of level L's memo key, read from the generated source."""
+    sources = []
+    with monkeypatch.context() as patch:
+        patch.setattr(terms, "compile", lambda src, *args: sources.append(src) or compile(src, *args),
+                      raising=False)
+        _compile.cache_clear()
+        _compile(law)
+    found = re.findall(r"k = \((.*)\)\n *if k in (seen\d+): continue", sources[0])
+    return {seen: tuple(name for name in key.split(", ") if name) for key, seen in found}
+
+
+_SHAPED_OPS = (mul, mul, mul, ldiv, rdiv, meet, join)
+
+
+def _shaped_pairs(rng, names):
+    """L_c-shaped pairs of terms, one pair per variable past the second: like
+    q(x, y) and q(y, x), each level reads the last level's pair and one new
+    variable, through random operations; now and then one side also reads
+    an outer variable, which widens the key."""
+    x, y, *zs = [var(name) for name in names]
+    op = rng.choice(_SHAPED_OPS)
+    p, q = op(x, y), (op if rng.random() < 0.7 else rng.choice(_SHAPED_OPS))(y, x)
+    pairs = [(p, q)]
+    for z in zs:
+        o1, o2 = rng.choice(_SHAPED_OPS), rng.choice(_SHAPED_OPS)
+        if rng.random() < 0.7:
+            p, q = o1(o2(p, z), q), o1(o2(q, z), p)
+        else:
+            p, q = o1(o2(p, z), q), rng.choice(_SHAPED_OPS)(
+                rng.choice(_SHAPED_OPS)(q, z), rng.choice((p, x, y)))
+        pairs.append((p, q))
+    return pairs
+
+
+def test_memoised_loops_agree_on_random_laws_of_four_and_five_variables(monkeypatch):
+    rng = random.Random(7)
+    structures = [s for s in models.model_library() + finite.enumerate_chain_models(3)
+                  + finite.enumerate_chain_models(4) if len(s.elements) in (3, 4)]
+    laws = 160
+    memoised = failing = 0
+    for i in range(laws):
+        names = ["x", "y", "z1", "z2", "z3"][:4 + i % 2]
+        pairs = _shaped_pairs(rng, names)
+        premises = ()
+        if i % 3 == 0:  # a premise bound one loop out
+            premises = (R.Equation(*pairs[-2]),)
+        elif i % 3 == 1:  # a premise bound innermost
+            z = var(names[-1])
+            premises = (R.Equation(rng.choice(_SHAPED_OPS)(pairs[-2][0], z), z),)
+        law = R.QuasiEquation(premises, R.Equation(*pairs[-1])) if premises else R.Equation(*pairs[-1])
+        memoised += any(name.startswith("seen") for name in _compile(law)[1].__code__.co_varnames)
+        assert all(len(key) <= 2 for key in _memo_keys(law, monkeypatch).values()), law
+        # five variables on 3 elements, four on 4: 243 or 256 assignments
+        sized = [s for s in structures if len(s.elements) == 8 - len(names)]
+        s = sized[i % len(sized)]
+        verdict = R.check_equation(law, s)
+        assert verdict == _reference(law, s), (s, law)
+        failing += not verdict.holds
+    assert memoised >= laws * 3 // 4
+    assert laws // 4 <= failing <= laws * 3 // 4
+
+
+def test_L2_and_L3_on_every_noncommutative_chain_match_the_reference():
+    commutes = R.parse_equation("x*y = y*x")
+    chains = [s for n in range(1, 6) for s in finite.enumerate_chain_models(n)
+              if not R.check_equation(commutes, s).holds]
+    assert len(chains) == 42
+    for c in (2, 3):
+        law = R.gen_Lc(c)
+        verdicts = [R.check_equation(law, s) for s in chains]
+        assert verdicts == [_reference(law, s) for s in chains], c
+    assert sum(v.holds for v in verdicts) == 30  # L_3 holds on some, fails on others
+
+
+def test_Lc_keys_have_two_names_and_no_named_property_is_memoised(monkeypatch):
+    for c in range(2, 9):
+        # L_c opens c + 1 loops; from level 4 on, a key is the pair
+        # q(x, y), q(y, x) of the level before.  L_2's only candidate,
+        # at level 3, has two names under two loops, so it gets none
+        keys = _memo_keys(R.gen_Lc(c), monkeypatch)
+        assert sorted(keys) == sorted(f"seen{at}" for at in range(4, c + 2)), c
+        assert all(len(key) == 2 and all(re.fullmatch(r"t\d+", name) for name in key)
+                   for key in keys.values()), (c, keys)
+    for name, laws in R.PROPERTIES.items():
+        for law in laws:
+            assert _memo_keys(law, monkeypatch) == {}, name
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
     python tools/bench_layers.py SUITE --label after
     python tools/bench_layers.py SUITE --src OTHER_CHECKOUT/src --label before
+    python tools/bench_layers.py SUITE --src OTHER_CHECKOUT/src --src src --labels before,after
 
 SUITE is one of:
 
@@ -19,15 +20,30 @@ SUITE is one of:
   `M1Instance` at bound 26 (over the 91**2 pairs of words up to length 12)
   and one `frac_cmp_witness` at bound 8, on seeded inputs; a run reports
   the best of ROUNDS rounds per unit of work.
+- `laws`: the compiled law checks.  `L_3` (ten checks a round), `L_4` and
+  `L_5` on the 15-element `heyting5 x godel3`, after an untimed check that
+  compiles the law, in ms per check; and compiling `L_4` (20 times a round)
+  and every named property (5 times a round), each compile after
+  `_compile.cache_clear()`, in us per compile.  A run reports the best of
+  ROUNDS rounds per unit, as for `triples`.
 
-Every job runs REPEAT times (TRIPLES_REPEAT for `triples`), each in a fresh
+Every job runs REPEAT times (TRIPLES_REPEAT for `triples`, LAWS_REPEAT for
+`laws`), each in a fresh
 interpreter with PYTHONPATH set to `--src`, RESLAT_MAX_SIZE unset and a
 temporary working directory: untimed set-up, then timed evaluations of one
 expression, after which it prints the last value (a count or an exit code)
 and the times.  A run over TIMEOUT_S seconds is recorded as
 `timed_out_after_s` and ends the job.  Each call stores its numbers under
 its label in `BENCH_<SUITE>.json` at the repository root, keeping the other
-labels, so a before/after pair is two calls against two checkouts.
+labels.
+
+A before/after pair is best timed in one call: `--src` given twice, with
+`--labels before,after`, runs the two sources in turn for each run of each
+job (before first in even runs, after first in odd ones), so that a slow
+or fast phase of the host falls on both.  Each label's numbers are stored
+as a one-source call stores them, and `paired` holds, per job, the pairs of
+per-run figures ([before, after], lower is better) and the number of runs
+that `after` won.
 """
 
 from __future__ import annotations
@@ -46,6 +62,7 @@ from typing import Callable, NamedTuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEAT = 3
 TRIPLES_REPEAT = 5
+LAWS_REPEAT = 5
 CALLS = 200
 ROUNDS = 7
 SEED = 20240826
@@ -74,6 +91,7 @@ class Suite(NamedTuple):
     repeat: int  # runs per job
     summary: Callable  # (runs, *extra) -> result fields; a run is (value, times)
     settings: dict  # recorded with the results, after `repeat`
+    per_run: str = "runs"  # the result field with one figure per run, for pairing
 
 
 def _ms(seconds: float) -> float:
@@ -93,8 +111,8 @@ def _enumerate_summary(runs) -> dict:
             "runs_s": seconds}
 
 
-def _triples_summary(runs, unit: str) -> dict:
-    scale = {"ns": 1e9, "us": 1e6}[unit.split()[0]]
+def _best_summary(runs, unit: str) -> dict:
+    scale = {"ns": 1e9, "us": 1e6, "ms": 1e3}[unit.split()[0]]
     best = [round(min(times) / count * scale, 3) for count, times in runs]
     return {"count": runs[-1][0], "median": round(statistics.median(best), 3), "runs": best}
 
@@ -171,6 +189,25 @@ def comparisons():
         ore.frac_cmp_witness(f, g, 8)
     return len(pairs)
 """
+_LAWS = """
+product = models.direct_product(models.heyting5(), models.godel3())
+named = [law for laws in finite.PROPERTIES.values() for law in laws]
+def checks(c, n=1):
+    law = terms.gen_Lc(c)
+    terms.check_equation(law, product)
+    def timed():
+        for _ in range(n):
+            assert terms.check_equation(law, product).holds
+        return n
+    return timed
+def compiles(laws):
+    def timed():
+        for law in laws:
+            terms._compile.cache_clear()
+            terms._compile(law)
+        return len(laws)
+    return timed
+"""
 
 SUITES = {
     "cli": Suite(
@@ -190,7 +227,7 @@ SUITES = {
             "enumerate": ("", 'request(["enumerate", "4", "--json"])'),
             "verify-paper": ("", 'request(["verify-paper", "--only", "divisibility-failures",'
                                  ' "--json"])'),
-        }, CALLS, REPEAT, _cli_summary, {"calls": CALLS}),
+        }, CALLS, REPEAT, _cli_summary, {"calls": CALLS}, "run_medians_ms"),
     "enumerate": Suite(
         "from reslat import finite, models", {
             "tables_n5": ("", "sum(1 for u in range(1, 5) for _ in finite._chain_tables(5, u))"),
@@ -214,7 +251,7 @@ SUITES = {
             "named_properties_x100": (
                 _UNIVERSE, "sum(finite.check_named_property(s, p).holds"
                            " for _ in range(100) for s, p in checks)"),
-        }, 1, REPEAT, _enumerate_summary, {}),
+        }, 1, REPEAT, _enumerate_summary, {}, "runs_s"),
     "triples": Suite(
         "import dataclasses, itertools, random\n"
         "from reslat import nilpotent, omon, ore\n"
@@ -226,7 +263,16 @@ SUITES = {
             "s2_search": (_S2_CASES, "searches()", "ns per candidate"),
             "m1_search": (_M1_CASES, "searches()", "ns per candidate"),
             "frac_cmp_witness": (_FRACTIONS, "comparisons()", "us per pair"),
-        }, ROUNDS, TRIPLES_REPEAT, _triples_summary, {"rounds": ROUNDS, "seed": SEED}),
+        }, ROUNDS, TRIPLES_REPEAT, _best_summary, {"rounds": ROUNDS, "seed": SEED}),
+    "laws": Suite(
+        "from reslat import finite, models, terms\n" + _LAWS, {
+            "L3": ("timed = checks(3, 10)", "timed()", "ms per check"),
+            "L4": ("timed = checks(4)", "timed()", "ms per check"),
+            "L5": ("timed = checks(5)", "timed()", "ms per check"),
+            "compile_L4": ("timed = compiles([terms.gen_Lc(4)] * 20)", "timed()",
+                           "us per compile"),
+            "compile_named": ("timed = compiles(named * 5)", "timed()", "us per compile"),
+        }, ROUNDS, LAWS_REPEAT, _best_summary, {"rounds": ROUNDS}),
 }
 
 
@@ -245,19 +291,40 @@ def run_child(src: str, cwd: str, setup: str, expr: str, reps: int):
 
 
 def measure(suite: Suite, src: str) -> dict:
-    results = {}
+    return measure_in_turn(suite, [src])[0]
+
+
+def measure_in_turn(suite: Suite, srcs: list) -> list:
+    """One result dict per source; each run of a job runs every source, in
+    the order of `srcs` in even runs and reversed in odd ones."""
+    results = [{} for _ in srcs]
     with tempfile.TemporaryDirectory() as cwd:
         for name, (setup, expr, *extra) in suite.jobs.items():
-            runs = []
-            for _ in range(suite.repeat):
-                run = run_child(src, cwd, suite.prelude + "\n" + setup, expr, suite.reps)
+            runs = [[] for _ in srcs]
+            turns = [k for i in range(suite.repeat)
+                     for k in (range(len(srcs)) if i % 2 == 0 else reversed(range(len(srcs))))]
+            for k in turns:
+                run = run_child(srcs[k], cwd, suite.prelude + "\n" + setup, expr, suite.reps)
                 if run is None:
                     break
-                runs.append(run)
-            results[name] = (suite.summary(runs, *extra) if runs
-                             else {"timed_out_after_s": TIMEOUT_S})
-            print(f"{name:30s} {results[name]}", flush=True)
+                runs[k].append(run)
+            for result, src, src_runs in zip(results, srcs, runs):
+                result[name] = (suite.summary(src_runs, *extra) if src_runs
+                                else {"timed_out_after_s": TIMEOUT_S})
+                label = f" {src}" if len(srcs) > 1 else ""
+                print(f"{name:30s}{label} {result[name]}", flush=True)
     return results
+
+
+def pair_up(suite: Suite, before: dict, after: dict) -> dict:
+    """Per job: the per-run figures of two sources timed in turn, as
+    [before, after] pairs, and the number of pairs that `after` won."""
+    paired = {}
+    for name in suite.jobs:
+        pairs = [list(pair) for pair in zip(before[name].get(suite.per_run, []),
+                                              after[name].get(suite.per_run, []))]
+        paired[name] = {"pairs": pairs, "after_won": sum(a < b for b, a in pairs)}
+    return paired
 
 
 def source_commit(src: str) -> str:
@@ -271,11 +338,21 @@ def source_commit(src: str) -> str:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--src", default=os.path.join(ROOT, "src"),
-                   help="source directory that holds the reslat package")
-    p.add_argument("--label", required=True, help="key for these numbers, e.g. before/after")
+    p.add_argument("--src", action="append",
+                   help="source directory that holds the reslat package (default: this "
+                        "checkout's src); give it twice, with --labels, to time two in turn")
+    p.add_argument("--label", help="key for the numbers of one --src, e.g. before/after")
+    p.add_argument("--labels", help="keys for the numbers of two --src, e.g. before,after")
     args = p.parse_args(argv)
     suite = SUITES[args.suite]
+    srcs = args.src or [os.path.join(ROOT, "src")]
+    if len(srcs) == 1 and (args.label is None or args.labels is not None):
+        p.error("one --src takes --label")
+    if len(srcs) > 1 and (len(srcs) > 2 or args.label is not None or args.labels is None):
+        p.error("two --src take --labels and no --label")
+    labels = [args.label] if len(srcs) == 1 else args.labels.split(",")
+    if len(labels) != len(srcs) or len(set(labels)) != len(labels) or not all(labels):
+        p.error("--labels takes two different names, e.g. before,after")
 
     out = os.path.join(ROOT, f"BENCH_{args.suite}.json")
     saved = {"runs": {}}
@@ -283,15 +360,21 @@ def main(argv=None) -> int:
         with open(out) as fh:
             saved = json.load(fh)
     saved["jobs"] = suite.jobs
-    saved["runs"][args.label] = {
-        "source": source_commit(args.src),
-        "date": time.strftime("%Y-%m-%d"),
-        "host": {"python": platform.python_version(), "machine": platform.machine(),
-                 "cpus": os.cpu_count()},
-        "repeat": suite.repeat,
-        **suite.settings,
-        "results": measure(suite, args.src),
-    }
+    date = time.strftime("%Y-%m-%d")
+    results = measure_in_turn(suite, srcs)
+    for label, src, result in zip(labels, srcs, results):
+        saved["runs"][label] = {
+            "source": source_commit(src),
+            "date": date,
+            "host": {"python": platform.python_version(), "machine": platform.machine(),
+                     "cpus": os.cpu_count()},
+            "repeat": suite.repeat,
+            **suite.settings,
+            "results": result,
+        }
+    if len(srcs) == 2:
+        saved.setdefault("paired", {})[",".join(labels)] = {
+            "date": date, "per_run": suite.per_run, "results": pair_up(suite, *results)}
     with open(out, "w") as fh:
         json.dump(saved, fh, indent=2)
         fh.write("\n")
