@@ -443,7 +443,7 @@ def _compile(law: Law) -> tuple[tuple[str, ...], Callable]:
     body: list[list[str]] = [[] for _ in range(loops + 1)]
     slots: dict[Term, tuple[str, int]] = {}
     rows: dict[str, str] = {}
-    reads: list[set[tuple[str, int]]] = [set() for _ in range(loops + 1)]
+    reads: list[set[tuple[str, int]]] = [set() for _ in range(loops + 1)]  # from outer levels
 
     def emit(t: Term) -> tuple[str, int]:
         """The expression naming `t`'s value, and the level it is bound at."""
@@ -455,16 +455,19 @@ def _compile(law: Law) -> tuple[tuple[str, ...], Callable]:
             else:
                 a, la = emit(t.left)
                 b, lb = emit(t.right)
+                at = max(la, lb)
                 row = f"{_OPNAMES[t.kind]}[{a}]"
                 if la < lb:  # hoist the table row out of the loops over b's variables
                     if row not in rows:
                         rows[row] = f"r{len(rows)}"
                         body[la].append(f"{rows[row]} = {row}")
                     row = rows[row]
+                    reads[at].add((a, la))
+                elif lb < la:
+                    reads[at].add((b, lb))
                 slot = f"t{len(slots)}"
-                body[max(la, lb)].append(f"{slot} = {row}[{b}]")
-                reads[max(la, lb)].update(((a, la), (b, lb)))
-                slots[t] = (slot, max(la, lb))
+                body[at].append(f"{slot} = {row}[{b}]")
+                slots[t] = (slot, at)
         return slots[t]
 
     def differs(eq: Equation, at: Optional[int] = None) -> tuple[str, int]:
