@@ -56,7 +56,7 @@ def test_a_child_over_the_timeout_is_recorded_and_not_repeated(monkeypatch):
     monkeypatch.setattr(bench, "run_child", lambda *args: children.append(args) or run_child(*args))
     slow = bench.Suite("import time", {"sleep": ("", "time.sleep(5)")}, 1, 3,
                        bench._enumerate_summary, {})
-    assert bench.measure(slow, str(REPO / "src")) == {"sleep": {"timed_out_after_s": 0.2}}
+    assert bench.measure(slow, [str(REPO / "src")]) == [{"sleep": {"timed_out_after_s": 0.2}}]
     assert len(children) == 1
 
 
@@ -114,7 +114,7 @@ def test_two_sources_run_in_turn_and_store_their_pairs(tmp_path, monkeypatch, ca
     [],
 ])
 def test_labels_must_match_the_sources(monkeypatch, argv):
-    monkeypatch.setattr(bench, "measure_in_turn", lambda *args: pytest.fail("measured"))
+    monkeypatch.setattr(bench, "measure", lambda *args: pytest.fail("measured"))
     with pytest.raises(SystemExit) as exc:
         bench.main(["laws", *argv])
     assert exc.value.code == 2

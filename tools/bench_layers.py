@@ -290,11 +290,7 @@ def run_child(src: str, cwd: str, setup: str, expr: str, reps: int):
     return json.loads(done.stdout)
 
 
-def measure(suite: Suite, src: str) -> dict:
-    return measure_in_turn(suite, [src])[0]
-
-
-def measure_in_turn(suite: Suite, srcs: list) -> list:
+def measure(suite: Suite, srcs: list) -> list:
     """One result dict per source; each run of a job runs every source, in
     the order of `srcs` in even runs and reversed in odd ones."""
     results = [{} for _ in srcs]
@@ -361,7 +357,7 @@ def main(argv=None) -> int:
             saved = json.load(fh)
     saved["jobs"] = suite.jobs
     date = time.strftime("%Y-%m-%d")
-    results = measure_in_turn(suite, srcs)
+    results = measure(suite, srcs)
     for label, src, result in zip(labels, srcs, results):
         saved["runs"][label] = {
             "source": source_commit(src),
