@@ -111,6 +111,8 @@ def test_two_sources_run_in_turn_and_store_their_pairs(tmp_path, monkeypatch, ca
     ["--src", "a", "--src", "b", "--src", "c", "--labels", "x,y,z"],
     ["--src", "a", "--src", "b", "--labels", "before"],
     ["--src", "a", "--src", "b", "--labels", "same,same"],
+    ["--src", "a", "--labels", "before"],
+    ["--src", "a", "--label", ""],
     [],
 ])
 def test_labels_must_match_the_sources(monkeypatch, argv):

@@ -337,18 +337,15 @@ def main(argv=None) -> int:
     p.add_argument("--src", action="append",
                    help="source directory that holds the reslat package (default: this "
                         "checkout's src); give it twice, with --labels, to time two in turn")
-    p.add_argument("--label", help="key for the numbers of one --src, e.g. before/after")
-    p.add_argument("--labels", help="keys for the numbers of two --src, e.g. before,after")
+    named = p.add_mutually_exclusive_group(required=True)
+    named.add_argument("--label", help="key for the numbers of one --src, e.g. before/after")
+    named.add_argument("--labels", help="keys for the numbers of two --src, e.g. before,after")
     args = p.parse_args(argv)
     suite = SUITES[args.suite]
     srcs = args.src or [os.path.join(ROOT, "src")]
-    if len(srcs) == 1 and (args.label is None or args.labels is not None):
-        p.error("one --src takes --label")
-    if len(srcs) > 1 and (len(srcs) > 2 or args.label is not None or args.labels is None):
-        p.error("two --src take --labels and no --label")
-    labels = [args.label] if len(srcs) == 1 else args.labels.split(",")
-    if len(labels) != len(srcs) or len(set(labels)) != len(labels) or not all(labels):
-        p.error("--labels takes two different names, e.g. before,after")
+    labels = args.labels.split(",") if args.labels else [args.label]
+    if len(srcs) != len(labels) or len(set(labels)) != (2 if args.labels else 1) or not all(labels):
+        p.error("one --src takes --label NAME, two take --labels BEFORE,AFTER")
 
     out = os.path.join(ROOT, f"BENCH_{args.suite}.json")
     saved = {"runs": {}}
