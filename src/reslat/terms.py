@@ -443,7 +443,7 @@ def _compile(law: Law) -> tuple[tuple[str, ...], Callable]:
     body: list[list[str]] = [[] for _ in range(loops + 1)]
     slots: dict[Term, tuple[str, int]] = {}
     rows: dict[str, str] = {}
-    reads: list[set[tuple[str, int]]] = [set() for _ in range(loops + 1)]  # from outer levels
+    reads: list[set[tuple[str, int]]] = [set() for _ in range(loops + 1)]  # of outer values, by level
 
     def emit(t: Term) -> tuple[str, int]:
         """The expression naming `t`'s value, and the level it is bound at."""
@@ -485,7 +485,7 @@ def _compile(law: Law) -> tuple[tuple[str, ...], Callable]:
     body[loops].append(f"if {test}: return ({witness})")
 
     memo: dict[int, list[str]] = {}
-    inner: set[tuple[str, int]] = set()  # what levels at..loops read
+    inner: set[tuple[str, int]] = set()  # the outer values that levels at..loops read
     for at in range(loops, 1, -1):
         inner |= reads[at]
         key = sorted({name for name, bound in inner if 0 < bound < at})
