@@ -9,6 +9,7 @@ subuniverses, the named-property battery, and a chain-model enumerator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -81,6 +82,7 @@ class ModelTooLarge(StructureError):
 
 DEFAULT_ENUM_CAP = 6
 DEFAULT_CONVEX_CAP = 8
+_ORDER_CACHE_SIZE = 16
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -182,7 +184,9 @@ class _LatticeOrder(NamedTuple):
     """A checked lattice order with its meet and join tables, and what the
     monoid part of `derive_residuals` needs of it: `principal` maps each
     down-set mask to the element it is the down-set of, and `covers` pairs
-    each element with its lower covers, in a linear extension."""
+    each element with its lower covers, in a linear extension.  Records
+    are memoised and shared between calls, so they and their tables are
+    read-only."""
 
     leq: tuple[tuple[bool, ...], ...]
     meet: Table
@@ -191,11 +195,13 @@ class _LatticeOrder(NamedTuple):
     covers: tuple[tuple[int, tuple[int, ...]], ...]
 
 
+@functools.lru_cache(maxsize=_ORDER_CACHE_SIZE)
 def _lattice_order(leq: tuple[tuple[bool, ...], ...]) -> _LatticeOrder:
     """Check that `leq` is a lattice order and tabulate its meets and joins.
     In a partial order the meet of a and b exists iff down[a] & down[b] is
     the down-set of some element, which is then the meet; joins likewise
-    with up-sets."""
+    with up-sets.  Memoised on `leq`; a refusal is not cached, so it is
+    raised again on every call."""
     n = len(leq)
     rng = range(n)
     for prop, witness in _order_violations(leq, n):
@@ -334,43 +340,49 @@ def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
         (f"order-{prop}", dict(zip("abc", witness))) for prop, witness in _order_violations(leq, n)
     ]
 
-    down = [_mask(leq[c][a] for c in rng) for a in rng]
-    up = [_mask(leq[a][c] for c in rng) for a in rng]
+    meet, join, ldiv = s.meet_table, s.join_table, s.ldiv_table
+    down = list(map(_mask, zip(*leq)))
+    up = list(map(_mask, leq))
     for a in rng:
+        leq_a, meet_a, join_a = leq[a], meet[a], join[a]
         for b in rng:
-            m = s.meet_table[a][b]
+            m = meet_a[b]
             if not (leq[m][a] and leq[m][b]) or down[a] & down[b] & ~down[m]:
                 out.append(("meet-glb", {"a": a, "b": b}))
-            j = s.join_table[a][b]
-            if not (leq[a][j] and leq[b][j]) or up[a] & up[b] & ~up[j]:
+            j = join_a[b]
+            if not (leq_a[j] and leq[b][j]) or up[a] & up[b] & ~up[j]:
                 out.append(("join-lub", {"a": a, "b": b}))
 
     for a in rng:
         if mul[s.unit][a] != a or mul[a][s.unit] != a:
             out.append(("monoid-unit", {"a": a}))
-    bad = next(((a, b, c) for a in rng for b in rng for c in rng
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]), None)
+
+    # one pass over (a, b, c), each row bound once per a or (a, b); the
+    # first associativity failure, then the adjunction and the preservation
+    # failures, each in (a, b, c) order
+    bad = None
+    adjunction: list[tuple[str, dict]] = []
+    preserves: list[tuple[str, dict]] = []
+    rdiv_by_divisor = tuple(zip(*s.rdiv_table))  # [b][c] = c/b
+    for a in rng:
+        mul_a, ldiv_a, leq_a = mul[a], ldiv[a], leq[a]
+        for b in rng:
+            ab = mul_a[b]
+            mul_b, mul_ab, leq_ab, leq_b, rdiv_b = mul[b], mul[ab], leq[ab], leq[b], rdiv_by_divisor[b]
+            join_b, join_ab, meet_b, meet_ldiv_ab = join[b], join[ab], meet[b], meet[ldiv_a[b]]
+            for c in rng:
+                if mul_ab[c] != mul_a[mul_b[c]] and bad is None:
+                    bad = (a, b, c)
+                adj = leq_ab[c]
+                if adj != leq_a[rdiv_b[c]] or adj != leq_b[ldiv_a[c]]:
+                    adjunction.append(("adjunction", {"a": a, "b": b, "c": c}))
+                if mul_a[join_b[c]] != join_ab[mul_a[c]]:
+                    preserves.append(("product-preserves-joins", {"a": a, "b": b, "c": c}))
+                if ldiv_a[meet_b[c]] != meet_ldiv_ab[ldiv_a[c]]:
+                    preserves.append(("ldiv-preserves-meets", {"a": a, "b": b, "c": c}))
     if bad is not None:
         out.append(("monoid-associative", dict(zip("abc", bad))))
-
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                adj = leq[mul[a][b]][c]
-                if adj != leq[a][s.rdiv_table[c][b]] or adj != leq[b][s.ldiv_table[a][c]]:
-                    out.append(("adjunction", {"a": a, "b": b, "c": c}))
-
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                j = s.join_table[b][c]
-                if mul[a][j] != s.join_table[mul[a][b]][mul[a][c]]:
-                    out.append(("product-preserves-joins", {"a": a, "b": b, "c": c}))
-                m = s.meet_table[b][c]
-                if s.ldiv_table[a][m] != s.meet_table[s.ldiv_table[a][b]][s.ldiv_table[a][c]]:
-                    out.append(("ldiv-preserves-meets", {"a": a, "b": b, "c": c}))
-
-    return out
+    return out + adjunction + preserves
 
 
 # ---------------------------------------------------------------------------
@@ -596,20 +608,36 @@ def _chain_tables(n: int, unit: int) -> Iterator[Table]:
     rng = range(n)
     free = [(i, j) for i in rng for j in rng if i not in (0, unit) and j not in (0, unit)]
 
-    def fails(a: int, b: int, c: int) -> bool:
-        ab, bc = grid[a][b], grid[b][c]
-        if ab is None or bc is None:
-            return False
-        left, right = grid[ab][c], grid[a][bc]
-        return left is not None and right is not None and left != right
-
     def associative_at(i: int, j: int) -> bool:
-        # the triples whose a·b, b·c, (a·b)·c or a·(b·c) is the cell (i, j)
-        return not (
-            any(fails(i, j, c) or fails(c, i, j) for c in rng)
-            or any(fails(a, b, j) for a in rng for b in rng if grid[a][b] == i)
-            or any(fails(i, b, c) for b in rng for c in rng if grid[b][c] == j)
-        )
+        # the triples whose a·b, b·c, (a·b)·c or a·(b·c) is the cell (i, j),
+        # each tested once its four cells are set: (a·b)·c against a·(b·c)
+        row_i, row_j, v = grid[i], grid[j], grid[i][j]
+        row_v = grid[v]
+        for c in rng:  # (i, j, c)
+            jc = row_j[c]
+            if jc is not None:
+                left, right = row_v[c], row_i[jc]
+                if left is not None and right is not None and left != right:
+                    return False
+        for row_c in grid:  # (c, i, j)
+            ci = row_c[i]
+            if ci is not None:
+                left, right = grid[ci][j], row_c[v]
+                if left is not None and right is not None and left != right:
+                    return False
+        for row_a in grid:  # (a, b, j) with a·b = i, so (a·b)·j is v
+            for b, ab in enumerate(row_a):
+                if ab == i:
+                    bj = grid[b][j]
+                    if bj is not None and row_a[bj] is not None and row_a[bj] != v:
+                        return False
+        for b, ib in enumerate(row_i):  # (i, b, c) with b·c = j, so i·(b·c) is v
+            if ib is not None:
+                row_ib = grid[ib]
+                for c, bc in enumerate(grid[b]):
+                    if bc == j and row_ib[c] is not None and row_ib[c] != v:
+                        return False
+        return True
 
     def rec(k: int) -> Iterator[Table]:
         if k == len(free):

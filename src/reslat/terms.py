@@ -427,7 +427,8 @@ def _compile(law: Law) -> tuple[tuple[str, ...], Callable]:
     depends only on the key, and a key whose inner loops fail ends the
     check, so a key seen before held throughout, and the first failure is
     still the lexicographically first.  Each such set holds at most n**2
-    keys, and lives for one call.
+    keys, and lives for one call.  A row hoisted in the loop just outside a
+    memoised loop is fetched after the check, so a skipped key fetches none.
 
     The generated source names only the parameters above and generated
     variables: v<i> for the i-th variable, t<j> for a subterm, r<j> for a
@@ -492,18 +493,21 @@ def _compile(law: Law) -> tuple[tuple[str, ...], Callable]:
         if len(key) <= 2 and len(key) < at - 1:
             memo[at] = key
 
+    hoisted = {f"{r} = {row}" for row, r in rows.items()}
     lines = ["def law(elements, unit, mul, ldiv, rdiv, meet, join):"]
     lines += [f"    seen{at} = set()" for at in sorted(memo)]
     lines += ["    " + stmt for stmt in body[0]]
+    deferred: list[str] = []  # rows of the loop before a memoised one, fetched after its check
     for at in range(1, loops + 1):
         if at in memo:
             lines += ["    " * at + stmt for stmt in (
                 f"k = ({''.join(name + ', ' for name in memo[at])})",
-                f"if k in seen{at}: continue", f"seen{at}.add(k)")]
+                f"if k in seen{at}: continue", f"seen{at}.add(k)", *deferred)]
         bound = [f"v{i}" for i, name in enumerate(names) if level[name] == at]
         source = "elements" if len(bound) == 1 else f"product(elements, repeat={len(bound)})"
         lines.append("    " * at + f"for {', '.join(bound)} in {source}:")
-        lines += ["    " * (at + 1) + stmt for stmt in body[at]]
+        deferred = [stmt for stmt in body[at] if at + 1 in memo and stmt in hoisted]
+        lines += ["    " * (at + 1) + stmt for stmt in body[at] if stmt not in deferred]
     lines.append("    return None")
     namespace = {"product": itertools.product}
     exec(compile("\n".join(lines), "<law>", "exec"), namespace)

@@ -199,6 +199,104 @@ def test_validate_axioms_clean_and_defect():
         ("monoid-associative", {"a": 1, "b": 2, "c": 1})]
 
 
+def _reference_validate_axioms(s):
+    """validate_axioms with one loop per check and every table read through
+    its attribute on every step: the report to match, order included."""
+    n, leq, mul = s.n, s.leq, s.mul_table
+    rng = range(n)
+    out = [(f"order-{prop}", dict(zip("abc", witness)))
+           for prop, witness in finite._order_violations(leq, n)]
+    down = [finite._mask(leq[c][a] for c in rng) for a in rng]
+    up = [finite._mask(leq[a][c] for c in rng) for a in rng]
+    for a in rng:
+        for b in rng:
+            m = s.meet_table[a][b]
+            if not (leq[m][a] and leq[m][b]) or down[a] & down[b] & ~down[m]:
+                out.append(("meet-glb", {"a": a, "b": b}))
+            j = s.join_table[a][b]
+            if not (leq[a][j] and leq[b][j]) or up[a] & up[b] & ~up[j]:
+                out.append(("join-lub", {"a": a, "b": b}))
+    for a in rng:
+        if mul[s.unit][a] != a or mul[a][s.unit] != a:
+            out.append(("monoid-unit", {"a": a}))
+    bad = next(((a, b, c) for a in rng for b in rng for c in rng
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]), None)
+    if bad is not None:
+        out.append(("monoid-associative", dict(zip("abc", bad))))
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                adj = leq[mul[a][b]][c]
+                if adj != leq[a][s.rdiv_table[c][b]] or adj != leq[b][s.ldiv_table[a][c]]:
+                    out.append(("adjunction", {"a": a, "b": b, "c": c}))
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                j = s.join_table[b][c]
+                if mul[a][j] != s.join_table[mul[a][b]][mul[a][c]]:
+                    out.append(("product-preserves-joins", {"a": a, "b": b, "c": c}))
+                m = s.meet_table[b][c]
+                if s.ldiv_table[a][m] != s.meet_table[s.ldiv_table[a][b]][s.ldiv_table[a][c]]:
+                    out.append(("ldiv-preserves-meets", {"a": a, "b": b, "c": c}))
+    return out
+
+
+def _one_cell_corruptions(s):
+    """s with one cell of mul, ldiv, rdiv, meet or join set to another element."""
+    for field in ("mul_table", "ldiv_table", "rdiv_table", "meet_table", "join_table"):
+        table = getattr(s, field)
+        for a, b in itertools.product(s.elements, repeat=2):
+            for v in s.elements:
+                if v != table[a][b]:
+                    rows = [list(row) for row in table]
+                    rows[a][b] = v
+                    yield finite.FiniteResLat(**{**s.__dict__, field: finite._freeze(rows)})
+
+
+def test_validate_axioms_report_matches_the_reference_under_one_cell_corruptions():
+    # the 9-element godel3 x godel3 alone would triple the run time
+    structures = [s for s in models.model_library() if s.n <= 6] + [
+        s for n in range(1, 5) for s in R.enumerate_chain_models(n)]
+    laws, count = set(), 0
+    for s in structures:
+        assert R.validate_axioms(s) == _reference_validate_axioms(s) == [], s
+        for broken in _one_cell_corruptions(s):
+            report = R.validate_axioms(broken)
+            assert report == _reference_validate_axioms(broken), broken.__dict__
+            laws.update(law for law, _ in report)
+            count += 1
+    assert count == 6_300
+    assert laws == {"meet-glb", "join-lub", "monoid-unit", "monoid-associative", "adjunction",
+                    "product-preserves-joins", "ldiv-preserves-meets"}
+
+
+def test_equal_orders_share_one_lattice_order():
+    for leq in ([list(row) for row in finite.chain_leq(4)], finite.chain_leq(5)):
+        n = len(leq)
+        godel = [[min(a, b) for b in range(n)] for a in range(n)]
+        first, second = (finite.derive_residuals(leq, godel, n - 1) for _ in range(2))
+        assert first.meet_table is second.meet_table
+        assert first.join_table is second.join_table
+    assert finite._lattice_order.cache_info().maxsize == finite._ORDER_CACHE_SIZE
+    # same size, different orders
+    heyting5 = models.heyting5()
+    assert heyting5.leq != finite.chain_leq(5)
+    assert finite._lattice_order(heyting5.leq) is not finite._lattice_order(finite.chain_leq(5))
+    assert heyting5.meet_table != R.enumerate_chain_models(5)[0].meet_table
+
+
+def test_a_non_lattice_is_refused_on_every_call():
+    # 0 and 1 are both below 2 and 3, with nothing between: no join of 0 and 1
+    leq = [[a == b or (a < 2 <= b) for b in range(4)] for a in range(4)]
+    mul = [[0] * 4 for _ in range(4)]
+    messages = []
+    for _ in range(2):
+        with pytest.raises(finite.NotALattice) as caught:
+            finite.derive_residuals(leq, mul, 0)
+        messages.append(str(caught.value))
+    assert messages == ["missing meet or join for (0,1)"] * 2
+
+
 def test_named_properties_on_library():
     g3, l3, s3 = models.godel3(), models.lukasiewicz3(), models.sugihara3()
     assert R.check_named_property(g3, "integral").holds

@@ -317,15 +317,20 @@ def test_many_variables_share_the_innermost_loop():
 # memo levels: a loop skipped for an outer key already proven
 
 
-def _memo_keys(law, monkeypatch) -> dict[str, tuple[str, ...]]:
-    """seen<L> -> the names of loop L's memo key, read from the generated source."""
+def _source(law, monkeypatch) -> str:
+    """The source that _compile generates for `law`."""
     sources = []
     with monkeypatch.context() as patch:
         patch.setattr(terms, "compile", lambda src, *args: sources.append(src) or compile(src, *args),
                       raising=False)
         _compile.cache_clear()
         _compile(law)
-    found = re.findall(r"k = \((.*)\)\n *if k in (seen\d+): continue", sources[0])
+    return sources[0]
+
+
+def _memo_keys(law, monkeypatch) -> dict[str, tuple[str, ...]]:
+    """seen<L> -> the names of loop L's memo key, read from the generated source."""
+    found = re.findall(r"k = \((.*)\)\n *if k in (seen\d+): continue", _source(law, monkeypatch))
     return {seen: tuple(name for name in key.split(", ") if name) for key, seen in found}
 
 
@@ -406,6 +411,20 @@ def test_Lc_keys_have_two_names_and_no_named_property_is_memoised(monkeypatch):
     for name, laws in R.PROPERTIES.items():
         for law in laws:
             assert _memo_keys(law, monkeypatch) == {}, name
+
+
+def test_rows_for_a_memoised_loop_are_fetched_after_its_check(monkeypatch):
+    # in L_4, loop 3 hoists r2 = mul[t6] and r5 = mul[t10] for loop 4 only;
+    # a key that loop 4 skips must not fetch them
+    for c in range(3, 9):
+        lines = _source(R.gen_Lc(c), monkeypatch).splitlines()
+        checks = [i for i, line in enumerate(lines) if line.strip().startswith("if k in seen")]
+        assert checks, c
+        for i in checks:
+            block = itertools.takewhile(lambda line: not line.strip().startswith("for "),
+                                        reversed(lines[:i]))
+            assert not any(re.match(r" *r\d+ = ", line) for line in block), (c, lines[i])
+            assert re.match(r" *r\d+ = ", lines[i + 2]), (c, lines[i])
 
 
 # ---------------------------------------------------------------------------
