@@ -506,7 +506,7 @@ def _compile(law: Law) -> tuple[tuple[str, ...], Callable]:
         bound = [f"v{i}" for i, name in enumerate(names) if level[name] == at]
         source = "elements" if len(bound) == 1 else f"product(elements, repeat={len(bound)})"
         lines.append("    " * at + f"for {', '.join(bound)} in {source}:")
-        deferred = [stmt for stmt in body[at] if at + 1 in memo and stmt in hoisted]
+        deferred = [stmt for stmt in body[at] if stmt in hoisted] if at + 1 in memo else []
         lines += ["    " * (at + 1) + stmt for stmt in body[at] if stmt not in deferred]
     lines.append("    return None")
     namespace = {"product": itertools.product}
