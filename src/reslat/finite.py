@@ -344,13 +344,12 @@ def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
     down = list(map(_mask, zip(*leq)))
     up = list(map(_mask, leq))
     for a in rng:
-        leq_a, meet_a, join_a = leq[a], meet[a], join[a]
         for b in rng:
-            m = meet_a[b]
+            m = meet[a][b]
             if not (leq[m][a] and leq[m][b]) or down[a] & down[b] & ~down[m]:
                 out.append(("meet-glb", {"a": a, "b": b}))
-            j = join_a[b]
-            if not (leq_a[j] and leq[b][j]) or up[a] & up[b] & ~up[j]:
+            j = join[a][b]
+            if not (leq[a][j] and leq[b][j]) or up[a] & up[b] & ~up[j]:
                 out.append(("join-lub", {"a": a, "b": b}))
 
     for a in rng:
