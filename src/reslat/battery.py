@@ -9,6 +9,7 @@ module, so a claim failing here fails the build.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ from .omon import (
 )
 from .ore import (
     F2Instance,
+    OreFraction,
     frac_cmp_group,
     frac_cmp_witness,
     random_fraction,
@@ -239,8 +241,9 @@ def claim_conucleus(cfg: BatteryConfig) -> str:
         raise ClaimFailed(f"{law}: {detail}")
     # the order on group values against the witness-pair definition
     rng = random.Random(cfg.seed + 1)
-    for _ in range(cfg.samples):
-        f, g = random_fraction(rng, 2), random_fraction(rng, 2)
+    sampled = [(random_fraction(rng, 2), random_fraction(rng, 2)) for _ in range(cfg.samples)]
+    cube = [OreFraction.from_group(HeisTriple(*t)) for t in itertools.product((-1, 0, 1), repeat=3)]
+    for f, g in itertools.chain(sampled, itertools.product(cube, repeat=2)):
         try:
             agree = frac_cmp_witness(f, g, 8) == frac_cmp_group(f, g)
         except omon.ResidualExhausted:
@@ -248,7 +251,8 @@ def claim_conucleus(cfg: BatteryConfig) -> str:
         if not agree:
             raise ClaimFailed(f"order mismatch at {f}, {g}")
     return (f"all laws on {cfg.samples} random fractions;"
-            f" witness order = group order on {cfg.samples} pairs")
+            f" witness order = group order on {cfg.samples} pairs"
+            f" and on all {len(cube) ** 2} pairs over [-1,1]^3")
 
 
 def claim_dyadic(cfg: BatteryConfig) -> str:
@@ -291,8 +295,6 @@ def claim_hamiltonian_law(cfg: BatteryConfig) -> str:
 
 
 def claim_convex(cfg: BatteryConfig) -> str:
-    import itertools
-
     tested = 0
     for s in models.model_library():
         if s.n > finite.DEFAULT_CONVEX_CAP or not check_named_property(s, "e-cyclic").holds:
@@ -325,8 +327,6 @@ def claim_convex(cfg: BatteryConfig) -> str:
 def claim_enumeration_count(cfg: BatteryConfig) -> str:
     got = [s for s in enumerate_chain_models(3, constraints=("integral",)) if s.unit == 2]
     # independent oracle: filter all 3^9 raw tables directly
-    import itertools
-
     leq = finite.chain_leq(3)
     oracle = 0
     for cells in itertools.product(range(3), repeat=9):

@@ -85,19 +85,24 @@ def frac_cmp_group(f: OreFraction, g: OreFraction) -> int:
 
 def _witness_below(f: OreFraction, g: OreFraction, bound: int) -> bool:
     """Search monoid pairs (m, n) with m*den_f = n*den_g and
-    m*num_f <= n*num_g, for m in a box of side bound + 1 per exponent."""
+    m*num_f <= n*num_g, for m in a box of side bound + 1 per exponent.
+    In an (alpha, beta) row of the box, the third exponents of m*num_f,
+    n*num_g and n are each mg plus a constant: heis_cmp gives one verdict
+    for the row, and n is in the monoid on a prefix of it.  So the row's
+    least mg decides it, and at most (bound + 1)**2 pairs are tested."""
     shift = _mul(f.den, heis_inv(g.den))  # n = m * shift
     sa, sb, sg = shift
     # offset the box so that n has a chance of landing in the monoid
     lo_a, lo_b = max(0, -sa), max(0, -sb)
     for ma in range(lo_a, lo_a + bound + 1):
         for mb in range(lo_b, lo_b + bound + 1):
-            lo_g = max(0, -(sg + mb * sa))
-            for mg in range(lo_g, min(ma * mb, lo_g + bound) + 1):
-                m = (ma, mb, mg)  # plain triples: every product here is dropped
-                n = _mul(m, shift)
-                if s2_member(n) and heis_cmp(_mul(m, f.num), _mul(n, g.num)) <= 0:
-                    return True
+            mg = max(0, -(sg + mb * sa))
+            if mg > ma * mb:
+                continue  # the row is empty
+            m = (ma, mb, mg)  # plain triples: every product here is dropped
+            n = _mul(m, shift)
+            if s2_member(n) and heis_cmp(_mul(m, f.num), _mul(n, g.num)) <= 0:
+                return True
     return False
 
 

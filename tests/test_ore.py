@@ -256,3 +256,24 @@ def test_witness_search_matches_its_heistriple_reference():
             with pytest.raises(ResidualExhausted):
                 frac_cmp_witness(f, g, 0)
     assert 0 < exhausted < len(fracs) ** 2
+
+
+def test_witness_search_tests_the_least_mg_of_each_row():
+    # one m per (alpha, beta) row decides as the full row does; the last mg of
+    # a row would not, on about 1% of these checks
+    import itertools
+
+    from reslat.ore import _witness_below
+
+    rng = random.Random(2024)
+
+    def monoid():
+        a, b = rng.randint(0, 4), rng.randint(0, 4)
+        return HeisTriple(a, b, rng.randint(0, a * b))
+
+    raw = [(OreFraction(monoid(), monoid()), OreFraction(monoid(), monoid())) for _ in range(150)]
+    grouped = [(random_fraction(rng, 4), random_fraction(rng, 4)) for _ in range(150)]
+    for pairs, bounds in ((raw, range(6)), (grouped, range(4))):
+        for (f, g), bound in itertools.product(pairs, bounds):
+            for x, y in ((f, g), (g, f)):
+                assert _witness_below(x, y, bound) == _witness_below_reference(x, y, bound), (x, y, bound)
