@@ -29,8 +29,9 @@ s3 = models.sugihara3()
 cone = R.negative_cone(s3)
 print("\nSugihara-3 negative cone size:", cone.n)
 
-# Convex subuniverses are computed two ways (interval description and a
-# fixpoint closure) and always agree.
+# Convex closures are computed two ways (interval description and a
+# fixpoint closure) that always agree; every convex subuniverse is the
+# closure of one element.
 fam = R.all_convex_subuniverses(g3)
 print("convex subuniverses of Goedel-3:", sorted(sorted(m) for m in fam.members))
 

@@ -297,7 +297,7 @@ def claim_hamiltonian_law(cfg: BatteryConfig) -> str:
 def claim_convex(cfg: BatteryConfig) -> str:
     tested = 0
     for s in models.model_library():
-        if s.n > finite.DEFAULT_CONVEX_CAP or not check_named_property(s, "e-cyclic").holds:
+        if not check_named_property(s, "e-cyclic").holds:
             continue
         for r in range(s.n + 1):
             for gens in itertools.combinations(range(s.n), r):

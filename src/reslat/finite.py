@@ -10,7 +10,6 @@ subuniverses, the named-property battery, and a chain-model enumerator.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -81,7 +80,6 @@ class ModelTooLarge(StructureError):
 
 
 DEFAULT_ENUM_CAP = 6
-DEFAULT_CONVEX_CAP = 8
 _ORDER_CACHE_SIZE = 16
 
 Table = tuple[tuple[int, ...], ...]
@@ -476,6 +474,10 @@ def convex_closure(s: FiniteResLat, gens: Iterable[int]) -> frozenset[int]:
     an element c belongs iff t <= |c| for some t in the submonoid generated
     by the absolute values of the generators."""
     _require_ecyclic(s)
+    return _convex_closure(s, gens)
+
+
+def _convex_closure(s: FiniteResLat, gens: Iterable[int]) -> frozenset[int]:
     absgens = {absolute_value(s, a) for a in gens}
     monoid = {s.unit} | absgens
     while True:
@@ -509,21 +511,6 @@ def convex_closure_fixpoint(s: FiniteResLat, gens: Iterable[int]) -> frozenset[i
         cur |= new
 
 
-def _is_convex_subuniverse(s: FiniteResLat, members: frozenset[int]) -> bool:
-    if s.unit not in members:
-        return False
-    for a in members:
-        for b in members:
-            if not all(
-                op(a, b) in members for op in (s.mul, s.meet, s.join, s.ldiv, s.rdiv)
-            ):
-                return False
-            for c in s.elements:
-                if s.le(a, c) and s.le(c, b) and c not in members:
-                    return False
-    return True
-
-
 @dataclass
 class ConvexFamily:
     """All convex subuniverses of a structure, with lattice operations."""
@@ -552,19 +539,11 @@ class ConvexFamily:
 
 
 def all_convex_subuniverses(s: FiniteResLat) -> ConvexFamily:
-    """Enumerate every convex subuniverse by subset filtering (desk scale)."""
+    """Every convex subuniverse is principal: the |g| lie at or below e, so their
+    product lies below their meet m, m below each |g|, and G has the closure of m."""
     _require_ecyclic(s)
-    if s.n > DEFAULT_CONVEX_CAP:
-        raise StructureError(f"carrier size {s.n} exceeds enumeration cap {DEFAULT_CONVEX_CAP}")
-    rest = [a for a in s.elements if a != s.unit]
-    found = []
-    for r in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, r):
-            members = frozenset(combo) | {s.unit}
-            if _is_convex_subuniverse(s, members):
-                found.append(members)
-    found.sort(key=lambda m: (len(m), sorted(m)))
-    return ConvexFamily(found)
+    found = {_convex_closure(s, [a]) for a in s.elements}
+    return ConvexFamily(sorted(found, key=lambda m: (len(m), sorted(m))))
 
 
 def is_hamiltonian_structure(s: FiniteResLat) -> Verdict:

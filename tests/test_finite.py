@@ -376,15 +376,37 @@ def test_absolute_values_and_conjugates():
             assert g3.leq[lam][g3.unit] and g3.leq[rho][g3.unit]
 
 
-def test_convex_closure_against_fixpoint_oracle():
-    for s in models.model_library():
-        if s.n > finite.DEFAULT_CONVEX_CAP or not R.check_named_property(s, "e-cyclic").holds:
+def _convex_subuniverses_by_subsets(s):
+    """Oracle: every subset holding e that is closed under the operations and
+    convex, in the family's order."""
+    ops = (s.mul, s.meet, s.join, s.ldiv, s.rdiv)
+    rest = [a for a in s.elements if a != s.unit]
+    found = []
+    for r in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, r):
+            h = frozenset(combo) | {s.unit}
+            if all(op(a, b) in h for a in h for b in h for op in ops) and all(
+                c in h for a in h for b in h for c in s.elements if s.le(a, c) and s.le(c, b)
+            ):
+                found.append(h)
+    return sorted(found, key=lambda h: (len(h), sorted(h)))
+
+
+def test_convex_families_match_the_subset_search():
+    structures = models.model_library() + [
+        models.direct_product(models.heyting5(), models.chain2()),
+        models.direct_product(models.diamond4(), models.godel3()),
+    ]
+    tested = 0
+    for s in structures:
+        if not R.check_named_property(s, "e-cyclic").holds:
             continue
-        for r in range(s.n + 1):
-            for gens in itertools.combinations(s.elements, r):
-                got = R.convex_closure(s, gens)
-                want = R.convex_closure_fixpoint(s, gens)
-                assert got == want, (s.name, gens)
+        fam = R.all_convex_subuniverses(s)
+        assert fam.members == _convex_subuniverses_by_subsets(s), s.name
+        for a in s.elements:
+            assert R.convex_closure(s, [a]) == R.convex_closure_fixpoint(s, [a]), (s.name, a)
+        tested += 1
+    assert tested == 13
 
 
 def test_convex_families():
@@ -395,12 +417,6 @@ def test_convex_families():
     fam = R.all_convex_subuniverses(s3)
     assert set(fam.members) == {frozenset({1}), frozenset({0, 1, 2})}
     assert fam.is_distributive() is None
-
-
-def test_convex_enumeration_refuses_a_carrier_above_the_cap():
-    product = models.direct_product(models.godel3(), models.godel3())
-    with pytest.raises(R.StructureError, match="^carrier size 9 exceeds enumeration cap 8$"):
-        R.all_convex_subuniverses(product)
 
 
 def test_convex_family_lattice_ops():
@@ -416,6 +432,24 @@ def test_hamiltonian_finite():
     for name in ("godel3", "lukasiewicz3", "sugihara3", "heyting5"):
         s = models.MODEL_BUILDERS[name]()
         assert R.is_hamiltonian_structure(s), name
+    assert R.is_hamiltonian_structure(models.direct_product(models.godel3(), models.godel3()))
+
+
+def test_the_non_hamiltonian_chains_of_size_at_most_4():
+    rho_only = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 2, 2), (0, 1, 2, 3))
+    lam_only = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 2, 2), (0, 1, 2, 3))
+    failing = [
+        s for n in range(1, 5) for s in R.enumerate_chain_models(n)
+        if R.check_named_property(s, "e-cyclic").holds and not R.is_hamiltonian_structure(s)
+    ]
+    assert [(s.name, s.mul_table) for s in failing] == [
+        ("chain4-u3", rho_only), ("chain4-u3", lam_only)
+    ]
+    # the first leaves H = {2, 3} through rho alone, the second through lambda alone
+    for s, kept in zip(failing, ((True, False), (False, True))):
+        assert R.is_hamiltonian_structure(s).witness == {"H": [2, 3], "a": 2, "b": 1}
+        lam, rho = R.conjugates(s, 2, 1)
+        assert (lam in {2, 3}, rho in {2, 3}) == kept
 
 
 def test_enumerate_n3_against_raw_oracle():
