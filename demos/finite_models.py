@@ -29,11 +29,11 @@ s3 = models.sugihara3()
 cone = R.negative_cone(s3)
 print("\nSugihara-3 negative cone size:", cone.n)
 
-# Convex closures are computed two ways (interval description and a
-# fixpoint closure) that always agree; every convex subuniverse is the
-# closure of one element.
+# Convex closures are computed two ways (the up-set of one idempotent and a
+# fixpoint closure) that always agree; the convex subuniverses are the
+# up-sets of the idempotents at or below e.
 fam = R.all_convex_subuniverses(g3)
-print("convex subuniverses of Goedel-3:", sorted(sorted(m) for m in fam.members))
+print("convex subuniverses of Goedel-3:", sorted(sorted(m) for m in fam))
 
 # Enumeration: the only integral residuated 3-chains with the unit on top
 # are the Goedel and Lukasiewicz chains.

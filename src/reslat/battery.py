@@ -306,19 +306,18 @@ def claim_convex(cfg: BatteryConfig) -> str:
                 if got != want:
                     raise ClaimFailed(f"{s!r} gens {gens}: {got} vs {want}")
         family = finite.all_convex_subuniverses(s)
-        bad = family.is_distributive()
-        if bad is not None:
-            raise ClaimFailed(f"{s!r}: lattice not distributive")
+        if set(family) != {finite.convex_closure(s, [a]) for a in s.elements}:
+            raise ClaimFailed(f"{s!r}: idempotent up-sets differ from principal closures")
+        for h, k, j in itertools.product(family, repeat=3):
+            if h & finite.convex_closure(s, k | j) != finite.convex_closure(s, (h & k) | (h & j)):
+                raise ClaimFailed(f"{s!r}: lattice not distributive")
         for a in s.elements:
             for b in s.elements:
                 aa, ab = finite.absolute_value(s, a), finite.absolute_value(s, b)
-                lhs = finite.convex_closure(s, [s.join(aa, ab)])
-                rhs = finite.convex_closure(s, [a]) & finite.convex_closure(s, [b])
-                if lhs != rhs:
+                ca, cb = finite.convex_closure(s, [a]), finite.convex_closure(s, [b])
+                if finite.convex_closure(s, [s.join(aa, ab)]) != ca & cb:
                     raise ClaimFailed(f"{s!r}: join identity at ({a},{b})")
-                lhs = finite.convex_closure(s, [s.meet(aa, ab)])
-                rhs = family.join(finite.convex_closure(s, [a]), finite.convex_closure(s, [b]))
-                if lhs != rhs:
+                if finite.convex_closure(s, [s.meet(aa, ab)]) != finite.convex_closure(s, ca | cb):
                     raise ClaimFailed(f"{s!r}: meet identity at ({a},{b})")
         tested += 1
     return f"{tested} e-cyclic models, all pairs"

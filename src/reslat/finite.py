@@ -27,7 +27,6 @@ from .terms import (
 
 __all__ = [
     "FiniteResLat",
-    "ConvexFamily",
     "StructureError",
     "NotALattice",
     "NotAMonoid",
@@ -470,24 +469,21 @@ def _require_ecyclic(s: FiniteResLat):
 
 
 def convex_closure(s: FiniteResLat, gens: Iterable[int]) -> frozenset[int]:
-    """Least convex subuniverse containing `gens`, via the interval description:
-    an element c belongs iff t <= |c| for some t in the submonoid generated
-    by the absolute values of the generators."""
+    """Least convex subuniverse containing `gens`: the up-set of one idempotent.
+    Each |g| lies at or below e, so the submonoid of the |g| has a least element
+    p, the idempotent that the powers of their product reach, and an element c
+    belongs iff p <= |c|."""
     _require_ecyclic(s)
-    return _convex_closure(s, gens)
+    p = s.unit
+    for g in gens:
+        p = s.mul(p, absolute_value(s, g))
+    while s.mul(p, p) != p:
+        p = s.mul(p, p)
+    return _above(s, p)
 
 
-def _convex_closure(s: FiniteResLat, gens: Iterable[int]) -> frozenset[int]:
-    absgens = {absolute_value(s, a) for a in gens}
-    monoid = {s.unit} | absgens
-    while True:
-        new = {s.mul(a, b) for a in monoid for b in monoid} - monoid
-        if not new:
-            break
-        monoid |= new
-    return frozenset(
-        c for c in s.elements if any(s.le(t, absolute_value(s, c)) for t in monoid)
-    )
+def _above(s: FiniteResLat, p: int) -> frozenset[int]:
+    return frozenset(c for c in s.elements if s.le(p, absolute_value(s, c)))
 
 
 def convex_closure_fixpoint(s: FiniteResLat, gens: Iterable[int]) -> frozenset[int]:
@@ -511,45 +507,17 @@ def convex_closure_fixpoint(s: FiniteResLat, gens: Iterable[int]) -> frozenset[i
         cur |= new
 
 
-@dataclass
-class ConvexFamily:
-    """All convex subuniverses of a structure, with lattice operations."""
-
-    members: list[frozenset[int]]
-
-    def meet(self, h: frozenset[int], k: frozenset[int]) -> frozenset[int]:
-        return h & k
-
-    def join(self, h: frozenset[int], k: frozenset[int]) -> frozenset[int]:
-        return min(
-            (m for m in self.members if h | k <= m),
-            key=len,
-        )
-
-    def is_distributive(self) -> Optional[tuple]:
-        """None if distributive, else a witnessing triple."""
-        for h in self.members:
-            for k in self.members:
-                for j in self.members:
-                    if self.meet(h, self.join(k, j)) != self.join(
-                        self.meet(h, k), self.meet(h, j)
-                    ):
-                        return (h, k, j)
-        return None
-
-
-def all_convex_subuniverses(s: FiniteResLat) -> ConvexFamily:
-    """Every convex subuniverse is principal: the |g| lie at or below e, so their
-    product lies below their meet m, m below each |g|, and G has the closure of m."""
+def all_convex_subuniverses(s: FiniteResLat) -> list[frozenset[int]]:
+    """One convex subuniverse per idempotent p <= e: the up-set of p.  For such
+    p, |p| = p is the least element of its up-set, so the members differ."""
     _require_ecyclic(s)
-    found = {_convex_closure(s, [a]) for a in s.elements}
-    return ConvexFamily(sorted(found, key=lambda m: (len(m), sorted(m))))
+    found = [_above(s, p) for p in s.elements if s.le(p, s.unit) and s.mul(p, p) == p]
+    return sorted(found, key=lambda m: (len(m), sorted(m)))
 
 
 def is_hamiltonian_structure(s: FiniteResLat) -> Verdict:
     """Holds iff every convex subuniverse is closed under both conjugations."""
-    family = all_convex_subuniverses(s)
-    for h in family.members:
+    for h in all_convex_subuniverses(s):
         for a in h:
             for b in s.elements:
                 lam, rho = conjugates(s, a, b)

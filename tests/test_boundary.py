@@ -72,6 +72,30 @@ def test_every_integer_argument_follows_one_rule(site, tmp_path, monkeypatch):
         call(value)  # accepted: no ValueError
 
 
+# site -> (call, message of its ValueError); arguments that are not integers
+REFUSALS = {
+    "residual_search side": (lambda: omon.residual_search(omon.M1Instance, (0, 0), (0, 0), "up", 4),
+                             "side must be 'left' or 'right'"),
+    "residual_scan side": (lambda: omon.residual_scan(omon.M1Instance, (0, 0), [(0, 0)], "up", 4),
+                           "side must be 'left' or 'right'"),
+    "s2_residual side": (lambda: omon.s2_residual(X, Y, "up"), "side must be 'left' or 'right'"),
+    "Term leaf with a child": (lambda: terms.Term("e", left=terms.var("x")), "leaf node with children"),
+    "Term variable name": (lambda: terms.Term("var", "X"), "bad variable name 'X'"),
+    "Term binary with one child": (lambda: terms.Term("*", left=terms.var("x")),
+                                   "binary node needs two children"),
+    "Term kind": (lambda: terms.Term("?"), "unknown node kind '?'"),
+    "eval_term unbound": (lambda: terms.eval_term(terms.var("y"), {"x": 0}, models.godel3()),
+                          "unbound variable 'y'"),
+}
+
+
+@pytest.mark.parametrize("site", REFUSALS)
+def test_every_other_bad_argument_is_refused_with_one_message(site):
+    call, message = REFUSALS[site]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # --- malformed input at the boundary ----------------------------------------
 
 TYPED = ValueError  # with its subclasses StructureError and TermSyntaxError

@@ -122,6 +122,7 @@ def test_enumerate_unknown_property(capsys):
 def test_residual_m1(capsys):
     code, out, _ = run(capsys, "residual", "m1", "right", "y", "x")
     assert code == 0 and out.strip() == "e"
+    assert run(capsys, "residual", "m1", "left", "[1, 0]", "[0, 1]") == (0, "x\n", "")
 
 
 def test_residual_s2_search_agrees(capsys):
@@ -237,6 +238,7 @@ def test_dyadic(capsys):
      "hamvty takes no --count"),
     (("omon", "s2", "hamvty", "--bound", "8"), "hamvty takes no --bound"),
     (("omon", "m1", "prefix", "--size", "99"), "prefix takes no --size"),
+    (("heis", "inv", "--", "--"), "'--' cannot be an operand"),
 ])
 def test_missing_or_bad_operand_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

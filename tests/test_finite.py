@@ -401,8 +401,7 @@ def test_convex_families_match_the_subset_search():
     for s in structures:
         if not R.check_named_property(s, "e-cyclic").holds:
             continue
-        fam = R.all_convex_subuniverses(s)
-        assert fam.members == _convex_subuniverses_by_subsets(s), s.name
+        assert R.all_convex_subuniverses(s) == _convex_subuniverses_by_subsets(s), s.name
         for a in s.elements:
             assert R.convex_closure(s, [a]) == R.convex_closure_fixpoint(s, [a]), (s.name, a)
         tested += 1
@@ -412,19 +411,17 @@ def test_convex_families_match_the_subset_search():
 def test_convex_families():
     g3 = models.godel3()
     fam = R.all_convex_subuniverses(g3)
-    assert set(fam.members) == {frozenset({2}), frozenset({1, 2}), frozenset({0, 1, 2})}
+    assert set(fam) == {frozenset({2}), frozenset({1, 2}), frozenset({0, 1, 2})}
     s3 = models.sugihara3()
     fam = R.all_convex_subuniverses(s3)
-    assert set(fam.members) == {frozenset({1}), frozenset({0, 1, 2})}
-    assert fam.is_distributive() is None
+    assert set(fam) == {frozenset({1}), frozenset({0, 1, 2})}
 
 
 def test_convex_family_lattice_ops():
     g3 = models.godel3()
-    fam = R.all_convex_subuniverses(g3)
     a, b = frozenset({2}), frozenset({1, 2})
-    assert fam.meet(a, b) == a
-    assert fam.join(a, b) == b
+    assert a & b == a
+    assert R.convex_closure(g3, a | b) == b
 
 
 def test_hamiltonian_finite():
@@ -450,6 +447,20 @@ def test_the_non_hamiltonian_chains_of_size_at_most_4():
         assert R.is_hamiltonian_structure(s).witness == {"H": [2, 3], "a": 2, "b": 1}
         lam, rho = R.conjugates(s, 2, 1)
         assert (lam in {2, 3}, rho in {2, 3}) == kept
+
+
+def test_convex_code_refuses_a_chain_that_is_not_e_cyclic():
+    mul = ((0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 2, 3), (0, 3, 3, 3))
+    s = R.derive_residuals(R.chain_leq(4), mul, 2)
+    for call in (lambda: R.convex_closure(s, [1]), lambda: R.all_convex_subuniverses(s),
+                 lambda: R.is_hamiltonian_structure(s)):
+        with pytest.raises(finite.NotECyclic) as err:
+            call()
+        assert str(err.value) == "structure is not e-cyclic, witness {'x': 1}"
+    # up to size 4, it and one other chain4-u2 table are the only chains that are not e-cyclic
+    refused = [(t.name, t.mul_table) for n in range(1, 5) for t in R.enumerate_chain_models(n)
+               if not R.check_named_property(t, "e-cyclic").holds]
+    assert len(refused) == 2 and ("chain4-u2", mul) in refused
 
 
 def test_enumerate_n3_against_raw_oracle():

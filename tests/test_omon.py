@@ -44,6 +44,7 @@ def test_m1_chain_prefix():
 def test_m1_word_round_trip():
     for w in [(0, 0), (1, 0), (0, 3), (2, 5)]:
         assert m1_parse(m1_word(w)) == w
+    assert m1_parse("[2, 1]") == (2, 1)
     with pytest.raises(ValueError):
         m1_parse("z2")
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import reslat as R
+from reslat import ore
 from reslat.nilpotent import HEIS_UNIT, HeisTriple, heis_cmp, heis_inv, heis_mul
 from reslat.omon import ResidualExhausted, s2_residual
 from reslat.ore import (
@@ -117,6 +118,18 @@ def test_verify_conucleus_battery():
     rep = verify_conucleus(samples=500, box=7, seed=2024)
     assert rep.ok, rep.violations
     assert rep.samples == 500
+
+
+@pytest.mark.parametrize("sigma, laws", [
+    (lambda f: E, {"contracting", "fixpoint"}),
+    (lambda f: f.value, {"image"}),  # leaves the monoid, so idempotence is not tried
+    (lambda f: s2_residual(f.den, f.num, "right"), {"contracting"}),
+], ids=["unit", "value", "right-residual"])
+def test_verify_conucleus_reports_a_planted_sigma(monkeypatch, sigma, laws):
+    monkeypatch.setattr(ore, "conucleus_sigma", sigma)
+    rep = verify_conucleus(200, 8, 0)
+    assert not rep.ok and len(rep.violations) == 10
+    assert {law for law, _ in rep.violations} == laws
 
 
 def test_chain_algebra_division_law():
