@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 
 from . import battery, finite, models, nilpotent, omon, ore, terms
 from ._check import check_int
@@ -264,7 +265,7 @@ def cmd_omon(args) -> int:
     check_int(bound, "bound", 1, omon.SEARCH_BOUND)
     check_int(count, "count", 0)
     inst, _, show = _CHAINS[args.monoid]
-    out = [show(g) for _, g in zip(range(count), inst.candidates(bound))]
+    out = [show(g) for _, g in zip(range(count), chain.from_iterable(inst.candidates(bound)))]
     _emit({"monoid": args.monoid, "prefix": out}, args.json, " > ".join(out))
     return EXIT_HOLDS
 

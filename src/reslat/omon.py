@@ -8,8 +8,8 @@ For an integral total order on a finitely generated monoid the sets
 {c : a*c <= b} always have greatest elements (the order satisfies the
 ascending chain condition), so a residual can be found by streaming
 candidates strictly descending from the unit and returning the first hit.
-`residual_search` implements that first-hit search over a bounded box and
-reports exhaustion explicitly; the closed forms (`m1_residual`,
+`residual_search` implements it over a bounded box, a row of candidates at a
+time, and reports exhaustion explicitly; the closed forms (`m1_residual`,
 `s2_residual`) are the production path and are tested against it.
 """
 
@@ -78,9 +78,9 @@ class ResidualExhausted(RuntimeError):
 
 SEARCH_BOUND = 32
 """The searches, ore.frac_cmp_witness and the candidate streams refuse a
-bound above this: an s2 residual scan visits about bound**4/4 candidates
-(279,873 at bound 32), which is also the most the s2 row memo holds, and
-frac_cmp_witness tests at most (bound + 1)**2 pairs per direction (1,089)."""
+bound above this: residual_search tests one element per row plus one row,
+while the s2 row memo and residual_scan reach 279,873 triples at bound 32,
+and frac_cmp_witness at most (bound + 1)**2 pairs per direction (1,089)."""
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,11 @@ class Chain:
     residuals follow the `a\\b`, `a/b` convention of `terms`: `ldiv(a, b)`
     is the greatest c with a*c <= b and `rdiv(a, b)` the greatest c with
     c*b <= a.  A chain that `residual_search` and `residual_scan` can scan gives
-    `candidates(bound)`, streaming elements strictly descending from the
-    unit within a finite box, and `member(a)`, which the search checks its
-    operands with before scanning, so that `cmp` itself validates nothing.
+    `candidates(bound)`, streaming a finite box strictly descending from the
+    unit in rows (tuples) along which a*c and c*a descend for each a, and
+    `member(a)`, which the search checks its operands with before scanning,
+    so that `cmp` itself validates nothing.  `box_holds(b, bound)` is False
+    where that box may miss a residual into b (None: it is an up-set).
     """
 
     name: str
@@ -104,6 +106,7 @@ class Chain:
     rdiv: Callable
     candidates: Optional[Callable[[int], Iterator]] = None
     member: Optional[Callable[[object], bool]] = None
+    box_holds: Optional[Callable[[object, int], bool]] = None
 
     def meet(self, a, b):
         return a if self.cmp(a, b) <= 0 else b
@@ -123,25 +126,33 @@ def _check_search(inst: Chain, side: str, *operands) -> None:
 
 
 def residual_search(inst: Chain, a, b, side: str = "left", bound: Optional[int] = None):
-    """Greatest c with a*c <= b (left) or c*a <= b (right), by first-hit
-    scan of the descending candidate stream.  Raises ResidualExhausted when
-    the bound is too small; never returns a wrong answer.  Raises ValueError
-    for an operand outside the chain, or a bound that is not an int in
-    1..SEARCH_BOUND (the default is sum(a) + sum(b) + 4, the exponent sums
-    of the operands plus 4)."""
+    """Greatest c with a*c <= b (left) or c*a <= b (right): the first hit of
+    the descending candidates, read past a row's least element only in the
+    first row where it hits.  Raises ResidualExhausted when the bound is too
+    small; never returns a wrong answer.  Raises ValueError for an operand
+    outside the chain, or a bound that is not an int in 1..SEARCH_BOUND (the
+    default is sum(a) + sum(b) + 4: the operands' exponent sums plus 4)."""
     _check_search(inst, side, a, b)
     if bound is None:
         bound = sum(a) + sum(b) + 4
     check_int(bound, "bound", 1, SEARCH_BOUND)
+    if inst.box_holds is not None and not inst.box_holds(b, bound):
+        raise ResidualExhausted(bound)
     mul, cmp = inst.mul, inst.cmp
     if side == "left":
-        for c in inst.candidates(bound):
-            if cmp(mul(a, c), b) <= 0:
-                return c
+        for row in inst.candidates(bound):
+            if cmp(mul(a, row[-1]), b) <= 0:
+                for c in row[:-1]:
+                    if cmp(mul(a, c), b) <= 0:
+                        return c
+                return row[-1]
     else:
-        for c in inst.candidates(bound):
-            if cmp(mul(c, a), b) <= 0:
-                return c
+        for row in inst.candidates(bound):
+            if cmp(mul(row[-1], a), b) <= 0:
+                for c in row[:-1]:
+                    if cmp(mul(c, a), b) <= 0:
+                        return c
+                return row[-1]
     raise ResidualExhausted(bound)
 
 
@@ -150,14 +161,16 @@ def residual_scan(inst: Chain, a, bs, side: str, bound: int) -> dict:
     over the candidates using only `mul` and `cmp`: the b wait greatest first,
     and a product p answers every waiting b >= p, always a prefix of them, so
     each b gets the first hit of its own scan.  Raises ResidualExhausted if
-    the stream ends first."""
+    the stream ends first, or the box may miss a residual into some b."""
     _check_search(inst, side, a, *bs)
     check_int(bound, "bound", 1, SEARCH_BOUND)
+    if inst.box_holds is not None and not all(inst.box_holds(b, bound) for b in bs):
+        raise ResidualExhausted(bound)
     waiting = sorted(dict.fromkeys(bs), key=cmp_to_key(inst.cmp), reverse=True)
     found, mul, cmp, left = {}, inst.mul, inst.cmp, side == "left"
     if not waiting:
         return found
-    for c in inst.candidates(bound):
+    for c in chain.from_iterable(inst.candidates(bound)):
         p = mul(a, c) if left else mul(c, a)
         while cmp(p, waiting[len(found)]) <= 0:
             found[waiting[len(found)]] = c
@@ -193,10 +206,10 @@ def _m1_level(d: int) -> tuple[M1Element, ...]:
     return tuple((a, d - a) for a in range(d, -1, -1))
 
 
-def m1_candidates(bound: int) -> Iterator[M1Element]:
-    """Words of length <= bound, descending, from memoised levels (d, 0) ... (0, d)."""
+def m1_candidates(bound: int) -> Iterator[tuple[M1Element, ...]]:
+    """Words of length <= bound, descending, as memoised levels (d, 0) ... (0, d)."""
     check_int(bound, "bound", 0, SEARCH_BOUND)
-    return chain.from_iterable(map(_m1_level, range(bound + 1)))
+    return map(_m1_level, range(bound + 1))
 
 
 def m1_residual(w: M1Element, z: M1Element) -> M1Element:
@@ -272,11 +285,11 @@ def _s2_row(alpha: int, beta: int) -> tuple[HeisTriple, ...]:
     return tuple(_triple(alpha, beta, g) for g in range(alpha * beta + 1))
 
 
-def s2_candidates(bound: int) -> Iterator[HeisTriple]:
-    """`nilpotent.s2_box(bound)` chained from the rows (alpha, beta, 0..alpha*beta),
+def s2_candidates(bound: int) -> Iterator[tuple[HeisTriple, ...]]:
+    """`nilpotent.s2_box(bound)` as the rows (alpha, beta, 0..alpha*beta),
     each memoised once a scan reaches it, so a scan allocates only its products."""
     check_int(bound, "bound", 0, SEARCH_BOUND)
-    return chain.from_iterable(starmap(_s2_row, product(range(bound + 1), repeat=2)))
+    return starmap(_s2_row, product(range(bound + 1), repeat=2))
 
 
 def s2_residual(a: HeisTriple, b: HeisTriple, side: str = "left") -> HeisTriple:
@@ -311,6 +324,7 @@ S2Instance = Chain(
     rdiv=lambda a, b: s2_residual(b, a, "right"),
     candidates=s2_candidates,
     member=s2_member,
+    box_holds=lambda b, bound: bound >= max(b[0], b[1] + 1),  # residuals into b lie in the box
 )
 
 

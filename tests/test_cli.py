@@ -132,6 +132,13 @@ def test_residual_s2_search_agrees(capsys):
     assert code1 == code2 == 0 and out1 == out2
 
 
+@pytest.mark.parametrize("a, b, bound", [("1,0,0", "1,1,1", "1"), ("0,0,0", "0,40,0", "32")])
+def test_residual_s2_search_exhausts_below_the_box_of_the_residual(capsys, a, b, bound):
+    # the residuals (0, 2, 0) and (0, 40, 0) lie outside these boxes, above (1, 0, 0)
+    assert run(capsys, "residual", "s2", "left", a, b, "--search", "--bound", bound) == (
+        3, "", f"exhausted: no residual within bound {bound}\n")
+
+
 def test_residual_bad_input(capsys):
     code, _, err = run(capsys, "residual", "s2", "left", "1,0", "0,0,0")
     assert code == 2

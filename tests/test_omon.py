@@ -34,7 +34,8 @@ X, Y = HeisTriple(1, 0, 0), HeisTriple(0, 1, 0)
 
 def test_m1_chain_prefix():
     want = ["e", "x", "y", "x2", "xy", "y2", "x3", "x2y", "xy2", "y3"]
-    got = list(itertools.islice(M1Instance.candidates(4), len(want)))
+    stream = itertools.chain.from_iterable(M1Instance.candidates(4))
+    got = list(itertools.islice(stream, len(want)))
     assert [m1_word(g) for g in got] == want
     # strictly descending in the chain order
     for a, b in zip(got, got[1:]):
@@ -142,9 +143,11 @@ def _old_m1_candidates(bound):
 
 def test_candidate_streams_match_their_generators():
     for bound in (1, 2, 14, 32):
-        assert list(S2Instance.candidates(bound)) == list(R.s2_box(bound))
+        stream = itertools.chain.from_iterable(S2Instance.candidates(bound))
+        assert list(stream) == list(R.s2_box(bound))
     for bound in (0, 1, 12, 26, 32):
-        assert list(M1Instance.candidates(bound)) == list(_old_m1_candidates(bound))
+        stream = itertools.chain.from_iterable(M1Instance.candidates(bound))
+        assert list(stream) == list(_old_m1_candidates(bound))
 
 
 def test_s2_rows_are_memoised_only_as_far_as_a_scan_reads():
@@ -177,7 +180,7 @@ def test_residual_scan_matches_the_per_b_scan():
 # a chain on the ints <= 0 whose product is not monotone in either factor
 TOY = Chain("toy", 0, mul=lambda x, y: (3 * x + 7 * y) % 11 - 10,
             cmp=lambda x, y: (x > y) - (x < y), ldiv=None, rdiv=None,
-            candidates=lambda bound: range(0, -bound - 1, -1), member=lambda x: x.__class__ is int)
+            candidates=lambda bound: zip(range(0, -bound - 1, -1)), member=lambda x: x.__class__ is int)
 
 
 def test_residual_scan_needs_no_monotone_product():
@@ -190,6 +193,71 @@ def test_residual_scan_needs_no_monotone_product():
                 residual_scan(TOY, a, bs + [-11], side, 10)  # no product is below -10
     with pytest.raises(ResidualExhausted):
         residual_scan(M1Instance, (0, 0), [(0, 0), (5, 5)], "left", 1)
+
+
+M1_WORDS = [(a, d - a) for d in range(13) for a in range(d + 1)]  # the 91 words of length <= 12
+
+
+@pytest.mark.parametrize("inst, box, bounds", [
+    (S2Instance, list(R.s2_box(6, 6, 6)), (3, 14)),
+    (M1Instance, M1_WORDS, (4, 26)),
+])
+def test_residual_search_is_the_flat_first_hit_scan(inst, box, bounds):
+    # the row rule alone: without the s2 box guard, every answer and every
+    # exhaustion is that of the first-hit scan of the flattened stream
+    rows = dataclasses.replace(inst, box_holds=None)
+    for bound in bounds:
+        for a in box:
+            for side in ("left", "right"):
+                try:  # one pass answers every b, if none exhausts (as at the larger bounds)
+                    flat = residual_scan(rows, a, box, side, bound)
+                except ResidualExhausted:
+                    flat = {}
+                for b in box:
+                    stream = itertools.chain.from_iterable(inst.candidates(bound))
+                    try:
+                        want = flat.get(b) or _per_b_scan(stream, inst.mul, inst.cmp, a, b, side)
+                    except ResidualExhausted:
+                        want = None
+                    try:
+                        got = residual_search(rows, a, b, side, bound)
+                    except ResidualExhausted:
+                        got = None
+                    assert got == want, (a, b, side, bound)
+
+
+def test_rows_and_their_products_descend():
+    # the premise of the row rule: along a row, c, a*c and c*a all descend
+    for inst, box in ((S2Instance, list(R.s2_box(3))), (M1Instance, M1_WORDS[:15])):
+        for bound in range(9):
+            for row in inst.candidates(bound):
+                for a in box:
+                    for seq in (row, [inst.mul(a, c) for c in row], [inst.mul(c, a) for c in row]):
+                        assert all(inst.cmp(x, y) > 0 for x, y in zip(seq, seq[1:])), (a, row)
+
+
+def test_s2_search_refuses_a_box_that_may_miss_the_residual():
+    # (0, 40, 0) lies above (1, 0, 0) but outside every box up to bound 32,
+    # so a first hit in a box with bound < max(b.alpha, b.beta + 1) may be wrong
+    for a, b, bound, residual in ((X, HeisTriple(1, 1, 1), 1, (0, 2, 0)),
+                                  (HEIS_UNIT, HeisTriple(0, 40, 0), 32, (0, 40, 0))):
+        assert s2_residual(a, b) == residual
+        with pytest.raises(ResidualExhausted, match=f"^residual search exhausted within bound {bound}$"):
+            residual_search(S2Instance, a, b, "left", bound)
+        with pytest.raises(ResidualExhausted):
+            residual_scan(S2Instance, a, [HEIS_UNIT, b], "left", bound)
+    assert residual_search(S2Instance, X, HeisTriple(1, 1, 1), "left", 2) == (0, 2, 0)
+    box = list(R.s2_box(4, 4))
+    for bound in range(1, 5):
+        for a in box:
+            for b in box:
+                for side in ("left", "right"):
+                    try:
+                        got = residual_search(S2Instance, a, b, side, bound)
+                    except ResidualExhausted:
+                        got = None
+                    want = None if bound < max(b.alpha, b.beta + 1) else s2_residual(a, b, side)
+                    assert got == want, (a, b, side, bound)
 
 
 def test_a_bool_bound_is_refused_before_any_scan():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -185,7 +186,8 @@ def test_every_triple_returning_function_returns_a_heistriple():
         "random_triple": random_triple(random.Random(0), 3),
     }
     results.update((f"s2_box item {i}", t) for i, t in enumerate(nilpotent.s2_box(2)))
-    results.update((f"s2_candidates item {i}", t) for i, t in enumerate(s2_candidates(2)))
+    results.update((f"s2_candidates item {i}", t)
+                   for i, t in enumerate(itertools.chain.from_iterable(s2_candidates(2))))
     box = list(nilpotent.s2_box(2))
     for side in ("left", "right"):
         scan = residual_scan(S2Instance, g, box, side, 8)

@@ -16,9 +16,9 @@ SUITE is one of:
   (after an untimed pass that compiles the laws), one evaluation per run.
 - `triples`: triple construction (`nilpotent._triple` where the sources
   have it) against the `HeisTriple` class call, `heis_mul`, one
-  `residual_search` candidate on `S2Instance` at bound 14, one on
-  `M1Instance` at bound 26 (over the 91**2 pairs of words up to length 12)
-  and one `frac_cmp_witness` at bound 8, on seeded inputs; a run reports
+  `residual_search` on `S2Instance` at bound 14, one on `M1Instance` at
+  bound 26 (over the 91**2 pairs of words up to length 12) and one
+  `frac_cmp_witness` at bound 8, on seeded inputs; a run reports
   the best of ROUNDS rounds per unit of work.
 - `laws`: the compiled law checks.  `L_3` (ten checks a round), `L_4` and
   `L_5` on the 15-element `heyting5 x godel3`, after an untimed check that
@@ -152,21 +152,10 @@ def products(n=200_000):
 """
 _SEARCHES = """
 def search_job(inst, cases, bound):
-    # count the candidates that residual_search scans on `cases` once, untimed,
-    # through a counting copy of the stream; the timed function returns it
-    count, stream = 0, inst.candidates
-    def counted(b):
-        nonlocal count
-        for c in stream(b):
-            count += 1
-            yield c
-    counting = dataclasses.replace(inst, candidates=counted)
-    for a, b, side in cases:
-        omon.residual_search(counting, a, b, side, bound=bound)
     def searches():
         for a, b, side in cases:
             omon.residual_search(inst, a, b, side, bound=bound)
-        return count
+        return len(cases)
     return searches
 """
 _S2_CASES = _SEARCHES + """
@@ -253,15 +242,15 @@ SUITES = {
                            " for _ in range(100) for s, p in checks)"),
         }, 1, REPEAT, _enumerate_summary, {}, "runs_s"),
     "triples": Suite(
-        "import dataclasses, itertools, random\n"
+        "import itertools, random\n"
         "from reslat import nilpotent, omon, ore\n"
         f"rng, HeisTriple = random.Random({SEED}), nilpotent.HeisTriple", {
             "triple_build": (_BUILDS, 'builds(getattr(nilpotent, "_triple", HeisTriple))',
                              "ns per triple"),
             "class_call": (_BUILDS, "builds(HeisTriple)", "ns per HeisTriple(a, b, g)"),
             "heis_mul": (_PRODUCTS, "products()", "ns per product"),
-            "s2_search": (_S2_CASES, "searches()", "ns per candidate"),
-            "m1_search": (_M1_CASES, "searches()", "ns per candidate"),
+            "s2_search": (_S2_CASES, "searches()", "us per search"),
+            "m1_search": (_M1_CASES, "searches()", "us per search"),
             "frac_cmp_witness": (_FRACTIONS, "comparisons()", "us per pair"),
         }, ROUNDS, TRIPLES_REPEAT, _best_summary, {"rounds": ROUNDS, "seed": SEED}),
     "laws": Suite(
