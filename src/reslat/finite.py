@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from ._check import check_int
@@ -180,16 +181,16 @@ def _first_gap(s: Sequence[Sequence], t: Sequence[Sequence]) -> Optional[tuple[i
 class _LatticeOrder(NamedTuple):
     """A checked lattice order with its meet and join tables, and what the
     monoid part of `derive_residuals` needs of it: `principal` maps each
-    down-set mask to the element it is the down-set of, and `covers` pairs
-    each element with its lower covers, in a linear extension.  Records
-    are memoised and shared between calls, so they and their tables are
-    read-only."""
+    down-set mask to the element it is the down-set of, and `covers` lists
+    every pair (b, d) with d a lower cover of b, with b running along a
+    linear extension.  Records are memoised and shared between calls, so
+    they and their tables are read-only."""
 
     leq: tuple[tuple[bool, ...], ...]
     meet: Table
     join: Table
     principal: dict[int, int]
-    covers: tuple[tuple[int, tuple[int, ...]], ...]
+    covers: tuple[tuple[int, int], ...]
 
 
 @functools.lru_cache(maxsize=_ORDER_CACHE_SIZE)
@@ -214,8 +215,8 @@ def _lattice_order(leq: tuple[tuple[bool, ...], ...]) -> _LatticeOrder:
     if gap is not None:
         raise NotALattice(f"missing meet or join for ({gap[0]},{gap[1]})")
     # d is a lower cover of b iff the interval [d, b] is {d, b}
-    covers = tuple((b, tuple(d for d in rng if (down[b] & up[d]).bit_count() == 2))
-                   for b in sorted(rng, key=lambda b: down[b].bit_count()))
+    covers = tuple((b, d) for b in sorted(rng, key=lambda b: down[b].bit_count())
+                   for d in rng if (down[b] & up[d]).bit_count() == 2)
     return _LatticeOrder(leq, meet, join, principal, covers)
 
 
@@ -226,33 +227,43 @@ def _residual_row(order: _LatticeOrder, row: Sequence[int]) -> tuple[Optional[in
     below = [0] * len(row)
     for c, v in enumerate(row):
         below[v] |= 1 << c
-    for b, lows in order.covers:
-        for d in lows:
-            below[b] |= below[d]
+    for b, d in order.covers:
+        below[b] |= below[d]
     return tuple(map(order.principal.get, below))
 
 
-def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str) -> FiniteResLat:
+def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str,
+                memo: Optional[dict] = None) -> FiniteResLat:
     """The monoid part of `derive_residuals`: check the unit and
     associativity of `mul` over a checked lattice order, then derive both
-    residual tables.  Monotonicity has no test of its own: when every
+    residual tables.  Row a*b of `mul` is compared with row a gathered by
+    one itemgetter per row b.  `memo` maps a row or column of `mul` to its
+    `_residual_row`; one call may share it between tables on this order.
+    Monotonicity has no test of its own: when every
     {c : a*c <= b} and {c : c*a <= b} is a principal down-set, c <= c'
     gives a*c <= a*c' and c*a <= c'*a.  So a product that is not
     order-preserving always leaves a residual gap, and a gap is first
     reported as that failure, at its lex-first witness."""
     leq = order.leq
     rng = range(len(leq))
+    # an itemgetter of one index returns the bare item, not a 1-tuple
+    gather = [itemgetter(*row) if len(row) > 1 else lambda r, c=row[0]: (r[c],) for row in mul]
     for a in rng:
         if mul[unit][a] != a or mul[a][unit] != a:
             raise NotAMonoid(f"unit law fails at {a}")
         row = mul[a]
         for b in rng:
-            if tuple(map(row.__getitem__, mul[b])) != mul[row[b]]:
+            if gather[b](row) != mul[row[b]]:
                 c = next(c for c in rng if mul[row[b]][c] != row[mul[b][c]])
                 raise NotAMonoid(f"associativity fails at ({a},{b},{c})")
 
-    ldiv = tuple(_residual_row(order, row) for row in mul)
-    rdiv_by_divisor = tuple(_residual_row(order, col) for col in zip(*mul))
+    memo = {} if memo is None else memo
+    cols = tuple(zip(*mul))
+    for line in (*mul, *cols):
+        if line not in memo:
+            memo[line] = _residual_row(order, line)
+    ldiv = tuple(map(memo.__getitem__, mul))
+    rdiv_by_divisor = tuple(map(memo.__getitem__, cols))
     gap = _first_gap(ldiv, rdiv_by_divisor)
     if gap is not None:
         for a in rng:
@@ -426,7 +437,7 @@ def _unknown_property(name: str) -> ValueError:
 def check_named_property(s, name: str) -> Verdict:
     """Check a registered property on any finite structure.  Raises
     ValueError for an unknown property name."""
-    if name not in PROPERTIES:
+    if not isinstance(name, str) or name not in PROPERTIES:
         raise _unknown_property(name)
     for law in PROPERTIES[name]:
         v = check_equation(law, s)
@@ -544,7 +555,9 @@ def _chain_tables(n: int, unit: int) -> Iterator[Table]:
     its right are in the unit's row and column: monotonicity bounds the value
     by those neighbours.  After each cell is set, every associativity triple
     that uses it and has all four cells set is tested, so each triple is
-    tested as soon as its last cell is set and a failing table is cut there."""
+    tested as soon as its last cell is set and a failing table is cut there.
+    `at[v]` lists the set cells that hold v, so the triples through a cell
+    that is a product a·b are found without scanning the grid."""
     grid: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
     for j in range(n):
         grid[unit][j] = j
@@ -553,6 +566,7 @@ def _chain_tables(n: int, unit: int) -> Iterator[Table]:
         grid[j][0] = 0
     rng = range(n)
     free = [(i, j) for i in rng for j in rng if i not in (0, unit) and j not in (0, unit)]
+    at = [[(i, j) for i in rng for j in rng if grid[i][j] == v] for v in rng]
 
     def associative_at(i: int, j: int) -> bool:
         # the triples whose a·b, b·c, (a·b)·c or a·(b·c) is the cell (i, j),
@@ -571,18 +585,18 @@ def _chain_tables(n: int, unit: int) -> Iterator[Table]:
                 left, right = grid[ci][j], row_c[v]
                 if left is not None and right is not None and left != right:
                     return False
-        for row_a in grid:  # (a, b, j) with a·b = i, so (a·b)·j is v
-            for b, ab in enumerate(row_a):
-                if ab == i:
-                    bj = grid[b][j]
-                    if bj is not None and row_a[bj] is not None and row_a[bj] != v:
-                        return False
-        for b, ib in enumerate(row_i):  # (i, b, c) with b·c = j, so i·(b·c) is v
+        for a, b in at[i]:  # (a, b, j) with a·b = i, so (a·b)·j is v
+            bj = grid[b][j]
+            if bj is not None:
+                other = grid[a][bj]
+                if other is not None and other != v:
+                    return False
+        for b, c in at[j]:  # (i, b, c) with b·c = j, so i·(b·c) is v
+            ib = row_i[b]
             if ib is not None:
-                row_ib = grid[ib]
-                for c, bc in enumerate(grid[b]):
-                    if bc == j and row_ib[c] is not None and row_ib[c] != v:
-                        return False
+                other = grid[ib][c]
+                if other is not None and other != v:
+                    return False
         return True
 
     def rec(k: int) -> Iterator[Table]:
@@ -594,8 +608,10 @@ def _chain_tables(n: int, unit: int) -> Iterator[Table]:
         hi = min(j if i < unit else n - 1, i if j < unit else n - 1)
         for v in range(lo, hi + 1):
             grid[i][j] = v
+            at[v].append((i, j))
             if associative_at(i, j):
                 yield from rec(k + 1)
+            at[v].pop()
         grid[i][j] = None
 
     yield from rec(0)
@@ -610,18 +626,22 @@ def enumerate_chain_models(
     deterministic order (unit ascending, then row-major table order),
     filtered by the named-property constraints.  Raises ValueError, before
     enumerating anything, unless `cap` is an int >= 1, `n` an int in 1..cap
-    and every constraint a known name."""
+    and `constraints` a list or tuple of known names.  The tables share one
+    memo of residual rows, which lives for this call only."""
     check_int(cap, "cap", 1)
     check_int(n, "chain size", 1, cap)
+    if not isinstance(constraints, (list, tuple)):
+        raise ValueError(f"constraints must be a list of property names, got {constraints!r}")
     for c in constraints:
-        if c not in PROPERTIES:
+        if not isinstance(c, str) or c not in PROPERTIES:
             raise _unknown_property(c)
     order = _lattice_order(chain_leq(n))
     units = [0] if n == 1 else range(1, n)
     found = []
+    memo: dict = {}
     for unit in units:
         for mul in _chain_tables(n, unit):
-            s = _residuated(order, mul, unit, name=f"chain{n}-u{unit}")
+            s = _residuated(order, mul, unit, f"chain{n}-u{unit}", memo)
             if all(check_named_property(s, c).holds for c in constraints):
                 found.append(s)
     return found
@@ -649,6 +669,9 @@ def structure_from_json(d: dict) -> FiniteResLat:
         if key not in d:
             raise StructureError(f"structure has no {key!r} key")
     s = derive_residuals(d["leq"], d["mul"], d["unit"], name=d.get("name", ""))
+    size = d.get("size", s.n)
+    if size.__class__ is not int or size != s.n:
+        raise StructureError(f"size {size!r} disagrees with the {s.n} rows of leq")
     for key, table in (("ldiv", s.ldiv_table), ("rdiv", s.rdiv_table)):
         if key in d and d[key] != [list(row) for row in table]:
             raise StructureError(f"stored {key} table disagrees with recomputation")

@@ -86,6 +86,17 @@ REFUSALS = {
     "Term kind": (lambda: terms.Term("?"), "unknown node kind '?'"),
     "eval_term unbound": (lambda: terms.eval_term(terms.var("y"), {"x": 0}, models.godel3()),
                           "unbound variable 'y'"),
+    "check_named_property name": (lambda: finite.check_named_property(models.godel3(), ["LPL"]),
+                                  str(finite._unknown_property(["LPL"]))),
+    "enumerate_chain_models constraint": (
+        lambda: finite.enumerate_chain_models(3, constraints=[["LPL"]]),
+        str(finite._unknown_property(["LPL"]))),
+    "enumerate_chain_models constraints None": (
+        lambda: finite.enumerate_chain_models(3, constraints=None),
+        "constraints must be a list of property names, got None"),
+    "enumerate_chain_models constraints str": (
+        lambda: finite.enumerate_chain_models(3, constraints="LPL"),
+        "constraints must be a list of property names, got 'LPL'"),
 }
 
 

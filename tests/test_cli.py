@@ -67,6 +67,8 @@ def test_check_unknown_model(capsys):
     ('{"leq": [[1,"no"],[0,1]], "mul": [[0,0],[0,1]], "unit": 1}',
      "leq cell (0,1) = 'no' is not 0, 1, true or false"),
     ("{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ('{"size": 7, "leq": [[1,1],[0,1]], "mul": [[0,0],[0,1]], "unit": 1}',
+     "size 7 disagrees with the 2 rows of leq"),
 ])
 def test_check_malformed_structure_file(capsys, tmp_path, text, message):
     path = tmp_path / "s.json"

@@ -104,6 +104,16 @@ def _reference_derive(leq, mul, unit):
     return tuple(tuple(map(tuple, t)) for t in (meet, join, ldiv, rdiv))
 
 
+def test_enumerated_residual_tables_match_the_reference_derivation():
+    # the tables enumerate_chain_models builds itself, from its shared memo of
+    # residual rows, not a second derivation of its (leq, mul, unit)
+    chains = [s for n in range(1, 7) for s in R.enumerate_chain_models(n)]
+    assert len(chains) == 679
+    for s in chains:
+        want = _reference_derive(s.leq, s.mul_table, s.unit)
+        assert (s.meet_table, s.join_table, s.ldiv_table, s.rdiv_table) == want, s.name
+
+
 def _mutants(structures, count, seed):
     """`count` seeded mutants: each flips a leq cell, changes a mul cell or
     moves the unit, one to three times."""
@@ -644,6 +654,22 @@ _G3_MUL = _godel3_json()["mul"]
 def test_malformed_structure_is_refused(blob, message):
     with pytest.raises(finite.StructureError, match=f"^{re.escape(message)}$"):
         R.structure_from_json(blob)
+
+
+def test_a_stored_size_must_equal_the_rows_of_leq():
+    for size in (7, 2, "two", "3", 3.0, None, [3]):
+        message = f"size {size!r} disagrees with the 3 rows of leq"
+        with pytest.raises(finite.StructureError, match=f"^{re.escape(message)}$"):
+            R.structure_from_json(_godel3_json(size=size))
+    trivial = {"leq": [[1]], "mul": [[0]], "unit": 0}
+    # True == 1, but a bool is not a size
+    with pytest.raises(finite.StructureError, match=r"^size True disagrees with the 1 rows of leq$"):
+        R.structure_from_json({**trivial, "size": True})
+    assert R.structure_from_json({**trivial, "size": 1}).n == 1
+    assert R.structure_from_json(_godel3_json(size=3)).n == 3
+    blob = _godel3_json()
+    del blob["size"]
+    assert R.structure_from_json(blob).n == 3
 
 
 def test_order_violations_reported_in_full():
