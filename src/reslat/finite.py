@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -307,10 +308,13 @@ def derive_residuals(
 
     Raises StructureError naming the table, row or cell when `leq` and `mul`
     are not n x n tables, a `leq` cell is not a boolean or 0/1, a `mul` cell
-    or `unit` is not an int in range(n), and NotALattice / NotAMonoid /
+    or `unit` is not an int in range(n), or `name` is not a str (the
+    structure is hashed), and NotALattice / NotAMonoid /
     NotResiduated with a witness in the message when the input fails the
     corresponding requirement.
     """
+    if not isinstance(name, str):
+        raise StructureError(f"name must be a string, got {name!r}")
     if not isinstance(leq, (list, tuple)):
         raise StructureError("leq must be a list of rows")
     n = len(leq)
@@ -459,11 +463,29 @@ def negative_cone(s: FiniteResLat) -> FiniteResLat:
     return derive_residuals(leq, mul, index[s.unit], name=f"{s.name or s.n}-negcone")
 
 
+def _require_elements(s: FiniteResLat, *elements) -> None:
+    for a in elements:
+        if not _is_element(a, s.n):
+            raise ValueError(f"element {a!r} is not in range({s.n})")
+
+
 def absolute_value(s: FiniteResLat, a: int) -> int:
+    """a ^ e/a ^ e.  Raises ValueError if `a` is not an element of s."""
+    _require_elements(s, a)
+    return _absolute_value(s, a)
+
+
+def _absolute_value(s: FiniteResLat, a: int) -> int:
     return s.meet(s.meet(a, s.rdiv(s.unit, a)), s.unit)
 
 
 def conjugates(s: FiniteResLat, a: int, b: int) -> tuple[int, int]:
+    """(b\\ab ^ e, ba/b ^ e).  Raises ValueError if `a` or `b` is not an element of s."""
+    _require_elements(s, a, b)
+    return _conjugates(s, a, b)
+
+
+def _conjugates(s: FiniteResLat, a: int, b: int) -> tuple[int, int]:
     lam = s.meet(s.ldiv(b, s.mul(a, b)), s.unit)
     rho = s.meet(s.rdiv(s.mul(b, a), b), s.unit)
     return lam, rho
@@ -483,23 +505,28 @@ def convex_closure(s: FiniteResLat, gens: Iterable[int]) -> frozenset[int]:
     """Least convex subuniverse containing `gens`: the up-set of one idempotent.
     Each |g| lies at or below e, so the submonoid of the |g| has a least element
     p, the idempotent that the powers of their product reach, and an element c
-    belongs iff p <= |c|."""
+    belongs iff p <= |c|.  Raises ValueError if a generator is not an element of s."""
+    gens = tuple(gens)
+    _require_elements(s, *gens)
     _require_ecyclic(s)
     p = s.unit
     for g in gens:
-        p = s.mul(p, absolute_value(s, g))
+        p = s.mul(p, _absolute_value(s, g))
     while s.mul(p, p) != p:
         p = s.mul(p, p)
     return _above(s, p)
 
 
 def _above(s: FiniteResLat, p: int) -> frozenset[int]:
-    return frozenset(c for c in s.elements if s.le(p, absolute_value(s, c)))
+    return frozenset(c for c in s.elements if s.le(p, _absolute_value(s, c)))
 
 
 def convex_closure_fixpoint(s: FiniteResLat, gens: Iterable[int]) -> frozenset[int]:
     """Independent oracle: close {gens, e} under the operations and convexity
-    until a fixpoint is reached."""
+    until a fixpoint is reached.  Raises ValueError if a generator is not an
+    element of s."""
+    gens = tuple(gens)
+    _require_elements(s, *gens)
     cur = set(gens) | {s.unit}
     while True:
         new: set[int] = set()
@@ -531,7 +558,7 @@ def is_hamiltonian_structure(s: FiniteResLat) -> Verdict:
     for h in all_convex_subuniverses(s):
         for a in h:
             for b in s.elements:
-                lam, rho = conjugates(s, a, b)
+                lam, rho = _conjugates(s, a, b)
                 if lam not in h or rho not in h:
                     return Verdict(False, {"H": sorted(h), "a": a, "b": b})
     return HOLDS
@@ -681,9 +708,14 @@ def structure_from_json(d: dict) -> FiniteResLat:
 def load_structure(path: str, max_n: Optional[int] = None) -> FiniteResLat:
     """Read a structure JSON file.  Any failure, from opening the file to
     checking its tables, raises StructureError naming the path.  A `leq` of
-    more than `max_n` (an int >= 1) rows is refused before any table is derived."""
+    more than `max_n` (an int >= 1) rows is refused before any table is derived.
+    A path that is not a str or an os.PathLike (an int would be opened as a
+    file descriptor) is refused before anything is opened."""
     if max_n is not None:
         check_int(max_n, "max_n", 1)
+    if not isinstance(path, (str, os.PathLike)):
+        raise StructureError(f"cannot load model {path!r}: a path must be a str or os.PathLike, "
+                             f"got {type(path).__name__}")
     try:
         with open(path) as fh:
             d = json.load(fh)

@@ -139,11 +139,17 @@ def s2_member(g: HeisTriple) -> bool:
             and alpha >= 0 and beta >= 0 and 0 <= gamma <= alpha * beta)
 
 
+def _s2_element(g) -> bool:
+    """`s2_member` for a value of any class: False unless it is a tuple of three."""
+    return isinstance(g, tuple) and len(g) == 3 and s2_member(g)
+
+
 def s2_require(*gs: HeisTriple) -> None:
     """Raise ValueError naming the first of `gs` outside the positive monoid."""
     for g in gs:
-        if not s2_member(g):
-            raise ValueError(f"{tuple(g)} is not in the positive monoid")
+        if not _s2_element(g):
+            shown = tuple(g) if isinstance(g, tuple) else repr(g)
+            raise ValueError(f"{shown} is not in the positive monoid")
 
 
 def heis_cmp(g: HeisTriple, h: HeisTriple) -> int:

@@ -31,6 +31,7 @@ from .nilpotent import (
     HEIS_UNIT,
     HeisTriple,
     _mul,
+    _s2_element,
     _triple,
     dyadic_conjugate,
     dyadic_cmp,
@@ -38,7 +39,6 @@ from .nilpotent import (
     dyadic_mul,
     dyadic_pow,
     heis_cmp,
-    s2_member,
     s2_require,
 )
 
@@ -94,7 +94,8 @@ class Chain:
     `candidates(bound)`, streaming a finite box strictly descending from the
     unit in rows (tuples) along which a*c and c*a descend for each a, and
     `member(a)`, which the search checks its operands with before scanning,
-    so that `cmp` itself validates nothing.  `box_holds(b, bound)` is False
+    so that `cmp` itself validates nothing: it is False, and never raises,
+    for any value that is not an element.  `box_holds(b, bound)` is False
     where that box may miss a residual into b (None: it is an up-set).
     """
 
@@ -215,11 +216,15 @@ def m1_candidates(bound: int) -> Iterator[tuple[M1Element, ...]]:
 def m1_residual(w: M1Element, z: M1Element) -> M1Element:
     """Greatest c with z*c <= w (the monoid is commutative, so both
     residuals coincide).  Closed form by case analysis on total degree."""
-    (w0, w1), (z0, z1) = w, z
     # M1Instance.member inline: two calls of it would double this closed form's cost
-    if not (w0.__class__ is w1.__class__ is z0.__class__ is z1.__class__ is int
-            and w0 >= 0 and w1 >= 0 and z0 >= 0 and z1 >= 0):
-        raise ValueError(f"{z if M1Instance.member(w) else w} is not in the free commutative monoid")
+    try:
+        (w0, w1), (z0, z1) = w, z
+        ok = (w0.__class__ is w1.__class__ is z0.__class__ is z1.__class__ is int
+              and w0 >= 0 and w1 >= 0 and z0 >= 0 and z1 >= 0)
+    except (TypeError, ValueError):  # not two pairs
+        ok = False
+    if not ok:
+        raise ValueError(f"{z if M1Instance.member(w) else w!r} is not in the free commutative monoid")
     d = (w0 + w1) - (z0 + z1)
     if d < 0:
         return M1_UNIT
@@ -250,8 +255,7 @@ def m1_parse(text: str) -> M1Element:
     text = text.strip()
     if text.startswith("["):
         u = json.loads(text)
-        if (isinstance(u, list) and len(u) == 2 and all(type(k) is int for k in u)
-                and M1Instance.member(u)):
+        if isinstance(u, list) and M1Instance.member(tuple(u)):
             return tuple(u)
         raise ValueError(f"cannot parse monoid word {text!r}")
     if text == "e":
@@ -272,7 +276,8 @@ M1Instance = Chain(
     ldiv=lambda a, b: m1_residual(b, a),
     rdiv=m1_residual,
     candidates=m1_candidates,
-    member=lambda u: u[0].__class__ is int and u[1].__class__ is int and u[0] >= 0 and u[1] >= 0,
+    member=lambda u: (u.__class__ is tuple and len(u) == 2
+                      and u[0].__class__ is u[1].__class__ is int and u[0] >= 0 and u[1] >= 0),
 )
 
 
@@ -323,7 +328,7 @@ S2Instance = Chain(
     ldiv=s2_residual,
     rdiv=lambda a, b: s2_residual(b, a, "right"),
     candidates=s2_candidates,
-    member=s2_member,
+    member=_s2_element,
     box_holds=lambda b, bound: bound >= max(b[0], b[1] + 1),  # residuals into b lie in the box
 )
 

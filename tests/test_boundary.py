@@ -97,6 +97,37 @@ REFUSALS = {
     "enumerate_chain_models constraints str": (
         lambda: finite.enumerate_chain_models(3, constraints="LPL"),
         "constraints must be a list of property names, got 'LPL'"),
+    # operands that are not exactly two (m1) or three (s2) int entries in range
+    "residual_search m1 triple": (
+        lambda: omon.residual_search(omon.M1Instance, (1, 0, 9), (0, 1), "left", 8),
+        "(1, 0, 9) is not an element of chain 'm1'"),
+    "residual_search m1 int": (lambda: omon.residual_search(omon.M1Instance, (0, 1), 5, "left", 8),
+                               "5 is not an element of chain 'm1'"),
+    "residual_scan m1 single": (
+        lambda: omon.residual_scan(omon.M1Instance, (0, 1), [(0, 0), (1,)], "left", 8),
+        "(1,) is not an element of chain 'm1'"),
+    "residual_scan m1 list": (
+        lambda: omon.residual_scan(omon.M1Instance, [1, 0], [(0, 0)], "left", 8),
+        "[1, 0] is not an element of chain 'm1'"),
+    "residual_search s2 int": (lambda: omon.residual_search(omon.S2Instance, 5, Y, "left", 8),
+                               "5 is not an element of chain 's2'"),
+    "residual_search s2 pair": (
+        lambda: omon.residual_search(omon.S2Instance, X, (1, 0), "right", 8),
+        "(1, 0) is not an element of chain 's2'"),
+    "residual_scan s2 None": (lambda: omon.residual_scan(omon.S2Instance, X, [Y, None], "left", 8),
+                              "None is not an element of chain 's2'"),
+    # finite elements are ints in range(n): no wrapping of negatives, no bools, no IndexError
+    "absolute_value negative": (lambda: finite.absolute_value(models.godel3(), -1),
+                                "element -1 is not in range(3)"),
+    "conjugates past the carrier": (lambda: finite.conjugates(models.godel3(), 9, 0),
+                                    "element 9 is not in range(3)"),
+    "convex_closure bool": (lambda: finite.convex_closure(models.godel3(), [True]),
+                            "element True is not in range(3)"),
+    "convex_closure past the carrier": (lambda: finite.convex_closure(models.godel3(), [7]),
+                                        "element 7 is not in range(3)"),
+    "convex_closure_fixpoint negative": (
+        lambda: finite.convex_closure_fixpoint(models.godel3(), [-3]),
+        "element -3 is not in range(3)"),
 }
 
 
@@ -178,3 +209,36 @@ def test_term_text_raises_only_typed_errors(text):
     law = _typed(terms.parse_quasiequation, text)
     if law is not None:
         _typed(terms.check_equation, law, models.godel3())
+
+
+_ENTRY = st.one_of(st.integers(-2, 4), st.none(), st.floats(allow_nan=False), st.text(max_size=2),
+                   st.booleans())
+_OPERAND = st.one_of(
+    _ENTRY,
+    st.lists(_ENTRY, max_size=4).map(tuple),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),  # m1 elements
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 9)),  # s2 elements, near misses
+)
+_GODEL3 = models.godel3()
+_OPERAND_TARGETS = [
+    lambda x, y: omon.residual_search(omon.M1Instance, x, y, "left", 8),
+    lambda x, y: omon.residual_search(omon.S2Instance, x, y, "right", 8),
+    lambda x, y: omon.residual_scan(omon.M1Instance, x, [y], "right", 8),
+    lambda x, y: omon.residual_scan(omon.S2Instance, x, [y], "left", 8),
+    omon.m1_residual,
+    omon.s2_residual,
+    nilpotent.s2_cmp,
+    ore.OreFraction,
+    lambda x, y: finite.absolute_value(_GODEL3, x),
+    lambda x, y: finite.convex_closure(_GODEL3, [x, y]),
+]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(x=_OPERAND, y=_OPERAND)
+def test_chain_and_element_operands_raise_only_typed_errors(x, y):
+    for target in _OPERAND_TARGETS:
+        try:
+            target(x, y)
+        except (TYPED, omon.ResidualExhausted):
+            pass

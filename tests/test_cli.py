@@ -69,6 +69,8 @@ def test_check_unknown_model(capsys):
     ("{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     ('{"size": 7, "leq": [[1,1],[0,1]], "mul": [[0,0],[0,1]], "unit": 1}',
      "size 7 disagrees with the 2 rows of leq"),
+    ('{"name": [1], "leq": [[1,1],[0,1]], "mul": [[0,0],[0,1]], "unit": 1}',
+     "name must be a string, got [1]"),
 ])
 def test_check_malformed_structure_file(capsys, tmp_path, text, message):
     path = tmp_path / "s.json"

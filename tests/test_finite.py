@@ -3,6 +3,7 @@ import importlib
 import inspect
 import itertools
 import json
+import os
 import random
 import re
 
@@ -600,6 +601,22 @@ def test_load_structure_refuses_a_model_above_its_cap(tmp_path):
     assert R.load_structure(str(path), max_n=5).n == 5
 
 
+def test_load_structure_refuses_a_path_that_is_not_a_str_or_pathlike(tmp_path):
+    path = tmp_path / "g3.json"
+    path.write_text(json.dumps(R.structure_to_json(models.godel3())))
+    assert R.load_structure(path).n == 3  # an os.PathLike is a path
+    fd = os.open(path, os.O_RDONLY)  # an int would be read, and closed, as a file descriptor
+    try:
+        for bad in (fd, 1.5, None, bytes(path)):
+            message = f"cannot load model {bad!r}: a path must be a str or os.PathLike, " \
+                      f"got {type(bad).__name__}"
+            with pytest.raises(R.StructureError, match=f"^{re.escape(message)}$"):
+                R.load_structure(bad)
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
+
+
 def test_json_rejects_bad_tables():
     g3 = models.godel3()
     blob = R.structure_to_json(g3)
@@ -655,6 +672,9 @@ _G3_MUL = _godel3_json()["mul"]
     (_godel3_json(size="two"), "size 'two' disagrees with the 3 rows of leq"),
     (_godel3_json(size=3.0), "size 3.0 disagrees with the 3 rows of leq"),
     ({"size": True, "leq": [[1]], "mul": [[0]], "unit": 0}, "size True disagrees with the 1 rows of leq"),
+    # a structure is hashed, so its name must be a str
+    (_godel3_json(name=[1]), "name must be a string, got [1]"),
+    (_godel3_json(name=None), "name must be a string, got None"),
 ])
 def test_malformed_structure_is_refused(blob, message):
     with pytest.raises(finite.StructureError, match=f"^{re.escape(message)}$"):

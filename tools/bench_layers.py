@@ -7,42 +7,43 @@
 SUITE is one of:
 
 - `cli`: one in-process request of each kind of the benchmark's `cli` job
-  list, CALLS calls per run.  `first_ms` is each run's first call, which
-  also pays for one-time set-up; `median_ms` is the median of the others.
+  list, in us per request; a request that exits with another code than
+  its job expects (1 for `check_file`, 0 for the others) fails the job.
 - `enumerate`: the chain enumerator (table generation alone, and whole
   `enumerate_chain_models`) at sizes 5, 6 and 7, `derive_residuals`,
-  `validate_axioms` and the JSON round trip on fixed inputs, and every
-  named property on the library and the chains up to size 5, 100 times
-  (after an untimed pass that compiles the laws), one evaluation per run.
+  `validate_axioms` and the JSON round trip on fixed inputs, in us per
+  table, model or structure; and every named property on the library and
+  the chains up to size 5, 100 times (after an untimed pass that compiles
+  the laws), in us per check.
 - `triples`: triple construction (`nilpotent._triple` where the sources
   have it) against the `HeisTriple` class call, `heis_mul`, one
   `residual_search` on `S2Instance` at bound 14, one on `M1Instance` at
   bound 26 (over the 91**2 pairs of words up to length 12) and one
-  `frac_cmp_witness` at bound 8, on seeded inputs; a run reports
-  the best of ROUNDS rounds per unit of work.
+  `frac_cmp_witness` at bound 8, on seeded inputs.
 - `laws`: the compiled law checks.  `L_3` (ten checks a round), `L_4` and
   `L_5` on the 15-element `heyting5 x godel3`, after an untimed check that
   compiles the law, in ms per check; and compiling `L_4` (20 times a round)
   and every named property (5 times a round), each compile after
-  `_compile.cache_clear()`, in us per compile.  A run reports the best of
-  ROUNDS rounds per unit, as for `triples`.
+  `_compile.cache_clear()`, in us per compile.
 
-Every job runs REPEAT times (TRIPLES_REPEAT for `triples`, LAWS_REPEAT for
-`laws`), each in a fresh
-interpreter with PYTHONPATH set to `--src`, RESLAT_MAX_SIZE unset and a
-temporary working directory: untimed set-up, then timed evaluations of one
-expression, after which it prints the last value (a count or an exit code)
-and the times.  A run over TIMEOUT_S seconds is recorded as
-`timed_out_after_s` and ends the job.  Each call stores its numbers under
-its label in `BENCH_<SUITE>.json` at the repository root, keeping the other
-labels.
+A job is (set-up, expression, unit): the expression does some units of
+work and returns how many.  Every job runs REPEAT times, each run in a
+fresh interpreter with PYTHONPATH set to `--src`, RESLAT_MAX_SIZE unset and
+a temporary working directory: the untimed set-up, then ROUNDS timed
+evaluations of the expression.  A run records its best round and its first
+round, which also pays for what the set-up left cold, each per unit; a
+job's result is the count of units a round, the `runs` (best per run),
+their `median` and the `first` of each run.  A run over TIMEOUT_S seconds
+is recorded as `timed_out_after_s` and ends the job.  Each call stores its
+numbers under its label in `BENCH_<SUITE>.json` at the repository root,
+keeping the other labels.
 
 A before/after pair is best timed in one call: `--src` given twice, with
 `--labels before,after`, runs the two sources in turn for each run of each
 job (before first in even runs, after first in odd ones), so that a slow
 or fast phase of the host falls on both.  Each label's numbers are stored
 as a one-source call stores them, and `paired` holds, per job, the pairs of
-per-run figures ([before, after], lower is better) and the number of runs
+`runs` figures ([before, after], lower is better) and the number of runs
 that `after` won.
 """
 
@@ -57,72 +58,54 @@ import subprocess
 import sys
 import tempfile
 import time
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-REPEAT = 3
-TRIPLES_REPEAT = 5
-LAWS_REPEAT = 5
-CALLS = 200
+REPEAT = 5
 ROUNDS = 7
 SEED = 20240826
 TIMEOUT_S = 120.0
 
-# runs in the child: set up, then time `reps` evaluations of one expression
+# runs in the child: set up, then time `rounds` evaluations of one expression
 _CHILD = """
 import json, sys, time
-setup, expr, reps = json.loads(sys.argv[1])
+setup, expr, rounds = json.loads(sys.argv[1])
 ns = {}
 exec(setup, ns)
 expr = compile(expr, "<job>", "eval")
 times = []
-for _ in range(reps):
+for _ in range(rounds):
     t = time.perf_counter()
-    value = eval(expr, ns)
+    count = eval(expr, ns)
     times.append(time.perf_counter() - t)
-print(json.dumps([value, times]))
+print(json.dumps([count, times]))
 """
 
 
 class Suite(NamedTuple):
     prelude: str  # set-up shared by every job of the suite
-    jobs: dict  # name -> (set-up, expression, *extra arguments of `summary`)
-    reps: int  # evaluations per run
-    repeat: int  # runs per job
-    summary: Callable  # (runs, *extra) -> result fields; a run is (value, times)
-    settings: dict  # recorded with the results, after `repeat`
-    per_run: str = "runs"  # the result field with one figure per run, for pairing
+    jobs: dict  # name -> (set-up, expression returning its count of units, unit)
 
 
-def _ms(seconds: float) -> float:
-    return round(seconds * 1000, 4)
-
-
-def _cli_summary(runs) -> dict:
-    return {"exit": sorted({code for code, _ in runs}),
-            "median_ms": _ms(statistics.median(t for _, times in runs for t in times[1:])),
-            "run_medians_ms": [_ms(statistics.median(times[1:])) for _, times in runs],
-            "first_ms": [_ms(times[0]) for _, times in runs]}
-
-
-def _enumerate_summary(runs) -> dict:
-    seconds = [round(times[0], 4) for _, times in runs]
-    return {"count": runs[-1][0], "median_s": round(statistics.median(seconds), 4),
-            "runs_s": seconds}
-
-
-def _best_summary(runs, unit: str) -> dict:
+def summary(runs, unit: str) -> dict:
+    """A job's result from its runs, each (count, seconds per round)."""
     scale = {"ns": 1e9, "us": 1e6, "ms": 1e3}[unit.split()[0]]
-    best = [round(min(times) / count * scale, 3) for count, times in runs]
-    return {"count": runs[-1][0], "median": round(statistics.median(best), 3), "runs": best}
+    per_unit = lambda count, seconds: round(seconds / count * scale, 3)
+    best = [per_unit(count, min(times)) for count, times in runs]
+    return {"count": runs[-1][0], "median": round(statistics.median(best), 3), "runs": best,
+            "first": [per_unit(count, times[0]) for count, times in runs]}
 
 
 _REQUEST = """
 import contextlib, io, json
-def request(argv):
+def request(argv, expect=0):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return cli.main(list(argv))
+        code = cli.main(list(argv))
+    if code != expect:
+        raise RuntimeError(f"{argv} exited {code}, not {expect}")
+    return 1
 """
+US = "us per request"
 _PRODUCT = """
 with open("product.json", "w") as fh:
     product = models.direct_product(models.heyting5(), models.godel3())
@@ -201,46 +184,54 @@ def compiles(laws):
 SUITES = {
     "cli": Suite(
         "from reslat import cli, finite, models\n" + _REQUEST, {
-            "check": ("", 'request(["check", "heyting5", "x*(y v z) = x*y v x*z", "--json"])'),
-            "check_file": (_PRODUCT, 'request(["check", "product.json", "LPL", "-p", "--json"])'),
-            "residual": ("", 'request(["residual", "s2", "left", "1,2,1", "2,1,0", "--json"])'),
+            "check": ("", 'request(["check", "heyting5", "x*(y v z) = x*y v x*z", "--json"])', US),
+            "check_file": (_PRODUCT, 'request(["check", "product.json", "LPL", "-p", "--json"], 1)',
+                           US),
+            "residual": ("", 'request(["residual", "s2", "left", "1,2,1", "2,1,0", "--json"])', US),
             "residual_search": ("", 'request(["residual", "s2", "left", "1,2,1", "2,1,0", "--json",'
-                                    ' "--search", "--bound", "14"])'),
-            "heis": ("", 'request(["heis", "-n", "3", "--json", "--", "pow", "-2,5,7"])'),
-            "s2": ("", 'request(["s2", "cmp", "1,2,1", "2,1,0", "--json"])'),
+                                    ' "--search", "--bound", "14"])', US),
+            "heis": ("", 'request(["heis", "-n", "3", "--json", "--", "pow", "-2,5,7"])', US),
+            "s2": ("", 'request(["s2", "cmp", "1,2,1", "2,1,0", "--json"])', US),
             "dyadic": ("", 'request(["dyadic", "-n", "3", "--json", "--", "conjugate", "(-1,0)",'
-                           ' "(0,-2)"])'),
+                           ' "(0,-2)"])', US),
             "ore": ("", 'request(["ore", "cmp", "1,0,0", "1,1,0", "--den2", "0,0,0", "--num2",'
-                        ' "0,1,0", "--witness", "--json"])'),
-            "omon": ("", 'request(["omon", "s2", "hamvty", "--size", "6", "--json"])'),
-            "enumerate": ("", 'request(["enumerate", "4", "--json"])'),
+                        ' "0,1,0", "--witness", "--json"])', US),
+            "omon": ("", 'request(["omon", "s2", "hamvty", "--size", "6", "--json"])', US),
+            "enumerate": ("", 'request(["enumerate", "4", "--json"])', US),
             "verify-paper": ("", 'request(["verify-paper", "--only", "divisibility-failures",'
-                                 ' "--json"])'),
-        }, CALLS, REPEAT, _cli_summary, {"calls": CALLS}, "run_medians_ms"),
+                                 ' "--json"])', US),
+        }),
     "enumerate": Suite(
         "from reslat import finite, models", {
-            "tables_n5": ("", "sum(1 for u in range(1, 5) for _ in finite._chain_tables(5, u))"),
-            "tables_n6": ("", "sum(1 for u in range(1, 6) for _ in finite._chain_tables(6, u))"),
-            "tables_n7": ("", "sum(1 for u in range(1, 7) for _ in finite._chain_tables(7, u))"),
-            "enumerate_n5": ("", "len(finite.enumerate_chain_models(5))"),
-            "enumerate_n6": ("", "len(finite.enumerate_chain_models(6))"),
-            "enumerate_n7_cap7": ("", "len(finite.enumerate_chain_models(7, cap=7))"),
+            "tables_n5": ("", "sum(1 for u in range(1, 5) for _ in finite._chain_tables(5, u))",
+                          "us per table"),
+            "tables_n6": ("", "sum(1 for u in range(1, 6) for _ in finite._chain_tables(6, u))",
+                          "us per table"),
+            "tables_n7": ("", "sum(1 for u in range(1, 7) for _ in finite._chain_tables(7, u))",
+                          "us per table"),
+            "enumerate_n5": ("", "len(finite.enumerate_chain_models(5))", "us per model"),
+            "enumerate_n6": ("", "len(finite.enumerate_chain_models(6))", "us per model"),
+            "enumerate_n7_cap7": ("", "len(finite.enumerate_chain_models(7, cap=7))",
+                                  "us per model"),
             "derive_residuals_chains6": (
                 _CHAINS6,
-                "len([finite.derive_residuals(s.leq, s.mul_table, s.unit) for s in chains6])"),
+                "len([finite.derive_residuals(s.leq, s.mul_table, s.unit) for s in chains6])",
+                "us per structure"),
             "derive_residuals_product_x100": (
                 "product = models.direct_product(models.heyting5(), models.godel3())",
                 "len([finite.derive_residuals(product.leq, product.mul_table, product.unit)"
-                " for _ in range(100)])"),
+                " for _ in range(100)])", "us per structure"),
             "validate_axioms_chains6": (
-                _CHAINS6, "sum(not finite.validate_axioms(s) for s in chains6)"),
+                _CHAINS6, "sum(not finite.validate_axioms(s) for s in chains6)",
+                "us per structure"),
             "json_round_trip_chains6": (
                 _CHAINS6,
-                "len([finite.structure_from_json(finite.structure_to_json(s)) for s in chains6])"),
+                "len([finite.structure_from_json(finite.structure_to_json(s)) for s in chains6])",
+                "us per structure"),
             "named_properties_x100": (
-                _UNIVERSE, "sum(finite.check_named_property(s, p).holds"
-                           " for _ in range(100) for s, p in checks)"),
-        }, 1, REPEAT, _enumerate_summary, {}, "runs_s"),
+                _UNIVERSE, "len([finite.check_named_property(s, p)"
+                           " for _ in range(100) for s, p in checks])", "us per check"),
+        }),
     "triples": Suite(
         "import itertools, random\n"
         "from reslat import nilpotent, omon, ore\n"
@@ -252,7 +243,7 @@ SUITES = {
             "s2_search": (_S2_CASES, "searches()", "us per search"),
             "m1_search": (_M1_CASES, "searches()", "us per search"),
             "frac_cmp_witness": (_FRACTIONS, "comparisons()", "us per pair"),
-        }, ROUNDS, TRIPLES_REPEAT, _best_summary, {"rounds": ROUNDS, "seed": SEED}),
+        }),
     "laws": Suite(
         "from reslat import finite, models, terms\n" + _LAWS, {
             "L3": ("timed = checks(3, 10)", "timed()", "ms per check"),
@@ -261,18 +252,19 @@ SUITES = {
             "compile_L4": ("timed = compiles([terms.gen_Lc(4)] * 20)", "timed()",
                            "us per compile"),
             "compile_named": ("timed = compiles(named * 5)", "timed()", "us per compile"),
-        }, ROUNDS, LAWS_REPEAT, _best_summary, {"rounds": ROUNDS}),
+        }),
 }
 
 
-def run_child(src: str, cwd: str, setup: str, expr: str, reps: int):
-    """(last value, seconds per evaluation) of one child, or None if it
-    took more than TIMEOUT_S seconds."""
+def run_child(src: str, cwd: str, setup: str, expr: str):
+    """(count of the last round, seconds per round) of one child, or None if
+    it took more than TIMEOUT_S seconds.  A child that fails, as a request
+    with an unexpected exit code does, shows its traceback and raises."""
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     env.pop("RESLAT_MAX_SIZE", None)
     try:
-        done = subprocess.run([sys.executable, "-c", _CHILD, json.dumps([setup, expr, reps])],
-                              env=env, cwd=cwd, capture_output=True, text=True,
+        done = subprocess.run([sys.executable, "-c", _CHILD, json.dumps([setup, expr, ROUNDS])],
+                              env=env, cwd=cwd, stdout=subprocess.PIPE, text=True,
                               timeout=TIMEOUT_S, check=True)
     except subprocess.TimeoutExpired:
         return None
@@ -284,30 +276,30 @@ def measure(suite: Suite, srcs: list) -> list:
     the order of `srcs` in even runs and reversed in odd ones."""
     results = [{} for _ in srcs]
     with tempfile.TemporaryDirectory() as cwd:
-        for name, (setup, expr, *extra) in suite.jobs.items():
+        for name, (setup, expr, unit) in suite.jobs.items():
             runs = [[] for _ in srcs]
-            turns = [k for i in range(suite.repeat)
+            turns = [k for i in range(REPEAT)
                      for k in (range(len(srcs)) if i % 2 == 0 else reversed(range(len(srcs))))]
             for k in turns:
-                run = run_child(srcs[k], cwd, suite.prelude + "\n" + setup, expr, suite.reps)
+                run = run_child(srcs[k], cwd, suite.prelude + "\n" + setup, expr)
                 if run is None:
                     break
                 runs[k].append(run)
             for result, src, src_runs in zip(results, srcs, runs):
-                result[name] = (suite.summary(src_runs, *extra) if src_runs
+                result[name] = (summary(src_runs, unit) if src_runs
                                 else {"timed_out_after_s": TIMEOUT_S})
                 label = f" {src}" if len(srcs) > 1 else ""
                 print(f"{name:30s}{label} {result[name]}", flush=True)
     return results
 
 
-def pair_up(suite: Suite, before: dict, after: dict) -> dict:
-    """Per job: the per-run figures of two sources timed in turn, as
+def pair_up(before: dict, after: dict) -> dict:
+    """Per job: the `runs` figures of two sources timed in turn, as
     [before, after] pairs, and the number of pairs that `after` won."""
     paired = {}
-    for name in suite.jobs:
-        pairs = [list(pair) for pair in zip(before[name].get(suite.per_run, []),
-                                              after[name].get(suite.per_run, []))]
+    for name in before:
+        pairs = [list(pair) for pair in zip(before[name].get("runs", []),
+                                              after[name].get("runs", []))]
         paired[name] = {"pairs": pairs, "after_won": sum(a < b for b, a in pairs)}
     return paired
 
@@ -350,13 +342,13 @@ def main(argv=None) -> int:
             "date": date,
             "host": {"python": platform.python_version(), "machine": platform.machine(),
                      "cpus": os.cpu_count()},
-            "repeat": suite.repeat,
-            **suite.settings,
+            "repeat": REPEAT,
+            "rounds": ROUNDS,
             "results": result,
         }
     if len(srcs) == 2:
         saved.setdefault("paired", {})[",".join(labels)] = {
-            "date": date, "per_run": suite.per_run, "results": pair_up(suite, *results)}
+            "date": date, "results": pair_up(*results)}
     with open(out, "w") as fh:
         json.dump(saved, fh, indent=2)
         fh.write("\n")
