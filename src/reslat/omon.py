@@ -216,14 +216,13 @@ def m1_candidates(bound: int) -> Iterator[tuple[M1Element, ...]]:
 def m1_residual(w: M1Element, z: M1Element) -> M1Element:
     """Greatest c with z*c <= w (the monoid is commutative, so both
     residuals coincide).  Closed form by case analysis on total degree."""
-    # M1Instance.member inline: two calls of it would double this closed form's cost
     try:
         (w0, w1), (z0, z1) = w, z
-        ok = (w0.__class__ is w1.__class__ is z0.__class__ is z1.__class__ is int
-              and w0 >= 0 and w1 >= 0 and z0 >= 0 and z1 >= 0)
-    except (TypeError, ValueError):  # not two pairs
-        ok = False
-    if not ok:
+    except (TypeError, ValueError):  # not two pairs: refused below
+        w0 = w1 = z0 = z1 = None
+    # M1Instance.member inline: two calls of it would double this closed form's cost
+    if not (w0.__class__ is w1.__class__ is z0.__class__ is z1.__class__ is int
+            and w0 >= 0 and w1 >= 0 and z0 >= 0 and z1 >= 0):
         raise ValueError(f"{z if M1Instance.member(w) else w!r} is not in the free commutative monoid")
     d = (w0 + w1) - (z0 + z1)
     if d < 0:

@@ -90,10 +90,10 @@ class Suite(NamedTuple):
 def summary(runs, unit: str) -> dict:
     """A job's result from its runs, each (count, seconds per round)."""
     scale = {"ns": 1e9, "us": 1e6, "ms": 1e3}[unit.split()[0]]
-    per_unit = lambda count, seconds: round(seconds / count * scale, 3)
-    best = [per_unit(count, min(times)) for count, times in runs]
+    best = [round(min(times) / count * scale, 3) for count, times in runs]
+    first = [round(times[0] / count * scale, 3) for count, times in runs]
     return {"count": runs[-1][0], "median": round(statistics.median(best), 3), "runs": best,
-            "first": [per_unit(count, times[0]) for count, times in runs]}
+            "first": first}
 
 
 _REQUEST = """
