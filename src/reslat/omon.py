@@ -267,6 +267,17 @@ def m1_parse(text: str) -> M1Element:
     return (a, b)
 
 
+def _m1_member(u) -> bool:
+    # one unpacking, not len() and four subscripts: residual_search calls this twice
+    if u.__class__ is not tuple:
+        return False
+    try:
+        a, b = u
+    except ValueError:  # not a pair
+        return False
+    return a.__class__ is b.__class__ is int and a >= 0 and b >= 0
+
+
 M1Instance = Chain(
     name="m1",
     unit=M1_UNIT,
@@ -275,8 +286,7 @@ M1Instance = Chain(
     ldiv=lambda a, b: m1_residual(b, a),
     rdiv=m1_residual,
     candidates=m1_candidates,
-    member=lambda u: (u.__class__ is tuple and len(u) == 2
-                      and u[0].__class__ is u[1].__class__ is int and u[0] >= 0 and u[1] >= 0),
+    member=_m1_member,
 )
 
 
