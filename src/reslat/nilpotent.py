@@ -140,8 +140,16 @@ def s2_member(g: HeisTriple) -> bool:
 
 
 def _s2_element(g) -> bool:
-    """`s2_member` for a value of any class: False unless it is a tuple of three."""
-    return isinstance(g, tuple) and len(g) == 3 and s2_member(g)
+    """`s2_member` for a value of any class: False unless it is a tuple of
+    three.  Inline, not a call of it: every s2 residual checks two operands."""
+    if not isinstance(g, tuple):
+        return False
+    try:
+        alpha, beta, gamma = g
+    except ValueError:  # not a triple
+        return False
+    return (alpha.__class__ is int and beta.__class__ is int and gamma.__class__ is int
+            and alpha >= 0 and beta >= 0 and 0 <= gamma <= alpha * beta)
 
 
 def s2_require(*gs: HeisTriple) -> None:
