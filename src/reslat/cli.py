@@ -288,9 +288,10 @@ def cmd_verify_paper(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="reslat", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
+    p.commands = {}  # name -> the command's own parser, which main hands the rest of argv
 
     def add(name, fn, **kw):
-        sp = sub.add_parser(name, **kw)
+        sp = p.commands[name] = sub.add_parser(name, **kw)
         sp.add_argument("--json", action="store_true", help="machine readable output")
         sp.set_defaults(fn=fn)
         return sp
@@ -365,8 +366,10 @@ def main(argv=None) -> int:
     bound, each reported as one line on stderr.  Anything else is a bug and
     keeps its traceback."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None  # None: --help, or no known command
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already; normalize --help to 0
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

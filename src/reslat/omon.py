@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cmp_to_key
 from itertools import chain, product, starmap
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from ._check import check_int
 from .nilpotent import (
@@ -105,7 +105,7 @@ class Chain:
     cmp: Callable
     ldiv: Callable
     rdiv: Callable
-    candidates: Optional[Callable[[int], Iterator]] = None
+    candidates: Optional[Callable[[int], Iterable]] = None
     member: Optional[Callable[[object], bool]] = None
     box_holds: Optional[Callable[[object, int], bool]] = None
 
@@ -133,10 +133,13 @@ def residual_search(inst: Chain, a, b, side: str = "left", bound: Optional[int] 
     small; never returns a wrong answer.  Raises ValueError for an operand
     outside the chain, or a bound that is not an int in 1..SEARCH_BOUND (the
     default is sum(a) + sum(b) + 4: the operands' exponent sums plus 4)."""
-    _check_search(inst, side, a, b)
+    member = inst.member  # the checks in one test; _check_search raises the first refusal
+    if not (side in ("left", "right") and inst.candidates and member and member(a) and member(b)):
+        _check_search(inst, side, a, b)
     if bound is None:
         bound = sum(a) + sum(b) + 4
-    check_int(bound, "bound", 1, SEARCH_BOUND)
+    if bound.__class__ is not int or not 0 < bound <= SEARCH_BOUND:
+        check_int(bound, "bound", 1, SEARCH_BOUND)
     if inst.box_holds is not None and not inst.box_holds(b, bound):
         raise ResidualExhausted(bound)
     mul, cmp = inst.mul, inst.cmp
@@ -195,22 +198,21 @@ def m1_mul(u: M1Element, v: M1Element) -> M1Element:
 def m1_cmp(u: M1Element, v: M1Element) -> int:
     """Dual shortlex: longer words are smaller; at equal length the word
     with the larger first exponent is greater."""
-    if u == v:
-        return 0
-    ka = (-(u[0] + u[1]), u[0])
-    kb = (-(v[0] + v[1]), v[0])
-    return -1 if ka < kb else 1
+    (a, b), (c, d) = u, v
+    s, t = a + b, c + d
+    if s != t:
+        return -1 if s > t else 1
+    return 0 if a == c else -1 if a < c else 1
 
 
-@cache
-def _m1_level(d: int) -> tuple[M1Element, ...]:
-    return tuple((a, d - a) for a in range(d, -1, -1))
+# the levels (d, 0) ... (0, d) of every length d a stream may reach
+_M1_LEVELS = tuple(tuple((a, d - a) for a in range(d, -1, -1)) for d in range(SEARCH_BOUND + 1))
 
 
-def m1_candidates(bound: int) -> Iterator[tuple[M1Element, ...]]:
-    """Words of length <= bound, descending, as memoised levels (d, 0) ... (0, d)."""
+def m1_candidates(bound: int) -> tuple[tuple[M1Element, ...], ...]:
+    """Words of length <= bound, descending, as the levels (d, 0) ... (0, d)."""
     check_int(bound, "bound", 0, SEARCH_BOUND)
-    return map(_m1_level, range(bound + 1))
+    return _M1_LEVELS[:bound + 1]
 
 
 def m1_residual(w: M1Element, z: M1Element) -> M1Element:
@@ -221,7 +223,8 @@ def m1_residual(w: M1Element, z: M1Element) -> M1Element:
     except (TypeError, ValueError):  # not two pairs: refused below
         w0 = w1 = z0 = z1 = None
     # M1Instance.member inline: two calls of it would double this closed form's cost
-    if not (w0.__class__ is w1.__class__ is z0.__class__ is z1.__class__ is int
+    if not (w.__class__ is z.__class__ is tuple
+            and w0.__class__ is w1.__class__ is z0.__class__ is z1.__class__ is int
             and w0 >= 0 and w1 >= 0 and z0 >= 0 and z1 >= 0):
         raise ValueError(f"{z if M1Instance.member(w) else w!r} is not in the free commutative monoid")
     d = (w0 + w1) - (z0 + z1)

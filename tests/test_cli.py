@@ -326,6 +326,15 @@ def test_usage_error_exit_code(capsys):
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("argv", [("check", "godel3", "x = x", "extra"),
+                                  ("omon", "m1", "prefix", "--bogus")])
+def test_unrecognized_arguments_name_their_command(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: reslat {argv[0]} ")
+    assert err.endswith(f"reslat {argv[0]}: error: unrecognized arguments: {argv[-1]}\n")
+
+
 def test_parser_reuse_leaks_no_state(capsys, monkeypatch):
     assert build_parser() is build_parser()  # built once per process
     build_parser.cache_clear()

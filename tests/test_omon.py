@@ -42,6 +42,16 @@ def test_m1_chain_prefix():
         assert m1_cmp(a, b) == 1
 
 
+def test_m1_cmp_is_the_dual_shortlex_order():
+    words = [(a, d - a) for d in range(13) for a in range(d + 1)]
+    key = lambda u: (-(u[0] + u[1]), u[0])  # the reference: longer is smaller, then x first
+    for u in words:
+        for v in words:
+            c = m1_cmp(u, v)
+            assert c == (key(u) > key(v)) - (key(u) < key(v)), (u, v)
+            assert m1_cmp(v, u) == -c and (c == 0) == (u == v)
+
+
 def test_m1_word_round_trip():
     for w in [(0, 0), (1, 0), (0, 3), (2, 5)]:
         assert m1_parse(m1_word(w)) == w
@@ -133,6 +143,11 @@ def test_closed_forms_refuse_a_non_int_exponent():
         m1_residual((2.5, 0), (1, 0))
     with pytest.raises(ValueError, match=r"^\(1, True\) is not in the free commutative monoid$"):
         m1_residual((2, 0), (1, True))
+    # two ints that unpack, but not as the tuple that M1Instance.member asks for
+    for w, z, bad in (([1, 0], (0, 0), "[1, 0]"), ({0: 1, 1: 0}, (0, 0), "{0: 1, 1: 0}"),
+                      ((1, 0), {1, 2}, "{1, 2}")):
+        with pytest.raises(ValueError, match=f"^{re.escape(bad)} is not in the free commutative monoid$"):
+            m1_residual(w, z)
 
 
 def _old_m1_candidates(bound):
@@ -145,7 +160,7 @@ def test_candidate_streams_match_their_generators():
     for bound in (1, 2, 14, 32):
         stream = itertools.chain.from_iterable(S2Instance.candidates(bound))
         assert list(stream) == list(R.s2_box(bound))
-    for bound in (0, 1, 12, 26, 32):
+    for bound in range(omon.SEARCH_BOUND + 1):
         stream = itertools.chain.from_iterable(M1Instance.candidates(bound))
         assert list(stream) == list(_old_m1_candidates(bound))
 

@@ -18,8 +18,9 @@ SUITE is one of:
 - `triples`: triple construction (`nilpotent._triple` where the sources
   have it) against the `HeisTriple` class call, `heis_mul`, one
   `residual_search` on `S2Instance` at bound 14, one on `M1Instance` at
-  bound 26 (over the 91**2 pairs of words up to length 12) and one
-  `frac_cmp_witness` at bound 8, on seeded inputs.
+  bound 26 (over the 91**2 pairs of words up to length 12), `m1_cmp` on
+  the same pairs (ten times a round) and one `frac_cmp_witness` at bound
+  8, on seeded inputs.
 - `laws`: the compiled law checks.  `L_3` (ten checks a round), `L_4` and
   `L_5` on the 15-element `heyting5 x godel3`, after an untimed check that
   compiles the law, in ms per check; and compiling `L_4` (20 times a round)
@@ -148,9 +149,20 @@ cases = [(a, HeisTriple(al, be, rng.randint(0, min(al * be, 6))), side)
          for al, be in itertools.product(range(7), repeat=2)]
 searches = search_job(omon.S2Instance, cases, 14)
 """
-_M1_CASES = _SEARCHES + """
+_M1_WORDS = """
 words = [(a, d - a) for d in range(13) for a in range(d + 1)]
+"""
+_M1_CASES = _SEARCHES + _M1_WORDS + """
 searches = search_job(omon.M1Instance, [(z, w, "left") for w in words for z in words], 26)
+"""
+_M1_PAIRS = _M1_WORDS + """
+pairs = [(u, v) for u in words for v in words]
+def m1_comparisons(n=10):
+    cmp = omon.m1_cmp
+    for _ in range(n):
+        for u, v in pairs:
+            cmp(u, v)
+    return n * len(pairs)
 """
 _FRACTIONS = """
 def fraction():
@@ -242,6 +254,7 @@ SUITES = {
             "heis_mul": (_PRODUCTS, "products()", "ns per product"),
             "s2_search": (_S2_CASES, "searches()", "us per search"),
             "m1_search": (_M1_CASES, "searches()", "us per search"),
+            "m1_cmp": (_M1_PAIRS, "m1_comparisons()", "ns per comparison"),
             "frac_cmp_witness": (_FRACTIONS, "comparisons()", "us per pair"),
         }),
     "laws": Suite(
