@@ -569,6 +569,8 @@ def is_hamiltonian_structure(s: FiniteResLat) -> Verdict:
 
 
 def chain_leq(n: int) -> tuple[tuple[bool, ...], ...]:
+    """The order of the n-chain, n in 1..64 (the default cap of `reslat check`)."""
+    check_int(n, "chain size", 1, 64)
     return tuple(tuple(a <= b for b in range(n)) for a in range(n))
 
 

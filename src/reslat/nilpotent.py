@@ -11,11 +11,10 @@ agrees with multiplication of 3x3 unitriangular integer matrices under the
 assignment alpha -> (2,3) entry, beta -> (1,2), gamma -> (1,3); the matrix
 route is kept alongside as an independent oracle.
 
-`HeisTriple(a, b, g)` is the public constructor.  Library hot paths build
-triples through the private `_triple`, which makes the same object without
-calling the class.  `heis_mul` wraps the private `_mul`, the product on plain
-int triples; `omon.S2Instance.mul` is `_mul`, so its products (and `eval_term`
-products on S2) are plain triples equal to their `HeisTriple` form.
+Every triple is built as `HeisTriple(a, b, g)`.  `heis_mul` wraps the
+private `_mul`, the product on plain int triples; `omon.S2Instance.mul` is
+`_mul`, so its products (and `eval_term` products on S2) are plain triples
+equal to their `HeisTriple` form.
 """
 
 from __future__ import annotations
@@ -72,14 +71,6 @@ class HeisTriple(NamedTuple):
 
 HEIS_UNIT = HeisTriple(0, 0, 0)
 
-_tuple_new = tuple.__new__
-
-
-def _triple(alpha: int, beta: int, gamma: int) -> HeisTriple:
-    """HeisTriple(alpha, beta, gamma), built without `type.__call__` and the
-    NamedTuple's Python-level `__new__`."""
-    return _tuple_new(HeisTriple, (alpha, beta, gamma))
-
 
 def _mul(g: tuple, h: tuple) -> tuple[int, int, int]:
     a1, b1, g1 = g
@@ -88,12 +79,12 @@ def _mul(g: tuple, h: tuple) -> tuple[int, int, int]:
 
 
 def heis_mul(g: HeisTriple, h: HeisTriple) -> HeisTriple:
-    return _tuple_new(HeisTriple, _mul(g, h))
+    return HeisTriple._make(_mul(g, h))
 
 
 def heis_inv(g: HeisTriple) -> HeisTriple:
     a, b, c = g
-    return _triple(-a, -b, a * b - c)
+    return HeisTriple(-a, -b, a * b - c)
 
 
 def heis_pow(g: HeisTriple, n: int) -> HeisTriple:
@@ -102,7 +93,7 @@ def heis_pow(g: HeisTriple, n: int) -> HeisTriple:
     if n < 0:
         return heis_pow(heis_inv(g), -n)
     a, b, c = g
-    return _triple(n * a, n * b, n * c + n * (n - 1) // 2 * a * b)
+    return HeisTriple(n * a, n * b, n * c + n * (n - 1) // 2 * a * b)
 
 
 def heis_commutator(g: HeisTriple, h: HeisTriple) -> HeisTriple:
@@ -120,7 +111,7 @@ def to_matrix(g: HeisTriple) -> Matrix:
 
 
 def from_matrix(m: Matrix) -> HeisTriple:
-    return _triple(m[1][2], m[0][1], m[0][2])
+    return HeisTriple(m[1][2], m[0][1], m[0][2])
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -133,15 +124,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 # --- the positive monoid and its chain order ---------------------------------
 
 
-def s2_member(g: HeisTriple) -> bool:
-    alpha, beta, gamma = g
-    return (alpha.__class__ is int and beta.__class__ is int and gamma.__class__ is int
-            and alpha >= 0 and beta >= 0 and 0 <= gamma <= alpha * beta)
-
-
-def _s2_element(g) -> bool:
-    """`s2_member` for a value of any class: False unless it is a tuple of
-    three.  Inline, not a call of it: every s2 residual checks two operands."""
+def s2_member(g) -> bool:
+    """Whether g is in the positive monoid: False, never an error, for any other value."""
     if not isinstance(g, tuple):
         return False
     try:
@@ -155,7 +139,7 @@ def _s2_element(g) -> bool:
 def s2_require(*gs: HeisTriple) -> None:
     """Raise ValueError naming the first of `gs` outside the positive monoid."""
     for g in gs:
-        if not _s2_element(g):
+        if not s2_member(g):
             shown = tuple(g) if isinstance(g, tuple) else repr(g)
             raise ValueError(f"{shown} is not in the positive monoid")
 
@@ -184,7 +168,7 @@ def s2_box(amax: int, bmax: Optional[int] = None, gmax: Optional[int] = None) ->
         for b in range(bmax + 1):
             top = a * b if gmax is None else min(a * b, gmax)
             for g in range(top + 1):
-                yield _triple(a, b, g)
+                yield HeisTriple(a, b, g)
 
 
 def nth_root(g: HeisTriple, n: int) -> Optional[HeisTriple]:
@@ -198,7 +182,7 @@ def nth_root(g: HeisTriple, n: int) -> Optional[HeisTriple]:
     rem = gamma - n * (n - 1) // 2 * a * b
     if rem % n:
         return None
-    return _triple(a, b, rem // n)
+    return HeisTriple(a, b, rem // n)
 
 
 # --- the dyadic ordered group -------------------------------------------------
@@ -240,9 +224,11 @@ Python's limit on int-to-str conversion."""
 
 
 def parse_fraction(text: str) -> Fraction:
-    """`Fraction(text)`, raising ValueError for every malformed literal: also
-    for a zero denominator ("1/0"), and for a decimal exponent above
-    DYADIC_POW_BOUND ("1e99999999"), which Fraction would expand in full."""
+    """`Fraction(text)`, raising ValueError for a non-str, a malformed literal,
+    a zero denominator ("1/0") and a decimal exponent above DYADIC_POW_BOUND
+    ("1e99999999"), which Fraction would expand in full."""
+    if not isinstance(text, str):
+        raise ValueError(f"fraction must be a string, got {text!r}")
     m = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*$", text)
     if m and abs(int(m.group(1))) > DYADIC_POW_BOUND:
         raise ValueError(f"exponent {m.group(1)} exceeds the dyadic power bound {DYADIC_POW_BOUND}")

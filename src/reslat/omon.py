@@ -31,14 +31,13 @@ from .nilpotent import (
     HEIS_UNIT,
     HeisTriple,
     _mul,
-    _s2_element,
-    _triple,
     dyadic_conjugate,
     dyadic_cmp,
     dyadic_inv,
     dyadic_mul,
     dyadic_pow,
     heis_cmp,
+    s2_member,
     s2_require,
 )
 
@@ -254,6 +253,8 @@ def m1_word(u: M1Element) -> str:
 
 def m1_parse(text: str) -> M1Element:
     """A word (`x2y`, `e`) or a JSON pair of int exponents >= 0 (`[2, 1]`)."""
+    if not isinstance(text, str):
+        raise ValueError(f"monoid word must be a string, got {text!r}")
     text = text.strip()
     if text.startswith("["):
         u = json.loads(text)
@@ -299,7 +300,7 @@ M1Instance = Chain(
 
 @cache
 def _s2_row(alpha: int, beta: int) -> tuple[HeisTriple, ...]:
-    return tuple(_triple(alpha, beta, g) for g in range(alpha * beta + 1))
+    return tuple(HeisTriple(alpha, beta, g) for g in range(alpha * beta + 1))
 
 
 def s2_candidates(bound: int) -> Iterator[tuple[HeisTriple, ...]]:
@@ -322,14 +323,14 @@ def s2_residual(a: HeisTriple, b: HeisTriple, side: str = "left") -> HeisTriple:
         return HEIS_UNIT
     al = a2 - a1
     if b2 < b1:
-        return _triple(al, 0, 0)
+        return HeisTriple(al, 0, 0)
     be = b2 - b1
     # with the first two coordinates matched, minimize the central exponent
     cross = b1 * al if side == "left" else be * a1
     lo = g2 - g1 - cross
     if lo <= al * be:
-        return _triple(al, be, max(0, lo))
-    return _triple(al, be + 1, 0)
+        return HeisTriple(al, be, max(0, lo))
+    return HeisTriple(al, be + 1, 0)
 
 
 S2Instance = Chain(
@@ -340,7 +341,7 @@ S2Instance = Chain(
     ldiv=s2_residual,
     rdiv=lambda a, b: s2_residual(b, a, "right"),
     candidates=s2_candidates,
-    member=_s2_element,
+    member=s2_member,
     box_holds=lambda b, bound: bound >= max(b[0], b[1] + 1),  # residuals into b lie in the box
 )
 

@@ -19,7 +19,6 @@ from .nilpotent import (
     HEIS_UNIT,
     HeisTriple,
     _mul,
-    _triple,
     heis_cmp,
     heis_inv,
     heis_mul,
@@ -65,7 +64,7 @@ class OreFraction:
         alpha, beta, gamma = g
         B = abs(beta) + 1
         A = abs(gamma) + (B + 1) * abs(alpha) + 1
-        den = _triple(A, B, max(0, -(gamma + B * alpha)))
+        den = HeisTriple(A, B, max(0, -(gamma + B * alpha)))
         return cls(den, heis_mul(den, g))
 
     def __eq__(self, other) -> bool:
@@ -128,7 +127,7 @@ F2Instance = group_chain("f2", HEIS_UNIT, heis_mul, heis_inv, heis_cmp)
 
 
 def random_triple(rng: random.Random, box: int) -> HeisTriple:
-    return _triple(rng.randint(-box, box), rng.randint(-box, box), rng.randint(-box, box))
+    return HeisTriple(rng.randint(-box, box), rng.randint(-box, box), rng.randint(-box, box))
 
 
 def random_fraction(rng: random.Random, box: int) -> OreFraction:
@@ -179,12 +178,12 @@ def verify_conucleus(samples: int = 1000, box: int = 8, seed: int = 0) -> Conucl
         if heis_cmp(heis_mul(sf, sg), prod) > 0:
             note("lax-multiplicative", f"sigma(f)sigma(g) above sigma(fg) at {f}, {g}")
         # representative independence: multiply den and num by a common factor
-        m = _triple(rng.randint(0, 3), rng.randint(0, 3), 0)
+        m = HeisTriple(rng.randint(0, 3), rng.randint(0, 3), 0)
         f2 = OreFraction(heis_mul(m, f.den), heis_mul(m, f.num))
         if conucleus_sigma(f2) != sf:
             note("representative", f"sigma depends on the representative of {f}")
         # monoid elements are fixed points
-        s = _triple(rng.randint(0, box), rng.randint(0, box), 0)
+        s = HeisTriple(rng.randint(0, box), rng.randint(0, box), 0)
         if conucleus_sigma(OreFraction(HEIS_UNIT, s)) != s:
             note("fixpoint", f"monoid element {s} moved")
 

@@ -210,6 +210,8 @@ _JOIN_OP = re.compile(r"v(?![a-z0-9])")  # a bare "v"; "v1" is an identifier
 
 class _Parser:
     def __init__(self, text: str):
+        if not isinstance(text, str):
+            raise ValueError(f"term text must be a string, got {text!r}")
         self.text = text
         self.pos = 0
         self.nesting = 0

@@ -39,6 +39,7 @@ SITES = {
                                    "cap", 1, None, " >= 1"),
     "enumerate_chain_models n": (lambda v: finite.enumerate_chain_models(v, cap=3),
                                  "chain size", 1, 3, " in 1..3"),
+    "chain_leq": (finite.chain_leq, "chain size", 1, 64, " in 1..64"),
     "gen_Lc": (terms.gen_Lc, "nilpotency class", 1, 8, " in 1..8"),
     "nth_root": (lambda v: nilpotent.nth_root(X, v), "root degree", 1, None, " >= 1"),
     "heis_pow": (lambda v: nilpotent.heis_pow(X, v), "exponent", None, None, ""),
@@ -97,6 +98,14 @@ REFUSALS = {
     "enumerate_chain_models constraints str": (
         lambda: finite.enumerate_chain_models(3, constraints="LPL"),
         "constraints must be a list of property names, got 'LPL'"),
+    # text parsers take a str
+    "parse_term dict": (lambda: terms.parse_term({"a": 1}), "term text must be a string, got {'a': 1}"),
+    "parse_term bytes": (lambda: terms.parse_term(b"ab"), "term text must be a string, got b'ab'"),
+    "parse_equation None": (lambda: terms.parse_equation(None), "term text must be a string, got None"),
+    "parse_quasiequation list": (lambda: terms.parse_quasiequation(["x=x"]),
+                                 "term text must be a string, got ['x=x']"),
+    "m1_parse int": (lambda: omon.m1_parse(123), "monoid word must be a string, got 123"),
+    "parse_fraction int": (lambda: nilpotent.parse_fraction(123), "fraction must be a string, got 123"),
     # operands that are not exactly two (m1) or three (s2) int entries in range
     "residual_search m1 triple": (
         lambda: omon.residual_search(omon.M1Instance, (1, 0, 9), (0, 1), "left", 8),

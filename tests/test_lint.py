@@ -1,9 +1,9 @@
 """A standard-library lint for src/reslat: every import is used (in the
 scripts under tools/ too), every top-level private name is referenced
 somewhere in the package (deleting code tends to leave both behind), only
-the CLI reads the environment, no loop in the 2-nilpotent modules calls
-the HeisTriple class, and no module tests for bool (integer arguments go
-through `_check.check_int`, which refuses any class but int)."""
+the CLI reads the environment, and no module tests for bool (integer
+arguments go through `_check.check_int`, which refuses any class but
+int)."""
 
 import ast
 import pathlib
@@ -94,29 +94,10 @@ def test_only_the_cli_reads_the_environment():
     assert _environment_reads(TREES["cli.py"]) == {"environ"}
 
 
-TRIPLE_MODULES = ("nilpotent.py", "omon.py", "ore.py")
-REPEATED = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
-            ast.GeneratorExp)
-
-
 def _callee(call: ast.Call) -> str:
     """The name a call calls: `f` for `f(...)` and `m.f(...)`, else ''."""
     func = call.func
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-
-
-def _class_calls_in_loops(tree: ast.Module, cls: str) -> list[int]:
-    """Line numbers of the calls of `cls` inside a loop or comprehension."""
-    return sorted({node.lineno for loop in ast.walk(tree) if isinstance(loop, REPEATED)
-                   for node in ast.walk(loop)
-                   if isinstance(node, ast.Call) and _callee(node) == cls})
-
-
-def test_no_loop_calls_the_heistriple_class():
-    # the class call is slower than nilpotent._triple, which builds the same object
-    calls = [f"{module}:{line}" for module in TRIPLE_MODULES
-             for line in _class_calls_in_loops(TREES[module], "HeisTriple")]
-    assert calls == []
 
 
 def _bool_tests(tree: ast.Module) -> list[int]:

@@ -41,6 +41,7 @@ def test_triple_is_a_plain_tuple():
     assert g == (1, 0, 5) and hash(g) == hash((1, 0, 5))
     assert g.triple() == (1, 0, 5) and type(g.triple()) is tuple
     assert repr(g) == "HeisTriple(alpha=1, beta=0, gamma=5)"
+    assert (g.alpha, g.beta, g.gamma) == (1, 0, 5)
     # on a tuple `*` repeats; heis_mul is the product
     assert X * 2 == (1, 0, 0, 1, 0, 0)
     assert heis_mul(X, X) == HeisTriple(2, 0, 0) == heis_pow(X, 2)
@@ -89,6 +90,10 @@ def test_s2_membership():
     assert not s2_member(HeisTriple(-1, 0, 0))
     assert not s2_member(HeisTriple(1.5, 1, 0))  # every exponent must be of class int
     assert not s2_member(HeisTriple(1, 1, True))
+    # a value that is not a tuple of three is not an element either
+    assert not s2_member(None)
+    assert not s2_member((1, 2))
+    assert not s2_member([1, 1, 0])
 
 
 def test_s2_order_examples():

@@ -194,11 +194,6 @@ def test_every_triple_returning_function_returns_a_heistriple():
         results.update((f"residual_scan {side} {b}", c) for b, c in scan.items())
     wrong = {name: type(r).__name__ for name, r in results.items() if type(r) is not HeisTriple}
     assert wrong == {}
-    built = nilpotent._triple(1, 2, 3)
-    assert built == HeisTriple(1, 2, 3) == (1, 2, 3) and hash(built) == hash((1, 2, 3))
-    assert repr(built) == "HeisTriple(alpha=1, beta=2, gamma=3)"
-    assert built.triple() == (1, 2, 3) and type(built.triple()) is tuple
-    assert (built.alpha, built.beta, built.gamma) == (1, 2, 3)
 
 
 def test_every_triple_function_accepts_a_plain_int_triple():

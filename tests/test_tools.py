@@ -21,7 +21,7 @@ FIELDS = {"count", "median", "runs", "first"}  # of every job's result
 @pytest.mark.parametrize("suite, job, rounds, value", [
     ("cli", "check_file", 3, {"count": 1}),
     ("enumerate", "tables_n5", 1, {"count": 84}),
-    ("triples", "triple_build", 1, {"count": 200_000}),
+    ("triples", "class_call", 1, {"count": 200_000}),
     ("laws", "compile_L4", 1, {"count": 20}),
 ])
 def test_one_short_job_of_each_suite(tmp_path, monkeypatch, capsys, suite, job, rounds, value):

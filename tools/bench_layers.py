@@ -15,12 +15,11 @@ SUITE is one of:
   table, model or structure; and every named property on the library and
   the chains up to size 5, 100 times (after an untimed pass that compiles
   the laws), in us per check.
-- `triples`: triple construction (`nilpotent._triple` where the sources
-  have it) against the `HeisTriple` class call, `heis_mul`, one
-  `residual_search` on `S2Instance` at bound 14, one on `M1Instance` at
-  bound 26 (over the 91**2 pairs of words up to length 12), `m1_cmp` on
-  the same pairs (ten times a round) and one `frac_cmp_witness` at bound
-  8, on seeded inputs.
+- `triples`: triple construction by the `HeisTriple` class call,
+  `heis_mul`, one `residual_search` on `S2Instance` at bound 14, one on
+  `M1Instance` at bound 26 (over the 91**2 pairs of words up to length
+  12), `m1_cmp` on the same pairs (ten times a round) and one
+  `frac_cmp_witness` at bound 8, on seeded inputs.
 - `laws`: the compiled law checks.  `L_3` (ten checks a round), `L_4` and
   `L_5` on the 15-element `heyting5 x godel3`, after an untimed check that
   compiles the law, in ms per check; and compiling `L_4` (20 times a round)
@@ -248,8 +247,6 @@ SUITES = {
         "import itertools, random\n"
         "from reslat import nilpotent, omon, ore\n"
         f"rng, HeisTriple = random.Random({SEED}), nilpotent.HeisTriple", {
-            "triple_build": (_BUILDS, 'builds(getattr(nilpotent, "_triple", HeisTriple))',
-                             "ns per triple"),
             "class_call": (_BUILDS, "builds(HeisTriple)", "ns per HeisTriple(a, b, g)"),
             "heis_mul": (_PRODUCTS, "products()", "ns per product"),
             "s2_search": (_S2_CASES, "searches()", "us per search"),
