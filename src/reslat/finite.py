@@ -654,11 +654,12 @@ def enumerate_chain_models(
     """All residuated lattices on the n-chain, any unit position, in a
     deterministic order (unit ascending, then row-major table order),
     filtered by the named-property constraints.  Raises ValueError, before
-    enumerating anything, unless `cap` is an int >= 1, `n` an int in 1..cap
-    and `constraints` a list or tuple of known names.  The tables share one
-    memo of residual rows, which lives for this call only."""
+    enumerating anything, unless `cap` is an int >= 1, `n` an int in
+    1..min(cap, 64) (the sizes `chain_leq` builds) and `constraints` a list
+    or tuple of known names.  The tables share one memo of residual rows,
+    which lives for this call only."""
     check_int(cap, "cap", 1)
-    check_int(n, "chain size", 1, cap)
+    check_int(n, "chain size", 1, min(cap, 64))
     if not isinstance(constraints, (list, tuple)):
         raise ValueError(f"constraints must be a list of property names, got {constraints!r}")
     for c in constraints:

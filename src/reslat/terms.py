@@ -14,10 +14,12 @@ Concrete syntax (ASCII):
     atom  := "e" | ident | "(" term ")"
     ident := [a-z][a-z0-9]*        ("e" and "v" are reserved)
 
-Product binds tightest, then the residuals (left-associative, equal
-precedence), then meet, then join.  Equations are written "t = s" (or with
-the unicode approx sign), quasi-equations "p1, p2 => c".  The parser
-refuses parentheses nested, or terms built, deeper than MAX_DEPTH.
+Product binds tightest, then the residuals (equal strength), then meet,
+then join, and every operator is left-associative.  One table, `_OPS`,
+gives each operator's binding strength to both the parser and the printer.
+Equations are written "t = s" (or with the unicode approx sign),
+quasi-equations "p1, p2 => c".  The parser refuses parentheses nested, or
+terms built, deeper than MAX_DEPTH.
 
 Exhaustive checks on finite structures compile each law once into nested
 loops over the structure's tables (see `_compile`); `eval_term` is the
@@ -64,7 +66,7 @@ __all__ = [
 
 
 class TermSyntaxError(ValueError):
-    """Raised on malformed input; carries the byte offset of the problem."""
+    """Raised on malformed input; carries the problem's offset, in characters."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")
@@ -80,7 +82,10 @@ MAX_DEPTH = 100
 than this (a variable or `e` has depth 0, `x*y` depth 1)."""
 
 
-_BINOPS = ("*", "\\", "/", "^", "v")
+_OPS = {"v": (0, "join"), "^": (1, "meet"), "\\": (2, "ldiv"), "/": (2, "rdiv"), "*": (3, "mul")}
+"""Each binary operator's binding strength (higher binds tighter) and the
+name of its table and of its method on a structure."""
+_TIGHTEST = max(strength for strength, _ in _OPS.values())
 _IDENT = re.compile(r"[a-z][a-z0-9]*")
 
 
@@ -111,9 +116,11 @@ class Term:
         if kind in ("var", "e"):
             if left is not None or right is not None:
                 raise ValueError("leaf node with children")
-            if kind == "var" and not _IDENT.fullmatch(name):
-                raise ValueError(f"bad variable name {name!r}")
-        elif kind in _BINOPS:
+            if kind == "var" and (name in ("e", "v") or not _IDENT.fullmatch(name)):
+                raise ValueError(f"bad variable name {name!r}")  # "e" and "v" are reserved
+            if kind == "e" and name != "":
+                raise ValueError(f"the unit takes no name, got {name!r}")
+        elif kind in _OPS:
             if left is None or right is None:
                 raise ValueError("binary node needs two children")
             depth = 1 + max(left.depth, right.depth)
@@ -205,6 +212,7 @@ class QuasiEquation:
 # parsing
 
 
+_SPACE = re.compile(r"\s*")  # matches the characters that str.isspace accepts
 _JOIN_OP = re.compile(r"v(?![a-z0-9])")  # a bare "v"; "v1" is an identifier
 
 
@@ -219,34 +227,37 @@ class _Parser:
     def error(self, msg: str) -> TermSyntaxError:
         return TermSyntaxError(msg, self.pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The next character after the whitespace, which is skipped; '' at the end."""
+        c = self.text[self.pos:self.pos + 1]
+        if c.isspace():  # most calls start at a token, where a match costs more than this test
+            self.pos = _SPACE.match(self.text, self.pos).end()
+            c = self.text[self.pos:self.pos + 1]
+        return c
 
     def at(self, token: str) -> bool:
-        self.skip_ws()
+        self.peek()
         return self.text.startswith(token, self.pos)
 
-    def end(self):
+    def whole(self, rule: Callable[["_Parser"], object]):
+        """What `rule` parses from the text, which it must use up."""
+        found = rule(self)
         if self.peek():
             raise self.error(f"unexpected {self.text[self.pos]!r}")
+        return found
 
-    def node(self, build: Callable[[Term, Term], Term], left: Term, right: Term) -> Term:
-        t = build(left, right)
+    def node(self, op: str, left: Term, right: Term) -> Term:
+        t = Term(op, left=left, right=right)
         if t.depth > MAX_DEPTH:
             raise self.error(f"term deeper than {MAX_DEPTH}")
         return t
 
     def equation(self) -> Equation:
-        lhs = self.join_()
+        lhs = self.term()
         if self.peek() not in ("=", "≈") or self.at("=>"):
             raise self.error("expected '='")
         self.pos += 1
-        return Equation(lhs, self.join_())
+        return Equation(lhs, self.term())
 
     def quasiequation(self) -> QuasiEquation:
         if "=>" not in self.text:
@@ -262,45 +273,34 @@ class _Parser:
         self.pos += 2
         return QuasiEquation(tuple(premises), self.equation())
 
-    def join_(self) -> Term:
-        t = self.meet_()
-        while self.peek() == "v" and _JOIN_OP.match(self.text, self.pos):
-            self.pos += 1
-            t = self.node(join, t, self.meet_())
-        return t
-
-    def meet_(self) -> Term:
-        t = self.resid_()
-        while self.peek() == "^":
-            self.pos += 1
-            t = self.node(meet, t, self.resid_())
-        return t
-
-    def resid_(self) -> Term:
-        t = self.prod_()
-        while self.peek() in ("\\", "/"):
-            op = self.text[self.pos]
-            self.pos += 1
-            t = self.node(ldiv if op == "\\" else rdiv, t, self.prod_())
-        return t
-
-    def prod_(self) -> Term:
-        t = self.atom_()
+    def term(self, lowest: int = 0) -> Term:
+        """A term whose operators outside parentheses bind at least `lowest`.
+        An atom juxtaposed to the term is a product."""
+        t = self.atom()
         while True:
             c = self.peek()
-            if c == "*":
-                self.pos += 1
-            elif not (c == "(" or (c.isalpha() and not _JOIN_OP.match(self.text, self.pos))):
+            if c in _OPS and (c != "v" or _JOIN_OP.match(self.text, self.pos)):
+                op = c
+            elif c == "(" or c.isalpha():
+                op = "*"
+            else:
                 return t
-            t = self.node(mul, t, self.atom_())
+            strength = _OPS[op][0]
+            if strength < lowest:
+                return t
+            if op == c:
+                self.pos += 1
+            # the right operand binds tighter than op, so op is left-associative; that
+            # of the tightest op is an atom, so a depth error points at the atom's end
+            t = self.node(op, t, self.atom() if strength == _TIGHTEST else self.term(strength + 1))
 
-    def atom_(self) -> Term:
+    def atom(self) -> Term:
         if self.peek() == "(":
             self.nesting += 1
             if self.nesting > MAX_DEPTH:
                 raise self.error(f"parentheses nested deeper than {MAX_DEPTH}")
             self.pos += 1
-            t = self.join_()
+            t = self.term()
             if self.peek() != ")":
                 raise self.error("expected ')'")
             self.pos += 1
@@ -318,30 +318,19 @@ class _Parser:
 def parse_term(text: str) -> Term:
     """Parse `text` into a Term; raises TermSyntaxError with the offset of
     the problem in `text`."""
-    p = _Parser(text)
-    t = p.join_()
-    p.end()
-    return t
+    return _Parser(text).whole(_Parser.term)
 
 
 def parse_equation(text: str) -> Equation:
-    p = _Parser(text)
-    eq = p.equation()
-    p.end()
-    return eq
+    return _Parser(text).whole(_Parser.equation)
 
 
 def parse_quasiequation(text: str) -> QuasiEquation:
-    p = _Parser(text)
-    q = p.quasiequation()
-    p.end()
-    return q
+    return _Parser(text).whole(_Parser.quasiequation)
 
 
 # ---------------------------------------------------------------------------
 # printing
-
-_PREC = {"v": 0, "^": 1, "\\": 2, "/": 2, "*": 3}
 
 
 def term_to_str(t: Term) -> str:
@@ -349,27 +338,23 @@ def term_to_str(t: Term) -> str:
         return t.name
     if t.kind == "e":
         return "e"
-    p = _PREC[t.kind]
+    strength = _OPS[t.kind][0]
 
     def side(child: Term, is_right: bool) -> str:
         s = term_to_str(child)
-        if child.kind in ("var", "e"):
-            return s
-        cp = _PREC[child.kind]
-        # parenthesize on lower precedence, and on equal precedence to the
-        # right of a left-associative operator
-        if cp < p or (cp == p and is_right):
+        # parenthesize an operator that binds looser, and on the right one that binds
+        # as tight, since every operator is left-associative
+        if child.kind in _OPS and _OPS[child.kind][0] < strength + is_right:
             return "(" + s + ")"
         return s
 
-    sep = t.kind if t.kind in ("*", "\\", "/") else f" {t.kind} "
+    # the lattice operations, which bind looser than the residuals, print spaced
+    sep = t.kind if strength >= _OPS["/"][0] else f" {t.kind} "
     return side(t.left, False) + sep + side(t.right, True)
 
 
 # ---------------------------------------------------------------------------
 # evaluation and checking
-
-_OPNAMES = {"*": "mul", "\\": "ldiv", "/": "rdiv", "^": "meet", "v": "join"}
 
 
 def eval_term(t: Term, a: Mapping[str, object], s) -> object:
@@ -385,7 +370,7 @@ def eval_term(t: Term, a: Mapping[str, object], s) -> object:
         return s.unit
     x = eval_term(t.left, a, s)
     y = eval_term(t.right, a, s)
-    return getattr(s, _OPNAMES[t.kind])(x, y)
+    return getattr(s, _OPS[t.kind][1])(x, y)
 
 
 @dataclass(frozen=True)
@@ -459,7 +444,7 @@ def _compile(law: Law) -> tuple[tuple[str, ...], Callable]:
                 a, la = emit(t.left)
                 b, lb = emit(t.right)
                 at = max(la, lb)
-                row = f"{_OPNAMES[t.kind]}[{a}]"
+                row = f"{_OPS[t.kind][1]}[{a}]"
                 if la < lb:  # hoist the table row out of the loops over b's variables
                     if row not in rows:
                         rows[row] = f"r{len(rows)}"

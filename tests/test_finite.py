@@ -564,6 +564,13 @@ def test_enumerate_trivial_and_cap():
         R.enumerate_chain_models(3, cap=True)
 
 
+def test_enumerate_refuses_a_size_above_64_whatever_its_cap(monkeypatch):
+    # the stated range is the one enforced: a cap above 64 does not admit 65
+    monkeypatch.setattr(finite, "chain_leq", lambda n: pytest.fail("enumerated"))
+    with pytest.raises(ValueError, match=r"^chain size must be an integer in 1\.\.64, got 65$"):
+        R.enumerate_chain_models(65, cap=100)
+
+
 def test_enumerate_refuses_an_unknown_constraint_before_enumerating():
     known = ", ".join(finite.PROPERTY_NAMES)
     # "cancellative" rejects every 3-chain, so a lazy lookup never reaches "bogus"

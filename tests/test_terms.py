@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import gc
@@ -119,6 +120,12 @@ def test_e_is_reserved():
     assert R.parse_term("e") == E
     with pytest.raises(R.TermSyntaxError):
         R.parse_term("x = y")  # '=' only allowed in equations
+    # a term that would print as the unit or as a join is refused where it is built
+    for name in ("e", "v"):
+        with pytest.raises(ValueError, match=f"^bad variable name '{name}'$"):
+            var(name)
+    with pytest.raises(ValueError, match="^the unit takes no name, got 'x'$"):
+        terms.Term("e", name="x")
 
 
 def _random_term(rng, depth):
@@ -211,6 +218,215 @@ def test_a_sampled_check_refuses_a_quasi_equation():
     law = finite.PROPERTIES["semilin-qeq"][0]
     with pytest.raises(ValueError, match="^check_equation_sampled takes an Equation, not a QuasiEquation$"):
         R.check_equation_sampled(law, R.S2Instance, [])
+
+
+# ---------------------------------------------------------------------------
+# the parser against the recursive-descent parser it replaced, one method per level
+
+
+_JOIN_OP = re.compile(r"v(?![a-z0-9])")
+_IDENT = re.compile(r"[a-z][a-z0-9]*")
+
+
+class _ReferenceParser:
+    def __init__(self, text):
+        if not isinstance(text, str):
+            raise ValueError(f"term text must be a string, got {text!r}")
+        self.text = text
+        self.pos = 0
+        self.nesting = 0
+
+    def error(self, msg):
+        return R.TermSyntaxError(msg, self.pos)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def at(self, token):
+        self.skip_ws()
+        return self.text.startswith(token, self.pos)
+
+    def end(self):
+        if self.peek():
+            raise self.error(f"unexpected {self.text[self.pos]!r}")
+
+    def node(self, build, left, right):
+        t = build(left, right)
+        if t.depth > MAX_DEPTH:
+            raise self.error(f"term deeper than {MAX_DEPTH}")
+        return t
+
+    def equation(self):
+        lhs = self.join_()
+        if self.peek() not in ("=", "≈") or self.at("=>"):
+            raise self.error("expected '='")
+        self.pos += 1
+        return R.Equation(lhs, self.join_())
+
+    def quasiequation(self):
+        if "=>" not in self.text:
+            return R.QuasiEquation((), self.equation())
+        premises = []
+        while not self.at("=>"):
+            if self.at(","):
+                self.pos += 1
+                continue
+            premises.append(self.equation())
+            if not (self.at(",") or self.at("=>")):
+                raise self.error("expected ',' or '=>'")
+        self.pos += 2
+        return R.QuasiEquation(tuple(premises), self.equation())
+
+    def join_(self):
+        t = self.meet_()
+        while self.peek() == "v" and _JOIN_OP.match(self.text, self.pos):
+            self.pos += 1
+            t = self.node(join, t, self.meet_())
+        return t
+
+    def meet_(self):
+        t = self.resid_()
+        while self.peek() == "^":
+            self.pos += 1
+            t = self.node(meet, t, self.resid_())
+        return t
+
+    def resid_(self):
+        t = self.prod_()
+        while self.peek() in ("\\", "/"):
+            op = self.text[self.pos]
+            self.pos += 1
+            t = self.node(ldiv if op == "\\" else rdiv, t, self.prod_())
+        return t
+
+    def prod_(self):
+        t = self.atom_()
+        while True:
+            c = self.peek()
+            if c == "*":
+                self.pos += 1
+            elif not (c == "(" or (c.isalpha() and not _JOIN_OP.match(self.text, self.pos))):
+                return t
+            t = self.node(mul, t, self.atom_())
+
+    def atom_(self):
+        if self.peek() == "(":
+            self.nesting += 1
+            if self.nesting > MAX_DEPTH:
+                raise self.error(f"parentheses nested deeper than {MAX_DEPTH}")
+            self.pos += 1
+            t = self.join_()
+            if self.peek() != ")":
+                raise self.error("expected ')'")
+            self.pos += 1
+            self.nesting -= 1
+            return t
+        m = _IDENT.match(self.text, self.pos)
+        if m is None:
+            raise self.error("expected a term")
+        if m.group() == "v":
+            raise self.error("'v' is the join operator, not an identifier")
+        self.pos = m.end()
+        return E if m.group() == "e" else var(m.group())
+
+
+def _outcome(parse, text):
+    """The parsed object, or the refusal: its message and, for a syntax error, offset."""
+    try:
+        return parse(text)
+    except R.TermSyntaxError as exc:
+        return "syntax", str(exc), exc.offset
+    except ValueError as exc:
+        return "value", str(exc)
+
+
+def _reference(rule):
+    def parse(text):
+        p = _ReferenceParser(text)
+        found = getattr(p, rule)()
+        p.end()
+        return found
+    return parse
+
+
+_ENTRY_POINTS = [(R.parse_term, _reference("join_")), (R.parse_equation, _reference("equation")),
+                 (parse_quasiequation, _reference("quasiequation"))]
+_SPACES = ["", " ", " ", "  ", "\t", "\u2003"]
+_OP_TEXT = {"*": ["*", " * ", " ", ""], "\\": ["\\"], "/": ["/"], "^": ["^"], "v": ["v"]}
+_EDITS = ["*", "\\", "/", "^", "v", "(", ")", "=", "≈", "=>", ",", "\u2003", "x", "y", "e", "1"]
+
+
+def _written(t, rng):
+    """`t` written with random spacing, '*' or juxtaposition, and each compound
+    operand in parentheses or not, so that the text may parse to another term."""
+    if t.kind in ("var", "e"):
+        return str(t)
+    op = rng.choice(_OP_TEXT[t.kind])
+    if op == t.kind:
+        op = rng.choice(_SPACES) + op + rng.choice(_SPACES)
+        if t.kind == "v":
+            op = " " + op + " "
+    sides = [_written(side, rng) for side in (t.left, t.right)]
+    sides = [f"({s})" if side.kind not in ("var", "e") and rng.random() < 0.6 else s
+             for side, s in zip((t.left, t.right), sides)]
+    return sides[0] + op + sides[1]
+
+
+def _named_term(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return E if rng.random() < 0.2 else var(rng.choice(["x", "y", "z1", "v1", "ve"]))
+    op = rng.choice([mul, ldiv, rdiv, meet, join])
+    return op(_named_term(rng, depth - 1), _named_term(rng, depth - 1))
+
+
+def _edited(text, rng):
+    """`text` after one to three edits: a token inserted, a character deleted or replaced."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        kind = rng.randrange(3)
+        token = rng.choice(_EDITS)
+        text = text[:i] + (token if kind != 1 else "") + text[i + (kind != 0):]
+    return text
+
+
+def _depth_edges():
+    """Texts at MAX_DEPTH and one past it: chains of each operator, operands
+    nested to the right, and nested parentheses."""
+    edges = []
+    for n in (MAX_DEPTH, MAX_DEPTH + 1):
+        for op in ("*", " ", "\\", "/", " ^ ", " v "):
+            edges.append(op.join(["x"] * (n + 1)))
+            edges.append("x" + "".join(f"{op}(x" for _ in range(n - 1)) + f"{op}x" + ")" * (n - 1))
+        edges += [f"x = {edges[-1]} ", "x v x*" + "*".join(["x"] * n) + "  = x", "(" * n + "x" + ")" * n]
+    return edges
+
+
+def test_the_parser_agrees_with_the_recursive_descent_reference():
+    rng = random.Random(33)
+    laws, texts = [], []  # the laws stay alive, so a text that parses to one builds no term
+    for i in range(380):
+        depth = 2 + i % 2
+        eqs = [R.Equation(_named_term(rng, depth), _named_term(rng, depth)) for _ in range(1 + i % 3)]
+        laws.append(R.QuasiEquation(tuple(eqs[:-1]), eqs[-1]) if i % 3 else eqs[0])
+        written = [_written(eq.lhs, rng) + rng.choice([" = ", "=", " ≈ ", "≈"]) + _written(eq.rhs, rng)
+                   for eq in eqs]
+        texts += [", ".join(written[:-1]) + " => " + written[-1] if i % 3 else written[0], str(laws[-1])]
+        texts += [] if i % 2 else [_written(eqs[0].lhs, rng)]
+    texts += [_edited(rng.choice(texts), rng) for _ in range(2000)]
+    texts += _depth_edges() + [None, 12, b"x = x"]
+    kinds = collections.Counter()
+    for text in texts:
+        for parse, reference in _ENTRY_POINTS:
+            # terms compare by identity, so equal outcomes are the same interned terms
+            expected = _outcome(reference, text)
+            assert _outcome(parse, text) == expected, (parse.__name__, text)
+            kinds[expected[0] if isinstance(expected, tuple) else type(expected).__name__] += 1
+    assert len(texts) == 2983 and min(kinds.values()) >= 9, kinds
 
 
 # ---------------------------------------------------------------------------

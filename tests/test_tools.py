@@ -23,6 +23,7 @@ FIELDS = {"count", "median", "runs", "first"}  # of every job's result
     ("enumerate", "tables_n5", 1, {"count": 84}),
     ("triples", "class_call", 1, {"count": 200_000}),
     ("laws", "compile_L4", 1, {"count": 20}),
+    ("laws", "parse_named", 1, {"count": 440}),
 ])
 def test_one_short_job_of_each_suite(tmp_path, monkeypatch, capsys, suite, job, rounds, value):
     short = bench.SUITES[suite]._replace(jobs={job: bench.SUITES[suite].jobs[job]})

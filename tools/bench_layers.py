@@ -24,7 +24,8 @@ SUITE is one of:
   `L_5` on the 15-element `heyting5 x godel3`, after an untimed check that
   compiles the law, in ms per check; and compiling `L_4` (20 times a round)
   and every named property (5 times a round), each compile after
-  `_compile.cache_clear()`, in us per compile.
+  `_compile.cache_clear()`, in us per compile; and parsing the source text
+  of every named property (20 times a round), in us per parse.
 
 A job is (set-up, expression, unit): the expression does some units of
 work and returns how many.  Every job runs REPEAT times, each run in a
@@ -190,6 +191,15 @@ def compiles(laws):
             terms._compile(law)
         return len(laws)
     return timed
+def parses(n):
+    texts = [text for src in finite._PROPERTY_SOURCES.values()
+             for text in ([src] if isinstance(src, str) else src)]
+    def timed():
+        for _ in range(n):
+            for text in texts:
+                (terms.parse_quasiequation if "=>" in text else terms.parse_equation)(text)
+        return n * len(texts)
+    return timed
 """
 
 SUITES = {
@@ -262,6 +272,7 @@ SUITES = {
             "compile_L4": ("timed = compiles([terms.gen_Lc(4)] * 20)", "timed()",
                            "us per compile"),
             "compile_named": ("timed = compiles(named * 5)", "timed()", "us per compile"),
+            "parse_named": ("timed = parses(20)", "timed()", "us per parse"),
         }),
 }
 
