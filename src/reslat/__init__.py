@@ -1,98 +1,20 @@
-"""Exact-arithmetic workbench for residuated lattices and ordered groups."""
+"""Exact-arithmetic workbench for residuated lattices and ordered groups.
 
-from .terms import (
-    Term,
-    Equation,
-    QuasiEquation,
-    TermSyntaxError,
-    Verdict,
-    parse_term,
-    parse_equation,
-    parse_quasiequation,
-    term_to_str,
-    eval_term,
-    check_equation,
-    check_equation_sampled,
-    gen_Lc,
-    var,
-    E,
-    mul,
-    ldiv,
-    rdiv,
-    meet,
-    join,
-)
-from .finite import (
-    FiniteResLat,
-    StructureError,
-    NotALattice,
-    NotAMonoid,
-    NotResiduated,
-    derive_residuals,
-    validate_axioms,
-    check_named_property,
-    PROPERTIES,
-    negative_cone,
-    absolute_value,
-    conjugates,
-    convex_closure,
-    convex_closure_fixpoint,
-    all_convex_subuniverses,
-    is_hamiltonian_structure,
-    chain_leq,
-    enumerate_chain_models,
-    structure_to_json,
-    structure_from_json,
-    load_structure,
-)
-from .models import MODEL_BUILDERS, model_library, direct_product
-from .nilpotent import (
-    HeisTriple,
-    HEIS_UNIT,
-    heis_mul,
-    heis_inv,
-    heis_pow,
-    heis_commutator,
-    to_matrix,
-    from_matrix,
-    mat_mul,
-    s2_member,
-    s2_cmp,
-    s2_box,
-    nth_root,
-    DyadicPair,
-    DYADIC_UNIT,
-    dyadic_mul,
-    dyadic_inv,
-    dyadic_pow,
-    dyadic_cmp,
-    dyadic_conjugate,
-)
-from .omon import (
-    Chain,
-    ResidualExhausted,
-    residual_search,
-    residual_scan,
-    M1Instance,
-    S2Instance,
-    DyadicInstance,
-    m1_mul,
-    m1_cmp,
-    m1_residual,
-    m1_word,
-    m1_parse,
-    s2_residual,
-    hamvty_witness,
-    HamiltonianFailureReport,
-)
-from .ore import (
-    OreFraction,
-    frac_cmp_group,
-    frac_cmp_witness,
-    conucleus_sigma,
-    verify_conucleus,
-    F2Instance,
-)
-from .battery import BatteryConfig, ClaimResult, CLAIMS, run_battery
+Every name in the `__all__` of the seven library modules below is also on
+the package; a module's `__all__` is the one place a public name is stated.
+`reslat.cli` is left out, so that `import reslat` does not load argparse.
+"""
+
+from . import terms, finite, models, nilpotent, omon, ore, battery
+from .terms import *
+from .finite import *
+from .models import *
+from .nilpotent import *
+from .omon import *
+from .ore import *
+from .battery import *
+
+__all__ = [*terms.__all__, *finite.__all__, *models.__all__, *nilpotent.__all__,
+           *omon.__all__, *ore.__all__, *battery.__all__]
 
 __version__ = "0.1.0"

@@ -177,7 +177,7 @@ def _matrix_pow(g: HeisTriple, n: int) -> HeisTriple:
 
 
 def claim_unique_roots(cfg: BatteryConfig) -> str:
-    box = list(s2_box(6, 6))
+    box = list(s2_box(6))
     for n in range(1, 5):
         seen: dict = {}
         for g in box:
@@ -223,7 +223,7 @@ def claim_residual_agreement(cfg: BatteryConfig) -> str:
             if got != want:
                 raise ClaimFailed(f"m1 {w}/{z}: {got} vs {want}")
     # nilpotent instance, box alpha, beta, gamma <= 6; one scan per (a, side)
-    box = list(s2_box(6, 6, 6))
+    box = list(s2_box(6, gmax=6))
     for a in box:
         scans = {side: residual_scan(S2Instance, a, box, side, 14) for side in ("left", "right")}
         for b in box:

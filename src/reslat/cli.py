@@ -51,7 +51,7 @@ def _max_size(default: int) -> int:
 
 
 def _load_model(spec: str) -> finite.FiniteResLat:
-    cap = _max_size(64)
+    cap = _max_size(finite.MAX_SIZE)
     if spec in models.MODEL_BUILDERS:
         s = models.MODEL_BUILDERS[spec]()
         if s.n <= cap:

@@ -53,6 +53,7 @@ __all__ = [
     "load_structure",
     "ModelTooLarge",
     "DEFAULT_ENUM_CAP",
+    "MAX_SIZE",
 ]
 
 
@@ -81,6 +82,9 @@ class ModelTooLarge(StructureError):
 
 
 DEFAULT_ENUM_CAP = 6
+MAX_SIZE = 64
+"""The largest chain `chain_leq` builds and `enumerate_chain_models` takes,
+and the default size cap of `reslat check` (RESLAT_MAX_SIZE)."""
 _ORDER_CACHE_SIZE = 16
 
 Table = tuple[tuple[int, ...], ...]
@@ -569,8 +573,8 @@ def is_hamiltonian_structure(s: FiniteResLat) -> Verdict:
 
 
 def chain_leq(n: int) -> tuple[tuple[bool, ...], ...]:
-    """The order of the n-chain, n in 1..64 (the default cap of `reslat check`)."""
-    check_int(n, "chain size", 1, 64)
+    """The order of the n-chain, n in 1..MAX_SIZE."""
+    check_int(n, "chain size", 1, MAX_SIZE)
     return tuple(tuple(a <= b for b in range(n)) for a in range(n))
 
 
@@ -655,11 +659,11 @@ def enumerate_chain_models(
     deterministic order (unit ascending, then row-major table order),
     filtered by the named-property constraints.  Raises ValueError, before
     enumerating anything, unless `cap` is an int >= 1, `n` an int in
-    1..min(cap, 64) (the sizes `chain_leq` builds) and `constraints` a list
-    or tuple of known names.  The tables share one memo of residual rows,
+    1..min(cap, MAX_SIZE) (the sizes `chain_leq` builds) and `constraints`
+    a list or tuple of known names.  The tables share one memo of residual rows,
     which lives for this call only."""
     check_int(cap, "cap", 1)
-    check_int(n, "chain size", 1, min(cap, 64))
+    check_int(n, "chain size", 1, min(cap, MAX_SIZE))
     if not isinstance(constraints, (list, tuple)):
         raise ValueError(f"constraints must be a list of property names, got {constraints!r}")
     for c in constraints:

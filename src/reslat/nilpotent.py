@@ -159,16 +159,16 @@ def s2_cmp(g: HeisTriple, h: HeisTriple) -> int:
     return heis_cmp(g, h)
 
 
-def s2_box(amax: int, bmax: Optional[int] = None, gmax: Optional[int] = None) -> Iterator[HeisTriple]:
-    """All monoid elements with alpha <= amax, beta <= bmax and
+def s2_box(bound: int, *, gmax: Optional[int] = None) -> Iterator[HeisTriple]:
+    """All monoid elements with alpha, beta <= bound and
     gamma <= min(alpha*beta, gmax), in ascending lexicographic triple order
-    (which is descending chain order)."""
-    bmax = amax if bmax is None else bmax
-    for a in range(amax + 1):
-        for b in range(bmax + 1):
-            top = a * b if gmax is None else min(a * b, gmax)
-            for g in range(top + 1):
-                yield HeisTriple(a, b, g)
+    (which is descending chain order).  Both ints >= 0, checked at the call."""
+    check_int(bound, "bound", 0)
+    if gmax is not None:
+        check_int(gmax, "gmax", 0)
+    side = range(bound + 1)
+    return (HeisTriple(a, b, g) for a in side for b in side
+            for g in range(a * b + 1 if gmax is None else min(a * b, gmax) + 1))
 
 
 def nth_root(g: HeisTriple, n: int) -> Optional[HeisTriple]:

@@ -391,11 +391,8 @@ def hamvty_witness(N: int) -> HamiltonianFailureReport:
     check_int(N, "truncation", 1, DYADIC_POW_BOUND // 2)
     a, b = HAMVTY_BASE, HAMVTY_CONJUGATOR
     conj = [dyadic_conjugate(a, dyadic_pow(b, i)) for i in range(N + 1)]
-    rows = []
-    for n in range(0, N + 1):
-        if n == 0:
-            rows.append(WitnessRow(0, None))
-            continue
+    rows = [WitnessRow(0, None)]
+    for n in range(1, N + 1):
         an = dyadic_pow(a, n)
         hit = next(
             (i for i in range(N + 1) if dyadic_cmp(an, conj[i]) > 0),

@@ -41,6 +41,8 @@ SITES = {
                                  "chain size", 1, 3, " in 1..3"),
     "chain_leq": (finite.chain_leq, "chain size", 1, 64, " in 1..64"),
     "gen_Lc": (terms.gen_Lc, "nilpotency class", 1, 8, " in 1..8"),
+    "s2_box": (nilpotent.s2_box, "bound", 0, None, " >= 0"),
+    "s2_box gmax": (lambda v: nilpotent.s2_box(1, gmax=v), "gmax", 0, None, " >= 0"),
     "nth_root": (lambda v: nilpotent.nth_root(X, v), "root degree", 1, None, " >= 1"),
     "heis_pow": (lambda v: nilpotent.heis_pow(X, v), "exponent", None, None, ""),
     "dyadic_pow": (lambda v: nilpotent.dyadic_pow(DyadicPair(1, 0), v), "exponent", None, None, ""),

@@ -1,11 +1,11 @@
-import ast
 import importlib
-import inspect
 import itertools
 import json
 import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -695,21 +695,29 @@ def test_order_violations_reported_in_full():
     assert laws == ["order-reflexive", "order-transitive"]
 
 
-def test_package_imports_only_public_names():
-    tree = ast.parse(inspect.getsource(R))
-    imported: dict[str, set[str]] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
-    assert set(imported) == {"terms", "finite", "models", "nilpotent", "omon", "ore", "battery"}
-    for module, names in imported.items():
-        public = set(importlib.import_module(f"reslat.{module}").__all__)
-        assert names - public == set(), module
+def test_package_exports_every_module_all_once():
+    modules = [importlib.import_module(f"reslat.{m}")
+               for m in ("terms", "finite", "models", "nilpotent", "omon", "ore", "battery")]
+    assert R.__all__ == [name for m in modules for name in m.__all__]
+    assert len(set(R.__all__)) == len(R.__all__)  # no name is public in two modules
+    assert [(m.__name__, n) for m in modules for n in m.__all__
+            if getattr(R, n) is not getattr(m, n)] == []
+    star: dict = {}
+    exec("from reslat import *", star)
+    assert set(star) - {"__builtins__"} == set(R.__all__)
     # every parser is on the package, so a quasi-equation needs no import from reslat.terms
-    parsers = {name for name in importlib.import_module("reslat.terms").__all__
-               if name.startswith("parse_")}
-    assert parsers == {"parse_term", "parse_equation", "parse_quasiequation"}
-    assert parsers <= imported["terms"]
+    assert {n for n in R.__all__ if n.startswith("parse_")} >= {
+        "parse_term", "parse_equation", "parse_quasiequation"}
+
+
+def test_import_reslat_loads_neither_the_cli_nor_argparse():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(R.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, reslat; print(sorted({'reslat.cli', 'argparse'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_direct_product():

@@ -108,10 +108,15 @@ def test_s2_order_examples():
 
 
 def test_s2_box_shape():
-    box = list(s2_box(6, 6))
+    box = list(s2_box(6))
     assert len(box) == sum((a * b + 1) for a in range(7) for b in range(7))
     assert len(box) == 490
     assert all(s2_member(g) for g in box)
+    assert box == sorted(box)  # ascending triple order
+    capped = list(s2_box(6, gmax=2))
+    assert capped == [g for g in box if g[2] <= 2]
+    with pytest.raises(TypeError):
+        s2_box(6, 6)  # gmax is keyword-only: no second bound
 
 
 def test_nth_root_examples():

@@ -184,7 +184,7 @@ def _per_b_scan(stream, mul, cmp, a, b, side):
 
 
 def test_residual_scan_matches_the_per_b_scan():
-    box = list(R.s2_box(3, 3, 3))
+    box = list(R.s2_box(3, gmax=3))
     for a in box:
         for side in ("left", "right"):
             want = {b: _per_b_scan(R.s2_box(8), R.heis_mul, heis_cmp, a, b, side) for b in box}
@@ -214,7 +214,7 @@ M1_WORDS = [(a, d - a) for d in range(13) for a in range(d + 1)]  # the 91 words
 
 
 @pytest.mark.parametrize("inst, box, bounds", [
-    (S2Instance, list(R.s2_box(6, 6, 6)), (3, 14)),
+    (S2Instance, list(R.s2_box(6, gmax=6)), (3, 14)),
     (M1Instance, M1_WORDS, (4, 26)),
 ])
 def test_residual_search_is_the_flat_first_hit_scan(inst, box, bounds):
@@ -262,7 +262,7 @@ def test_s2_search_refuses_a_box_that_may_miss_the_residual():
         with pytest.raises(ResidualExhausted):
             residual_scan(S2Instance, a, [HEIS_UNIT, b], "left", bound)
     assert residual_search(S2Instance, X, HeisTriple(1, 1, 1), "left", 2) == (0, 2, 0)
-    box = list(R.s2_box(4, 4))
+    box = list(R.s2_box(4))
     for bound in range(1, 5):
         for a in box:
             for b in box:
@@ -303,7 +303,7 @@ def test_chain_algebra_interfaces():
 def test_chain_records_follow_the_terms_convention():
     # a\b is the greatest c with a*c <= b, and b/a the greatest c with c*a <= b
     for inst, box in ((M1Instance, [(a, d - a) for d in range(5) for a in range(d + 1)]),
-                      (S2Instance, list(R.s2_box(2, 2)))):
+                      (S2Instance, list(R.s2_box(2)))):
         for a in box:
             for b in box:
                 assert inst.ldiv(a, b) == residual_search(inst, a, b, "left", bound=10)

@@ -143,7 +143,7 @@ def search_job(inst, cases, bound):
     return searches
 """
 _S2_CASES = _SEARCHES + """
-box = list(nilpotent.s2_box(6, 6, 6))
+box = list(nilpotent.s2_box(6, gmax=6))
 cases = [(a, HeisTriple(al, be, rng.randint(0, min(al * be, 6))), side)
          for a in box[::8] for side in ("left", "right")
          for al, be in itertools.product(range(7), repeat=2)]
