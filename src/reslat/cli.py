@@ -2,7 +2,7 @@
 
 Exit codes: 0 the checked statement holds (or the command succeeded),
 1 it fails and a witness was printed, 2 usage or parse error,
-3 a search exhausted its bound without an answer.
+3 a residual search exhausted its bound without an answer.
 """
 
 from __future__ import annotations
@@ -217,8 +217,8 @@ def cmd_ore(args) -> int:
         # the arity rule of `_second`: a one-fraction op takes no second fraction
         if args.den2 is not None or args.num2 is not None:
             raise ValueError(f"{args.op} takes one operand")
-        if args.witness or args.bound is not None:
-            raise ValueError(f"{args.op} takes no {'--witness' if args.witness else '--bound'}")
+        if args.witness:
+            raise ValueError(f"{args.op} takes no --witness")
         r = ore.conucleus_sigma(f) if args.op == "sigma" else f.value
         _emit({args.op: list(r.triple())}, args.json, str(r.triple()))
         return EXIT_HOLDS
@@ -227,10 +227,7 @@ def cmd_ore(args) -> int:
     if args.den2 is None:
         raise ValueError("cmp needs --den2/--num2")
     g = ore.OreFraction(_parse_triple(args.den2), _parse_triple(args.num2))
-    if args.bound is not None and not args.witness:
-        raise ValueError("--bound needs --witness")
-    bound = () if args.bound is None else (args.bound,)  # else frac_cmp_witness's default
-    c = ore.frac_cmp_witness(f, g, *bound) if args.witness else ore.frac_cmp_group(f, g)
+    c = ore.frac_cmp_witness(f, g) if args.witness else ore.frac_cmp_group(f, g)
     _emit({"cmp": c}, args.json, _REL[c])
     return EXIT_HOLDS
 
@@ -340,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--den2")
     sp.add_argument("--num2")
     sp.add_argument("--witness", action="store_true",
-                    help="decide the order by witness search, not group arithmetic")
-    sp.add_argument("--bound", type=int, default=None)
+                    help="decide the order by the witness pair of L_2, not group arithmetic")
 
     sp = add("omon", cmd_omon, help="ordered-monoid utilities")
     sp.add_argument("monoid", choices=["m1", "s2"])
@@ -382,7 +378,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except omon.ResidualExhausted as exc:
-        print(f"exhausted: no {exc.what} within bound {exc.bound}", file=sys.stderr)
+        print(f"exhausted: no residual within bound {exc.bound}", file=sys.stderr)
         return EXIT_EXHAUSTED
 
 

@@ -66,20 +66,18 @@ __all__ = [
 
 
 class ResidualExhausted(RuntimeError):
-    """A bounded search ran out before a hit; the bound was too small.
-    `what` names the object searched for: a residual, or an order witness."""
+    """A residual search (residual_search or residual_scan) ran out before
+    a hit; the bound was too small."""
 
-    def __init__(self, bound: int, what: str = "residual"):
-        super().__init__(f"{what} search exhausted within bound {bound}")
+    def __init__(self, bound: int):
+        super().__init__(f"residual search exhausted within bound {bound}")
         self.bound = bound
-        self.what = what
 
 
 SEARCH_BOUND = 32
-"""The searches, ore.frac_cmp_witness and the candidate streams refuse a
-bound above this: residual_search tests one element per row plus one row,
-while the s2 row memo and residual_scan reach 279,873 triples at bound 32,
-and frac_cmp_witness at most (bound + 1)**2 pairs per direction (1,089)."""
+"""The residual searches and the candidate streams refuse a bound above
+this: residual_search tests one element per row plus one row, while the s2
+row memo and residual_scan reach 279,873 triples at bound 32."""
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ monoid, so fractions are keyed by their group value.  The extended order is
 realized concretely as the reverse-lexicographic order on exponent triples;
 it restricts to the monoid's chain order, and is validated against the
 witness-pair definition (f below g iff m*num_f <= n*num_g for some monoid
-pair m, n with m*den_f = n*den_g) rather than assumed.
+pair m, n with m*den_f = n*den_g) rather than assumed.  The pair is not
+searched for: the monoid satisfies Malcev's law L_2, whose two sides with
+z1 = e read (a*b*b)*a and (b*a*a)*b, so m = a*b*b and n = b*a*a make
+m*a = n*b a common left multiple of any denominators a and b.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .nilpotent import (
     s2_member,
     s2_require,
 )
-from .omon import SEARCH_BOUND, ResidualExhausted, group_chain, s2_residual
+from .omon import group_chain, s2_residual
 
 __all__ = [
     "OreFraction",
@@ -77,48 +80,43 @@ class OreFraction:
         return f"{tuple(self.den)}^-1*{tuple(self.num)}"
 
 
+def _refuse(**named) -> None:
+    """Raise ValueError naming the first argument that is not an OreFraction."""
+    for name, x in named.items():
+        if not isinstance(x, OreFraction):
+            raise ValueError(f"{name} must be an OreFraction, got {x!r}")
+
+
 def frac_cmp_group(f: OreFraction, g: OreFraction) -> int:
     """The extended order, read off the group values (reverse-lex order)."""
+    if not (isinstance(f, OreFraction) and isinstance(g, OreFraction)):
+        _refuse(f=f, g=g)
     return heis_cmp(f.value, g.value)
 
 
-def _witness_below(f: OreFraction, g: OreFraction, bound: int) -> bool:
-    """Search monoid pairs (m, n) with m*den_f = n*den_g and
-    m*num_f <= n*num_g, for m in a box of side bound + 1 per exponent.
-    In an (alpha, beta) row of the box, the third exponents of m*num_f,
-    n*num_g and n are each mg plus a constant: heis_cmp gives one verdict
-    for the row, and n is in the monoid on a prefix of it.  So the row's
-    least mg decides it, and at most (bound + 1)**2 pairs are tested."""
-    shift = _mul(f.den, heis_inv(g.den))  # n = m * shift
-    sa, sb, sg = shift
-    # offset the box so that n has a chance of landing in the monoid
-    lo_a, lo_b = max(0, -sa), max(0, -sb)
-    for ma in range(lo_a, lo_a + bound + 1):
-        for mb in range(lo_b, lo_b + bound + 1):
-            mg = max(0, -(sg + mb * sa))
-            if mg > ma * mb:
-                continue  # the row is empty
-            m = (ma, mb, mg)  # plain triples: every product here is dropped
-            n = _mul(m, shift)
-            if s2_member(n) and heis_cmp(_mul(m, f.num), _mul(n, g.num)) <= 0:
-                return True
-    return False
-
-
-def frac_cmp_witness(f: OreFraction, g: OreFraction, bound: int = 8) -> int:
+def frac_cmp_witness(f: OreFraction, g: OreFraction) -> int:
     """Decide the extended order from the witness-pair definition alone.
-    Raises ResidualExhausted if neither direction yields a witness within
-    the bound, and ValueError for a bound that is not an int in 0..SEARCH_BOUND."""
-    check_int(bound, "bound", 0, SEARCH_BOUND)
-    below = _witness_below(f, g, bound)
-    above = _witness_below(g, f, bound)
-    if not (below or above):
-        raise ResidualExhausted(bound, "witness")
-    return above - below  # both: equal; one: strictly on that side
+
+    L_2 with z1 = e names the pair: for a = den_f and b = den_g, m = a*b*b
+    and n = b*a*a satisfy m*a = n*b =: D.  Then f = D^-1 * (m*num_f) and
+    g = D^-1 * (n*num_g), and the order is left-invariant, so f and g
+    compare as the monoid elements m*num_f and n*num_g do; (m, n) is the
+    witness pair of whichever direction holds.  Raises ValueError for an
+    argument that is not an OreFraction, and RuntimeError if m*a != n*b,
+    which only a bug can cause."""
+    if not (isinstance(f, OreFraction) and isinstance(g, OreFraction)):
+        _refuse(f=f, g=g)
+    a, b = f.den, g.den
+    m, n = _mul(_mul(a, b), b), _mul(_mul(b, a), a)
+    if _mul(m, a) != _mul(n, b):
+        raise RuntimeError(f"m*a != n*b for a = {tuple(a)}, b = {tuple(b)}, m = {m}, n = {n}")
+    return heis_cmp(_mul(m, f.num), _mul(n, g.num))
 
 
 def conucleus_sigma(f: OreFraction) -> HeisTriple:
     """The sharpest monoid element below the fraction: den \\ num."""
+    if not isinstance(f, OreFraction):
+        _refuse(f=f)
     return s2_residual(f.den, f.num, "left")
 
 
@@ -127,6 +125,8 @@ F2Instance = group_chain("f2", HEIS_UNIT, heis_mul, heis_inv, heis_cmp)
 
 
 def random_triple(rng: random.Random, box: int) -> HeisTriple:
+    """A triple with every exponent in -box..box; box is an int >= 0."""
+    check_int(box, "box", 0)
     return HeisTriple(rng.randint(-box, box), rng.randint(-box, box), rng.randint(-box, box))
 
 

@@ -3,6 +3,7 @@ rule with one message, and malformed tables, structure documents and term
 text end in one of the library's typed errors."""
 
 import argparse
+import random
 import re
 
 import pytest
@@ -30,8 +31,6 @@ SITES = {
                       "bound", 1, 32, " in 1..32"),
     "M1Instance.candidates": (omon.M1Instance.candidates, "bound", 0, 32, " in 0..32"),
     "S2Instance.candidates": (omon.S2Instance.candidates, "bound", 0, 32, " in 0..32"),
-    "frac_cmp_witness": (lambda v: ore.frac_cmp_witness(FRACTION, FRACTION, v),
-                         "bound", 0, 32, " in 0..32"),
     "omon prefix --bound": (lambda v: _prefix(bound=v), "bound", 1, 32, " in 1..32"),
     "omon prefix --count": (lambda v: _prefix(count=v), "count", 0, None, " >= 0"),
     "hamvty_witness": (omon.hamvty_witness, "truncation", 1, 5000, " in 1..5000"),
@@ -49,6 +48,7 @@ SITES = {
     "DyadicPair n": (lambda v: DyadicPair(1, v), "n", None, None, ""),
     "verify_conucleus samples": (lambda v: ore.verify_conucleus(v), "samples", 1, None, " >= 1"),
     "verify_conucleus box": (lambda v: ore.verify_conucleus(1, box=v), "box", 0, None, " >= 0"),
+    "random_triple box": (lambda v: ore.random_triple(random.Random(0), v), "box", 0, None, " >= 0"),
     "load_structure max_n": (lambda v: finite.load_structure("one.json", max_n=v),
                              "max_n", 1, None, " >= 1"),
     "BatteryConfig max_size": (lambda v: battery.BatteryConfig(max_size=v),
@@ -108,6 +108,15 @@ REFUSALS = {
                                  "term text must be a string, got ['x=x']"),
     "m1_parse int": (lambda: omon.m1_parse(123), "monoid word must be a string, got 123"),
     "parse_fraction int": (lambda: nilpotent.parse_fraction(123), "fraction must be a string, got 123"),
+    # the order and the conucleus take fractions, not their group values
+    "frac_cmp_group triple": (lambda: ore.frac_cmp_group(FRACTION, (1, 0, 0)),
+                              "g must be an OreFraction, got (1, 0, 0)"),
+    "frac_cmp_witness None": (lambda: ore.frac_cmp_witness(FRACTION, None),
+                              "g must be an OreFraction, got None"),
+    "frac_cmp_witness triple first": (lambda: ore.frac_cmp_witness((1, 0, 0), FRACTION),
+                                      "f must be an OreFraction, got (1, 0, 0)"),
+    "conucleus_sigma triple": (lambda: ore.conucleus_sigma((1, 0, 0)),
+                               "f must be an OreFraction, got (1, 0, 0)"),
     # operands that are not exactly two (m1) or three (s2) int entries in range
     "residual_search m1 triple": (
         lambda: omon.residual_search(omon.M1Instance, (1, 0, 9), (0, 1), "left", 8),
@@ -240,6 +249,9 @@ _OPERAND_TARGETS = [
     omon.s2_residual,
     nilpotent.s2_cmp,
     ore.OreFraction,
+    ore.frac_cmp_group,
+    ore.frac_cmp_witness,
+    lambda x, y: ore.conucleus_sigma(x),
     lambda x, y: finite.absolute_value(_GODEL3, x),
     lambda x, y: finite.convex_closure(_GODEL3, [x, y]),
 ]

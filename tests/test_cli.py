@@ -201,8 +201,8 @@ def test_dyadic(capsys):
      "truncation must be an integer in 1..5000, got 5001"),
     (("enumerate", "0"), "chain size must be an integer in 1..6, got 0"),
     (("enumerate", "-1"), "chain size must be an integer in 1..6, got -1"),
-    (("ore", "cmp", "1,0,0", "0,0,0", "--den2", "0,1,0", "--num2", "0,0,0", "--witness",
-      "--bound", "-1"), "bound must be an integer in 0..32, got -1"),
+    (("ore", "cmp", "1,0,0", "0,0,0", "--den2", "0,1,0", "--num2", "0,0,5", "--witness"),
+     "(0, 0, 5) is not in the positive monoid"),
     (("dyadic", "mul", "1,20000", "1,0"), "|n| = 20000 exceeds the dyadic power bound 10000"),
     (("dyadic", "inv", "1,-20000"), "|n| = 20000 exceeds the dyadic power bound 10000"),
     (("dyadic", "inv", "1/0,1"), "Fraction(1, 0)"),
@@ -219,8 +219,8 @@ def test_dyadic(capsys):
      "bound must be an integer in 1..32, got 33"),
     (("residual", "s2", "left", "0,0,0", "60,0,0", "--search"),
      "bound must be an integer in 1..32, got 64"),
-    (("ore", "cmp", "1,0,0", "1,1,0", "--den2", "0,0,0", "--num2", "0,1,0", "--witness",
-      "--bound", "33"), "bound must be an integer in 0..32, got 33"),
+    (("ore", "cmp", "1,0,0", "1,1,0", "--den2", "0,0,0", "--num2", "0,1", "--witness"),
+     "expected three integers, got '0,1'"),
     (("omon", "s2", "prefix", "--bound", "33"), "bound must be an integer in 1..32, got 33"),
     (("omon", "m1", "prefix", "--bound", "33"), "bound must be an integer in 1..32, got 33"),
     (("omon", "s2", "prefix", "--bound", "0"), "bound must be an integer in 1..32, got 0"),
@@ -237,14 +237,14 @@ def test_dyadic(capsys):
     (("ore", "value", "1,0,0", "1,1,0", "--den2", "0,0,0"), "value takes one operand"),
     (("ore", "sigma", "1,0,0", "1,1,0", "--num2", "0,1,0"), "sigma takes one operand"),
     (("ore", "cmp", "1,0,0", "1,1,0", "--num2", "0,1,0"), "cmp needs --den2/--num2"),
-    (("ore", "sigma", "1,0,0", "1,1,0", "--witness", "--bound", "99"), "sigma takes no --witness"),
+    (("ore", "sigma", "1,0,0", "1,1,0", "--witness"), "sigma takes no --witness"),
     (("ore", "value", "1,0,0", "1,1,0", "--witness"), "value takes no --witness"),
-    (("ore", "sigma", "1,0,0", "1,1,0", "--bound", "8"), "sigma takes no --bound"),
-    (("ore", "value", "1,0,0", "1,1,0", "--bound", "3"), "value takes no --bound"),
+    (("ore", "sigma", "0,0,1", "1,1,0"), "(0, 0, 1) is not in the positive monoid"),
+    (("ore", "value", "1,0,0", "1,1,2"), "(1, 1, 2) is not in the positive monoid"),
     (("residual", "s2", "left", "1,0,0", "1,1,0", "--bound", "99"), "--bound needs --search"),
     (("residual", "m1", "right", "x", "y", "--bound", "8"), "--bound needs --search"),
-    (("ore", "cmp", "1,0,0", "1,1,0", "--den2", "0,0,0", "--num2", "0,1,0", "--bound", "99"),
-     "--bound needs --witness"),
+    (("ore", "cmp", "1,0,0", "1,1,0", "--den2", "2,2,5", "--num2", "0,1,0"),
+     "(2, 2, 5) is not in the positive monoid"),
     (("omon", "s2", "hamvty", "--size", "2", "--bound", "99", "--count", "5"),
      "hamvty takes no --count"),
     (("omon", "s2", "hamvty", "--bound", "8"), "hamvty takes no --bound"),
@@ -271,20 +271,22 @@ def test_ore_sigma_and_cmp(capsys):
     assert code == 0 and out.strip() == "="
 
 
-def test_ore_witness_default_bound_is_8(capsys):
-    # x^-8 above y^-8 needs a witness pair with exponent 8; x^-9 above y^-9 needs 9
-    for k, expected in ((8, (0, ">\n", "")), (9, (3, "", "exhausted: no witness within bound 8\n"))):
+def test_ore_witness_decides_past_any_search_box(capsys):
+    # x^-k above y^-k: the least witness pair has exponent k, so a search of
+    # bound 8 answered k = 8 and exhausted at k = 9; L_2's pair answers both
+    for k in (8, 9, 40):
         assert run(capsys, "ore", "cmp", f"{k},0,0", "0,0,0", "--den2", f"0,{k},0",
-                   "--num2", "0,0,0", "--witness") == expected
-    assert run(capsys, "ore", "cmp", "8,0,0", "0,0,0", "--den2", "0,8,0", "--num2", "0,0,0",
-               "--witness", "--bound", "7") == (3, "", "exhausted: no witness within bound 7\n")
+                   "--num2", "0,0,0", "--witness") == (0, ">\n", "")
 
 
-def test_ore_witness_exhausted(capsys):
-    code, _, err = run(capsys, "ore", "cmp", "1,0,0", "0,0,0",
-                       "--den2", "0,1,0", "--num2", "0,0,0",
-                       "--witness", "--bound", "0")
-    assert code == 3 and "exhausted" in err
+def test_ore_witness_has_no_bound_to_exhaust(capsys):
+    # the pair that exhausted a bound-0 search is decided, and no bound is read
+    argv = ("ore", "cmp", "1,0,0", "0,0,0", "--den2", "0,1,0", "--num2", "0,0,0", "--witness")
+    assert run(capsys, *argv) == (0, ">\n", "")
+    code, out, err = run(capsys, *argv, "--bound", "8")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: reslat ore ")
+    assert err.endswith("error: unrecognized arguments: --bound 8\n")
 
 
 def test_omon_prefix(capsys):
@@ -418,8 +420,7 @@ def _specs(models, bad_models):
     ops, so each option is drawn mostly with the ops that read it."""
     second_fraction = st.tuples(_opt("--den2", _OPERAND), _opt("--num2", _OPERAND)).map(
         lambda parts: sum(parts, []))
-    witness = st.tuples(_flag("--witness"), _opt("--bound", _mostly(st.just("8"), _SMALL))).map(
-        lambda parts: sum(parts, []))
+    witness = _flag("--witness")
     size = _opt("--size", _mostly(st.sampled_from(["3", "8"]),
                                   st.sampled_from(["-1", "0", "3", "8", "5001"])))
     return [
@@ -449,8 +450,7 @@ def _specs(models, bad_models):
          [_opt("-n", _mostly(_POSITIVE, _SMALL))]),
         ("ore", [_choice("cmp"), _mostly(_two(_TRIPLE), _two(_OPERAND))],
          [_mostly(_two(_TRIPLE).map(lambda g: ["--den2", g[0], "--num2", g[1]]), second_fraction),
-          _mostly(st.sampled_from([[], ["--witness"], ["--witness", "--bound", "8"]]),
-                  witness)]),
+          witness]),
         ("ore", [_choice("sigma", "value"), _mostly(_two(_TRIPLE), _two(_OPERAND))],
          [_mostly(st.just([]), second_fraction), _mostly(st.just([]), witness)]),
         ("omon", [_choice("m1", "s2"), _choice("prefix")],

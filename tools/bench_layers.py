@@ -19,7 +19,7 @@ SUITE is one of:
   `heis_mul`, one `residual_search` on `S2Instance` at bound 14, one on
   `M1Instance` at bound 26 (over the 91**2 pairs of words up to length
   12), `m1_cmp` on the same pairs (ten times a round) and one
-  `frac_cmp_witness` at bound 8, on seeded inputs.
+  `frac_cmp_witness` (the witness pair read off `L_2`), on seeded inputs.
 - `laws`: the compiled law checks.  `L_3` (ten checks a round), `L_4` and
   `L_5` on the 15-element `heyting5 x godel3`, after an untimed check that
   compiles the law, in ms per check; and compiling `L_4` (20 times a round)
@@ -170,7 +170,7 @@ def fraction():
 pairs = [(fraction(), fraction()) for _ in range(100)]
 def comparisons():
     for f, g in pairs:
-        ore.frac_cmp_witness(f, g, 8)
+        ore.frac_cmp_witness(f, g)
     return len(pairs)
 """
 _LAWS = """
