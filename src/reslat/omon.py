@@ -163,6 +163,7 @@ def residual_scan(inst: Chain, a, bs, side: str, bound: int) -> dict:
     and a product p answers every waiting b >= p, always a prefix of them, so
     each b gets the first hit of its own scan.  Raises ResidualExhausted if
     the stream ends first, or the box may miss a residual into some b."""
+    bs = tuple(bs)  # read twice: by the checks and by the scan
     _check_search(inst, side, a, *bs)
     check_int(bound, "bound", 1, SEARCH_BOUND)
     if inst.box_holds is not None and not all(inst.box_holds(b, bound) for b in bs):

@@ -148,9 +148,10 @@ def verify_conucleus(samples: int = 1000, box: int = 8, seed: int = 0) -> Conucl
     """Random battery for the conucleus laws: unit fixed, contracting,
     order-preserving, idempotent, lax multiplicative, image equal to the
     positive monoid, and representative-independence.  Raises ValueError
-    unless `samples` is an int >= 1 and `box` an int >= 0."""
+    unless `samples` is an int >= 1, `box` an int >= 0 and `seed` an int."""
     check_int(samples, "samples", 1)
     check_int(box, "box", 0)
+    check_int(seed, "seed")
     rng = random.Random(seed)
     bad: list[tuple[str, str]] = []
 

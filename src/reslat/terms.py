@@ -18,8 +18,8 @@ Product binds tightest, then the residuals (equal strength), then meet,
 then join, and every operator is left-associative.  One table, `_OPS`,
 gives each operator's binding strength to both the parser and the printer.
 Equations are written "t = s" (or with the unicode approx sign),
-quasi-equations "p1, p2 => c".  The parser refuses parentheses nested, or
-terms built, deeper than MAX_DEPTH.
+quasi-equations "p1, p2 => c".  `Term` refuses a term deeper than
+MAX_DEPTH, and the parser parentheses nested deeper than it.
 
 Exhaustive checks on finite structures compile each law once into nested
 loops over the structure's tables (see `_compile`); `eval_term` is the
@@ -78,8 +78,8 @@ class EvalError(ValueError):
 
 
 MAX_DEPTH = 100
-"""The parser refuses parentheses nested deeper than this, and terms deeper
-than this (a variable or `e` has depth 0, `x*y` depth 1)."""
+"""`Term` refuses a term deeper than this with a ValueError (a variable or `e`
+has depth 0, `x*y` depth 1), and the parser parentheses nested deeper."""
 
 
 _OPS = {"v": (0, "join"), "^": (1, "meet"), "\\": (2, "ldiv"), "/": (2, "rdiv"), "*": (3, "mul")}
@@ -124,6 +124,8 @@ class Term:
             if left is None or right is None:
                 raise ValueError("binary node needs two children")
             depth = 1 + max(left.depth, right.depth)
+            if depth > MAX_DEPTH:  # the recursive walks over a term stay within the stack
+                raise ValueError(f"term deeper than {MAX_DEPTH}")
         else:
             raise ValueError(f"unknown node kind {kind!r}")
         t = super().__new__(cls)
@@ -247,10 +249,10 @@ class _Parser:
         return found
 
     def node(self, op: str, left: Term, right: Term) -> Term:
-        t = Term(op, left=left, right=right)
-        if t.depth > MAX_DEPTH:
-            raise self.error(f"term deeper than {MAX_DEPTH}")
-        return t
+        try:
+            return Term(op, left=left, right=right)
+        except ValueError as exc:  # deeper than MAX_DEPTH
+            raise self.error(str(exc)) from None
 
     def equation(self) -> Equation:
         lhs = self.term()

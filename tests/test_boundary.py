@@ -48,12 +48,14 @@ SITES = {
     "DyadicPair n": (lambda v: DyadicPair(1, v), "n", None, None, ""),
     "verify_conucleus samples": (lambda v: ore.verify_conucleus(v), "samples", 1, None, " >= 1"),
     "verify_conucleus box": (lambda v: ore.verify_conucleus(1, box=v), "box", 0, None, " >= 0"),
+    "verify_conucleus seed": (lambda v: ore.verify_conucleus(1, seed=v), "seed", None, None, ""),
     "random_triple box": (lambda v: ore.random_triple(random.Random(0), v), "box", 0, None, " >= 0"),
     "load_structure max_n": (lambda v: finite.load_structure("one.json", max_n=v),
                              "max_n", 1, None, " >= 1"),
     "BatteryConfig max_size": (lambda v: battery.BatteryConfig(max_size=v),
                                "max_size", 1, None, " >= 1"),
     "BatteryConfig samples": (lambda v: battery.BatteryConfig(samples=v), "samples", 1, None, " >= 1"),
+    "BatteryConfig seed": (lambda v: battery.BatteryConfig(seed=v), "seed", None, None, ""),
 }
 
 

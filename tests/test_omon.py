@@ -192,6 +192,14 @@ def test_residual_scan_matches_the_per_b_scan():
     assert residual_scan(S2Instance, X, [], "left", 8) == {}
 
 
+def test_residual_scan_reads_an_iterator_of_bs_once():
+    # the checks and the scan both read bs; an iterator answers as its list does
+    want = residual_scan(S2Instance, X, list(R.s2_box(2)), "left", 8)
+    assert len(want) == 18 and residual_scan(S2Instance, X, R.s2_box(2), "left", 8) == want
+    assert residual_scan(M1Instance, (1, 0), iter([(0, 1), (2, 0)]), "left", 8) == {
+        (0, 1): (1, 0), (2, 0): (1, 0)}
+
+
 # a chain on the ints <= 0 whose product is not monotone in either factor
 TOY = Chain("toy", 0, mul=lambda x, y: (3 * x + 7 * y) % 11 - 10,
             cmp=lambda x, y: (x > y) - (x < y), ldiv=None, rdiv=None,

@@ -116,6 +116,19 @@ def test_depth_bound():
         R.parse_term("x*(" + str(right_nested) + ")")
 
 
+def test_a_term_deeper_than_max_depth_is_refused_however_built():
+    # so str, free_vars, eval_term and check_equation never recurse past MAX_DEPTH
+    x, t = var("x"), var("x")
+    with pytest.raises(ValueError, match=f"^term deeper than {MAX_DEPTH}$"):
+        for _ in range(3000):
+            t = mul(t, x)
+    assert t.depth == MAX_DEPTH and R.check_equation(R.Equation(t, x), models.godel3()).holds
+    for build in (mul, ldiv, rdiv, meet, join):
+        for left, right in ((t, x), (x, t)):
+            with pytest.raises(ValueError, match=f"^term deeper than {MAX_DEPTH}$"):
+                build(left, right)
+
+
 def test_e_is_reserved():
     assert R.parse_term("e") == E
     with pytest.raises(R.TermSyntaxError):
@@ -256,10 +269,9 @@ class _ReferenceParser:
             raise self.error(f"unexpected {self.text[self.pos]!r}")
 
     def node(self, build, left, right):
-        t = build(left, right)
-        if t.depth > MAX_DEPTH:
+        if 1 + max(left.depth, right.depth) > MAX_DEPTH:  # Term would refuse it
             raise self.error(f"term deeper than {MAX_DEPTH}")
-        return t
+        return build(left, right)
 
     def equation(self):
         lhs = self.join_()

@@ -9,6 +9,8 @@ import subprocess
 
 import pytest
 
+from reslat import battery
+
 REPO = pathlib.Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_layers", REPO / "tools" / "bench_layers.py")
 bench = importlib.util.module_from_spec(_spec)
@@ -24,6 +26,7 @@ FIELDS = {"count", "median", "runs", "first"}  # of every job's result
     ("triples", "class_call", 1, {"count": 200_000}),
     ("laws", "compile_L4", 1, {"count": 20}),
     ("laws", "parse_named", 1, {"count": 440}),
+    ("battery", "divisibility-failures", 1, {"count": 1}),
 ])
 def test_one_short_job_of_each_suite(tmp_path, monkeypatch, capsys, suite, job, rounds, value):
     short = bench.SUITES[suite]._replace(jobs={job: bench.SUITES[suite].jobs[job]})
@@ -57,6 +60,17 @@ def test_a_request_with_an_unexpected_exit_code_fails_its_job():
     wrong = cli.jobs["check_file"][:1] + (cli.jobs["check_file"][1].replace("], 1)", "])"), "us")
     with pytest.raises(subprocess.CalledProcessError):
         bench.measure(cli._replace(jobs={"check_file": wrong}), [str(REPO / "src")])
+
+
+def test_the_battery_suite_times_every_claim():
+    assert list(bench.SUITES["battery"].jobs) == list(battery.CLAIMS)
+
+
+def test_a_claim_that_does_not_pass_fails_its_job():
+    refuted = ("def refuted(cfg):\n    raise battery.ClaimFailed('counterexample')\n"
+               "battery.CLAIMS['refuted'] = refuted", "claim('refuted')", "ms per claim")
+    with pytest.raises(subprocess.CalledProcessError):
+        bench.measure(bench.SUITES["battery"]._replace(jobs={"refuted": refuted}), [str(REPO / "src")])
 
 
 def test_a_child_over_the_timeout_is_recorded_and_not_repeated(monkeypatch):

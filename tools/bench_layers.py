@@ -20,6 +20,9 @@ SUITE is one of:
   `M1Instance` at bound 26 (over the 91**2 pairs of words up to length
   12), `m1_cmp` on the same pairs (ten times a round) and one
   `frac_cmp_witness` (the witness pair read off `L_2`), on seeded inputs.
+- `battery`: each `verify-paper` claim at the acceptance config
+  (`BatteryConfig()`: `max_size=5, samples=1000, seed=20240826`), in ms per
+  claim; a claim that does not pass fails its job.
 - `laws`: the compiled law checks.  `L_3` (ten checks a round), `L_4` and
   `L_5` on the 15-element `heyting5 x godel3`, after an untimed check that
   compiles the law, in ms per check; and compiling `L_4` (20 times a round)
@@ -201,6 +204,17 @@ def parses(n):
         return n * len(texts)
     return timed
 """
+_CLAIM = """
+def claim(name):
+    (result,) = battery.run_battery(battery.BatteryConfig(), only=name)
+    if result.status != "pass":
+        raise RuntimeError(f"{name}: {result.status}: {result.detail}")
+    return 1
+"""
+# battery.CLAIMS by name: this script imports no reslat, each child its own --src
+_CLAIMS = ("adjunction-suite", "prelinearity-suite", "heis-matrix-oracle", "nilpotency-laws",
+           "unique-roots", "divisibility-failures", "residual-agreement", "conucleus-battery",
+           "dyadic-claims", "hamiltonian-law", "convex-suite", "enumeration-count")
 
 SUITES = {
     "cli": Suite(
@@ -264,6 +278,9 @@ SUITES = {
             "m1_cmp": (_M1_PAIRS, "m1_comparisons()", "ns per comparison"),
             "frac_cmp_witness": (_FRACTIONS, "comparisons()", "us per pair"),
         }),
+    "battery": Suite(
+        "from reslat import battery\n" + _CLAIM,
+        {name: ("", f"claim({name!r})", "ms per claim") for name in _CLAIMS}),
     "laws": Suite(
         "from reslat import finite, models, terms\n" + _LAWS, {
             "L3": ("timed = checks(3, 10)", "timed()", "ms per check"),
