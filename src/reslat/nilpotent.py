@@ -87,11 +87,18 @@ def heis_inv(g: HeisTriple) -> HeisTriple:
     return HeisTriple(-a, -b, a * b - c)
 
 
+def _check_triple(g) -> None:
+    if not (isinstance(g, tuple) and len(g) == 3 and all(x.__class__ is int for x in g)):
+        raise ValueError(f"g must be a triple of ints, got {g!r}")
+
+
 def heis_pow(g: HeisTriple, n: int) -> HeisTriple:
-    """g**n in closed form: (n*alpha, n*beta, n*gamma + C(n,2)*alpha*beta)."""
+    """g**n in closed form: (n*alpha, n*beta, n*gamma + C(n,2)*alpha*beta).
+    Raises ValueError unless g is a triple of ints."""
     check_int(n, "exponent")
+    _check_triple(g)
     if n < 0:
-        return heis_pow(heis_inv(g), -n)
+        g, n = heis_inv(g), -n
     a, b, c = g
     return HeisTriple(n * a, n * b, n * c + n * (n - 1) // 2 * a * b)
 
@@ -173,8 +180,10 @@ def s2_box(bound: int, *, gmax: Optional[int] = None) -> Iterator[HeisTriple]:
 
 def nth_root(g: HeisTriple, n: int) -> Optional[HeisTriple]:
     """The unique h with h**n == g, or None.  Closed form: h exists iff n
-    divides alpha and beta and the corrected central exponent."""
+    divides alpha and beta and the corrected central exponent.  Raises
+    ValueError unless g is a triple of ints."""
     check_int(n, "root degree", 1)
+    _check_triple(g)
     alpha, beta, gamma = g
     if alpha % n or beta % n:
         return None

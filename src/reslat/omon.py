@@ -87,13 +87,14 @@ class Chain:
     `cmp(a, b)` is the total order (negative means strictly below).  The
     residuals follow the `a\\b`, `a/b` convention of `terms`: `ldiv(a, b)`
     is the greatest c with a*c <= b and `rdiv(a, b)` the greatest c with
-    c*b <= a.  A chain that `residual_search` and `residual_scan` can scan gives
-    `candidates(bound)`, streaming a finite box strictly descending from the
-    unit in rows (tuples) along which a*c and c*a descend for each a, and
-    `member(a)`, which the search checks its operands with before scanning,
-    so that `cmp` itself validates nothing: it is False, and never raises,
-    for any value that is not an element.  `box_holds(b, bound)` is False
-    where that box may miss a residual into b (None: it is an up-set).
+    c*b <= a.  These and `mul` and `cmp` trust their operands: callers check
+    them once, where they enter.  A chain that `residual_search` and
+    `residual_scan` can scan gives `candidates(bound)`, streaming a finite box
+    strictly descending from the unit in rows (tuples) along which a*c and
+    c*a descend for each a, and `member(a)`, False (never an error) for any
+    value that is not an element, which the scans check operands with.
+    `box_holds(b, bound)` is False where that box may miss a residual into b
+    (None: it is an up-set).
     """
 
     name: str
@@ -316,6 +317,10 @@ def s2_residual(a: HeisTriple, b: HeisTriple, side: str = "left") -> HeisTriple:
     s2_require(a, b)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    return _s2_div(a, b, side == "left")
+
+
+def _s2_div(a: HeisTriple, b: HeisTriple, left: bool = True) -> HeisTriple:
     a1, b1, g1 = a
     a2, b2, g2 = b
     if a2 < a1:
@@ -325,7 +330,7 @@ def s2_residual(a: HeisTriple, b: HeisTriple, side: str = "left") -> HeisTriple:
         return HeisTriple(al, 0, 0)
     be = b2 - b1
     # with the first two coordinates matched, minimize the central exponent
-    cross = b1 * al if side == "left" else be * a1
+    cross = b1 * al if left else be * a1
     lo = g2 - g1 - cross
     if lo <= al * be:
         return HeisTriple(al, be, max(0, lo))
@@ -337,8 +342,8 @@ S2Instance = Chain(
     unit=HEIS_UNIT,
     mul=_mul,  # plain triples: the scans compare products and drop them
     cmp=heis_cmp,
-    ldiv=s2_residual,
-    rdiv=lambda a, b: s2_residual(b, a, "right"),
+    ldiv=_s2_div,  # unchecked, as mul and cmp are: s2_residual is the checked form
+    rdiv=lambda a, b: _s2_div(b, a, False),
     candidates=s2_candidates,
     member=s2_member,
     box_holds=lambda b, bound: bound >= max(b[0], b[1] + 1),  # residuals into b lie in the box

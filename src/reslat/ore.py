@@ -2,14 +2,16 @@
 chain order to the whole group, and the conucleus picking out the monoid.
 
 Every group element factors as den^-1 * num with both parts in the positive
-monoid, so fractions are keyed by their group value.  The extended order is
-realized concretely as the reverse-lexicographic order on exponent triples;
-it restricts to the monoid's chain order, and is validated against the
-witness-pair definition (f below g iff m*num_f <= n*num_g for some monoid
-pair m, n with m*den_f = n*den_g) rather than assumed.  The pair is not
-searched for: the monoid satisfies Malcev's law L_2, whose two sides with
-z1 = e read (a*b*b)*a and (b*a*a)*b, so m = a*b*b and n = b*a*a make
-m*a = n*b a common left multiple of any denominators a and b.
+monoid, checked once when the fraction is built.  A fraction's value is the
+group's left residual den\\num (`F2Instance.ldiv`), sigma is the monoid's
+(`S2Instance.ldiv`), and the extended order `F2Instance.cmp` is the
+reverse-lexicographic order on exponent triples.  It restricts to the
+monoid's chain order, and is validated against the witness-pair definition
+(f below g iff m*num_f <= n*num_g for some monoid pair m, n with
+m*den_f = n*den_g) rather than assumed.  The pair is not searched for: the
+monoid satisfies Malcev's law L_2, whose two sides with z1 = e read
+(a*b*b)*a and (b*a*a)*b, so m = a*b*b and n = b*a*a make m*a = n*b a
+common left multiple of any denominators a and b.
 """
 
 from __future__ import annotations
@@ -18,17 +20,8 @@ import random
 from dataclasses import dataclass
 
 from ._check import check_int
-from .nilpotent import (
-    HEIS_UNIT,
-    HeisTriple,
-    _mul,
-    heis_cmp,
-    heis_inv,
-    heis_mul,
-    s2_member,
-    s2_require,
-)
-from .omon import group_chain, s2_residual
+from .nilpotent import HEIS_UNIT, HeisTriple, heis_cmp, heis_inv, heis_mul, s2_member, s2_require
+from .omon import S2Instance, group_chain
 
 __all__ = [
     "OreFraction",
@@ -41,6 +34,9 @@ __all__ = [
     "random_fraction",
     "random_triple",
 ]
+
+# the whole group under the extended order, as a residuated chain
+F2Instance = group_chain("f2", HEIS_UNIT, heis_mul, heis_inv, heis_cmp)
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,7 @@ class OreFraction:
 
     @property
     def value(self) -> HeisTriple:
-        return heis_mul(heis_inv(self.den), self.num)
+        return F2Instance.ldiv(self.den, self.num)
 
     @classmethod
     def from_group(cls, g: HeisTriple) -> "OreFraction":
@@ -68,7 +64,7 @@ class OreFraction:
         B = abs(beta) + 1
         A = abs(gamma) + (B + 1) * abs(alpha) + 1
         den = HeisTriple(A, B, max(0, -(gamma + B * alpha)))
-        return cls(den, heis_mul(den, g))
+        return cls(den, F2Instance.mul(den, g))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, OreFraction) and self.value == other.value
@@ -91,7 +87,7 @@ def frac_cmp_group(f: OreFraction, g: OreFraction) -> int:
     """The extended order, read off the group values (reverse-lex order)."""
     if not (isinstance(f, OreFraction) and isinstance(g, OreFraction)):
         _refuse(f=f, g=g)
-    return heis_cmp(f.value, g.value)
+    return F2Instance.cmp(f.value, g.value)
 
 
 def frac_cmp_witness(f: OreFraction, g: OreFraction) -> int:
@@ -106,22 +102,18 @@ def frac_cmp_witness(f: OreFraction, g: OreFraction) -> int:
     which only a bug can cause."""
     if not (isinstance(f, OreFraction) and isinstance(g, OreFraction)):
         _refuse(f=f, g=g)
-    a, b = f.den, g.den
-    m, n = _mul(_mul(a, b), b), _mul(_mul(b, a), a)
-    if _mul(m, a) != _mul(n, b):
+    a, b, mul = f.den, g.den, S2Instance.mul
+    m, n = mul(mul(a, b), b), mul(mul(b, a), a)
+    if mul(m, a) != mul(n, b):
         raise RuntimeError(f"m*a != n*b for a = {tuple(a)}, b = {tuple(b)}, m = {m}, n = {n}")
-    return heis_cmp(_mul(m, f.num), _mul(n, g.num))
+    return S2Instance.cmp(mul(m, f.num), mul(n, g.num))
 
 
 def conucleus_sigma(f: OreFraction) -> HeisTriple:
     """The sharpest monoid element below the fraction: den \\ num."""
     if not isinstance(f, OreFraction):
         _refuse(f=f)
-    return s2_residual(f.den, f.num, "left")
-
-
-# the whole group under the extended order, as a residuated chain
-F2Instance = group_chain("f2", HEIS_UNIT, heis_mul, heis_inv, heis_cmp)
+    return S2Instance.ldiv(f.den, f.num)
 
 
 def random_triple(rng: random.Random, box: int) -> HeisTriple:
@@ -159,33 +151,34 @@ def verify_conucleus(samples: int = 1000, box: int = 8, seed: int = 0) -> Conucl
         if len(bad) < 10:
             bad.append((law, detail))
 
-    unit_frac = OreFraction(HEIS_UNIT, HEIS_UNIT)
-    if conucleus_sigma(unit_frac) != HEIS_UNIT:
+    # sigma(den^-1 num) = den\num on the monoid parts built here; mul and cmp are the group's
+    e, sigma, mul, cmp = HEIS_UNIT, S2Instance.ldiv, F2Instance.mul, F2Instance.cmp
+    if sigma(e, e) != e:
         note("unit", "sigma(e) != e")
 
     for _ in range(samples):
         f = random_fraction(rng, box)
         g = random_fraction(rng, box)
-        sf, sg = conucleus_sigma(f), conucleus_sigma(g)
+        fv, gv = f.value, g.value
+        sf, sg = sigma(f.den, f.num), sigma(g.den, g.num)
         if not s2_member(sf):
             note("image", f"sigma({f}) escapes the monoid")
-        elif conucleus_sigma(OreFraction(HEIS_UNIT, sf)) != sf:
+        elif sigma(e, sf) != sf:
             note("idempotent", f"sigma^2 moved {sf}")
-        if heis_cmp(sf, f.value) > 0:
+        if cmp(sf, fv) > 0:
             note("contracting", f"sigma({f}) above {f}")
-        if heis_cmp(f.value, g.value) <= 0 and heis_cmp(sf, sg) > 0:
+        if cmp(fv, gv) <= 0 and cmp(sf, sg) > 0:
             note("monotone", f"{f} <= {g} but images disagree")
-        prod = conucleus_sigma(OreFraction.from_group(heis_mul(f.value, g.value)))
-        if heis_cmp(heis_mul(sf, sg), prod) > 0:
+        fg = OreFraction.from_group(mul(fv, gv))
+        if cmp(mul(sf, sg), sigma(fg.den, fg.num)) > 0:
             note("lax-multiplicative", f"sigma(f)sigma(g) above sigma(fg) at {f}, {g}")
         # representative independence: multiply den and num by a common factor
         m = HeisTriple(rng.randint(0, 3), rng.randint(0, 3), 0)
-        f2 = OreFraction(heis_mul(m, f.den), heis_mul(m, f.num))
-        if conucleus_sigma(f2) != sf:
+        if sigma(S2Instance.mul(m, f.den), S2Instance.mul(m, f.num)) != sf:
             note("representative", f"sigma depends on the representative of {f}")
         # monoid elements are fixed points
         s = HeisTriple(rng.randint(0, box), rng.randint(0, box), 0)
-        if conucleus_sigma(OreFraction(HEIS_UNIT, s)) != s:
+        if sigma(e, s) != s:
             note("fixpoint", f"monoid element {s} moved")
 
     return ConucleusReport(samples, bad)

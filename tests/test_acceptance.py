@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from reslat import battery, finite, models, omon, terms
+from reslat import battery, finite, models, omon, ore, terms
 from reslat.nilpotent import HeisTriple
 
 CFG = battery.BatteryConfig(max_size=5, samples=1000, seed=battery.DEFAULT_SEED)
@@ -94,6 +94,24 @@ def test_divisibility_claim_names_the_chain_whose_product_is_wrong(monkeypatch):
     (result,) = battery.run_battery(CFG, only="divisibility-failures")
     assert (result.status, result.detail) == (
         "fail", "s2 (0, 1, 0), (1, 0, 0): (b/a)a = (1, 1, 1), want (1, 1, 0) != a meet b")
+
+
+def test_conucleus_claim_reports_the_first_violated_law(monkeypatch):
+    # sigma with den and num swapped: num\den rises above the fraction it should lie below
+    monkeypatch.setattr(ore, "S2Instance", dataclasses.replace(
+        omon.S2Instance, ldiv=lambda den, num: omon.S2Instance.ldiv(num, den)))
+    (result,) = battery.run_battery(CFG, only="conucleus-battery")
+    assert (result.status, result.detail) == (
+        "fail", "contracting: sigma((9, 1, 0)^-1*(13, 1, 4)) above (9, 1, 0)^-1*(13, 1, 4)")
+
+
+def test_conucleus_claim_reports_the_first_order_mismatch(monkeypatch):
+    # a group order blind to the central exponent ties two values that differ only in gamma
+    monkeypatch.setattr(battery, "frac_cmp_group",
+                        lambda f, g: ore.F2Instance.cmp(f.value[:2], g.value[:2]))
+    (result,) = battery.run_battery(CFG, only="conucleus-battery")
+    assert (result.status, result.detail) == (
+        "fail", "order mismatch at (5, 3, 0)^-1*(6, 1, 3), (7, 3, 0)^-1*(8, 1, 5)")
 
 
 @pytest.mark.parametrize("library, tag", [(None, "godel3"), ("unnamed", "3-element")])

@@ -110,6 +110,11 @@ REFUSALS = {
                                  "term text must be a string, got ['x=x']"),
     "m1_parse int": (lambda: omon.m1_parse(123), "monoid word must be a string, got 123"),
     "parse_fraction int": (lambda: nilpotent.parse_fraction(123), "fraction must be a string, got 123"),
+    # group elements have int exponents: no floats in, none out
+    "heis_pow float": (lambda: nilpotent.heis_pow((1.5, 0, 0), 2),
+                       "g must be a triple of ints, got (1.5, 0, 0)"),
+    "nth_root float": (lambda: nilpotent.nth_root((3.0, 0, 0), 1),
+                       "g must be a triple of ints, got (3.0, 0, 0)"),
     # the order and the conucleus take fractions, not their group values
     "frac_cmp_group triple": (lambda: ore.frac_cmp_group(FRACTION, (1, 0, 0)),
                               "g must be an OreFraction, got (1, 0, 0)"),

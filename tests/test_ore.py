@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -116,7 +117,8 @@ def test_the_witness_multipliers_are_a_common_multiple_on_the_box():
 def test_the_witness_route_refuses_a_pair_that_is_not_a_common_multiple(monkeypatch):
     # a product without common multiples (here the free monoid's) is a bug,
     # reported as such, never a verdict
-    monkeypatch.setattr(ore, "_mul", lambda g, h: (*g, *h))
+    free = dataclasses.replace(S2Instance, mul=lambda g, h: (*g, *h))
+    monkeypatch.setattr(ore, "S2Instance", free)
     f, g = OreFraction(X, E), OreFraction(Y, E)
     with pytest.raises(RuntimeError, match=r"^m\*a != n\*b for a = \(1, 0, 0\), b = \(0, 1, 0\)"):
         frac_cmp_witness(f, g)
@@ -158,13 +160,25 @@ def test_verify_conucleus_battery():
     assert rep.samples == 500
 
 
+def _row_bottom(den, num):
+    # sigma lowered to the least element of its row (alpha, beta, *): still
+    # monotone and idempotent, but sigma(f)sigma(g) can rise above sigma(fg)
+    alpha, beta, _ = S2Instance.ldiv(den, num)
+    return HeisTriple(alpha, beta, alpha * beta)
+
+
+# each planted sigma(den^-1 num) replaces S2Instance.ldiv(den, num), which the battery reads
 @pytest.mark.parametrize("sigma, laws", [
-    (lambda f: E, {"contracting", "fixpoint"}),
-    (lambda f: f.value, {"image"}),  # leaves the monoid, so idempotence is not tried
-    (lambda f: s2_residual(f.den, f.num, "right"), {"contracting"}),
-], ids=["unit", "value", "right-residual"])
+    (lambda den, num: E, {"contracting", "fixpoint"}),
+    (F2Instance.ldiv, {"image"}),  # the value leaves the monoid, so idempotence is not tried
+    (lambda den, num: s2_residual(den, num, "right"), {"contracting"}),
+    (lambda den, num: heis_mul(X, S2Instance.ldiv(den, num)), {"unit", "idempotent", "fixpoint"}),
+    (_row_bottom, {"lax-multiplicative", "fixpoint"}),
+    (lambda den, num: S2Instance.ldiv(num, den),
+     {"contracting", "idempotent", "monotone", "fixpoint"}),
+], ids=["unit", "value", "right-residual", "times-x", "row-bottom", "swapped"])
 def test_verify_conucleus_reports_a_planted_sigma(monkeypatch, sigma, laws):
-    monkeypatch.setattr(ore, "conucleus_sigma", sigma)
+    monkeypatch.setattr(ore, "S2Instance", dataclasses.replace(S2Instance, ldiv=sigma))
     rep = verify_conucleus(200, 8, 0)
     assert not rep.ok and len(rep.violations) == 10
     assert {law for law, _ in rep.violations} == laws

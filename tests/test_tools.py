@@ -27,6 +27,7 @@ FIELDS = {"count", "median", "runs", "first"}  # of every job's result
     ("laws", "compile_L4", 1, {"count": 20}),
     ("laws", "parse_named", 1, {"count": 440}),
     ("battery", "divisibility-failures", 1, {"count": 1}),
+    ("triples", "verify_conucleus", 1, {"count": 1}),
 ])
 def test_one_short_job_of_each_suite(tmp_path, monkeypatch, capsys, suite, job, rounds, value):
     short = bench.SUITES[suite]._replace(jobs={job: bench.SUITES[suite].jobs[job]})

@@ -19,7 +19,10 @@ SUITE is one of:
   `heis_mul`, one `residual_search` on `S2Instance` at bound 14, one on
   `M1Instance` at bound 26 (over the 91**2 pairs of words up to length
   12), `m1_cmp` on the same pairs (ten times a round) and one
-  `frac_cmp_witness` (the witness pair read off `L_2`), on seeded inputs.
+  `frac_cmp_witness` (the witness pair read off `L_2`), on seeded inputs;
+  and `verify_conucleus(1000, 8, 20240826)`, the conucleus battery that the
+  benchmark's `residuals` job list runs once a pass, in ms per call (a
+  report with a violation fails the job).
 - `battery`: each `verify-paper` claim at the acceptance config
   (`BatteryConfig()`: `max_size=5, samples=1000, seed=20240826`), in ms per
   claim; a claim that does not pass fails its job.
@@ -176,6 +179,13 @@ def comparisons():
         ore.frac_cmp_witness(f, g)
     return len(pairs)
 """
+_CONUCLEUS = f"""
+def conucleus():
+    report = ore.verify_conucleus(1000, 8, {SEED})
+    if not report.ok:
+        raise RuntimeError(f"verify_conucleus: {{report.violations[0]}}")
+    return 1
+"""
 _LAWS = """
 product = models.direct_product(models.heyting5(), models.godel3())
 named = [law for laws in finite.PROPERTIES.values() for law in laws]
@@ -277,6 +287,7 @@ SUITES = {
             "m1_search": (_M1_CASES, "searches()", "us per search"),
             "m1_cmp": (_M1_PAIRS, "m1_comparisons()", "ns per comparison"),
             "frac_cmp_witness": (_FRACTIONS, "comparisons()", "us per pair"),
+            "verify_conucleus": (_CONUCLEUS, "conucleus()", "ms per call"),
         }),
     "battery": Suite(
         "from reslat import battery\n" + _CLAIM,
