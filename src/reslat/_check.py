@@ -9,3 +9,11 @@ def check_int(value, name: str, least=None, most=None) -> None:
         return
     span = f" in {least}..{most}" if most is not None else "" if least is None else f" >= {least}"
     raise ValueError(f"{name} must be an integer{span}, got {value!r}")
+
+
+def check_instance(value, name: str, kind: type) -> None:
+    """Refuse with ValueError a value that is not an instance of `kind`,
+    naming the argument: `s must be a FiniteResLat, got None`."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")

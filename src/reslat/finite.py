@@ -2,9 +2,11 @@
 
 A structure is built from a partial-order relation, a monoid table and a
 unit via `derive_residuals`, which computes meet/join/residual tables and
-refuses anything that is not a residuated lattice.  On top of that live the
-derived constructions: negative cones, absolute values, conjugates, convex
-subuniverses, the named-property battery, and a chain-model enumerator.
+refuses anything that is not a residuated lattice, or, when the product is
+the meet and the unit the top, from the order alone via `heyting_algebra`.
+On top of that live the derived constructions: negative cones, absolute
+values, conjugates, convex subuniverses, the named-property battery, and a
+chain-model enumerator.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from ._check import check_int
+from ._check import check_instance, check_int
 from .terms import (
     HOLDS,
     Equation,
@@ -35,6 +37,7 @@ __all__ = [
     "NotResiduated",
     "NotECyclic",
     "derive_residuals",
+    "heyting_algebra",
     "validate_axioms",
     "PROPERTIES",
     "PROPERTY_NAMES",
@@ -96,7 +99,7 @@ def _freeze(rows: Iterable[Iterable[int]]) -> Table:
 
 @dataclass(frozen=True)
 class FiniteResLat:
-    """Finite residuated lattice; construct via `derive_residuals`."""
+    """Finite residuated lattice; construct via `derive_residuals` or `heyting_algebra`."""
 
     n: int
     leq: tuple[tuple[bool, ...], ...]
@@ -242,25 +245,27 @@ def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str,
     """The monoid part of `derive_residuals`: check the unit and
     associativity of `mul` over a checked lattice order, then derive both
     residual tables.  Row a*b of `mul` is compared with row a gathered by
-    one itemgetter per row b.  `memo` maps a row or column of `mul` to its
-    `_residual_row`; one call may share it between tables on this order.
-    Monotonicity has no test of its own: when every
+    one itemgetter per row b.  The order's own meet table, with the top as
+    unit (`heyting_algebra`), is a monoid and is not checked.  `memo` maps
+    a row or column of `mul` to its `_residual_row`; one call may share it
+    between tables on this order.  Monotonicity has no test of its own: when every
     {c : a*c <= b} and {c : c*a <= b} is a principal down-set, c <= c'
     gives a*c <= a*c' and c*a <= c'*a.  So a product that is not
     order-preserving always leaves a residual gap, and a gap is first
     reported as that failure, at its lex-first witness."""
     leq = order.leq
     rng = range(len(leq))
-    # an itemgetter of one index returns the bare item, not a 1-tuple
-    gather = [itemgetter(*row) if len(row) > 1 else lambda r, c=row[0]: (r[c],) for row in mul]
-    for a in rng:
-        if mul[unit][a] != a or mul[a][unit] != a:
-            raise NotAMonoid(f"unit law fails at {a}")
-        row = mul[a]
-        for b in rng:
-            if gather[b](row) != mul[row[b]]:
-                c = next(c for c in rng if mul[row[b]][c] != row[mul[b][c]])
-                raise NotAMonoid(f"associativity fails at ({a},{b},{c})")
+    if mul is not order.meet:
+        # an itemgetter of one index returns the bare item, not a 1-tuple
+        gather = [itemgetter(*row) if len(row) > 1 else lambda r, c=row[0]: (r[c],) for row in mul]
+        for a in rng:
+            if mul[unit][a] != a or mul[a][unit] != a:
+                raise NotAMonoid(f"unit law fails at {a}")
+            row = mul[a]
+            for b in rng:
+                if gather[b](row) != mul[row[b]]:
+                    c = next(c for c in rng if mul[row[b]][c] != row[mul[b][c]])
+                    raise NotAMonoid(f"associativity fails at ({a},{b},{c})")
 
     memo = {} if memo is None else memo
     cols = tuple(zip(*mul))
@@ -302,6 +307,26 @@ def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str,
     )
 
 
+def _leq_size(leq, name) -> int:
+    """The number of rows of `leq` once `name` is a str and `leq` a square
+    table; the shape checks that `derive_residuals` makes first."""
+    if not isinstance(name, str):
+        raise StructureError(f"name must be a string, got {name!r}")
+    if not isinstance(leq, (list, tuple)):
+        raise StructureError("leq must be a list of rows")
+    _check_square("leq", leq, len(leq))
+    return len(leq)
+
+
+def _checked_order(leq) -> _LatticeOrder:
+    """The lattice order of a square table `leq` whose cells are booleans or 0/1."""
+    for a, row in enumerate(leq):
+        for b, x in enumerate(row):
+            if not (isinstance(x, int) and x in (0, 1)):
+                raise StructureError(f"leq cell ({a},{b}) = {x!r} is not 0, 1, true or false")
+    return _lattice_order(tuple(tuple(map(bool, row)) for row in leq))
+
+
 def derive_residuals(
     leq: Sequence[Sequence[bool]],
     mul: Sequence[Sequence[int]],
@@ -317,12 +342,7 @@ def derive_residuals(
     NotResiduated with a witness in the message when the input fails the
     corresponding requirement.
     """
-    if not isinstance(name, str):
-        raise StructureError(f"name must be a string, got {name!r}")
-    if not isinstance(leq, (list, tuple)):
-        raise StructureError("leq must be a list of rows")
-    n = len(leq)
-    _check_square("leq", leq, n)
+    n = _leq_size(leq, name)
     _check_square("mul", mul, n)
     for a, row in enumerate(mul):
         for b, v in enumerate(row):
@@ -330,12 +350,20 @@ def derive_residuals(
                 raise StructureError(f"mul cell ({a},{b}) = {v!r} is not in range({n})")
     if not _is_element(unit, n):
         raise StructureError(f"unit {unit!r} is not in range({n})")
-    for a, row in enumerate(leq):
-        for b, x in enumerate(row):
-            if not (isinstance(x, int) and x in (0, 1)):
-                raise StructureError(f"leq cell ({a},{b}) = {x!r} is not 0, 1, true or false")
-    order = _lattice_order(tuple(tuple(map(bool, row)) for row in leq))
-    return _residuated(order, _freeze(mul), unit, name)
+    return _residuated(_checked_order(leq), _freeze(mul), unit, name)
+
+
+def heyting_algebra(leq: Sequence[Sequence[bool]], name: str = "") -> FiniteResLat:
+    """The residuated lattice on the lattice order `leq` whose product is the
+    meet and whose unit is the top.  Refuses a malformed `leq` or `name`, or
+    an order that is not a lattice, as `derive_residuals` does, and a lattice
+    that is not distributive (where the meet has no residual) with
+    NotResiduated.  An empty `leq` has no top and is refused."""
+    n = _leq_size(leq, name)
+    if n == 0:
+        raise StructureError("leq has no rows, so no top to be the unit")
+    order = _checked_order(leq)
+    return _residuated(order, order.meet, order.principal[(1 << n) - 1], name)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +378,7 @@ def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
     its standard consequences (product preserves joins, the left residual
     preserves meets in the numerator).
     """
+    check_instance(s, "s", FiniteResLat)
     n, leq, mul = s.n, s.leq, s.mul_table
     rng = range(n)
     out: list[tuple[str, dict]] = [
@@ -460,6 +489,7 @@ def check_named_property(s, name: str) -> Verdict:
 
 def negative_cone(s: FiniteResLat) -> FiniteResLat:
     """The structure on {a <= e} with residuals truncated at the unit."""
+    check_instance(s, "s", FiniteResLat)
     members = [a for a in s.elements if s.le(a, s.unit)]
     index = {a: i for i, a in enumerate(members)}
     leq = [[s.le(a, b) for b in members] for a in members]
@@ -468,6 +498,7 @@ def negative_cone(s: FiniteResLat) -> FiniteResLat:
 
 
 def _require_elements(s: FiniteResLat, *elements) -> None:
+    check_instance(s, "s", FiniteResLat)
     for a in elements:
         if not _is_element(a, s.n):
             raise ValueError(f"element {a!r} is not in range({s.n})")
@@ -552,6 +583,7 @@ def convex_closure_fixpoint(s: FiniteResLat, gens: Iterable[int]) -> frozenset[i
 def all_convex_subuniverses(s: FiniteResLat) -> list[frozenset[int]]:
     """One convex subuniverse per idempotent p <= e: the up-set of p.  For such
     p, |p| = p is the least element of its up-set, so the members differ."""
+    check_instance(s, "s", FiniteResLat)
     _require_ecyclic(s)
     found = [_above(s, p) for p in s.elements if s.le(p, s.unit) and s.mul(p, p) == p]
     return sorted(found, key=lambda m: (len(m), sorted(m)))
@@ -686,6 +718,7 @@ def enumerate_chain_models(
 
 
 def structure_to_json(s: FiniteResLat) -> dict:
+    check_instance(s, "s", FiniteResLat)
     return {
         "size": s.n,
         "leq": [[1 if x else 0 for x in row] for row in s.leq],

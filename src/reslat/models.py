@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from .finite import FiniteResLat, _lattice_order, _residuated, chain_leq, derive_residuals
+from functools import partial
+
+from ._check import check_instance
+from .finite import FiniteResLat, chain_leq, derive_residuals, heyting_algebra
 
 __all__ = [
     "trivial1",
@@ -20,76 +23,40 @@ __all__ = [
 ]
 
 
-def trivial1() -> FiniteResLat:
-    return derive_residuals([[True]], [[0]], 0, name="trivial1")
+def _lukasiewicz(n: int) -> tuple:
+    # the n-chain 0 < ... < e with truncated addition: i*j = max(i + j - (n-1), 0)
+    return chain_leq(n), [[max(i + j - n + 1, 0) for j in range(n)] for i in range(n)], n - 1
 
 
-def chain2() -> FiniteResLat:
-    # {0 < e}, product = min
-    return derive_residuals(chain_leq(2), [[0, 0], [0, 1]], 1, name="chain2")
-
-
-def godel3() -> FiniteResLat:
-    # {0 < a < e}, product = min
-    mul = [[min(i, j) for j in range(3)] for i in range(3)]
-    return derive_residuals(chain_leq(3), mul, 2, name="godel3")
-
-
-def lukasiewicz3() -> FiniteResLat:
-    # {0 < a < e} with a*a = 0 (truncated addition)
-    mul = [[max(i + j - 2, 0) for j in range(3)] for i in range(3)]
-    return derive_residuals(chain_leq(3), mul, 2, name="lukasiewicz3")
-
-
-def sugihara3() -> FiniteResLat:
+# name -> (order,) of a Heyting algebra (product = meet, unit = top), built by
+# `heyting_algebra`, or (order, product table, unit), built by `derive_residuals`.
+# The order of the names is the order of `model_library`.
+_SPECS = {
+    "trivial1": (chain_leq(1),),
+    "chain2": (chain_leq(2),),
+    "godel3": (chain_leq(3),),
+    "lukasiewicz3": _lukasiewicz(3),
     # {0 < e < t}: a non-integral commutative chain, unit in the middle
-    mul = [[0, 0, 0], [0, 1, 2], [0, 2, 2]]
-    return derive_residuals(chain_leq(3), mul, 1, name="sugihara3")
+    "sugihara3": (chain_leq(3), ((0, 0, 0), (0, 1, 2), (0, 2, 2)), 1),
+    "godel4": (chain_leq(4),),
+    "lukasiewicz4": _lukasiewicz(4),
+    # 0 < a,b < e with a,b incomparable (the Boolean algebra 2 x 2)
+    "diamond4": (((1, 1, 1, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 1)),),
+    # 0 < a,b < c < e with a,b incomparable; 0 = bottom, 1 = a, 2 = b, 3 = c, 4 = e
+    "heyting5": (((1, 1, 1, 1, 1), (0, 1, 0, 1, 1), (0, 0, 1, 1, 1), (0, 0, 0, 1, 1),
+                  (0, 0, 0, 0, 1)),),
+}
 
-
-def godel4() -> FiniteResLat:
-    mul = [[min(i, j) for j in range(4)] for i in range(4)]
-    return derive_residuals(chain_leq(4), mul, 3, name="godel4")
-
-
-def lukasiewicz4() -> FiniteResLat:
-    mul = [[max(i + j - 3, 0) for j in range(4)] for i in range(4)]
-    return derive_residuals(chain_leq(4), mul, 3, name="lukasiewicz4")
-
-
-def _meet_algebra(leq, name: str) -> FiniteResLat:
-    """The lattice on the 0/1 order `leq` with product = meet and unit = top."""
-    order = _lattice_order(tuple(tuple(map(bool, row)) for row in leq))
-    top = order.principal[(1 << len(leq)) - 1]
-    return _residuated(order, order.meet, top, name)
-
-
-def diamond4() -> FiniteResLat:
-    # 0 < a,b < e with a,b incomparable; product = meet (Boolean algebra)
-    leq = [
-        [1, 1, 1, 1],
-        [0, 1, 0, 1],
-        [0, 0, 1, 1],
-        [0, 0, 0, 1],
-    ]
-    return _meet_algebra(leq, "diamond4")
-
-
-def heyting5() -> FiniteResLat:
-    # 0 < a,b < c < e with a,b incomparable; product = meet.
-    # Indices: 0=bottom, 1=a, 2=b, 3=c, 4=e.
-    leq = [
-        [1, 1, 1, 1, 1],
-        [0, 1, 0, 1, 1],
-        [0, 0, 1, 1, 1],
-        [0, 0, 0, 1, 1],
-        [0, 0, 0, 0, 1],
-    ]
-    return _meet_algebra(leq, "heyting5")
+MODEL_BUILDERS = {name: partial(heyting_algebra if len(spec) == 1 else derive_residuals, *spec,
+                                 name=name) for name, spec in _SPECS.items()}
+(trivial1, chain2, godel3, lukasiewicz3, sugihara3, godel4, lukasiewicz4, diamond4,
+ heyting5) = MODEL_BUILDERS.values()
 
 
 def direct_product(s: FiniteResLat, t: FiniteResLat) -> FiniteResLat:
     """Componentwise product of two structures."""
+    check_instance(s, "s", FiniteResLat)
+    check_instance(t, "t", FiniteResLat)
     pairs = [(a, b) for a in s.elements for b in t.elements]
     idx = {p: i for i, p in enumerate(pairs)}
     leq = [
@@ -100,19 +67,6 @@ def direct_product(s: FiniteResLat, t: FiniteResLat) -> FiniteResLat:
         for (a1, b1) in pairs
     ]
     return derive_residuals(leq, mul, idx[(s.unit, t.unit)], name=f"{s.name}x{t.name}")
-
-
-MODEL_BUILDERS = {
-    "trivial1": trivial1,
-    "chain2": chain2,
-    "godel3": godel3,
-    "lukasiewicz3": lukasiewicz3,
-    "sugihara3": sugihara3,
-    "godel4": godel4,
-    "lukasiewicz4": lukasiewicz4,
-    "diamond4": diamond4,
-    "heyting5": heyting5,
-}
 
 
 def model_library() -> list[FiniteResLat]:

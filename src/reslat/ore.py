@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ._check import check_int
+from ._check import check_instance, check_int
 from .nilpotent import HEIS_UNIT, HeisTriple, heis_cmp, heis_inv, heis_mul, s2_member, s2_require
 from .omon import S2Instance, group_chain
 
@@ -76,17 +76,11 @@ class OreFraction:
         return f"{tuple(self.den)}^-1*{tuple(self.num)}"
 
 
-def _refuse(**named) -> None:
-    """Raise ValueError naming the first argument that is not an OreFraction."""
-    for name, x in named.items():
-        if not isinstance(x, OreFraction):
-            raise ValueError(f"{name} must be an OreFraction, got {x!r}")
-
-
 def frac_cmp_group(f: OreFraction, g: OreFraction) -> int:
     """The extended order, read off the group values (reverse-lex order)."""
     if not (isinstance(f, OreFraction) and isinstance(g, OreFraction)):
-        _refuse(f=f, g=g)
+        check_instance(f, "f", OreFraction)
+        check_instance(g, "g", OreFraction)
     return F2Instance.cmp(f.value, g.value)
 
 
@@ -101,7 +95,8 @@ def frac_cmp_witness(f: OreFraction, g: OreFraction) -> int:
     argument that is not an OreFraction, and RuntimeError if m*a != n*b,
     which only a bug can cause."""
     if not (isinstance(f, OreFraction) and isinstance(g, OreFraction)):
-        _refuse(f=f, g=g)
+        check_instance(f, "f", OreFraction)
+        check_instance(g, "g", OreFraction)
     a, b, mul = f.den, g.den, S2Instance.mul
     m, n = mul(mul(a, b), b), mul(mul(b, a), a)
     if mul(m, a) != mul(n, b):
@@ -111,8 +106,7 @@ def frac_cmp_witness(f: OreFraction, g: OreFraction) -> int:
 
 def conucleus_sigma(f: OreFraction) -> HeisTriple:
     """The sharpest monoid element below the fraction: den \\ num."""
-    if not isinstance(f, OreFraction):
-        _refuse(f=f)
+    check_instance(f, "f", OreFraction)
     return S2Instance.ldiv(f.den, f.num)
 
 

@@ -109,20 +109,29 @@ class Term:
     def __new__(cls, kind: str, name: str = "", left: Optional[Term] = None,
                 right: Optional[Term] = None):
         key = (kind, name, left, right)
-        t = _TERMS.get(key)
+        try:
+            t = _TERMS.get(key)
+        except TypeError:  # an unhashable part, refused below
+            t = None
         if t is not None:
             return t
         depth = 0
         if kind in ("var", "e"):
             if left is not None or right is not None:
                 raise ValueError("leaf node with children")
-            if kind == "var" and (name in ("e", "v") or not _IDENT.fullmatch(name)):
+            if kind == "var" and (not isinstance(name, str) or name in ("e", "v")
+                                  or not _IDENT.fullmatch(name)):
                 raise ValueError(f"bad variable name {name!r}")  # "e" and "v" are reserved
             if kind == "e" and name != "":
                 raise ValueError(f"the unit takes no name, got {name!r}")
-        elif kind in _OPS:
+        elif isinstance(kind, str) and kind in _OPS:
             if left is None or right is None:
                 raise ValueError("binary node needs two children")
+            if name != "":
+                raise ValueError(f"a binary node takes no name, got {name!r}")
+            for child in (left, right):
+                if not isinstance(child, Term):
+                    raise ValueError(f"a child must be a Term, got {child!r}")
             depth = 1 + max(left.depth, right.depth)
             if depth > MAX_DEPTH:  # the recursive walks over a term stay within the stack
                 raise ValueError(f"term deeper than {MAX_DEPTH}")

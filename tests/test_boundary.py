@@ -89,6 +89,14 @@ REFUSALS = {
     "Term binary with one child": (lambda: terms.Term("*", left=terms.var("x")),
                                    "binary node needs two children"),
     "Term kind": (lambda: terms.Term("?"), "unknown node kind '?'"),
+    "Term kind list": (lambda: terms.Term(["*"]), "unknown node kind ['*']"),
+    "Term int children": (lambda: terms.Term("*", left=1, right=2), "a child must be a Term, got 1"),
+    "Term unhashable child": (lambda: terms.Term("v", left=terms.var("x"), right=[1]),
+                              "a child must be a Term, got [1]"),
+    "Term binary with a name": (lambda: terms.Term("*", [1], terms.var("x"), terms.var("y")),
+                                "a binary node takes no name, got [1]"),
+    "var None": (lambda: terms.var(None), "bad variable name None"),
+    "var list": (lambda: terms.var(["x"]), "bad variable name ['x']"),
     "eval_term unbound": (lambda: terms.eval_term(terms.var("y"), {"x": 0}, models.godel3()),
                           "unbound variable 'y'"),
     "check_named_property name": (lambda: finite.check_named_property(models.godel3(), ["LPL"]),
@@ -155,6 +163,37 @@ REFUSALS = {
     "convex_closure_fixpoint negative": (
         lambda: finite.convex_closure_fixpoint(models.godel3(), [-3]),
         "element -3 is not in range(3)"),
+    # a structure argument is a FiniteResLat, named in the message
+    "validate_axioms None": (lambda: finite.validate_axioms(None), "s must be a FiniteResLat, got None"),
+    "structure_to_json dict": (lambda: finite.structure_to_json({"leq": [[1]]}),
+                               "s must be a FiniteResLat, got {'leq': [[1]]}"),
+    "negative_cone str": (lambda: finite.negative_cone("godel3"),
+                          "s must be a FiniteResLat, got 'godel3'"),
+    "absolute_value None": (lambda: finite.absolute_value(None, 0), "s must be a FiniteResLat, got None"),
+    "conjugates int": (lambda: finite.conjugates(3, 0, 0), "s must be a FiniteResLat, got 3"),
+    "convex_closure None": (lambda: finite.convex_closure(None, [0]),
+                            "s must be a FiniteResLat, got None"),
+    "convex_closure_fixpoint None": (lambda: finite.convex_closure_fixpoint(None, [0]),
+                                     "s must be a FiniteResLat, got None"),
+    "all_convex_subuniverses None": (lambda: finite.all_convex_subuniverses(None),
+                                     "s must be a FiniteResLat, got None"),
+    "is_hamiltonian_structure list": (lambda: finite.is_hamiltonian_structure([]),
+                                      "s must be a FiniteResLat, got []"),
+    "direct_product first str": (lambda: models.direct_product("godel3", models.godel3()),
+                                 "s must be a FiniteResLat, got 'godel3'"),
+    "direct_product second None": (lambda: models.direct_product(models.godel3(), None),
+                                   "t must be a FiniteResLat, got None"),
+    # heyting_algebra refuses its order as derive_residuals does
+    "heyting_algebra leq None": (lambda: finite.heyting_algebra(None), "leq must be a list of rows"),
+    "heyting_algebra short row": (lambda: finite.heyting_algebra([[1, 0], [1]]),
+                                  "leq row 1 must be a list of 2 entries"),
+    "heyting_algebra leq cell": (lambda: finite.heyting_algebra([[2]]),
+                                 "leq cell (0,0) = 2 is not 0, 1, true or false"),
+    "heyting_algebra name": (lambda: finite.heyting_algebra([[1]], 5), "name must be a string, got 5"),
+    "heyting_algebra not a lattice": (lambda: finite.heyting_algebra([[1, 1, 1], [0, 1, 0], [0, 0, 1]]),
+                                      "missing meet or join for (1,2)"),
+    "heyting_algebra empty": (lambda: finite.heyting_algebra([]),
+                              "leq has no rows, so no top to be the unit"),
 }
 
 

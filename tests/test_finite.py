@@ -172,6 +172,37 @@ def test_not_residuated_rejected():
         finite.derive_residuals(leq, mul, 2)
 
 
+HEYTING_MODELS = ("trivial1", "chain2", "godel3", "godel4", "diamond4", "heyting5")
+
+
+@pytest.mark.parametrize("name", HEYTING_MODELS)
+def test_heyting_algebra_rebuilds_each_heyting_model(name):
+    s = models.MODEL_BUILDERS[name]()
+    assert finite.heyting_algebra(s.leq, s.name) == s
+
+
+@pytest.mark.parametrize("leq, message", [
+    # the pentagon N5: 0 < 1 < 3 < 4 and 0 < 2 < 4
+    ([[1, 1, 1, 1, 1], [0, 1, 0, 1, 1], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]],
+     "no left residual 3\\1; maximal candidates [1, 2]"),
+    # the diamond M3: three atoms 1, 2, 3
+    ([[1, 1, 1, 1, 1], [0, 1, 0, 0, 1], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]],
+     "no left residual 1\\0; maximal candidates [2, 3]"),
+])
+def test_heyting_algebra_refuses_a_non_distributive_lattice(leq, message):
+    with pytest.raises(finite.NotResiduated, match=f"^{re.escape(message)}$"):
+        finite.heyting_algebra(leq)
+
+
+def test_the_model_library_keeps_its_order():
+    # the library's order fixes the universe that the battery's finite claims run over
+    assert list(models.MODEL_BUILDERS) == [
+        "trivial1", "chain2", "godel3", "lukasiewicz3", "sugihara3", "godel4", "lukasiewicz4",
+        "diamond4", "heyting5"]
+    assert [s.name for s in models.model_library()] == [
+        *models.MODEL_BUILDERS, "godel3xchain2", "godel3xgodel3"]
+
+
 def test_not_a_monoid_rejected():
     leq = finite.chain_leq(3)
     mul = [[0, 0, 0], [0, 0, 1], [0, 1, 1]]  # unit row broken

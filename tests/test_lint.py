@@ -1,9 +1,9 @@
 """A standard-library lint for src/reslat: every import is used (in the
 scripts under tools/ too), every top-level private name is referenced
-somewhere in the package (deleting code tends to leave both behind), only
-the CLI reads the environment, and no module tests for bool (integer
-arguments go through `_check.check_int`, which refuses any class but
-int)."""
+somewhere in the package (deleting code tends to leave both behind), no
+module imports another's private name, only the CLI reads the environment,
+and no module tests for bool (integer arguments go through
+`_check.check_int`, which refuses any class but int)."""
 
 import ast
 import pathlib
@@ -73,6 +73,14 @@ def test_every_private_name_is_referenced():
     dead = [f"{module}: {name}" for module in MODULES
             for name in _top_level_private(TREES[module]) if name not in referenced]
     assert dead == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a private name is its module's own; the one exception is the S2 record's product
+    imports = [f"{module}: {node.module}.{alias.name}" for module, tree in TREES.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert imports == ["omon.py: nilpotent._mul"]
 
 
 def _environment_reads(tree: ast.Module) -> set[str]:

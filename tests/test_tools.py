@@ -28,6 +28,7 @@ FIELDS = {"count", "median", "runs", "first"}  # of every job's result
     ("laws", "parse_named", 1, {"count": 440}),
     ("battery", "divisibility-failures", 1, {"count": 1}),
     ("triples", "verify_conucleus", 1, {"count": 1}),
+    ("enumerate", "model_library", 1, {"count": 11}),
 ])
 def test_one_short_job_of_each_suite(tmp_path, monkeypatch, capsys, suite, job, rounds, value):
     short = bench.SUITES[suite]._replace(jobs={job: bench.SUITES[suite].jobs[job]})

@@ -14,7 +14,8 @@ SUITE is one of:
   `validate_axioms` and the JSON round trip on fixed inputs, in us per
   table, model or structure; and every named property on the library and
   the chains up to size 5, 100 times (after an untimed pass that compiles
-  the laws), in us per check.
+  the laws), in us per check; and building `models.model_library()`, in
+  us per structure.
 - `triples`: triple construction by the `HeisTriple` class call,
   `heis_mul`, one `residual_search` on `S2Instance` at bound 14, one on
   `M1Instance` at bound 26 (over the 91**2 pairs of words up to length
@@ -276,6 +277,7 @@ SUITES = {
             "named_properties_x100": (
                 _UNIVERSE, "len([finite.check_named_property(s, p)"
                            " for _ in range(100) for s, p in checks])", "us per check"),
+            "model_library": ("", "len(models.model_library())", "us per structure"),
         }),
     "triples": Suite(
         "import itertools, random\n"
