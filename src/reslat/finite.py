@@ -242,11 +242,8 @@ def _residual_row(order: _LatticeOrder, row: Sequence[int]) -> tuple[Optional[in
 
 def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str,
                 memo: Optional[dict] = None) -> FiniteResLat:
-    """The monoid part of `derive_residuals`: check the unit and
-    associativity of `mul` over a checked lattice order, then derive both
-    residual tables.  Row a*b of `mul` is compared with row a gathered by
-    one itemgetter per row b.  The order's own meet table, with the top as
-    unit (`heyting_algebra`), is a monoid and is not checked.  `memo` maps
+    """The residuation part of `derive_residuals`: derive both residual
+    tables of a monoid table `mul` over a checked lattice order.  `memo` maps
     a row or column of `mul` to its `_residual_row`; one call may share it
     between tables on this order.  Monotonicity has no test of its own: when every
     {c : a*c <= b} and {c : c*a <= b} is a principal down-set, c <= c'
@@ -255,18 +252,6 @@ def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str,
     reported as that failure, at its lex-first witness."""
     leq = order.leq
     rng = range(len(leq))
-    if mul is not order.meet:
-        # an itemgetter of one index returns the bare item, not a 1-tuple
-        gather = [itemgetter(*row) if len(row) > 1 else lambda r, c=row[0]: (r[c],) for row in mul]
-        for a in rng:
-            if mul[unit][a] != a or mul[a][unit] != a:
-                raise NotAMonoid(f"unit law fails at {a}")
-            row = mul[a]
-            for b in rng:
-                if gather[b](row) != mul[row[b]]:
-                    c = next(c for c in rng if mul[row[b]][c] != row[mul[b][c]])
-                    raise NotAMonoid(f"associativity fails at ({a},{b},{c})")
-
     memo = {} if memo is None else memo
     cols = tuple(zip(*mul))
     for line in (*mul, *cols):
@@ -308,8 +293,7 @@ def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str,
 
 
 def _leq_size(leq, name) -> int:
-    """The number of rows of `leq` once `name` is a str and `leq` a square
-    table; the shape checks that `derive_residuals` makes first."""
+    """The size of `leq` once `name` is a str and `leq` a square table."""
     if not isinstance(name, str):
         raise StructureError(f"name must be a string, got {name!r}")
     if not isinstance(leq, (list, tuple)):
@@ -350,7 +334,20 @@ def derive_residuals(
                 raise StructureError(f"mul cell ({a},{b}) = {v!r} is not in range({n})")
     if not _is_element(unit, n):
         raise StructureError(f"unit {unit!r} is not in range({n})")
-    return _residuated(_checked_order(leq), _freeze(mul), unit, name)
+    order = _checked_order(leq)
+    mul = _freeze(mul)
+    # row a*b is row a gathered by row b; itemgetter of one index gives no 1-tuple
+    gather = [itemgetter(*row) if n > 1 else lambda r, c=row[0]: (r[c],) for row in mul]
+    rng = range(n)
+    for a in rng:
+        if mul[unit][a] != a or mul[a][unit] != a:
+            raise NotAMonoid(f"unit law fails at {a}")
+        row = mul[a]
+        for b in rng:
+            if gather[b](row) != mul[row[b]]:
+                c = next(c for c in rng if mul[row[b]][c] != row[mul[b][c]])
+                raise NotAMonoid(f"associativity fails at ({a},{b},{c})")
+    return _residuated(order, mul, unit, name)
 
 
 def heyting_algebra(leq: Sequence[Sequence[bool]], name: str = "") -> FiniteResLat:

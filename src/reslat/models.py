@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from functools import partial
+from typing import Callable
 
 from ._check import check_instance
 from .finite import FiniteResLat, chain_leq, derive_residuals, heyting_algebra
@@ -28,9 +28,8 @@ def _lukasiewicz(n: int) -> tuple:
     return chain_leq(n), [[max(i + j - n + 1, 0) for j in range(n)] for i in range(n)], n - 1
 
 
-# name -> (order,) of a Heyting algebra (product = meet, unit = top), built by
-# `heyting_algebra`, or (order, product table, unit), built by `derive_residuals`.
-# The order of the names is the order of `model_library`.
+# name -> (order,) of a Heyting algebra, built by `heyting_algebra`, or (order, product
+# table, unit), built by `derive_residuals`; in the order of `model_library`.
 _SPECS = {
     "trivial1": (chain_leq(1),),
     "chain2": (chain_leq(2),),
@@ -47,8 +46,16 @@ _SPECS = {
                   (0, 0, 0, 0, 1)),),
 }
 
-MODEL_BUILDERS = {name: partial(heyting_algebra if len(spec) == 1 else derive_residuals, *spec,
-                                 name=name) for name, spec in _SPECS.items()}
+
+def _builder(name: str, spec: tuple) -> Callable[[], FiniteResLat]:
+    """The builder of the model `name` from its spec; it takes no argument."""
+    build = heyting_algebra if len(spec) == 1 else derive_residuals
+    model = lambda: build(*spec, name=name)  # noqa: E731
+    model.__name__ = model.__qualname__ = name
+    return model
+
+
+MODEL_BUILDERS = {name: _builder(name, spec) for name, spec in _SPECS.items()}
 (trivial1, chain2, godel3, lukasiewicz3, sugihara3, godel4, lukasiewicz4, diamond4,
  heyting5) = MODEL_BUILDERS.values()
 

@@ -179,6 +179,8 @@ HEYTING_MODELS = ("trivial1", "chain2", "godel3", "godel4", "diamond4", "heyting
 def test_heyting_algebra_rebuilds_each_heyting_model(name):
     s = models.MODEL_BUILDERS[name]()
     assert finite.heyting_algebra(s.leq, s.name) == s
+    # the fully checked route: the meet as product, the top as unit
+    assert finite.derive_residuals(s.leq, s.meet_table, s.n - 1, s.name) == s
 
 
 @pytest.mark.parametrize("leq, message", [
@@ -201,6 +203,14 @@ def test_the_model_library_keeps_its_order():
         "diamond4", "heyting5"]
     assert [s.name for s in models.model_library()] == [
         *models.MODEL_BUILDERS, "godel3xchain2", "godel3xgodel3"]
+
+
+@pytest.mark.parametrize("name", models.MODEL_BUILDERS)
+def test_each_model_builder_takes_no_argument(name):
+    build = models.MODEL_BUILDERS[name]
+    assert build is getattr(models, name) and build.__name__ == name
+    with pytest.raises(TypeError):
+        build(name="x")
 
 
 def test_not_a_monoid_rejected():
