@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -110,6 +110,10 @@ class FiniteResLat:
     ldiv_table: Table
     rdiv_table: Table
     name: str = ""
+    # the six tables as `_residuated` derived them, each n x n with cells in
+    # range(n) (bools in leq): `validate_axioms` walks a table field only
+    # when it is not the one derived here
+    _derived: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     # algebra interface used by the term evaluator
     @property
@@ -279,6 +283,7 @@ def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str,
         raise NotResiduated(
             f"no right residual {b}/{a}; maximal candidates {_two_maximal(leq, cand)}")
 
+    rdiv = tuple(zip(*rdiv_by_divisor))
     return FiniteResLat(
         n=len(leq),
         leq=leq,
@@ -287,8 +292,9 @@ def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str,
         meet_table=order.meet,
         join_table=order.join,
         ldiv_table=ldiv,
-        rdiv_table=tuple(zip(*rdiv_by_divisor)),
+        rdiv_table=rdiv,
         name=name,
+        _derived=(leq, mul, order.meet, order.join, ldiv, rdiv),
     )
 
 
@@ -367,15 +373,53 @@ def heyting_algebra(leq: Sequence[Sequence[bool]], name: str = "") -> FiniteResL
 # axiom validation (report-valued; works on possibly-broken tables)
 
 
+_TABLES = ("leq", "mul_table", "meet_table", "join_table", "ldiv_table", "rdiv_table")
+
+
+def _malformed(s: FiniteResLat) -> Optional[tuple[str, dict]]:
+    """The first defect in the shape of `s`, as one violation naming the
+    field and the row or cell, or None when `n` is len(leq), each table a
+    list or tuple of n rows that are lists or tuples of n cells, each `leq`
+    cell a bool or 0/1, and each other cell and the unit an int (not a bool)
+    in range(n).  The order is n, each table of _TABLES row by row, the unit.
+    A table that is still the one `_residuated` derived is not walked."""
+    n, unit = s.n, s.unit
+    tables = (s.leq, s.mul_table, s.meet_table, s.join_table, s.ldiv_table, s.rdiv_table)
+    if n.__class__ is not int or n < 1 or isinstance(s.leq, (list, tuple)) and len(s.leq) != n:
+        return "malformed", {"field": "n", "value": n}
+    for key, table, derived in zip(_TABLES, tables, s._derived or (None,) * 6):
+        if table is derived and len(table) == n:
+            continue
+        if not isinstance(table, (list, tuple)) or len(table) != n:
+            return "malformed", {"field": key, "value": table}
+        for a, row in enumerate(table):
+            if not isinstance(row, (list, tuple)) or len(row) != n:
+                return "malformed", {"field": key, "row": a, "value": row}
+            for b, x in enumerate(row):
+                ok = isinstance(x, int) and x in (0, 1) if key == "leq" else _is_element(x, n)
+                if not ok:
+                    return "malformed", {"field": key, "cell": (a, b), "value": x}
+    if not _is_element(unit, n):
+        return "malformed", {"field": "unit", "value": unit}
+    return None
+
+
 def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
     """Re-check every axiom from the raw tables; returns a violation list.
 
     Each entry is (law name, witness).  Empty list means all checks pass.
     Covers the lattice and monoid axioms, the residuation adjunction, and
     its standard consequences (product preserves joins, the left residual
-    preserves meets in the numerator).
+    preserves meets in the numerator).  A structure whose fields are not
+    n x n tables of elements (a short or long table, a cell or unit that is
+    a bool, negative or past n, an n that is not len(leq)) gets its first
+    defect as the one violation: ("malformed", {"field": ..., and "row" or
+    "cell" where it lies, "value": ...}), and no law is checked.
     """
     check_instance(s, "s", FiniteResLat)
+    defect = _malformed(s)
+    if defect is not None:
+        return [defect]
     n, leq, mul = s.n, s.leq, s.mul_table
     rng = range(n)
     out: list[tuple[str, dict]] = [

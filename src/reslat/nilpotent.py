@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
-from ._check import check_int
+from ._check import check_instance, check_int
 
 __all__ = [
     "HeisTriple",
@@ -219,10 +219,13 @@ DYADIC_UNIT = DyadicPair(Fraction(0), 0)
 
 
 def dyadic_mul(g: DyadicPair, h: DyadicPair) -> DyadicPair:
+    check_instance(g, "g", DyadicPair)
+    check_instance(h, "h", DyadicPair)
     return DyadicPair(g.r + Fraction(2) ** g.n * h.r, g.n + h.n)
 
 
 def dyadic_inv(g: DyadicPair) -> DyadicPair:
+    check_instance(g, "g", DyadicPair)
     return DyadicPair(-(Fraction(2) ** (-g.n)) * g.r, -g.n)
 
 
@@ -250,6 +253,7 @@ def parse_fraction(text: str) -> Fraction:
 def dyadic_pow(g: DyadicPair, k: int) -> DyadicPair:
     """g**k in closed form: (r*(2**(k*n) - 1)/(2**n - 1), k*n), or (k*r, 0)
     when n = 0."""
+    check_instance(g, "g", DyadicPair)
     check_int(k, "exponent")
     if abs(k * g.n) > DYADIC_POW_BOUND:
         raise ValueError(f"|k*n| = {abs(k * g.n)} exceeds the dyadic power bound {DYADIC_POW_BOUND}")
@@ -262,11 +266,15 @@ def dyadic_pow(g: DyadicPair, k: int) -> DyadicPair:
 
 
 def dyadic_cmp(g: DyadicPair, h: DyadicPair) -> int:
+    check_instance(g, "g", DyadicPair)
+    check_instance(h, "h", DyadicPair)
     if (g.n, g.r) == (h.n, h.r):
         return 0
     return -1 if (g.n, g.r) < (h.n, h.r) else 1
 
 
 def dyadic_conjugate(g: DyadicPair, b: DyadicPair) -> DyadicPair:
+    check_instance(g, "g", DyadicPair)
+    check_instance(b, "b", DyadicPair)
     return dyadic_mul(dyadic_mul(dyadic_inv(b), g), b)
 

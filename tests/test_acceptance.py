@@ -4,15 +4,20 @@ Every test drives the corresponding claim in reslat.battery at its full
 verification box and prints a single PASS/FAIL line.  All checks are exact
 (integer / rational arithmetic); there are no numeric tolerances.  Planted
 faults pin the detail a failing claim reports, and the last tests check that
-the battery refuses a configuration that gathers no evidence.
+the battery refuses a configuration that gathers no evidence.  The same
+results make `reslat verify-paper --json` print its golden record.
 """
 
 import dataclasses
+import functools
+import pathlib
 
 import pytest
 
-from reslat import battery, finite, models, omon, ore, terms
+from reslat import battery, cli, finite, models, omon, ore, terms
 from reslat.nilpotent import HeisTriple
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 CFG = battery.BatteryConfig(max_size=5, samples=1000, seed=battery.DEFAULT_SEED)
 
@@ -32,12 +37,32 @@ CRITERIA = [
 ]
 
 
+@functools.cache
+def outcome(claim):
+    """The claim's result at CFG, run once for the tests that read it."""
+    (result,) = battery.run_battery(CFG, only=claim)
+    return result
+
+
 @pytest.mark.parametrize("label,claim", CRITERIA, ids=[c[0] for c in CRITERIA])
 def test_acceptance(label, claim):
-    (result,) = battery.run_battery(CFG, only=claim)
+    result = outcome(claim)
     line = f"{'PASS' if result.status == 'pass' else 'FAIL'} {label}: {result.detail}"
     print(line)
     assert result.status == "pass", line
+
+
+def test_verify_paper_json_is_its_golden_record(monkeypatch, capsys):
+    results = [outcome(name) for name in battery.CLAIMS]
+
+    def run_battery(cfg, only=None):  # the CLI's battery is the acceptance one, already run
+        assert (cfg, only) == (CFG, None)
+        return results
+
+    monkeypatch.delenv("RESLAT_MAX_SIZE", raising=False)
+    monkeypatch.setattr(battery, "run_battery", run_battery)
+    assert cli.main(["verify-paper", "--json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify-paper.json").read_text()
 
 
 def test_nilpotency_claim_fails_when_the_class_2_law_is_the_commutative_law(monkeypatch):

@@ -183,6 +183,17 @@ REFUSALS = {
                                  "s must be a FiniteResLat, got 'godel3'"),
     "direct_product second None": (lambda: models.direct_product(models.godel3(), None),
                                    "t must be a FiniteResLat, got None"),
+    # a dyadic operand is a DyadicPair, named in the message
+    "dyadic_mul tuple": (lambda: nilpotent.dyadic_mul((1, 0), DyadicPair(1, 0)),
+                         "g must be a DyadicPair, got (1, 0)"),
+    "dyadic_mul second None": (lambda: nilpotent.dyadic_mul(DyadicPair(1, 0), None),
+                               "h must be a DyadicPair, got None"),
+    "dyadic_inv tuple": (lambda: nilpotent.dyadic_inv((1, 0)), "g must be a DyadicPair, got (1, 0)"),
+    "dyadic_pow tuple": (lambda: nilpotent.dyadic_pow((1, 0), 2), "g must be a DyadicPair, got (1, 0)"),
+    "dyadic_cmp second tuple": (lambda: nilpotent.dyadic_cmp(DyadicPair(1, 0), (1, 0)),
+                                "h must be a DyadicPair, got (1, 0)"),
+    "dyadic_conjugate second tuple": (lambda: nilpotent.dyadic_conjugate(DyadicPair(1, 0), (0, 1)),
+                                      "b must be a DyadicPair, got (0, 1)"),
     # heyting_algebra refuses its order as derive_residuals does
     "heyting_algebra leq None": (lambda: finite.heyting_algebra(None), "leq must be a list of rows"),
     "heyting_algebra short row": (lambda: finite.heyting_algebra([[1, 0], [1]]),

@@ -1,12 +1,19 @@
 import contextlib
+import importlib.util
 import io
 import json
+import pathlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reslat import battery, finite, models
 from reslat.cli import build_parser, main
+
+_spec = importlib.util.spec_from_file_location(
+    "golden", pathlib.Path(__file__).resolve().parent.parent / "tools" / "golden.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
 
 
 def run(capsys, *argv):
@@ -101,6 +108,13 @@ def test_check_json_stable(capsys):
 def test_enumerate(capsys):
     code, out, _ = run(capsys, "enumerate", "3", "--require", "integral")
     assert code == 0 and out.startswith("2 residuated chain")
+
+
+def test_enumerate_6_json_is_its_golden_record(capsys, monkeypatch):
+    monkeypatch.delenv("RESLAT_MAX_SIZE", raising=False)
+    code, out, _ = run(capsys, "enumerate", "6", "--json")
+    assert code == 0
+    assert golden.digest(out) == (golden.GOLDEN / "enumerate-6.json").read_text()
 
 
 def test_enumerate_cap(capsys, monkeypatch):

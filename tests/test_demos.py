@@ -1,4 +1,5 @@
-"""Every walkthrough in demos/ runs to completion and prints something."""
+"""Every walkthrough in demos/ runs to completion and prints what its
+record in tests/golden/ holds (`python tools/golden.py --write` rewrites it)."""
 
 import os
 import subprocess
@@ -23,3 +24,4 @@ def test_demo_runs(demo):
                           env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    assert done.stdout == (ROOT / "tests" / "golden" / f"{demo.stem}.txt").read_text()

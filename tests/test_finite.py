@@ -251,6 +251,51 @@ def test_validate_axioms_clean_and_defect():
         ("monoid-associative", {"a": 1, "b": 2, "c": 1})]
 
 
+@pytest.mark.parametrize("fields, witness", [
+    ({"mul_table": ((0,),)}, {"field": "mul_table", "value": ((0,),)}),
+    ({"unit": -1}, {"field": "unit", "value": -1}),
+    ({"unit": True}, {"field": "unit", "value": True}),
+    ({"mul_table": ((0, 0, 0), (0, True, 1), (0, 1, 2))},
+     {"field": "mul_table", "cell": (1, 1), "value": True}),
+    ({"n": 2}, {"field": "n", "value": 2}),
+    ({"n": True}, {"field": "n", "value": True}),
+    ({"leq": None}, {"field": "leq", "value": None}),
+    ({"leq": ((True, True, 2), (False, True, True), (False, False, True))},
+     {"field": "leq", "cell": (0, 2), "value": 2}),
+    ({"meet_table": ((0, 0, 0), (0, 1, 1), (0, 1, 2, 0))},
+     {"field": "meet_table", "row": 2, "value": (0, 1, 2, 0)}),
+    ({"join_table": ((0, 1, 2), (1, 1, 2), (2, 2, -1))},
+     {"field": "join_table", "cell": (2, 2), "value": -1}),
+    ({"ldiv_table": ((2, 2, 2), (0, 2, 2), {0, 1, 2})},
+     {"field": "ldiv_table", "row": 2, "value": {0, 1, 2}}),
+    # a table derived for another structure is walked like any other
+    ({"mul_table": models.godel4().mul_table},
+     {"field": "mul_table", "value": models.godel4().mul_table}),
+    # the first defect in field order: the rdiv cell comes before the unit
+    ({"rdiv_table": ((2, 0, 0), (2, 2, 1), (2, 2, 2.0)), "unit": 3},
+     {"field": "rdiv_table", "cell": (2, 2), "value": 2.0}),
+])
+def test_validate_axioms_reports_a_malformed_structure_by_its_first_defect(fields, witness):
+    s = finite.FiniteResLat(**{**models.godel3().__dict__, **fields})
+    assert R.validate_axioms(s) == [("malformed", witness)]
+
+
+def test_validate_axioms_reports_exactly_the_malformed_cells():
+    g3 = models.godel3()
+    lists = finite.FiniteResLat(**{key: [list(row) for row in getattr(g3, key)]
+                                   if key in finite._TABLES else getattr(g3, key)
+                                   for key in g3.__dict__})
+    assert R.validate_axioms(lists) == []  # rows may be lists
+    for key, junk in itertools.product(finite._TABLES, [True, False, -1, 3, 2, 1.0, None, "1"]):
+        rows = [list(row) for row in getattr(g3, key)]
+        rows[2][1] = junk
+        report = R.validate_axioms(finite.FiniteResLat(**{**g3.__dict__, key: rows}))
+        proper = (isinstance(junk, int) and junk in (0, 1) if key == "leq"
+                  else junk.__class__ is int and junk in (0, 1, 2))
+        malformed = [("malformed", {"field": key, "cell": (2, 1), "value": junk})]
+        assert (report == malformed) != proper, (key, junk, report)
+
+
 def _reference_validate_axioms(s):
     """validate_axioms with one loop per check and every table read through
     its attribute on every step: the report to match, order included."""

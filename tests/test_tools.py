@@ -2,6 +2,7 @@
 itself through the child runner, with the record written under a
 temporary root."""
 
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -39,7 +40,7 @@ def test_one_short_job_of_each_suite(tmp_path, monkeypatch, capsys, suite, job, 
     out = tmp_path / f"BENCH_{suite}.json"
     out.write_text('{"runs": {"a": {}}}')
     src = str(REPO / "src")
-    assert bench.main([suite, "--src", src, "--src", src, "--labels", "b,c"]) == 0
+    assert bench.main([suite, "--src", src, "--label", "b", "--src", src, "--label", "c"]) == 0
     assert job in capsys.readouterr().out
 
     saved = json.loads(out.read_text())
@@ -52,9 +53,10 @@ def test_one_short_job_of_each_suite(tmp_path, monkeypatch, capsys, suite, job, 
         assert result.keys() == FIELDS and {k: result[k] for k in value} == value
         for key in ("runs", "first"):
             assert len(result[key]) == 2 and all(t > 0 for t in result[key])
-    pairs = saved["paired"]["b,c"]["results"][job]["pairs"]
-    assert pairs == [list(p) for p in zip(saved["runs"]["b"]["results"][job]["runs"],
-                                          saved["runs"]["c"]["results"][job]["runs"])]
+    paired = saved["paired"]["b,c"]["results"][job]
+    assert paired["rounds"] == 2 * rounds and 0 <= paired["after_won"] <= 2 * rounds
+    q1, q3 = paired["quartiles"]
+    assert 0 < q1 <= paired["median"] <= q3
 
 
 def test_a_request_with_an_unexpected_exit_code_fails_its_job():
@@ -80,20 +82,25 @@ def test_a_child_over_the_timeout_is_recorded_and_not_repeated(monkeypatch):
     children, run_child = [], bench.run_child
     monkeypatch.setattr(bench, "run_child", lambda *args: children.append(args) or run_child(*args))
     slow = bench.Suite("import time", {"sleep": ("", "time.sleep(5)", "ms")})
-    assert bench.measure(slow, [str(REPO / "src")]) == [{"sleep": {"timed_out_after_s": 0.2}}]
+    assert bench.measure(slow, [str(REPO / "src")]) == ([{"sleep": {"timed_out_after_s": 0.2}}], {})
     assert len(children) == 1
 
 
 def test_a_child_sees_src_and_no_size_cap(tmp_path, monkeypatch):
     monkeypatch.setenv("RESLAT_MAX_SIZE", "2")
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
     monkeypatch.setattr(bench, "ROUNDS", 2)
-    value, times = bench.run_child(str(REPO / "src"), str(tmp_path), "import os, reslat",
-                                   "[os.environ.get('RESLAT_MAX_SIZE'), reslat.__file__]")
-    assert value == [None, str(REPO / "src" / "reslat" / "__init__.py")]
+    [(value, times)] = bench.run_child(
+        [str(REPO / "src")], str(tmp_path), "import os, sys, reslat",
+        "[os.environ.get(k) for k in ('RESLAT_MAX_SIZE', 'PYTHONPATH')]"
+        " + [reslat.__file__, 'reslat' in sys.modules]")
+    # the set-up imported src's reslat, and the child then dropped it from sys.modules
+    assert value == [None, None, str(REPO / "src" / "reslat" / "__init__.py"), False]
     assert len(times) == 2
 
 
-def test_two_sources_run_in_turn_and_store_their_pairs(tmp_path, monkeypatch, capsys):
+def test_each_run_is_one_child_for_both_sources_and_pairs_their_rounds(
+        tmp_path, monkeypatch, capsys):
     short = bench.SUITES["laws"]._replace(jobs={"L3": bench.SUITES["laws"].jobs["L3"],
                                                 "L4": bench.SUITES["laws"].jobs["L4"]})
     monkeypatch.setitem(bench.SUITES, "laws", short)
@@ -102,19 +109,21 @@ def test_two_sources_run_in_turn_and_store_their_pairs(tmp_path, monkeypatch, ca
     old, new = str(tmp_path / "old"), str(tmp_path / "new")
     children = []
 
-    def child(src, cwd, setup, expr):  # new is faster, but in L4's second run (children 9, 10)
-        children.append((expr, src))
-        slow = src == old or len(children) in (9, 10)
-        return 1, [0.003] + [0.002 if slow else 0.001] * (bench.ROUNDS - 1)
+    def child(srcs, cwd, setup, expr):  # new is faster, but in L4's second run (child 5)
+        children.append(srcs)
+        slow = {old} if len(children) != 5 else {old, new}
+        return [[1, [0.003] + [0.002 if src in slow else 0.001] * (bench.ROUNDS - 1)]
+                for src in srcs]
 
     monkeypatch.setattr(bench, "run_child", child)
     out = tmp_path / "BENCH_laws.json"
     out.write_text('{"runs": {"a": {}}}')
-    assert bench.main(["laws", "--src", old, "--src", new, "--labels", "before,after"]) == 0
+    assert bench.main(["laws", "--src", old, "--label", "before",
+                       "--src", new, "--label", "after"]) == 0
     assert "L4" in capsys.readouterr().out
 
-    # each run runs both sources, the order flipping from run to run
-    assert [src for _, src in children] == [old, new, new, old, old, new] * 2
+    # one child a run takes both sources, the order flipping from run to run
+    assert children == [[old, new], [new, old], [old, new]] * 2
     saved = json.loads(out.read_text())
     assert saved["runs"]["a"] == {}
     for label in ("before", "after"):
@@ -123,21 +132,81 @@ def test_two_sources_run_in_turn_and_store_their_pairs(tmp_path, monkeypatch, ca
         assert run["results"]["L3"].keys() == FIELDS
     assert saved["runs"]["before"]["results"]["L3"] == {
         "count": 1, "median": 2.0, "runs": [2.0] * 3, "first": [3.0] * 3}
-    paired = saved["paired"]["before,after"]
-    assert paired["results"] == {
-        "L3": {"pairs": [[2.0, 1.0]] * 3, "after_won": 3},
-        "L4": {"pairs": [[2.0, 1.0], [2.0, 2.0], [2.0, 1.0]], "after_won": 2}}
+    assert saved["runs"]["after"]["results"]["L4"]["runs"] == [1.0, 2.0, 1.0]
+    # 21 rounds: L3's read 1.0 in each run's first round and 0.5 in the others;
+    # L4's second run reads 1.0 throughout
+    assert saved["paired"]["before,after"]["results"] == {
+        "L3": {"rounds": 21, "median": 0.5, "quartiles": [0.5, 0.5], "after_won": 18},
+        "L4": {"rounds": 21, "median": 0.5, "quartiles": [0.5, 1.0], "after_won": 12}}
+
+
+def _tree(root: pathlib.Path, job: str) -> str:
+    """A source directory whose reslat package exports `job()`, defined in
+    a submodule that the package imports relatively."""
+    (root / "reslat").mkdir(parents=True)
+    (root / "reslat" / "__init__.py").write_text("from .work import job\n")
+    (root / "reslat" / "work.py").write_text(f"import time\n\ndef job():\n{job}")
+    return str(root)
+
+
+def test_each_namespace_runs_its_own_tree(tmp_path, monkeypatch):
+    slow = _tree(tmp_path / "slow", "    time.sleep(0.002)\n    return 2\n")
+    fast = _tree(tmp_path / "fast", "    return 1\n")
+    suite = bench.Suite("from reslat import job", {"job": ("", "job()", "ms per call")})
+    monkeypatch.setitem(bench.SUITES, "laws", suite)
+    monkeypatch.setattr(bench, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench, "REPEAT", 2)
+    monkeypatch.setattr(bench, "ROUNDS", 3)
+    assert bench.main(["laws", "--src", slow, "--label", "slow",
+                       "--src", fast, "--label", "fast"]) == 0
+
+    saved = json.loads((tmp_path / "BENCH_laws.json").read_text())
+    # each tree's job counts its own units, and the slowed tree loses every round
+    assert [saved["runs"][k]["results"]["job"]["count"] for k in ("slow", "fast")] == [2, 1]
+    paired = saved["paired"]["slow,fast"]["results"]["job"]
+    assert (paired["rounds"], paired["after_won"]) == (6, 6)
+    assert paired["quartiles"][1] < 0.5
+
+
+def test_the_source_is_pinned_before_the_first_child(tmp_path, monkeypatch):
+    src = _tree(tmp_path / "src", "    return 1\n")
+    git = ["git", "-C", src, "-c", "user.name=t", "-c", "user.email=t@example.org",
+           "-c", "commit.gpgsign=false"]
+    for argv in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "tree"]):
+        subprocess.run(git + argv, check=True)
+    head = subprocess.run(git + ["rev-parse", "--short", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    work = pathlib.Path(src, "reslat", "work.py")
+    digest = hashlib.sha256(b"__init__.py\0" + pathlib.Path(src, "reslat", "__init__.py")
+                            .read_bytes() + b"work.py\0" + work.read_bytes()).hexdigest()
+
+    def child(srcs, cwd, setup, expr):  # the tree is edited while the call runs
+        work.write_text(work.read_text() + "# edited\n")
+        return [[1, [0.001] * bench.ROUNDS]]
+
+    short = bench.SUITES["laws"]._replace(jobs={"L3": bench.SUITES["laws"].jobs["L3"]})
+    monkeypatch.setitem(bench.SUITES, "laws", short)
+    monkeypatch.setattr(bench, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench, "run_child", child)
+    assert bench.main(["laws", "--src", src, "--label", "x"]) == 0
+
+    saved = json.loads((tmp_path / "BENCH_laws.json").read_text())
+    run = saved["runs"]["x"]
+    assert (run["source"], run["sha256"]) == (head, digest)
+    assert run["results"]["L3"].keys() == FIELDS and "paired" not in saved  # one source
+    now = bench.pin(src)
+    assert now["source"] == f"{head} (modified)" and now["sha256"] != digest
 
 
 @pytest.mark.parametrize("argv", [
     ["--src", "a", "--src", "b", "--label", "after"],
     ["--src", "a", "--src", "b"],
-    ["--src", "a", "--labels", "before,after"],
-    ["--src", "a", "--src", "b", "--src", "c", "--labels", "x,y,z"],
-    ["--src", "a", "--src", "b", "--labels", "before"],
-    ["--src", "a", "--src", "b", "--labels", "same,same"],
-    ["--src", "a", "--labels", "before"],
+    ["--src", "a", "--label", "before", "--label", "after"],
+    ["--label", "before", "--label", "after"],
+    ["--src", "a", "--label", "x", "--src", "b", "--label", "y", "--src", "c", "--label", "z"],
+    ["--src", "a", "--label", "same", "--src", "b", "--label", "same"],
     ["--src", "a", "--label", ""],
+    ["--src", "a", "--src", "b", "--labels", "before,after"],
     [],
 ])
 def test_labels_must_match_the_sources(monkeypatch, argv):

@@ -1,63 +1,55 @@
 """Time one layer of the library, one suite of jobs, and record the result.
 
     python tools/bench_layers.py SUITE --label after
-    python tools/bench_layers.py SUITE --src OTHER_CHECKOUT/src --label before
-    python tools/bench_layers.py SUITE --src OTHER_CHECKOUT/src --src src --labels before,after
+    python tools/bench_layers.py SUITE --src OLD/src --label before --src src --label after
 
-SUITE is one of:
+SUITE is one of (each job's set-up, expression and unit are in SUITES):
 
-- `cli`: one in-process request of each kind of the benchmark's `cli` job
-  list, in us per request; a request that exits with another code than
-  its job expects (1 for `check_file`, 0 for the others) fails the job.
-- `enumerate`: the chain enumerator (table generation alone, and whole
-  `enumerate_chain_models`) at sizes 5, 6 and 7, `derive_residuals`,
-  `validate_axioms` and the JSON round trip on fixed inputs, in us per
-  table, model or structure; and every named property on the library and
-  the chains up to size 5, 100 times (after an untimed pass that compiles
-  the laws), in us per check; and building `models.model_library()`, in
-  us per structure.
-- `triples`: triple construction by the `HeisTriple` class call,
-  `heis_mul`, one `residual_search` on `S2Instance` at bound 14, one on
-  `M1Instance` at bound 26 (over the 91**2 pairs of words up to length
-  12), `m1_cmp` on the same pairs (ten times a round) and one
-  `frac_cmp_witness` (the witness pair read off `L_2`), on seeded inputs;
-  and `verify_conucleus(1000, 8, 20240826)`, the conucleus battery that the
-  benchmark's `residuals` job list runs once a pass, in ms per call (a
-  report with a violation fails the job).
+- `cli`: one in-process request of each kind in the benchmark's `cli` job
+  list; a request that exits with another code than its job expects fails.
+- `enumerate`: the chain enumerator at sizes 5 to 7, `derive_residuals`,
+  `validate_axioms`, the JSON round trip, the named properties on the
+  library and the chains up to size 5, and `models.model_library()`.
+- `triples`: the `HeisTriple` class call, `heis_mul`, `residual_search` on
+  `S2Instance` and `M1Instance`, `m1_cmp`, `frac_cmp_witness`, and
+  `verify_conucleus(1000, 8, 20240826)`, the conucleus battery that the
+  benchmark's `residuals` job list runs once a pass.
 - `battery`: each `verify-paper` claim at the acceptance config
-  (`BatteryConfig()`: `max_size=5, samples=1000, seed=20240826`), in ms per
-  claim; a claim that does not pass fails its job.
-- `laws`: the compiled law checks.  `L_3` (ten checks a round), `L_4` and
-  `L_5` on the 15-element `heyting5 x godel3`, after an untimed check that
-  compiles the law, in ms per check; and compiling `L_4` (20 times a round)
-  and every named property (5 times a round), each compile after
-  `_compile.cache_clear()`, in us per compile; and parsing the source text
-  of every named property (20 times a round), in us per parse.
+  `BatteryConfig()`; a claim that does not pass fails its job.
+- `laws`: `L_3`, `L_4` and `L_5` on the 15-element `heyting5 x godel3`,
+  compiling `L_4` and every named property, and parsing the source text
+  of every named property.
 
 A job is (set-up, expression, unit): the expression does some units of
-work and returns how many.  Every job runs REPEAT times, each run in a
-fresh interpreter with PYTHONPATH set to `--src`, RESLAT_MAX_SIZE unset and
-a temporary working directory: the untimed set-up, then ROUNDS timed
-evaluations of the expression.  A run records its best round and its first
-round, which also pays for what the set-up left cold, each per unit; a
-job's result is the count of units a round, the `runs` (best per run),
-their `median` and the `first` of each run.  A run over TIMEOUT_S seconds
-is recorded as `timed_out_after_s` and ends the job.  Each call stores its
-numbers under its label in `BENCH_<SUITE>.json` at the repository root,
-keeping the other labels.
+work and returns how many.  Each job runs REPEAT times, each run in one
+fresh interpreter for all sources, with RESLAT_MAX_SIZE and PYTHONPATH
+unset, in a temporary directory.  For each source in turn, the child puts
+it first on `sys.path`, runs the set-up into a namespace of its own and
+deletes every `reslat` entry from `sys.modules`; the package's imports of
+its own modules are all top-level and relative, so each namespace keeps
+its own tree and module-level caches.  Then each of ROUNDS timed rounds
+evaluates the expression once in every namespace in turn.  Odd runs take
+the sources in reverse order, set-up included.  The trees still share the
+allocator, the garbage collector, `argparse` and `re`'s cache.
 
-A before/after pair is best timed in one call: `--src` given twice, with
-`--labels before,after`, runs the two sources in turn for each run of each
-job (before first in even runs, after first in odd ones), so that a slow
-or fast phase of the host falls on both.  Each label's numbers are stored
-as a one-source call stores them, and `paired` holds, per job, the pairs of
-`runs` figures ([before, after], lower is better) and the number of runs
-that `after` won.
+Per source, a run records its best and its first round (which pays for
+what the set-up left cold), per unit; a job's result is the `count` of
+units a round, the `runs` (best per run), their `median` and the `first`
+of each run.  A run over TIMEOUT_S seconds is recorded as
+`timed_out_after_s` and ends the job.  Each source's numbers go under its
+`--label` in `BENCH_<SUITE>.json` at the repository root, beside the other
+labels, with its commit (`source`) and the sha256 of its `reslat/*.py`
+(`sha256`), both read before the first child.  For two sources, before
+then after, `paired` holds per job the after/before ratio of time per unit
+in each round of each run: the number of `rounds`, the ratio's `median`
+and `quartiles`, and the rounds that `after` won.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
+import hashlib
 import json
 import os
 import platform
@@ -74,19 +66,27 @@ ROUNDS = 7
 SEED = 20240826
 TIMEOUT_S = 120.0
 
-# runs in the child: set up, then time `rounds` evaluations of one expression
+# runs in the child: each source's set-up in a namespace of its own, then
+# `rounds` rounds that time the expression once in each namespace, in turn
 _CHILD = """
 import json, sys, time
-setup, expr, rounds = json.loads(sys.argv[1])
-ns = {}
-exec(setup, ns)
+srcs, setup, expr, rounds = json.loads(sys.argv[1])
+spaces = []
+for src in srcs:
+    sys.path.insert(0, src)
+    spaces.append({})
+    exec(setup, spaces[-1])
+    sys.path.remove(src)
+    for name in [name for name in sys.modules if name.split(".")[0] == "reslat"]:
+        del sys.modules[name]
 expr = compile(expr, "<job>", "eval")
-times = []
+runs = [[None, []] for _ in srcs]
 for _ in range(rounds):
-    t = time.perf_counter()
-    count = eval(expr, ns)
-    times.append(time.perf_counter() - t)
-print(json.dumps([count, times]))
+    for ns, run in zip(spaces, runs):
+        t = time.perf_counter()
+        run[0] = eval(expr, ns)
+        run[1].append(time.perf_counter() - t)
+print(json.dumps(runs))
 """
 
 
@@ -307,60 +307,67 @@ SUITES = {
 }
 
 
-def run_child(src: str, cwd: str, setup: str, expr: str):
-    """(count of the last round, seconds per round) of one child, or None if
-    it took more than TIMEOUT_S seconds.  A child that fails, as a request
-    with an unexpected exit code does, shows its traceback and raises."""
-    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
-    env.pop("RESLAT_MAX_SIZE", None)
+def run_child(srcs: list, cwd: str, setup: str, expr: str):
+    """Per source, in the order of `srcs`: (count of the last round, seconds
+    per round), from one child, or None if it took over TIMEOUT_S seconds.
+    A child that fails, as a request with an unexpected exit code does,
+    shows its traceback and raises."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "RESLAT_MAX_SIZE")}
+    argv = json.dumps([[os.path.abspath(src) for src in srcs], setup, expr, ROUNDS])
     try:
-        done = subprocess.run([sys.executable, "-c", _CHILD, json.dumps([setup, expr, ROUNDS])],
-                              env=env, cwd=cwd, stdout=subprocess.PIPE, text=True,
-                              timeout=TIMEOUT_S, check=True)
+        done = subprocess.run([sys.executable, "-c", _CHILD, argv], env=env, cwd=cwd,
+                              stdout=subprocess.PIPE, text=True, timeout=TIMEOUT_S, check=True)
     except subprocess.TimeoutExpired:
         return None
     return json.loads(done.stdout)
 
 
-def measure(suite: Suite, srcs: list) -> list:
-    """One result dict per source; each run of a job runs every source, in
-    the order of `srcs` in even runs and reversed in odd ones."""
-    results = [{} for _ in srcs]
+def ratios(runs) -> dict:
+    """Per-round after/before ratios of time per unit over the runs of two
+    sources: their number, median and quartiles, and the rounds after won."""
+    rounds = [(a / after[0]) / (b / before[0]) for before, after in runs
+              for b, a in zip(before[1], after[1])]
+    q1, median, q3 = statistics.quantiles(rounds, n=4)
+    return {"rounds": len(rounds), "median": round(median, 4),
+            "quartiles": [round(q1, 4), round(q3, 4)], "after_won": sum(r < 1 for r in rounds)}
+
+
+def measure(suite: Suite, srcs: list) -> tuple:
+    """One result dict per source, and for two sources the `ratios` of each
+    job; the runs take `srcs` in order, odd runs reversed."""
+    results, paired = [{} for _ in srcs], {}
     with tempfile.TemporaryDirectory() as cwd:
         for name, (setup, expr, unit) in suite.jobs.items():
-            runs = [[] for _ in srcs]
-            turns = [k for i in range(REPEAT)
-                     for k in (range(len(srcs)) if i % 2 == 0 else reversed(range(len(srcs))))]
-            for k in turns:
-                run = run_child(srcs[k], cwd, suite.prelude + "\n" + setup, expr)
+            runs = []
+            for i in range(REPEAT):
+                turn = -1 if i % 2 else 1
+                run = run_child(srcs[::turn], cwd, suite.prelude + "\n" + setup, expr)
                 if run is None:
                     break
-                runs[k].append(run)
-            for result, src, src_runs in zip(results, srcs, runs):
-                result[name] = (summary(src_runs, unit) if src_runs
+                runs.append(run[::turn])
+            for k, result in enumerate(results):
+                result[name] = (summary([run[k] for run in runs], unit) if runs
                                 else {"timed_out_after_s": TIMEOUT_S})
-                label = f" {src}" if len(srcs) > 1 else ""
-                print(f"{name:30s}{label} {result[name]}", flush=True)
-    return results
+            if len(srcs) == 2 and runs:
+                paired[name] = ratios(runs)
+            print(f"{name:30s}", *(result[name] for result in results), paired.get(name, ""),
+                  flush=True)
+    return results, paired
 
 
-def pair_up(before: dict, after: dict) -> dict:
-    """Per job: the `runs` figures of two sources timed in turn, as
-    [before, after] pairs, and the number of pairs that `after` won."""
-    paired = {}
-    for name in before:
-        pairs = [list(pair) for pair in zip(before[name].get("runs", []),
-                                              after[name].get("runs", []))]
-        paired[name] = {"pairs": pairs, "after_won": sum(a < b for b, a in pairs)}
-    return paired
-
-
-def source_commit(src: str) -> str:
+def pin(src: str) -> dict:
+    """The commit of `src`, marked if its tree has changes, and a sha256 over
+    the name and bytes of each of its reslat/*.py, in name order."""
     def git(*argv):
         return subprocess.run(["git", "-C", src, *argv], capture_output=True,
                               text=True).stdout.strip()
+    digest = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(src, "reslat", "*.py"))):
+        with open(path, "rb") as fh:
+            digest.update(os.path.basename(path).encode() + b"\0" + fh.read())
     head = git("rev-parse", "--short", "HEAD") or "unknown"
-    return head + (" (modified)" if git("status", "--porcelain", "--", ".") else "")
+    return {"source": head + (" (modified)" if git("status", "--porcelain", "--", ".") else ""),
+            "sha256": digest.hexdigest()}
 
 
 def main(argv=None) -> int:
@@ -368,16 +375,14 @@ def main(argv=None) -> int:
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--src", action="append",
                    help="source directory that holds the reslat package (default: this "
-                        "checkout's src); give it twice, with --labels, to time two in turn")
-    named = p.add_mutually_exclusive_group(required=True)
-    named.add_argument("--label", help="key for the numbers of one --src, e.g. before/after")
-    named.add_argument("--labels", help="keys for the numbers of two --src, e.g. before,after")
+                        "checkout's src); give it twice to time a before/after pair")
+    p.add_argument("--label", action="append", required=True,
+                   help="key for the numbers of each --src, given once per --src")
     args = p.parse_args(argv)
     suite = SUITES[args.suite]
-    srcs = args.src or [os.path.join(ROOT, "src")]
-    labels = args.labels.split(",") if args.labels else [args.label]
-    if len(srcs) != len(labels) or len(set(labels)) != (2 if args.labels else 1) or not all(labels):
-        p.error("one --src takes --label NAME, two take --labels BEFORE,AFTER")
+    srcs, labels = args.src or [os.path.join(ROOT, "src")], args.label
+    if not len(srcs) == len(labels) == len(set(labels)) <= 2 or not all(labels):
+        p.error("give one or two --src, each with its own --label NAME")
 
     out = os.path.join(ROOT, f"BENCH_{args.suite}.json")
     saved = {"runs": {}}
@@ -386,20 +391,15 @@ def main(argv=None) -> int:
             saved = json.load(fh)
     saved["jobs"] = suite.jobs
     date = time.strftime("%Y-%m-%d")
-    results = measure(suite, srcs)
-    for label, src, result in zip(labels, srcs, results):
-        saved["runs"][label] = {
-            "source": source_commit(src),
-            "date": date,
-            "host": {"python": platform.python_version(), "machine": platform.machine(),
-                     "cpus": os.cpu_count()},
-            "repeat": REPEAT,
-            "rounds": ROUNDS,
-            "results": result,
-        }
+    sources = [pin(src) for src in srcs]
+    results, paired = measure(suite, srcs)
+    host = {"python": platform.python_version(), "machine": platform.machine(),
+            "cpus": os.cpu_count()}
+    for label, source, result in zip(labels, sources, results):
+        saved["runs"][label] = {**source, "date": date, "host": host, "repeat": REPEAT,
+                                "rounds": ROUNDS, "results": result}
     if len(srcs) == 2:
-        saved.setdefault("paired", {})[",".join(labels)] = {
-            "date": date, "results": pair_up(*results)}
+        saved.setdefault("paired", {})[",".join(labels)] = {"date": date, "results": paired}
     with open(out, "w") as fh:
         json.dump(saved, fh, indent=2)
         fh.write("\n")
