@@ -4,9 +4,10 @@ A structure is built from a partial-order relation, a monoid table and a
 unit via `derive_residuals`, which computes meet/join/residual tables and
 refuses anything that is not a residuated lattice, or, when the product is
 the meet and the unit the top, from the order alone via `heyting_algebra`.
-On top of that live the derived constructions: negative cones, absolute
-values, conjugates, convex subuniverses, the named-property battery, and a
-chain-model enumerator.
+Both refuse, and `validate_axioms` reports, a malformed table or unit by one
+shape rule (`_shape_defect`).  On top of that live the derived constructions:
+negative cones, absolute values, conjugates, convex subuniverses, the
+named-property battery, and a chain-model enumerator.
 """
 
 from __future__ import annotations
@@ -148,16 +149,39 @@ def _two_maximal(leq, members: Sequence[int]) -> list[int]:
     return maximal[:2]
 
 
-def _check_square(key: str, rows, n: int) -> None:
-    if not isinstance(rows, (list, tuple)) or len(rows) != n:
-        raise StructureError(f"{key} must be a list of {n} rows")
-    for i, row in enumerate(rows):
-        if not isinstance(row, (list, tuple)) or len(row) != n:
-            raise StructureError(f"{key} row {i} must be a list of {n} entries")
-
-
 def _is_element(v, n: int) -> bool:
     return v.__class__ is int and 0 <= v < n
+
+
+def _shape_defect(n, tables, *units) -> Optional[tuple[str, object, object]]:
+    """The first defect of the shape rule, as (field, where, value) with
+    `where` None (the whole field), a row index or a (row, column) cell, or
+    None.  The rule, for n the given int or (None) the length of `leq`: each
+    of the (field, table, derived) `tables` is a list or tuple of n rows that
+    are lists or tuples of n cells, each `leq` cell a bool or 0/1 and each
+    other cell and each of `units` an int (not a bool) in range(n).  Defects
+    come in that order, tables as given, row-major; a `leq` of another length
+    is a defect of n.  A table that is its `derived` has only its length checked."""
+    for key, table, derived in tables:
+        if not isinstance(table, (list, tuple)):
+            return key, None, table
+        if n is None:
+            n = len(table)
+        if len(table) != n:
+            return ("n", None, n) if key == "leq" else (key, None, table)
+        if table is derived:
+            continue
+        for a, row in enumerate(table):
+            if not isinstance(row, (list, tuple)) or len(row) != n:
+                return key, a, row
+            for b, x in enumerate(row):
+                if not (isinstance(x, int) and x in (0, 1) if key == "leq"
+                        else x.__class__ is int and 0 <= x < n):
+                    return key, (a, b), x
+    for unit in units:
+        if not _is_element(unit, n):
+            return "unit", None, unit
+    return None
 
 
 def _mask(flags: Iterable) -> int:
@@ -298,23 +322,26 @@ def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str,
     )
 
 
-def _leq_size(leq, name) -> int:
-    """The size of `leq` once `name` is a str and `leq` a square table."""
+def _checked_order(name, tables, *units) -> _LatticeOrder:
+    """The lattice order of the first of `tables`, the `leq` table, once
+    `name` is a str and `tables` and `units` pass `_shape_defect`; otherwise
+    StructureError naming the first defect."""
     if not isinstance(name, str):
         raise StructureError(f"name must be a string, got {name!r}")
-    if not isinstance(leq, (list, tuple)):
+    leq = tables[0][1]
+    defect = _shape_defect(None, tables, *units)
+    if defect is None:
+        return _lattice_order(tuple(tuple(map(bool, row)) for row in leq))
+    key, where, value = defect
+    if key == "leq" and where is None:
         raise StructureError("leq must be a list of rows")
-    _check_square("leq", leq, len(leq))
-    return len(leq)
-
-
-def _checked_order(leq) -> _LatticeOrder:
-    """The lattice order of a square table `leq` whose cells are booleans or 0/1."""
-    for a, row in enumerate(leq):
-        for b, x in enumerate(row):
-            if not (isinstance(x, int) and x in (0, 1)):
-                raise StructureError(f"leq cell ({a},{b}) = {x!r} is not 0, 1, true or false")
-    return _lattice_order(tuple(tuple(map(bool, row)) for row in leq))
+    n = len(leq)
+    raise StructureError(
+        f"unit {value!r} is not in range({n})" if key == "unit"
+        else f"{key} must be a list of {n} rows" if where is None
+        else f"{key} row {where} must be a list of {n} entries" if isinstance(where, int)
+        else f"{key} cell ({where[0]},{where[1]}) = {value!r} is not "
+        + ("0, 1, true or false" if key == "leq" else f"in range({n})"))
 
 
 def derive_residuals(
@@ -325,22 +352,15 @@ def derive_residuals(
 ) -> FiniteResLat:
     """Build a FiniteResLat, computing meets, joins and residual tables.
 
-    Raises StructureError naming the table, row or cell when `leq` and `mul`
-    are not n x n tables, a `leq` cell is not a boolean or 0/1, a `mul` cell
-    or `unit` is not an int in range(n), or `name` is not a str (the
-    structure is hashed), and NotALattice / NotAMonoid /
-    NotResiduated with a witness in the message when the input fails the
-    corresponding requirement.
+    Raises StructureError when `name` is not a str (the structure is
+    hashed), then at the first defect of `leq`, `mul`, `unit` (row-major)
+    against the shape rule: n x n tables for n = len(leq), `leq` cells
+    booleans or 0/1, `mul` cells and `unit` ints in range(n).  Raises
+    NotALattice / NotAMonoid / NotResiduated with a witness in the message
+    when the input fails the corresponding requirement.
     """
-    n = _leq_size(leq, name)
-    _check_square("mul", mul, n)
-    for a, row in enumerate(mul):
-        for b, v in enumerate(row):
-            if not _is_element(v, n):
-                raise StructureError(f"mul cell ({a},{b}) = {v!r} is not in range({n})")
-    if not _is_element(unit, n):
-        raise StructureError(f"unit {unit!r} is not in range({n})")
-    order = _checked_order(leq)
+    order = _checked_order(name, (("leq", leq, None), ("mul", mul, None)), unit)
+    n = len(leq)
     mul = _freeze(mul)
     # row a*b is row a gathered by row b; itemgetter of one index gives no 1-tuple
     gather = [itemgetter(*row) if n > 1 else lambda r, c=row[0]: (r[c],) for row in mul]
@@ -362,11 +382,10 @@ def heyting_algebra(leq: Sequence[Sequence[bool]], name: str = "") -> FiniteResL
     an order that is not a lattice, as `derive_residuals` does, and a lattice
     that is not distributive (where the meet has no residual) with
     NotResiduated.  An empty `leq` has no top and is refused."""
-    n = _leq_size(leq, name)
-    if n == 0:
+    order = _checked_order(name, (("leq", leq, None),))
+    if not leq:
         raise StructureError("leq has no rows, so no top to be the unit")
-    order = _checked_order(leq)
-    return _residuated(order, order.meet, order.principal[(1 << n) - 1], name)
+    return _residuated(order, order.meet, order.principal[(1 << len(leq)) - 1], name)
 
 
 # ---------------------------------------------------------------------------
@@ -374,34 +393,6 @@ def heyting_algebra(leq: Sequence[Sequence[bool]], name: str = "") -> FiniteResL
 
 
 _TABLES = ("leq", "mul_table", "meet_table", "join_table", "ldiv_table", "rdiv_table")
-
-
-def _malformed(s: FiniteResLat) -> Optional[tuple[str, dict]]:
-    """The first defect in the shape of `s`, as one violation naming the
-    field and the row or cell, or None when `n` is len(leq), each table a
-    list or tuple of n rows that are lists or tuples of n cells, each `leq`
-    cell a bool or 0/1, and each other cell and the unit an int (not a bool)
-    in range(n).  The order is n, each table of _TABLES row by row, the unit.
-    A table that is still the one `_residuated` derived is not walked."""
-    n, unit = s.n, s.unit
-    tables = (s.leq, s.mul_table, s.meet_table, s.join_table, s.ldiv_table, s.rdiv_table)
-    if n.__class__ is not int or n < 1 or isinstance(s.leq, (list, tuple)) and len(s.leq) != n:
-        return "malformed", {"field": "n", "value": n}
-    for key, table, derived in zip(_TABLES, tables, s._derived or (None,) * 6):
-        if table is derived and len(table) == n:
-            continue
-        if not isinstance(table, (list, tuple)) or len(table) != n:
-            return "malformed", {"field": key, "value": table}
-        for a, row in enumerate(table):
-            if not isinstance(row, (list, tuple)) or len(row) != n:
-                return "malformed", {"field": key, "row": a, "value": row}
-            for b, x in enumerate(row):
-                ok = isinstance(x, int) and x in (0, 1) if key == "leq" else _is_element(x, n)
-                if not ok:
-                    return "malformed", {"field": key, "cell": (a, b), "value": x}
-    if not _is_element(unit, n):
-        return "malformed", {"field": "unit", "value": unit}
-    return None
 
 
 def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
@@ -413,14 +404,20 @@ def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
     preserves meets in the numerator).  A structure whose fields are not
     n x n tables of elements (a short or long table, a cell or unit that is
     a bool, negative or past n, an n that is not len(leq)) gets its first
-    defect as the one violation: ("malformed", {"field": ..., and "row" or
-    "cell" where it lies, "value": ...}), and no law is checked.
+    defect (n, then the tables in field order, row-major, then the unit) as
+    the one violation: ("malformed", {"field": ..., and "row" or "cell"
+    where it lies, "value": ...}), and no law is checked.  It is the shape
+    rule `derive_residuals` refuses by.
     """
     check_instance(s, "s", FiniteResLat)
-    defect = _malformed(s)
+    n, tables = s.n, (s.leq, s.mul_table, s.meet_table, s.join_table, s.ldiv_table, s.rdiv_table)
+    defect = ("n", None, n) if n.__class__ is not int or n < 1 else _shape_defect(
+        n, zip(_TABLES, tables, s._derived or (None,) * 6), s.unit)
     if defect is not None:
-        return [defect]
-    n, leq, mul = s.n, s.leq, s.mul_table
+        key, where, value = defect
+        place = {} if where is None else {"row" if isinstance(where, int) else "cell": where}
+        return [("malformed", {"field": key, **place, "value": value})]
+    leq, mul = s.leq, s.mul_table
     rng = range(n)
     out: list[tuple[str, dict]] = [
         (f"order-{prop}", dict(zip("abc", witness))) for prop, witness in _order_violations(leq, n)

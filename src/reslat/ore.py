@@ -111,7 +111,8 @@ def conucleus_sigma(f: OreFraction) -> HeisTriple:
 
 
 def random_triple(rng: random.Random, box: int) -> HeisTriple:
-    """A triple with every exponent in -box..box; box is an int >= 0."""
+    """A triple of exponents in -box..box drawn from `rng`, a random.Random; box is an int >= 0."""
+    check_instance(rng, "rng", random.Random)
     check_int(box, "box", 0)
     return HeisTriple(rng.randint(-box, box), rng.randint(-box, box), rng.randint(-box, box))
 

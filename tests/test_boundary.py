@@ -132,6 +132,8 @@ REFUSALS = {
                                       "f must be an OreFraction, got (1, 0, 0)"),
     "conucleus_sigma triple": (lambda: ore.conucleus_sigma((1, 0, 0)),
                                "f must be an OreFraction, got (1, 0, 0)"),
+    "random_triple rng None": (lambda: ore.random_triple(None, 3), "rng must be a Random, got None"),
+    "random_fraction rng int": (lambda: ore.random_fraction(7, 3), "rng must be a Random, got 7"),
     # operands that are not exactly two (m1) or three (s2) int entries in range
     "residual_search m1 triple": (
         lambda: omon.residual_search(omon.M1Instance, (1, 0, 9), (0, 1), "left", 8),
@@ -220,7 +222,7 @@ def test_every_other_bad_argument_is_refused_with_one_message(site):
 TYPED = ValueError  # with its subclasses StructureError and TermSyntaxError
 
 _CELL = st.one_of(st.integers(-1, 3), st.booleans(), st.none(), st.floats(allow_nan=False),
-                  st.text(max_size=2))
+                  st.text(max_size=2), st.just([0]))
 
 
 @st.composite

@@ -286,7 +286,8 @@ def test_validate_axioms_reports_exactly_the_malformed_cells():
                                    if key in finite._TABLES else getattr(g3, key)
                                    for key in g3.__dict__})
     assert R.validate_axioms(lists) == []  # rows may be lists
-    for key, junk in itertools.product(finite._TABLES, [True, False, -1, 3, 2, 1.0, None, "1"]):
+    for key, junk in itertools.product(finite._TABLES,
+                                       [True, False, -1, 3, 2, 1.0, None, "1", [0]]):
         rows = [list(row) for row in getattr(g3, key)]
         rows[2][1] = junk
         report = R.validate_axioms(finite.FiniteResLat(**{**g3.__dict__, key: rows}))
@@ -768,10 +769,38 @@ _G3_MUL = _godel3_json()["mul"]
     # a structure is hashed, so its name must be a str
     (_godel3_json(name=[1]), "name must be a string, got [1]"),
     (_godel3_json(name=None), "name must be a string, got None"),
+    # an unhashable cell or unit is refused by its class, never looked up in a set
+    (_godel3_json(leq=[[1, 1, 1], [0, 1, 1], [0, [0], 1]]),
+     "leq cell (2,1) = [0] is not 0, 1, true or false"),
+    (_godel3_json(mul=[[0, 0, 0], [0, [0], 1], [0, 1, 2]]), "mul cell (1,1) = [0] is not in range(3)"),
+    (_godel3_json(unit=[0]), "unit [0] is not in range(3)"),
 ])
 def test_malformed_structure_is_refused(blob, message):
     with pytest.raises(finite.StructureError, match=f"^{re.escape(message)}$"):
         R.structure_from_json(blob)
+
+
+_G3_LEQ = _godel3_json()["leq"]
+
+
+@pytest.mark.parametrize("leq, mul, unit, message, witness", [
+    # a leq cell comes before a short mul row, a mul cell and the unit
+    ([[1, 1, 1], [0, 1, 1], [0, "x", 1]], [[0, 9, 0], [0, 1], [0, 1, 2]], 7,
+     "leq cell (2,1) = 'x' is not 0, 1, true or false", {"field": "leq", "cell": (2, 1), "value": "x"}),
+    # row-major: a cell of mul row 0 before short row 1, and short row 1 before a cell of row 2
+    (_G3_LEQ, [[0, 9, 0], [0, 1], [0, 1, 2]], 7,
+     "mul cell (0,1) = 9 is not in range(3)", {"field": "mul_table", "cell": (0, 1), "value": 9}),
+    (_G3_LEQ, [[0, 0, 0], [0, 1], [0, -1, 2]], 7,
+     "mul row 1 must be a list of 3 entries", {"field": "mul_table", "row": 1, "value": [0, 1]}),
+    # a table before the unit
+    (_G3_LEQ, [[0, 0, 0], [0, 1, 1], [0, 1, True]], -1,
+     "mul cell (2,2) = True is not in range(3)", {"field": "mul_table", "cell": (2, 2), "value": True}),
+])
+def test_both_routes_report_the_first_defect_in_field_order(leq, mul, unit, message, witness):
+    with pytest.raises(finite.StructureError, match=f"^{re.escape(message)}$"):
+        R.derive_residuals(leq, mul, unit)
+    s = finite.FiniteResLat(**{**models.godel3().__dict__, "leq": leq, "mul_table": mul, "unit": unit})
+    assert R.validate_axioms(s) == [("malformed", witness)]
 
 
 def test_order_violations_reported_in_full():

@@ -2,10 +2,12 @@
 scripts under tools/ too), every top-level private name is referenced
 somewhere in the package (deleting code tends to leave both behind), no
 module imports another's private name, only the CLI reads the environment,
-and no module tests for bool (integer arguments go through
-`_check.check_int`, which refuses any class but int)."""
+no module tests for bool (integer arguments go through
+`_check.check_int`, which refuses any class but int), and no module, test
+or tool defines one top-level function or class name twice."""
 
 import ast
+import collections
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -13,6 +15,8 @@ SRC = ROOT / "src" / "reslat"
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 TOOLS = {f"tools/{path.name}": ast.parse(path.read_text(), str(path))
          for path in sorted((ROOT / "tools").glob("*.py"))}
+TESTS = {f"tests/{path.name}": ast.parse(path.read_text(), str(path))
+         for path in sorted((ROOT / "tests").glob("*.py"))}
 MODULES = [name for name in TREES if name != "__init__.py"]
 ENV_READERS = {"environ", "getenv"}
 
@@ -129,3 +133,13 @@ def test_no_module_tests_for_bool():
     # the bool policy of integer arguments lives in one function
     tests = [f"{module}:{line}" for module, tree in TREES.items() for line in _bool_tests(tree)]
     assert tests == []
+
+
+def test_no_module_defines_a_name_twice():
+    # a second top-level def or class of a name rebinds the first without a word
+    defs = {module: collections.Counter(
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+        for module, tree in {**TREES, **TESTS, **TOOLS}.items()}
+    assert [f"{module}: {name}" for module, names in defs.items()
+            for name, count in names.items() if count > 1] == []

@@ -234,7 +234,8 @@ def test_residual_search_is_the_flat_first_hit_scan(inst, box, bounds):
             for side in ("left", "right"):
                 try:  # one pass answers every b, if none exhausts (as at the larger bounds)
                     flat = residual_scan(rows, a, box, side, bound)
-                except ResidualExhausted:
+                except ResidualExhausted:  # so the per-b scans below run at the smaller bound only
+                    assert bound == bounds[0], (a, side, bound)
                     flat = {}
                 for b in box:
                     stream = itertools.chain.from_iterable(inst.candidates(bound))

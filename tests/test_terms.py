@@ -357,7 +357,7 @@ def _outcome(parse, text):
         return "value", str(exc)
 
 
-def _reference(rule):
+def _reference_parse(rule):
     def parse(text):
         p = _ReferenceParser(text)
         found = getattr(p, rule)()
@@ -366,8 +366,9 @@ def _reference(rule):
     return parse
 
 
-_ENTRY_POINTS = [(R.parse_term, _reference("join_")), (R.parse_equation, _reference("equation")),
-                 (parse_quasiequation, _reference("quasiequation"))]
+_ENTRY_POINTS = [(R.parse_term, _reference_parse("join_")),
+                 (R.parse_equation, _reference_parse("equation")),
+                 (parse_quasiequation, _reference_parse("quasiequation"))]
 _SPACES = ["", " ", " ", "  ", "\t", "\u2003"]
 _OP_TEXT = {"*": ["*", " * ", " ", ""], "\\": ["\\"], "/": ["/"], "^": ["^"], "v": ["v"]}
 _EDITS = ["*", "\\", "/", "^", "v", "(", ")", "=", "≈", "=>", ",", "\u2003", "x", "y", "e", "1"]
