@@ -2,7 +2,7 @@
 
 Exit codes: 0 the checked statement holds (or the command succeeded),
 1 it fails and a witness was printed, 2 usage or parse error,
-3 a residual search exhausted its bound without an answer.
+3 a residual search exhausted its bound, 4 an internal error (a bug).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
+EXIT_INTERNAL = 4
 
 _REL = {-1: "<", 0: "=", 1: ">"}  # a comparison result as printed
 
@@ -359,8 +360,8 @@ def main(argv=None) -> int:
     """Run one command.  This is the only place where an error becomes an
     exit code: a ValueError (which covers TermSyntaxError and
     StructureError) is a usage error and a ResidualExhausted an exhausted
-    bound, each reported as one line on stderr.  Anything else is a bug and
-    keeps its traceback."""
+    bound, each reported as one line on stderr.  Any other Exception is a
+    bug: an `internal error:` line and its traceback on stderr, exit 4."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     command = parser.commands.get(argv[0]) if argv else None  # None: --help, or no known command
@@ -380,6 +381,11 @@ def main(argv=None) -> int:
     except omon.ResidualExhausted as exc:
         print(f"exhausted: no residual within bound {exc.bound}", file=sys.stderr)
         return EXIT_EXHAUSTED
+    except Exception as exc:
+        import traceback  # here, not at the top: loading it adds 0.3 MB to every process
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import functools
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import compress, product
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -184,16 +185,17 @@ def _shape_defect(n, tables, *units) -> Optional[tuple[str, object, object]]:
     return None
 
 
-def _mask(flags: Iterable) -> int:
-    """The set of positions whose flag is true, as an int bitmask."""
-    return sum(1 << i for i, x in enumerate(flags) if x)
+def _masks(leq) -> tuple[list[int], list[int]]:
+    """Up-sets and down-sets as int bitmasks: bit c of up[a] and of down[c] is leq[a][c]."""
+    bit = [1 << c for c in range(len(leq))]
+    return [sum(compress(bit, row)) for row in leq], [sum(compress(bit, col)) for col in zip(*leq)]
 
 
-def _order_violations(leq, n: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+def _order_violations(leq, up: list[int]) -> Iterator[tuple[str, tuple[int, ...]]]:
     """Every failure of reflexivity, antisymmetry and transitivity, as
-    (property, witness): `derive_residuals` raises on the first one,
-    `validate_axioms` reports them all."""
-    up = [_mask(row) for row in leq]
+    (property, witness), given the up-sets of `_masks`: `derive_residuals`
+    raises on the first one, `validate_axioms` reports them all."""
+    n = len(up)
     for a in range(n):
         if not leq[a][a]:
             yield "reflexive", (a,)
@@ -236,13 +238,11 @@ def _lattice_order(leq: tuple[tuple[bool, ...], ...]) -> _LatticeOrder:
     the down-set of some element, which is then the meet; joins likewise
     with up-sets.  Memoised on `leq`; a refusal is not cached, so it is
     raised again on every call."""
-    n = len(leq)
-    rng = range(n)
-    for prop, witness in _order_violations(leq, n):
+    rng = range(len(leq))
+    up, down = _masks(leq)
+    for prop, witness in _order_violations(leq, up):
         at = witness[0] if len(witness) == 1 else f"({','.join(map(str, witness))})"
         raise NotALattice(f"order not {prop} at {at}")
-    down = tuple(map(_mask, zip(*leq)))
-    up = tuple(map(_mask, leq))
     principal = {m: a for a, m in enumerate(down)}
     above = {m: a for a, m in enumerate(up)}
     meet = tuple(tuple(principal.get(x & y) for y in down) for x in down)
@@ -401,13 +401,16 @@ def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
     Each entry is (law name, witness).  Empty list means all checks pass.
     Covers the lattice and monoid axioms, the residuation adjunction, and
     its standard consequences (product preserves joins, the left residual
-    preserves meets in the numerator).  A structure whose fields are not
-    n x n tables of elements (a short or long table, a cell or unit that is
-    a bool, negative or past n, an n that is not len(leq)) gets its first
-    defect (n, then the tables in field order, row-major, then the unit) as
-    the one violation: ("malformed", {"field": ..., and "row" or "cell"
-    where it lies, "value": ...}), and no law is checked.  It is the shape
-    rule `derive_residuals` refuses by.
+    preserves meets in the numerator), those two walked only when an order,
+    meet, join or adjunction entry is reported: otherwise, for every d,
+    a(b v c) <= d iff b v c <= a\\d iff ab <= d and ac <= d iff ab v ac <= d,
+    so antisymmetry gives a(b v c) = ab v ac; the meet law is the dual.  A
+    structure whose fields are not n x n tables of elements (a short or long
+    table, a cell or unit that is a bool, negative or past n, an n that is
+    not len(leq)) gets its first defect (n, then the tables in field order,
+    row-major, then the unit) as the one violation: ("malformed", {"field":
+    ..., and "row" or "cell" where it lies, "value": ...}), and no law is
+    checked.  It is the shape rule `derive_residuals` refuses by.
     """
     check_instance(s, "s", FiniteResLat)
     n, tables = s.n, (s.leq, s.mul_table, s.meet_table, s.join_table, s.ldiv_table, s.rdiv_table)
@@ -419,13 +422,12 @@ def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
         return [("malformed", {"field": key, **place, "value": value})]
     leq, mul = s.leq, s.mul_table
     rng = range(n)
+    up, down = _masks(leq)
     out: list[tuple[str, dict]] = [
-        (f"order-{prop}", dict(zip("abc", witness))) for prop, witness in _order_violations(leq, n)
+        (f"order-{prop}", dict(zip("abc", witness))) for prop, witness in _order_violations(leq, up)
     ]
 
     meet, join, ldiv = s.meet_table, s.join_table, s.ldiv_table
-    down = list(map(_mask, zip(*leq)))
-    up = list(map(_mask, leq))
     for a in rng:
         for b in rng:
             m = meet[a][b]
@@ -439,32 +441,32 @@ def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
         if mul[s.unit][a] != a or mul[a][s.unit] != a:
             out.append(("monoid-unit", {"a": a}))
 
-    # one pass over (a, b, c), each row bound once per a or (a, b); the
-    # first associativity failure, then the adjunction and the preservation
-    # failures, each in (a, b, c) order
+    # one pass over (a, b, c), each row bound once per a or (a, b): the
+    # first associativity failure, then the adjunction failures in order
     bad = None
     adjunction: list[tuple[str, dict]] = []
-    preserves: list[tuple[str, dict]] = []
     rdiv_by_divisor = tuple(zip(*s.rdiv_table))  # [b][c] = c/b
     for a in rng:
         mul_a, ldiv_a, leq_a = mul[a], ldiv[a], leq[a]
         for b in rng:
             ab = mul_a[b]
             mul_b, mul_ab, leq_ab, leq_b, rdiv_b = mul[b], mul[ab], leq[ab], leq[b], rdiv_by_divisor[b]
-            join_b, join_ab, meet_b, meet_ldiv_ab = join[b], join[ab], meet[b], meet[ldiv_a[b]]
             for c in rng:
                 if mul_ab[c] != mul_a[mul_b[c]] and bad is None:
                     bad = (a, b, c)
                 adj = leq_ab[c]
                 if adj != leq_a[rdiv_b[c]] or adj != leq_b[ldiv_a[c]]:
                     adjunction.append(("adjunction", {"a": a, "b": b, "c": c}))
-                if mul_a[join_b[c]] != join_ab[mul_a[c]]:
-                    preserves.append(("product-preserves-joins", {"a": a, "b": b, "c": c}))
-                if ldiv_a[meet_b[c]] != meet_ldiv_ab[ldiv_a[c]]:
-                    preserves.append(("ldiv-preserves-meets", {"a": a, "b": b, "c": c}))
     if bad is not None:
         out.append(("monoid-associative", dict(zip("abc", bad))))
-    return out + adjunction + preserves
+    out += adjunction
+    if any(not law.startswith("monoid-") for law, _ in out):  # an order, lattice or adjunction entry
+        for a, b, c in product(rng, repeat=3):
+            if mul[a][join[b][c]] != join[mul[a][b]][mul[a][c]]:
+                out.append(("product-preserves-joins", {"a": a, "b": b, "c": c}))
+            if ldiv[a][meet[b][c]] != meet[ldiv[a][b]][ldiv[a][c]]:
+                out.append(("ldiv-preserves-meets", {"a": a, "b": b, "c": c}))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pathlib
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from reslat import battery, finite, models
+from reslat import battery, finite, models, terms
 from reslat.cli import build_parser, main
 
 _spec = importlib.util.spec_from_file_location(
@@ -31,6 +31,19 @@ def test_check_fails_with_witness(capsys):
     code, out, _ = run(capsys, "check", "heyting5", "LPL", "-p")
     assert code == 1
     assert "x=1" in out and "y=2" in out
+
+
+def test_internal_error_exits_4_with_its_traceback(capsys, monkeypatch):
+    def planted(law, s):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(terms, "check_equation", planted)
+    code, out, err = run(capsys, "check", "godel3", "x = x")
+    assert (code, out) == (4, "")
+    first, second, *_, last = err.splitlines()
+    assert first == "internal error: ZeroDivisionError: planted"
+    assert second == "Traceback (most recent call last):"
+    assert "in planted" in err and last == "ZeroDivisionError: planted"
 
 
 def test_check_quasiequation(capsys):
@@ -516,9 +529,9 @@ def test_fuzz_every_request_ends_in_an_exit_code(structure_files, data):
     argv = data.draw(_argv(["godel3", "heyting5", good], ["no-such-model"] + bad))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)  # any exception fails the test
+        code = main(argv)
     out, err = out.getvalue(), err.getvalue()
-    assert code in (0, 1, 2, 3)
+    assert code in (0, 1, 2, 3), err  # 4 is an internal error
     if err.startswith("usage:"):  # refused by argparse
         assert code == 2 and out == ""
     elif code in (2, 3):

@@ -298,21 +298,30 @@ def test_validate_axioms_reports_exactly_the_malformed_cells():
 
 
 def _reference_validate_axioms(s):
-    """validate_axioms with one loop per check and every table read through
-    its attribute on every step: the report to match, order included."""
+    """validate_axioms with one loop per check, no helper of `finite`, and
+    every table read through its attribute on every step: the report to
+    match, order included.  Both consequence laws are walked on every call."""
     n, leq, mul = s.n, s.leq, s.mul_table
     rng = range(n)
-    out = [(f"order-{prop}", dict(zip("abc", witness)))
-           for prop, witness in finite._order_violations(leq, n)]
-    down = [finite._mask(leq[c][a] for c in rng) for a in rng]
-    up = [finite._mask(leq[a][c] for c in rng) for a in rng]
+    out = []
+    for a in rng:
+        if not leq[a][a]:
+            out.append(("order-reflexive", {"a": a}))
+        for b in rng:
+            if leq[a][b] and a != b and leq[b][a]:
+                out.append(("order-antisymmetric", {"a": a, "b": b}))
+            for c in rng:
+                if leq[a][b] and leq[b][c] and not leq[a][c]:
+                    out.append(("order-transitive", {"a": a, "b": b, "c": c}))
     for a in rng:
         for b in rng:
             m = s.meet_table[a][b]
-            if not (leq[m][a] and leq[m][b]) or down[a] & down[b] & ~down[m]:
+            if not (leq[m][a] and leq[m][b]) or any(
+                    leq[d][a] and leq[d][b] and not leq[d][m] for d in rng):
                 out.append(("meet-glb", {"a": a, "b": b}))
             j = s.join_table[a][b]
-            if not (leq[a][j] and leq[b][j]) or up[a] & up[b] & ~up[j]:
+            if not (leq[a][j] and leq[b][j]) or any(
+                    leq[a][d] and leq[b][d] and not leq[j][d] for d in rng):
                 out.append(("join-lub", {"a": a, "b": b}))
     for a in rng:
         if mul[s.unit][a] != a or mul[a][s.unit] != a:
@@ -340,11 +349,12 @@ def _reference_validate_axioms(s):
 
 
 def _one_cell_corruptions(s):
-    """s with one cell of mul, ldiv, rdiv, meet or join set to another element."""
-    for field in ("mul_table", "ldiv_table", "rdiv_table", "meet_table", "join_table"):
+    """s with one cell of leq flipped, or one cell of mul, ldiv, rdiv, meet or
+    join set to another element."""
+    for field in ("leq", "mul_table", "ldiv_table", "rdiv_table", "meet_table", "join_table"):
         table = getattr(s, field)
         for a, b in itertools.product(s.elements, repeat=2):
-            for v in s.elements:
+            for v in ((not table[a][b],) if field == "leq" else s.elements):
                 if v != table[a][b]:
                     rows = [list(row) for row in table]
                     rows[a][b] = v
@@ -363,8 +373,9 @@ def test_validate_axioms_report_matches_the_reference_under_one_cell_corruptions
             assert report == _reference_validate_axioms(broken), broken.__dict__
             laws.update(law for law, _ in report)
             count += 1
-    assert count == 6_300
-    assert laws == {"meet-glb", "join-lub", "monoid-unit", "monoid-associative", "adjunction",
+    assert count == 6_713
+    assert laws == {"order-reflexive", "order-antisymmetric", "order-transitive", "meet-glb",
+                    "join-lub", "monoid-unit", "monoid-associative", "adjunction",
                     "product-preserves-joins", "ldiv-preserves-meets"}
 
 
@@ -783,6 +794,28 @@ def test_malformed_structure_is_refused(blob, message):
 _G3_LEQ = _godel3_json()["leq"]
 
 
+def _junk_at(spot, junk):
+    """A row of the test below: godel3's tables with `junk` at one spot."""
+    leq, mul, unit = [list(row) for row in _G3_LEQ], [list(row) for row in _G3_MUL], 2
+    if spot == "leq cell":
+        leq[2][1] = junk
+        message = f"leq cell (2,1) = {junk!r} is not 0, 1, true or false"
+        witness = {"field": "leq", "cell": (2, 1), "value": junk}
+    elif spot == "mul cell":
+        mul[1][1] = junk
+        message = f"mul cell (1,1) = {junk!r} is not in range(3)"
+        witness = {"field": "mul_table", "cell": (1, 1), "value": junk}
+    elif spot == "mul row":
+        mul[1] = junk
+        message = "mul row 1 must be a list of 3 entries"
+        witness = {"field": "mul_table", "row": 1, "value": junk}
+    else:
+        unit = junk
+        message = f"unit {junk!r} is not in range(3)"
+        witness = {"field": "unit", "value": junk}
+    return pytest.param(leq, mul, unit, message, witness, id=f"{spot} {junk!r}")
+
+
 @pytest.mark.parametrize("leq, mul, unit, message, witness", [
     # a leq cell comes before a short mul row, a mul cell and the unit
     ([[1, 1, 1], [0, 1, 1], [0, "x", 1]], [[0, 9, 0], [0, 1], [0, 1, 2]], 7,
@@ -795,6 +828,9 @@ _G3_LEQ = _godel3_json()["leq"]
     # a table before the unit
     (_G3_LEQ, [[0, 0, 0], [0, 1, 1], [0, 1, True]], -1,
      "mul cell (2,2) = True is not in range(3)", {"field": "mul_table", "cell": (2, 2), "value": True}),
+    # every junk value at every spot where the shape rule refuses it (True is an order cell)
+    *(_junk_at(spot, junk) for spot in ("leq cell", "mul cell", "mul row", "unit")
+      for junk in (-1, 3, True, None, 1.5, "x", [0]) if (spot, junk) != ("leq cell", True)),
 ])
 def test_both_routes_report_the_first_defect_in_field_order(leq, mul, unit, message, witness):
     with pytest.raises(finite.StructureError, match=f"^{re.escape(message)}$"):

@@ -198,6 +198,15 @@ def test_the_source_is_pinned_before_the_first_child(tmp_path, monkeypatch):
     assert now["source"] == f"{head} (modified)" and now["sha256"] != digest
 
 
+def test_a_source_outside_git_is_named_on_stderr(tmp_path, monkeypatch, capsys):
+    src = _tree(tmp_path / "src", "    return 1\n")
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))  # no checkout above it either
+    assert bench.pin(src)["source"] == "unknown"
+    assert capsys.readouterr().err == (
+        f"bench_layers: {src} is not inside a git checkout, so its runs are recorded as "
+        "source: unknown (only the sha256 names them)\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["--src", "a", "--src", "b", "--label", "after"],
     ["--src", "a", "--src", "b"],

@@ -43,6 +43,13 @@ labels, with its commit (`source`) and the sha256 of its `reslat/*.py`
 then after, `paired` holds per job the after/before ratio of time per unit
 in each round of each run: the number of `rounds`, the ratio's `median`
 and `quartiles`, and the rounds that `after` won.
+
+A source outside a git checkout (a `git archive` copy, say) is recorded as
+`source: unknown`, with one line on stderr.  So time a before/after pair
+against a `git clone` of the parent commit:
+
+    git clone -q . ../parent && git -C ../parent checkout -q PARENT
+    python tools/bench_layers.py SUITE --src ../parent/src --label before --src src --label after
 """
 
 from __future__ import annotations
@@ -365,7 +372,11 @@ def pin(src: str) -> dict:
     for path in sorted(glob.glob(os.path.join(src, "reslat", "*.py"))):
         with open(path, "rb") as fh:
             digest.update(os.path.basename(path).encode() + b"\0" + fh.read())
-    head = git("rev-parse", "--short", "HEAD") or "unknown"
+    head = git("rev-parse", "--short", "HEAD")
+    if not head:
+        print(f"bench_layers: {src} is not inside a git checkout, so its runs are recorded "
+              "as source: unknown (only the sha256 names them)", file=sys.stderr)
+        head = "unknown"
     return {"source": head + (" (modified)" if git("status", "--porcelain", "--", ".") else ""),
             "sha256": digest.hexdigest()}
 
@@ -375,7 +386,8 @@ def main(argv=None) -> int:
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--src", action="append",
                    help="source directory that holds the reslat package (default: this "
-                        "checkout's src); give it twice to time a before/after pair")
+                        "checkout's src); give it twice to time a before/after pair, the "
+                        "before one in a git clone of the parent, so that its commit is recorded")
     p.add_argument("--label", action="append", required=True,
                    help="key for the numbers of each --src, given once per --src")
     args = p.parse_args(argv)
