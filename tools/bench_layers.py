@@ -331,10 +331,11 @@ def run_child(srcs: list, cwd: str, setup: str, expr: str):
 
 def ratios(runs) -> dict:
     """Per-round after/before ratios of time per unit over the runs of two
-    sources: their number, median and quartiles, and the rounds after won."""
+    sources: their number, median and quartiles, and the rounds after won.
+    The quartiles are inclusive, so they lie within the observed ratios."""
     rounds = [(a / after[0]) / (b / before[0]) for before, after in runs
               for b, a in zip(before[1], after[1])]
-    q1, median, q3 = statistics.quantiles(rounds, n=4)
+    q1, median, q3 = statistics.quantiles(rounds, n=4, method="inclusive")
     return {"rounds": len(rounds), "median": round(median, 4),
             "quartiles": [round(q1, 4), round(q3, 4)], "after_won": sum(r < 1 for r in rounds)}
 
