@@ -65,19 +65,31 @@ def _load_model(spec: str) -> finite.FiniteResLat:
     raise ValueError("model exceeds RESLAT_MAX_SIZE")
 
 
+def _fails_at(law, at: dict, s) -> bool:
+    """Whether `law` fails in `s` at the assignment `at`, by evaluating its
+    terms: its premises hold there and its conclusion does not."""
+    law = law if isinstance(law, terms.QuasiEquation) else terms.QuasiEquation((), law)
+    holds = [terms.eval_term(eq.lhs, at, s) == terms.eval_term(eq.rhs, at, s)
+             for eq in (*law.premises, law.conclusion)]
+    return all(holds[:-1]) and not holds[-1]
+
+
 def cmd_check(args) -> int:
     s = _load_model(args.model)
     if args.property:
         v = finite.check_named_property(s, args.equation)
-        label = args.equation
+        label, laws = args.equation, finite.PROPERTIES[args.equation]
     else:
         law = terms.parse_quasiequation(args.equation)
         v = terms.check_equation(law, s)
-        label = str(law)
+        label, laws = str(law), [law]
     if v.holds:
         _emit({"holds": True, "statement": label, "model": args.model}, args.json,
               f"holds: {label} on {args.model}")
         return EXIT_HOLDS
+    # the compiled check found the witness; evaluating the terms is the other route
+    if not any(law.free_vars() <= v.witness.keys() and _fails_at(law, v.witness, s) for law in laws):
+        raise RuntimeError(f"{label} does not fail at the witness {v.witness}")
     at = ", ".join(f"{x}={v.witness[x]}" for x in sorted(v.witness))
     _emit({"holds": False, "statement": label, "model": args.model, "witness": v.witness},
           args.json, f"fails: {label} on {args.model} at {at}")

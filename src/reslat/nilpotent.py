@@ -209,6 +209,8 @@ class DyadicPair:
 
     def __post_init__(self):
         check_int(self.n, "n")
+        if not isinstance(self.r, Fraction) and self.r.__class__ is not int:
+            raise ValueError(f"r must be an int or a Fraction, got {self.r!r}")
         r = self.r if isinstance(self.r, Fraction) else Fraction(self.r)
         object.__setattr__(self, "r", r)
         if r.denominator & (r.denominator - 1):  # not a power of 2

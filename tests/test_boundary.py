@@ -196,6 +196,10 @@ REFUSALS = {
                                 "h must be a DyadicPair, got (1, 0)"),
     "dyadic_conjugate second tuple": (lambda: nilpotent.dyadic_conjugate(DyadicPair(1, 0), (0, 1)),
                                       "b must be a DyadicPair, got (0, 1)"),
+    # r is an int or a Fraction: a float or a str is not exact, and a bool is not an int
+    "DyadicPair r float": (lambda: DyadicPair(0.1, 0), "r must be an int or a Fraction, got 0.1"),
+    "DyadicPair r str": (lambda: DyadicPair("1", 0), "r must be an int or a Fraction, got '1'"),
+    "DyadicPair r bool": (lambda: DyadicPair(True, 0), "r must be an int or a Fraction, got True"),
     # heyting_algebra refuses its order as derive_residuals does
     "heyting_algebra leq None": (lambda: finite.heyting_algebra(None), "leq must be a list of rows"),
     "heyting_algebra short row": (lambda: finite.heyting_algebra([[1, 0], [1]]),

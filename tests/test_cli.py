@@ -46,6 +46,23 @@ def test_internal_error_exits_4_with_its_traceback(capsys, monkeypatch):
     assert "in planted" in err and last == "ZeroDivisionError: planted"
 
 
+@pytest.mark.parametrize("argv, module, witness", [
+    # godel3 is commutative, and its unit 2 is idempotent
+    (("godel3", "x ^ y = y ^ x"), terms, {"x": 0, "y": 1}),
+    (("godel3", "x = e => x*x = x"), terms, {"x": 2}),
+    (("godel3", "x = e => x*x = x"), terms, {"x": 0}),  # the premise fails there
+    (("godel3", "integral", "-p"), finite, {"x": 0}),  # both laws hold there
+    (("heyting5", "LPL", "-p"), finite, {"x": 1, "y": 1}),
+    (("heyting5", "LPL", "-p"), finite, {"z": 0}),  # binds no law's variables
+])
+def test_a_witness_the_terms_do_not_refute_is_an_internal_error(
+        capsys, monkeypatch, argv, module, witness):
+    monkeypatch.setattr(module, "check_equation", lambda law, s: terms.Verdict(False, witness))
+    code, out, err = run(capsys, "check", *argv)
+    assert (code, out) == (4, "")
+    assert err.startswith(f"internal error: RuntimeError: {argv[1]} does not fail at the witness")
+
+
 def test_check_quasiequation(capsys):
     assert run(capsys, "check", "godel3", "x = e => x*x = x") == (
         0, "holds: x = e => x*x = x on godel3\n", "")

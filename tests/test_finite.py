@@ -242,8 +242,9 @@ def test_validate_axioms_clean_and_defect():
         join_table=g3.join_table,
         name="broken",
     )
-    defects = R.validate_axioms(broken)
-    assert defects and any("adjunction" in d[0] or "residual" in d[0] for d in defects)
+    # a\c = 2 everywhere, so b <= a\c holds where ab = min(a, b) <= c fails
+    assert R.validate_axioms(broken) == [("adjunction", {"a": a, "b": b, "c": c}) for a, b, c in (
+        (1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 2, 0), (2, 2, 1))]
     # (1·2)·1 = 0 ≠ 1 = 1·(2·1) and (2·1)·1 = 2 ≠ 0 = 2·(1·1): only the first is reported
     mul = ((0, 0, 0), (0, 0, 1), (0, 2, 2))
     defects = R.validate_axioms(finite.FiniteResLat(**{**g3.__dict__, "mul_table": mul}))
@@ -300,7 +301,7 @@ def test_validate_axioms_reports_exactly_the_malformed_cells():
 def _reference_validate_axioms(s):
     """validate_axioms with one loop per check, no helper of `finite`, and
     every table read through its attribute on every step: the report to
-    match, order included.  Both consequence laws are walked on every call."""
+    match, order included."""
     n, leq, mul = s.n, s.leq, s.mul_table
     rng = range(n)
     out = []
@@ -336,15 +337,6 @@ def _reference_validate_axioms(s):
                 adj = leq[mul[a][b]][c]
                 if adj != leq[a][s.rdiv_table[c][b]] or adj != leq[b][s.ldiv_table[a][c]]:
                     out.append(("adjunction", {"a": a, "b": b, "c": c}))
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                j = s.join_table[b][c]
-                if mul[a][j] != s.join_table[mul[a][b]][mul[a][c]]:
-                    out.append(("product-preserves-joins", {"a": a, "b": b, "c": c}))
-                m = s.meet_table[b][c]
-                if s.ldiv_table[a][m] != s.meet_table[s.ldiv_table[a][b]][s.ldiv_table[a][c]]:
-                    out.append(("ldiv-preserves-meets", {"a": a, "b": b, "c": c}))
     return out
 
 
@@ -375,8 +367,7 @@ def test_validate_axioms_report_matches_the_reference_under_one_cell_corruptions
             count += 1
     assert count == 6_713
     assert laws == {"order-reflexive", "order-antisymmetric", "order-transitive", "meet-glb",
-                    "join-lub", "monoid-unit", "monoid-associative", "adjunction",
-                    "product-preserves-joins", "ldiv-preserves-meets"}
+                    "join-lub", "monoid-unit", "monoid-associative", "adjunction"}
 
 
 def test_equal_orders_share_one_lattice_order():

@@ -18,7 +18,7 @@ bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
 
 
-FIELDS = {"count", "median", "runs", "first"}  # of every job's result
+FIELDS = {"count", "median", "runs"}  # of every job's result
 
 
 @pytest.mark.parametrize("suite, job, rounds, value", [
@@ -51,8 +51,7 @@ def test_one_short_job_of_each_suite(tmp_path, monkeypatch, capsys, suite, job, 
         assert (run["repeat"], run["rounds"]) == (2, rounds)
         result = run["results"][job]
         assert result.keys() == FIELDS and {k: result[k] for k in value} == value
-        for key in ("runs", "first"):
-            assert len(result[key]) == 2 and all(t > 0 for t in result[key])
+        assert len(result["runs"]) == 2 and all(t > 0 for t in result["runs"])
     paired = saved["paired"]["b,c"]["results"][job]
     assert paired["rounds"] == 2 * rounds and 0 <= paired["after_won"] <= 2 * rounds
     q1, q3 = paired["quartiles"]
@@ -131,7 +130,7 @@ def test_each_run_is_one_child_for_both_sources_and_pairs_their_rounds(
         assert run["repeat"] == 3 and run["rounds"] == bench.ROUNDS
         assert run["results"]["L3"].keys() == FIELDS
     assert saved["runs"]["before"]["results"]["L3"] == {
-        "count": 1, "median": 2.0, "runs": [2.0] * 3, "first": [3.0] * 3}
+        "count": 1, "median": 2.0, "runs": [2.0] * 3}
     assert saved["runs"]["after"]["results"]["L4"]["runs"] == [1.0, 2.0, 1.0]
     # 21 rounds: L3's read 1.0 in each run's first round and 0.5 in the others;
     # L4's second run reads 1.0 throughout

@@ -32,10 +32,9 @@ evaluates the expression once in every namespace in turn.  Odd runs take
 the sources in reverse order, set-up included.  The trees still share the
 allocator, the garbage collector, `argparse` and `re`'s cache.
 
-Per source, a run records its best and its first round (which pays for
-what the set-up left cold), per unit; a job's result is the `count` of
-units a round, the `runs` (best per run), their `median` and the `first`
-of each run.  A run over TIMEOUT_S seconds is recorded as
+Per source, a run records its best round, per unit; a job's result is
+the `count` of units a round, the `runs` (best per run) and their
+`median`.  A run over TIMEOUT_S seconds is recorded as
 `timed_out_after_s` and ends the job.  Each source's numbers go under its
 `--label` in `BENCH_<SUITE>.json` at the repository root, beside the other
 labels, with its commit (`source`) and the sha256 of its `reslat/*.py`
@@ -106,9 +105,7 @@ def summary(runs, unit: str) -> dict:
     """A job's result from its runs, each (count, seconds per round)."""
     scale = {"ns": 1e9, "us": 1e6, "ms": 1e3}[unit.split()[0]]
     best = [round(min(times) / count * scale, 3) for count, times in runs]
-    first = [round(times[0] / count * scale, 3) for count, times in runs]
-    return {"count": runs[-1][0], "median": round(statistics.median(best), 3), "runs": best,
-            "first": first}
+    return {"count": runs[-1][0], "median": round(statistics.median(best), 3), "runs": best}
 
 
 _REQUEST = """
