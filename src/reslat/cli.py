@@ -150,7 +150,8 @@ def cmd_residual(args) -> int:
     inst, parse, show = _CHAINS[args.monoid]
     a, b = parse(args.a, args.b)
     if args.search:
-        r = omon.residual_search(inst, a, b, args.side, bound=args.bound)
+        r = omon.residual_search(inst, a, b, args.side,
+                                 omon.SEARCH_BOUND if args.bound is None else args.bound)
     elif args.bound is not None:
         raise ValueError("--bound needs --search")
     else:

@@ -101,9 +101,9 @@ def _freeze(rows: Iterable[Iterable[int]]) -> Table:
 
 @dataclass(frozen=True)
 class FiniteResLat:
-    """Finite residuated lattice; construct via `derive_residuals` or `heyting_algebra`."""
+    """Finite residuated lattice; construct via `derive_residuals` or
+    `heyting_algebra`.  Its size `n` is len(leq), stored nowhere else."""
 
-    n: int
     leq: tuple[tuple[bool, ...], ...]
     mul_table: Table
     unit: int
@@ -117,10 +117,14 @@ class FiniteResLat:
     # when it is not the one derived here
     _derived: Optional[tuple] = field(default=None, repr=False, compare=False)
 
+    @property
+    def n(self) -> int:
+        return len(self.leq)
+
     # algebra interface used by the term evaluator
     @property
     def elements(self) -> range:
-        return range(self.n)
+        return range(len(self.leq))
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
@@ -141,7 +145,8 @@ class FiniteResLat:
         return self.leq[a][b]
 
     def __repr__(self) -> str:
-        tag = self.name or f"{self.n}-element"
+        sized = isinstance(self.leq, (list, tuple))  # a malformed leq may have no length
+        tag = self.name or (f"{len(self.leq)}-element" if sized else "malformed")
         return f"<FiniteResLat {tag}>"
 
 
@@ -154,22 +159,24 @@ def _is_element(v, n: int) -> bool:
     return v.__class__ is int and 0 <= v < n
 
 
-def _shape_defect(n, tables, *units) -> Optional[tuple[str, object, object]]:
+def _shape_defect(tables, *units) -> Optional[tuple[str, object, object]]:
     """The first defect of the shape rule, as (field, where, value) with
     `where` None (the whole field), a row index or a (row, column) cell, or
-    None.  The rule, for n the given int or (None) the length of `leq`: each
-    of the (field, table, derived) `tables` is a list or tuple of n rows that
+    None.  The rule, for n the length of `leq`, the first of the (field,
+    table, derived) `tables`: each table is a list or tuple of n rows that
     are lists or tuples of n cells, each `leq` cell a bool or 0/1 and each
     other cell and each of `units` an int (not a bool) in range(n).  Defects
-    come in that order, tables as given, row-major; a `leq` of another length
-    is a defect of n.  A table that is its `derived` has only its length checked."""
+    come in that order, tables as given, row-major; a table of another
+    length than `leq` is a defect of its whole field.  A table that is its
+    `derived` has only its length checked."""
+    n = None
     for key, table, derived in tables:
         if not isinstance(table, (list, tuple)):
             return key, None, table
         if n is None:
             n = len(table)
-        if len(table) != n:
-            return ("n", None, n) if key == "leq" else (key, None, table)
+        elif len(table) != n:
+            return key, None, table
         if table is derived:
             continue
         for a, row in enumerate(table):
@@ -309,7 +316,6 @@ def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str,
 
     rdiv = tuple(zip(*rdiv_by_divisor))
     return FiniteResLat(
-        n=len(leq),
         leq=leq,
         mul_table=mul,
         unit=unit,
@@ -329,7 +335,7 @@ def _checked_order(name, tables, *units) -> _LatticeOrder:
     if not isinstance(name, str):
         raise StructureError(f"name must be a string, got {name!r}")
     leq = tables[0][1]
-    defect = _shape_defect(None, tables, *units)
+    defect = _shape_defect(tables, *units)
     if defect is None:
         return _lattice_order(tuple(tuple(map(bool, row)) for row in leq))
     key, where, value = defect
@@ -404,23 +410,22 @@ def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
     preserves joins, since for every d, a(b v c) <= d iff b v c <= a\\d
     iff ab <= d and ac <= d iff ab v ac <= d, and antisymmetry gives
     a(b v c) = ab v ac; the left residual preserves meets by the dual.  A
-    structure whose fields are not n x n tables of elements (a short or long
-    table, a cell or unit that is a bool, negative or past n, an n that is
-    not len(leq)) gets its first defect (n, then the tables in field order,
-    row-major, then the unit) as the one violation: ("malformed", {"field":
-    ..., and "row" or "cell" where it lies, "value": ...}), and no law is
-    checked.  It is the shape rule `derive_residuals` refuses by.
+    structure whose fields are not n x n tables of elements, n = len(leq),
+    (a short or long table, a cell or unit that is a bool, negative or past
+    n) gets its first defect (the tables in field order, row-major, then
+    the unit) as the one violation: ("malformed", {"field": ..., and "row"
+    or "cell" where it lies, "value": ...}), and no law is checked.  It is
+    the shape rule `derive_residuals` refuses by.
     """
     check_instance(s, "s", FiniteResLat)
-    n, tables = s.n, (s.leq, s.mul_table, s.meet_table, s.join_table, s.ldiv_table, s.rdiv_table)
-    defect = ("n", None, n) if n.__class__ is not int or n < 1 else _shape_defect(
-        n, zip(_TABLES, tables, s._derived or (None,) * 6), s.unit)
+    tables = (s.leq, s.mul_table, s.meet_table, s.join_table, s.ldiv_table, s.rdiv_table)
+    defect = _shape_defect(zip(_TABLES, tables, s._derived or (None,) * 6), s.unit)
     if defect is not None:
         key, where, value = defect
         place = {} if where is None else {"row" if isinstance(where, int) else "cell": where}
         return [("malformed", {"field": key, **place, "value": value})]
     leq, mul = s.leq, s.mul_table
-    rng = range(n)
+    rng = range(len(leq))
     up, down = _masks(leq)
     out: list[tuple[str, dict]] = [
         (f"order-{prop}", dict(zip("abc", witness))) for prop, witness in _order_violations(leq, up)

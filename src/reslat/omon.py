@@ -87,14 +87,15 @@ class Chain:
     `cmp(a, b)` is the total order (negative means strictly below).  The
     residuals follow the `a\\b`, `a/b` convention of `terms`: `ldiv(a, b)`
     is the greatest c with a*c <= b and `rdiv(a, b)` the greatest c with
-    c*b <= a.  These and `mul` and `cmp` trust their operands: callers check
-    them once, where they enter.  A chain that `residual_search` and
-    `residual_scan` can scan gives `candidates(bound)`, streaming a finite box
-    strictly descending from the unit in rows (tuples) along which a*c and
-    c*a descend for each a, and `member(a)`, False (never an error) for any
-    value that is not an element, which the scans check operands with.
-    `box_holds(b, bound)` is False where that box may miss a residual into b
-    (None: it is an up-set).
+    c*b <= a.  `S2Instance`, `F2Instance` and `M1Instance.mul`/`cmp` trust
+    their operands, checked once where they enter; `m1_residual` (the m1
+    `ldiv`/`rdiv`) and every `DyadicInstance` operation check theirs.  A
+    chain that `residual_search` and `residual_scan` can scan gives
+    `candidates(bound)`, streaming a finite box strictly descending from the
+    unit in rows (tuples) along which a*c and c*a descend for each a, and
+    `member(a)`, False (never an error) for any value that is not an
+    element, which the scans check operands with.  `box_holds(b, bound)` is
+    False where that box may miss a residual into b (None: it is an up-set).
     """
 
     name: str
@@ -124,18 +125,16 @@ def _check_search(inst: Chain, side: str, *operands) -> None:
             raise ValueError(f"{x!r} is not an element of chain {inst.name!r}")
 
 
-def residual_search(inst: Chain, a, b, side: str = "left", bound: Optional[int] = None):
+def residual_search(inst: Chain, a, b, side: str = "left", bound: int = SEARCH_BOUND):
     """Greatest c with a*c <= b (left) or c*a <= b (right): the first hit of
     the descending candidates, read past a row's least element only in the
     first row where it hits.  Raises ResidualExhausted when the bound is too
     small; never returns a wrong answer.  Raises ValueError for an operand
-    outside the chain, or a bound that is not an int in 1..SEARCH_BOUND (the
-    default is sum(a) + sum(b) + 4: the operands' exponent sums plus 4)."""
+    outside the chain, or a bound that is not an int in 1..SEARCH_BOUND; the
+    default is SEARCH_BOUND, the largest box."""
     member = inst.member  # the checks in one test; _check_search raises the first refusal
     if not (side in ("left", "right") and inst.candidates and member and member(a) and member(b)):
         _check_search(inst, side, a, b)
-    if bound is None:
-        bound = sum(a) + sum(b) + 4
     if bound.__class__ is not int or not 0 < bound <= SEARCH_BOUND:
         check_int(bound, "bound", 1, SEARCH_BOUND)
     if inst.box_holds is not None and not inst.box_holds(b, bound):

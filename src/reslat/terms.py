@@ -153,12 +153,6 @@ class Term:
             return frozenset()
         return self.left.free_vars() | self.right.free_vars()
 
-    def atoms(self) -> int:
-        """Number of leaves (term length)."""
-        if self.kind in ("var", "e"):
-            return 1
-        return self.left.atoms() + self.right.atoms()
-
     def __str__(self) -> str:
         return term_to_str(self)
 

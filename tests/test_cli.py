@@ -187,6 +187,13 @@ def test_residual_s2_search_exhausts_below_the_box_of_the_residual(capsys, a, b,
         3, "", f"exhausted: no residual within bound {bound}\n")
 
 
+def test_residual_search_without_bound_searches_the_largest_box(capsys):
+    # the default bound is omon.SEARCH_BOUND, never one above it
+    assert run(capsys, "residual", "s2", "left", "0,0,0", "60,0,0", "--search") == (
+        3, "", "exhausted: no residual within bound 32\n")
+    assert run(capsys, "residual", "m1", "left", "x15", "x14", "--search") == (0, "e\n", "")
+
+
 def test_residual_bad_input(capsys):
     code, _, err = run(capsys, "residual", "s2", "left", "1,0", "0,0,0")
     assert code == 2
@@ -259,9 +266,9 @@ def test_dyadic(capsys):
     (("residual", "m1", "right", "x", "[1,2,3]"), "cannot parse monoid word '[1,2,3]'"),
     (("residual", "m1", "left", "x", "y", "--search", "--bound", "33"),
      "bound must be an integer in 1..32, got 33"),
-    (("residual", "m1", "left", "x15", "x14", "--search"),
+    (("residual", "m1", "left", "x15", "x14", "--search", "--bound", "33"),
      "bound must be an integer in 1..32, got 33"),
-    (("residual", "s2", "left", "0,0,0", "60,0,0", "--search"),
+    (("residual", "s2", "left", "0,0,0", "60,0,0", "--search", "--bound", "64"),
      "bound must be an integer in 1..32, got 64"),
     (("ore", "cmp", "1,0,0", "1,1,0", "--den2", "0,0,0", "--num2", "0,1", "--witness"),
      "expected three integers, got '0,1'"),

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import json
@@ -232,7 +233,6 @@ def test_validate_axioms_clean_and_defect():
     g3 = models.godel3()
     assert R.validate_axioms(g3) == []
     broken = finite.FiniteResLat(
-        n=g3.n,
         leq=g3.leq,
         mul_table=g3.mul_table,
         unit=g3.unit,
@@ -258,8 +258,11 @@ def test_validate_axioms_clean_and_defect():
     ({"unit": True}, {"field": "unit", "value": True}),
     ({"mul_table": ((0, 0, 0), (0, True, 1), (0, 1, 2))},
      {"field": "mul_table", "cell": (1, 1), "value": True}),
-    ({"n": 2}, {"field": "n", "value": 2}),
-    ({"n": True}, {"field": "n", "value": True}),
+    # n is len(leq): a table of another length is malformed as a whole
+    ({"leq": ((True, True), (False, True))},
+     {"field": "mul_table", "value": models.godel3().mul_table}),
+    # an empty leq leaves no element to be the unit
+    ({key: () for key in finite._TABLES}, {"field": "unit", "value": models.godel3().unit}),
     ({"leq": None}, {"field": "leq", "value": None}),
     ({"leq": ((True, True, 2), (False, True, True), (False, False, True))},
      {"field": "leq", "cell": (0, 2), "value": 2}),
@@ -279,6 +282,19 @@ def test_validate_axioms_clean_and_defect():
 def test_validate_axioms_reports_a_malformed_structure_by_its_first_defect(fields, witness):
     s = finite.FiniteResLat(**{**models.godel3().__dict__, **fields})
     assert R.validate_axioms(s) == [("malformed", witness)]
+
+
+def test_size_is_the_length_of_leq():
+    assert "n" not in {f.name for f in dataclasses.fields(finite.FiniteResLat)}
+    structures = [*models.model_library(),
+                  *(s for n in range(1, 7) for s in R.enumerate_chain_models(n))]
+    assert all(s.n == len(s.leq) and s.elements == range(len(s.leq)) for s in structures)
+
+
+def test_a_nameless_structure_without_leq_is_reported_and_shown():
+    s = finite.FiniteResLat(**{**models.godel3().__dict__, "leq": None, "name": ""})
+    assert R.validate_axioms(s) == [("malformed", {"field": "leq", "value": None})]
+    assert repr(s) == "<FiniteResLat malformed>"
 
 
 def test_validate_axioms_reports_exactly_the_malformed_cells():

@@ -132,7 +132,7 @@ def test_residual_search_checks_operands_at_entry(inst, good, bad):
         with pytest.raises(ValueError, match=message):
             residual_scan(inst, a, [good, b], "left", 4)
     with pytest.raises(ValueError, match=message):
-        residual_search(inst, bad, good)  # before the default bound is derived from it
+        residual_search(inst, bad, good)  # at the default bound too
 
 
 def test_closed_forms_refuse_a_non_int_exponent():
@@ -216,6 +216,15 @@ def test_residual_scan_needs_no_monotone_product():
                 residual_scan(TOY, a, bs + [-11], side, 10)  # no product is below -10
     with pytest.raises(ResidualExhausted):
         residual_scan(M1Instance, (0, 0), [(0, 0), (5, 5)], "left", 1)
+
+
+def test_residual_search_defaults_to_the_search_bound():
+    # TOY's elements are ints, not exponent tuples: the default reads nothing off them
+    for a, b in itertools.product(range(-10, 1), repeat=2):
+        for side in ("left", "right"):
+            stream = itertools.chain.from_iterable(TOY.candidates(omon.SEARCH_BOUND))
+            assert residual_search(TOY, a, b, side) == _per_b_scan(
+                stream, TOY.mul, TOY.cmp, a, b, side)
 
 
 M1_WORDS = [(a, d - a) for d in range(13) for a in range(d + 1)]  # the 91 words of length <= 12
