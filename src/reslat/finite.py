@@ -4,8 +4,10 @@ A structure is built from a partial-order relation, a monoid table and a
 unit via `derive_residuals`, which computes meet/join/residual tables and
 refuses anything that is not a residuated lattice, or, when the product is
 the meet and the unit the top, from the order alone via `heyting_algebra`.
-Both refuse, and `validate_axioms` reports, a malformed table or unit by one
-shape rule (`_shape_defect`).  On top of that live the derived constructions:
+Both refuse a malformed table or unit by one shape rule (`_check_shape`),
+and so does the `FiniteResLat` constructor, so every structure has n x n
+tables of elements; `validate_axioms` re-checks its laws.  On top of that
+live the derived constructions:
 negative cones, absolute values, conjugates, convex subuniverses, the
 named-property battery, and a chain-model enumerator.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -99,10 +101,18 @@ def _freeze(rows: Iterable[Iterable[int]]) -> Table:
     return tuple(tuple(r) for r in rows)
 
 
+_TABLES = ("leq", "mul_table", "meet_table", "join_table", "ldiv_table", "rdiv_table")
+
+
 @dataclass(frozen=True)
 class FiniteResLat:
     """Finite residuated lattice; construct via `derive_residuals` or
-    `heyting_algebra`.  Its size `n` is len(leq), stored nowhere else."""
+    `heyting_algebra`.  Its size `n` is len(leq), stored nowhere else.  Built
+    directly or by `dataclasses.replace`, it raises StructureError at the
+    first defect of the shape rule (`_check_shape`: the name, the tables in
+    field order, then the unit) and stores each table as tuples of tuples,
+    cells as given, so every structure hashes.  `validate_axioms` checks the
+    laws."""
 
     leq: tuple[tuple[bool, ...], ...]
     mul_table: Table
@@ -112,10 +122,12 @@ class FiniteResLat:
     ldiv_table: Table
     rdiv_table: Table
     name: str = ""
-    # the six tables as `_residuated` derived them, each n x n with cells in
-    # range(n) (bools in leq): `validate_axioms` walks a table field only
-    # when it is not the one derived here
-    _derived: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        tables = tuple((key, getattr(self, key)) for key in _TABLES)
+        _check_shape(self.name, tables, self.unit)
+        for key, table in tables:
+            object.__setattr__(self, key, _freeze(table))
 
     @property
     def n(self) -> int:
@@ -145,9 +157,7 @@ class FiniteResLat:
         return self.leq[a][b]
 
     def __repr__(self) -> str:
-        sized = isinstance(self.leq, (list, tuple))  # a malformed leq may have no length
-        tag = self.name or (f"{len(self.leq)}-element" if sized else "malformed")
-        return f"<FiniteResLat {tag}>"
+        return f"<FiniteResLat {self.name or f'{len(self.leq)}-element'}>"
 
 
 def _two_maximal(leq, members: Sequence[int]) -> list[int]:
@@ -157,39 +167,6 @@ def _two_maximal(leq, members: Sequence[int]) -> list[int]:
 
 def _is_element(v, n: int) -> bool:
     return v.__class__ is int and 0 <= v < n
-
-
-def _shape_defect(tables, *units) -> Optional[tuple[str, object, object]]:
-    """The first defect of the shape rule, as (field, where, value) with
-    `where` None (the whole field), a row index or a (row, column) cell, or
-    None.  The rule, for n the length of `leq`, the first of the (field,
-    table, derived) `tables`: each table is a list or tuple of n rows that
-    are lists or tuples of n cells, each `leq` cell a bool or 0/1 and each
-    other cell and each of `units` an int (not a bool) in range(n).  Defects
-    come in that order, tables as given, row-major; a table of another
-    length than `leq` is a defect of its whole field.  A table that is its
-    `derived` has only its length checked."""
-    n = None
-    for key, table, derived in tables:
-        if not isinstance(table, (list, tuple)):
-            return key, None, table
-        if n is None:
-            n = len(table)
-        elif len(table) != n:
-            return key, None, table
-        if table is derived:
-            continue
-        for a, row in enumerate(table):
-            if not isinstance(row, (list, tuple)) or len(row) != n:
-                return key, a, row
-            for b, x in enumerate(row):
-                if not (isinstance(x, int) and x in (0, 1) if key == "leq"
-                        else x.__class__ is int and 0 <= x < n):
-                    return key, (a, b), x
-    for unit in units:
-        if not _is_element(unit, n):
-            return "unit", None, unit
-    return None
 
 
 def _masks(leq) -> tuple[list[int], list[int]]:
@@ -314,40 +291,50 @@ def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str,
         raise NotResiduated(
             f"no right residual {b}/{a}; maximal candidates {_two_maximal(leq, cand)}")
 
-    rdiv = tuple(zip(*rdiv_by_divisor))
-    return FiniteResLat(
-        leq=leq,
-        mul_table=mul,
-        unit=unit,
-        meet_table=order.meet,
-        join_table=order.join,
-        ldiv_table=ldiv,
-        rdiv_table=rdiv,
-        name=name,
-        _derived=(leq, mul, order.meet, order.join, ldiv, rdiv),
-    )
+    # the tables built here are n x n tuples of elements: skip the shape check
+    s = object.__new__(FiniteResLat)
+    for key, value in zip(("leq", "mul_table", "unit", "meet_table", "join_table",
+                           "ldiv_table", "rdiv_table", "name"),
+                          (leq, mul, unit, order.meet, order.join, ldiv,
+                           tuple(zip(*rdiv_by_divisor)), name)):
+        object.__setattr__(s, key, value)
+    return s
+
+
+def _check_shape(name, tables, *units) -> None:
+    """Raise StructureError at the first defect of the shape rule: `name` is
+    a str and, for n the length of `leq`, the first of the (field, table)
+    `tables`, each table is a list or tuple of n rows that are lists or
+    tuples of n cells, each `leq` cell a bool or 0/1 and each other cell and
+    each of `units` an int (not a bool) in range(n).  Defects come in that
+    order, tables as given, row-major; a table of another length than `leq`
+    is a defect of its whole field."""
+    if not isinstance(name, str):
+        raise StructureError(f"name must be a string, got {name!r}")
+    if not isinstance(tables[0][1], (list, tuple)):
+        raise StructureError("leq must be a list of rows")
+    n = len(tables[0][1])
+    for key, table in tables:
+        if not isinstance(table, (list, tuple)) or len(table) != n:
+            raise StructureError(f"{key} must be a list of {n} rows")
+        for a, row in enumerate(table):
+            if not isinstance(row, (list, tuple)) or len(row) != n:
+                raise StructureError(f"{key} row {a} must be a list of {n} entries")
+            for b, x in enumerate(row):
+                if not (isinstance(x, int) and x in (0, 1) if key == "leq"
+                        else x.__class__ is int and 0 <= x < n):
+                    rule = "0, 1, true or false" if key == "leq" else f"in range({n})"
+                    raise StructureError(f"{key} cell ({a},{b}) = {x!r} is not {rule}")
+    for unit in units:
+        if not _is_element(unit, n):
+            raise StructureError(f"unit {unit!r} is not in range({n})")
 
 
 def _checked_order(name, tables, *units) -> _LatticeOrder:
     """The lattice order of the first of `tables`, the `leq` table, once
-    `name` is a str and `tables` and `units` pass `_shape_defect`; otherwise
-    StructureError naming the first defect."""
-    if not isinstance(name, str):
-        raise StructureError(f"name must be a string, got {name!r}")
-    leq = tables[0][1]
-    defect = _shape_defect(tables, *units)
-    if defect is None:
-        return _lattice_order(tuple(tuple(map(bool, row)) for row in leq))
-    key, where, value = defect
-    if key == "leq" and where is None:
-        raise StructureError("leq must be a list of rows")
-    n = len(leq)
-    raise StructureError(
-        f"unit {value!r} is not in range({n})" if key == "unit"
-        else f"{key} must be a list of {n} rows" if where is None
-        else f"{key} row {where} must be a list of {n} entries" if isinstance(where, int)
-        else f"{key} cell ({where[0]},{where[1]}) = {value!r} is not "
-        + ("0, 1, true or false" if key == "leq" else f"in range({n})"))
+    `_check_shape` passes."""
+    _check_shape(name, tables, *units)
+    return _lattice_order(tuple(tuple(map(bool, row)) for row in tables[0][1]))
 
 
 def derive_residuals(
@@ -365,7 +352,7 @@ def derive_residuals(
     NotALattice / NotAMonoid / NotResiduated with a witness in the message
     when the input fails the corresponding requirement.
     """
-    order = _checked_order(name, (("leq", leq, None), ("mul", mul, None)), unit)
+    order = _checked_order(name, (("leq", leq), ("mul", mul)), unit)
     n = len(leq)
     mul = _freeze(mul)
     # row a*b is row a gathered by row b; itemgetter of one index gives no 1-tuple
@@ -388,17 +375,14 @@ def heyting_algebra(leq: Sequence[Sequence[bool]], name: str = "") -> FiniteResL
     an order that is not a lattice, as `derive_residuals` does, and a lattice
     that is not distributive (where the meet has no residual) with
     NotResiduated.  An empty `leq` has no top and is refused."""
-    order = _checked_order(name, (("leq", leq, None),))
+    order = _checked_order(name, (("leq", leq),))
     if not leq:
         raise StructureError("leq has no rows, so no top to be the unit")
     return _residuated(order, order.meet, order.principal[(1 << len(leq)) - 1], name)
 
 
 # ---------------------------------------------------------------------------
-# axiom validation (report-valued; works on possibly-broken tables)
-
-
-_TABLES = ("leq", "mul_table", "meet_table", "join_table", "ldiv_table", "rdiv_table")
+# axiom validation (report-valued; works on tables that break laws)
 
 
 def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
@@ -409,21 +393,11 @@ def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
     adjunction, not its consequences: where those hold, the product
     preserves joins, since for every d, a(b v c) <= d iff b v c <= a\\d
     iff ab <= d and ac <= d iff ab v ac <= d, and antisymmetry gives
-    a(b v c) = ab v ac; the left residual preserves meets by the dual.  A
-    structure whose fields are not n x n tables of elements, n = len(leq),
-    (a short or long table, a cell or unit that is a bool, negative or past
-    n) gets its first defect (the tables in field order, row-major, then
-    the unit) as the one violation: ("malformed", {"field": ..., and "row"
-    or "cell" where it lies, "value": ...}), and no law is checked.  It is
-    the shape rule `derive_residuals` refuses by.
+    a(b v c) = ab v ac; the left residual preserves meets by the dual.  The
+    tables need not obey any law, but their shape is sound: the constructor
+    refuses a structure that is not n x n tables of elements.
     """
     check_instance(s, "s", FiniteResLat)
-    tables = (s.leq, s.mul_table, s.meet_table, s.join_table, s.ldiv_table, s.rdiv_table)
-    defect = _shape_defect(zip(_TABLES, tables, s._derived or (None,) * 6), s.unit)
-    if defect is not None:
-        key, where, value = defect
-        place = {} if where is None else {"row" if isinstance(where, int) else "cell": where}
-        return [("malformed", {"field": key, **place, "value": value})]
     leq, mul = s.leq, s.mul_table
     rng = range(len(leq))
     up, down = _masks(leq)

@@ -258,7 +258,7 @@ def test_validate_axioms_clean_and_defect():
     ({"unit": True}, {"field": "unit", "value": True}),
     ({"mul_table": ((0, 0, 0), (0, True, 1), (0, 1, 2))},
      {"field": "mul_table", "cell": (1, 1), "value": True}),
-    # n is len(leq): a table of another length is malformed as a whole
+    # n is len(leq): a table of another length is refused as a whole
     ({"leq": ((True, True), (False, True))},
      {"field": "mul_table", "value": models.godel3().mul_table}),
     # an empty leq leaves no element to be the unit
@@ -278,10 +278,28 @@ def test_validate_axioms_clean_and_defect():
     # the first defect in field order: the rdiv cell comes before the unit
     ({"rdiv_table": ((2, 0, 0), (2, 2, 1), (2, 2, 2.0)), "unit": 3},
      {"field": "rdiv_table", "cell": (2, 2), "value": 2.0}),
+    ({"unit": 7}, {"field": "unit", "value": 7}),
 ])
 def test_validate_axioms_reports_a_malformed_structure_by_its_first_defect(fields, witness):
-    s = finite.FiniteResLat(**{**models.godel3().__dict__, **fields})
-    assert R.validate_axioms(s) == [("malformed", witness)]
+    # the constructor refuses the structure, so `validate_axioms` never sees it
+    n = len(fields.get("leq", models.godel3().leq) or ())
+    with pytest.raises(finite.StructureError, match=f"^{re.escape(_refusal(witness, n))}$"):
+        finite.FiniteResLat(**{**models.godel3().__dict__, **fields})
+
+
+def _refusal(witness, n):
+    """The constructor's message for the shape defect `witness`, {"field": ...,
+    "row" or "cell" where it lies, "value": ...}, of a structure whose leq
+    has n rows."""
+    key, value = witness["field"], witness["value"]
+    if "cell" in witness:
+        rule = "0, 1, true or false" if key == "leq" else f"in range({n})"
+        return f"{key} cell ({witness['cell'][0]},{witness['cell'][1]}) = {value!r} is not {rule}"
+    if "row" in witness:
+        return f"{key} row {witness['row']} must be a list of {n} entries"
+    if key == "unit":
+        return f"unit {value!r} is not in range({n})"
+    return "leq must be a list of rows" if key == "leq" else f"{key} must be a list of {n} rows"
 
 
 def test_size_is_the_length_of_leq():
@@ -292,26 +310,53 @@ def test_size_is_the_length_of_leq():
 
 
 def test_a_nameless_structure_without_leq_is_reported_and_shown():
-    s = finite.FiniteResLat(**{**models.godel3().__dict__, "leq": None, "name": ""})
-    assert R.validate_axioms(s) == [("malformed", {"field": "leq", "value": None})]
-    assert repr(s) == "<FiniteResLat malformed>"
+    with pytest.raises(finite.StructureError, match="^leq must be a list of rows$"):
+        finite.FiniteResLat(**{**models.godel3().__dict__, "leq": None, "name": ""})
+    assert repr(dataclasses.replace(models.godel3(), name="")) == "<FiniteResLat 3-element>"
+
+
+def _with_list_rows(s):
+    return finite.FiniteResLat(**{key: [list(row) for row in value] if key in finite._TABLES
+                                  else value for key, value in s.__dict__.items()})
 
 
 def test_validate_axioms_reports_exactly_the_malformed_cells():
     g3 = models.godel3()
-    lists = finite.FiniteResLat(**{key: [list(row) for row in getattr(g3, key)]
-                                   if key in finite._TABLES else getattr(g3, key)
-                                   for key in g3.__dict__})
-    assert R.validate_axioms(lists) == []  # rows may be lists
+    assert R.validate_axioms(_with_list_rows(g3)) == []  # rows may be lists
     for key, junk in itertools.product(finite._TABLES,
                                        [True, False, -1, 3, 2, 1.0, None, "1", [0]]):
         rows = [list(row) for row in getattr(g3, key)]
         rows[2][1] = junk
-        report = R.validate_axioms(finite.FiniteResLat(**{**g3.__dict__, key: rows}))
         proper = (isinstance(junk, int) and junk in (0, 1) if key == "leq"
                   else junk.__class__ is int and junk in (0, 1, 2))
-        malformed = [("malformed", {"field": key, "cell": (2, 1), "value": junk})]
-        assert (report == malformed) != proper, (key, junk, report)
+        refusal = _refusal({"field": key, "cell": (2, 1), "value": junk}, 3)
+        try:
+            s = finite.FiniteResLat(**{**g3.__dict__, key: rows})
+        except finite.StructureError as exc:
+            assert not proper and str(exc) == refusal, (key, junk, exc)
+        else:
+            assert proper and getattr(s, key)[2][1] is junk, (key, junk)  # kept as given
+
+
+def test_a_structure_with_list_rows_hashes_and_equals_its_tuple_form():
+    g3 = models.godel3()
+    lists = _with_list_rows(g3)
+    assert hash(lists) == hash(g3) and lists == g3
+    assert all(type(row) is tuple for key in finite._TABLES for row in getattr(lists, key))
+
+
+def test_every_derived_structure_passes_the_constructor_unchanged():
+    # `_residuated` skips the constructor's shape check: whatever it returns,
+    # rebuilt through the check, is accepted and equal
+    assert [f.name for f in dataclasses.fields(finite.FiniteResLat)] == [
+        "leq", "mul_table", "unit", "meet_table", "join_table", "ldiv_table", "rdiv_table", "name"]
+    library = models.model_library()
+    structures = [*library, *(s for n in range(1, 7) for s in R.enumerate_chain_models(n))]
+    structures += [R.structure_from_json(R.structure_to_json(s)) for s in structures]
+    structures += map(R.negative_cone, library)
+    for s in structures:
+        rebuilt = dataclasses.replace(s)
+        assert rebuilt == s and hash(rebuilt) == hash(s), s
 
 
 def _reference_validate_axioms(s):
@@ -842,8 +887,9 @@ def _junk_at(spot, junk):
 def test_both_routes_report_the_first_defect_in_field_order(leq, mul, unit, message, witness):
     with pytest.raises(finite.StructureError, match=f"^{re.escape(message)}$"):
         R.derive_residuals(leq, mul, unit)
-    s = finite.FiniteResLat(**{**models.godel3().__dict__, "leq": leq, "mul_table": mul, "unit": unit})
-    assert R.validate_axioms(s) == [("malformed", witness)]
+    # the same defect, where `derive_residuals` names `mul` and the constructor `mul_table`
+    with pytest.raises(finite.StructureError, match=f"^{re.escape(_refusal(witness, 3))}$"):
+        finite.FiniteResLat(**{**models.godel3().__dict__, "leq": leq, "mul_table": mul, "unit": unit})
 
 
 def test_order_violations_reported_in_full():
