@@ -28,7 +28,7 @@ from .terms import (
     Equation,
     QuasiEquation,
     Verdict,
-    check_equation,
+    compile_law,
     parse_equation,
     parse_quasiequation,
 )
@@ -253,11 +253,12 @@ def _residual_row(order: _LatticeOrder, row: Sequence[int]) -> tuple[Optional[in
 
 
 def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str,
-                memo: Optional[dict] = None) -> FiniteResLat:
+                memo: Optional[dict] = None, rows: Optional[dict] = None) -> FiniteResLat:
     """The residuation part of `derive_residuals`: derive both residual
     tables of a monoid table `mul` over a checked lattice order.  `memo` maps
     a row or column of `mul` to its `_residual_row`; one call may share it
-    between tables on this order.  Monotonicity has no test of its own: when every
+    between tables on this order, and then `rows` maps each residual row to
+    one equal row object.  Monotonicity has no test of its own: when every
     {c : a*c <= b} and {c : c*a <= b} is a principal down-set, c <= c'
     gives a*c <= a*c' and c*a <= c'*a.  So a product that is not
     order-preserving always leaves a residual gap, and a gap is first
@@ -268,7 +269,8 @@ def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str,
     cols = tuple(zip(*mul))
     for line in (*mul, *cols):
         if line not in memo:
-            memo[line] = _residual_row(order, line)
+            row = _residual_row(order, line)
+            memo[line] = row if rows is None else rows.setdefault(row, row)
     ldiv = tuple(map(memo.__getitem__, mul))
     rdiv_by_divisor = tuple(map(memo.__getitem__, cols))
     gap = _first_gap(ldiv, rdiv_by_divisor)
@@ -291,12 +293,14 @@ def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str,
         raise NotResiduated(
             f"no right residual {b}/{a}; maximal candidates {_two_maximal(leq, cand)}")
 
+    rdiv = tuple(zip(*rdiv_by_divisor))
+    if rows is not None:
+        rdiv = tuple(map(rows.setdefault, rdiv, rdiv))
     # the tables built here are n x n tuples of elements: skip the shape check
     s = object.__new__(FiniteResLat)
     for key, value in zip(("leq", "mul_table", "unit", "meet_table", "join_table",
                            "ldiv_table", "rdiv_table", "name"),
-                          (leq, mul, unit, order.meet, order.join, ldiv,
-                           tuple(zip(*rdiv_by_divisor)), name)):
+                          (leq, mul, unit, order.meet, order.join, ldiv, rdiv, name)):
         object.__setattr__(s, key, value)
     return s
 
@@ -482,14 +486,21 @@ def _unknown_property(name: str) -> ValueError:
     return ValueError(f"unknown property {name!r}; known: {', '.join(PROPERTY_NAMES)}")
 
 
+_CHECKERS: dict[str, tuple] = {}  # a name's compiled laws, built on its first check, not at import
+
+
 def check_named_property(s, name: str) -> Verdict:
-    """Check a registered property on any finite structure.  Raises
-    ValueError for an unknown property name."""
-    if not isinstance(name, str) or name not in PROPERTIES:
-        raise _unknown_property(name)
-    for law in PROPERTIES[name]:
-        v = check_equation(law, s)
-        if not v.holds:
+    """The first failing law's verdict, as `check_equation` gives it, or
+    HOLDS.  Raises ValueError for an unknown name, before anything compiles."""
+    try:
+        checks = _CHECKERS[name]
+    except (KeyError, TypeError):  # not checked before, or unhashable
+        if not isinstance(name, str) or name not in PROPERTIES:
+            raise _unknown_property(name) from None
+        checks = _CHECKERS[name] = tuple(map(compile_law, PROPERTIES[name]))
+    for check in checks:
+        v = check(s)
+        if v is not HOLDS:
             return v
     return HOLDS
 
@@ -621,7 +632,7 @@ def chain_leq(n: int) -> tuple[tuple[bool, ...], ...]:
     return tuple(tuple(a <= b for b in range(n)) for a in range(n))
 
 
-def _chain_tables(n: int, unit: int) -> Iterator[Table]:
+def _chain_tables(n: int, unit: int, rows: Optional[dict] = None) -> Iterator[Table]:
     """All monotone monoid tables on the n-chain with the given unit whose
     bottom is absorbing (a necessary condition for residuation).  Emitted in
     row-major lexicographic order of the table entries.
@@ -633,7 +644,9 @@ def _chain_tables(n: int, unit: int) -> Iterator[Table]:
     that uses it and has all four cells set is tested, so each triple is
     tested as soon as its last cell is set and a failing table is cut there.
     `at[v]` lists the set cells that hold v, so the triples through a cell
-    that is a product a·b are found without scanning the grid."""
+    that is a product a·b are found without scanning the grid.  A table
+    shares the rows unchanged since the last one, and `rows` maps each row
+    it freezes to one equal row object."""
     grid: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
     for j in range(n):
         grid[unit][j] = j
@@ -643,6 +656,9 @@ def _chain_tables(n: int, unit: int) -> Iterator[Table]:
     rng = range(n)
     free = [(i, j) for i in rng for j in rng if i not in (0, unit) and j not in (0, unit)]
     at = [[(i, j) for i in rng for j in rng if grid[i][j] == v] for v in rng]
+    rows = {} if rows is None else rows
+    frozen: list = [None] * n  # the rows of the table last yielded
+    dirty = 0  # the first row set since then
 
     def associative_at(i: int, j: int) -> bool:
         # the triples whose a·b, b·c, (a·b)·c or a·(b·c) is the cell (i, j),
@@ -676,14 +692,21 @@ def _chain_tables(n: int, unit: int) -> Iterator[Table]:
         return True
 
     def rec(k: int) -> Iterator[Table]:
+        nonlocal dirty
         if k == len(free):
-            yield _freeze(grid)
+            for r in range(dirty, n):
+                row = tuple(grid[r])
+                frozen[r] = rows.setdefault(row, row)
+            dirty = n
+            yield tuple(frozen)
             return
         i, j = free[k]
         lo = max(grid[i - 1][j], grid[i][j - 1])
         hi = min(j if i < unit else n - 1, i if j < unit else n - 1)
         for v in range(lo, hi + 1):
             grid[i][j] = v
+            if i < dirty:
+                dirty = i
             at[v].append((i, j))
             if associative_at(i, j):
                 yield from rec(k + 1)
@@ -703,8 +726,8 @@ def enumerate_chain_models(
     filtered by the named-property constraints.  Raises ValueError, before
     enumerating anything, unless `cap` is an int >= 1, `n` an int in
     1..min(cap, MAX_SIZE) (the sizes `chain_leq` builds) and `constraints`
-    a list or tuple of known names.  The tables share one memo of residual rows,
-    which lives for this call only."""
+    a list or tuple of known names.  The tables share one memo of residual
+    rows, and equal rows of the tables are one object, for this call only."""
     check_int(cap, "cap", 1)
     check_int(n, "chain size", 1, min(cap, MAX_SIZE))
     if not isinstance(constraints, (list, tuple)):
@@ -716,9 +739,11 @@ def enumerate_chain_models(
     units = [0] if n == 1 else range(1, n)
     found = []
     memo: dict = {}
+    rows: dict = {}
     for unit in units:
-        for mul in _chain_tables(n, unit):
-            s = _residuated(order, mul, unit, f"chain{n}-u{unit}", memo)
+        name = f"chain{n}-u{unit}"
+        for mul in _chain_tables(n, unit, rows):
+            s = _residuated(order, mul, unit, name, memo, rows)
             if all(check_named_property(s, c).holds for c in constraints):
                 found.append(s)
     return found

@@ -22,8 +22,10 @@ quasi-equations "p1, p2 => c".  `Term` refuses a term deeper than
 MAX_DEPTH, and the parser parentheses nested deeper than it.
 
 Exhaustive checks on finite structures compile each law once into nested
-loops over the structure's tables (see `_compile`); `eval_term` is the
-direct evaluator, used on the infinite chains and as the tests' oracle.
+loops over the tables it reads (see `_compile`), a function of the
+structure that `compile_law` returns, so a sweep checks many structures
+on one compile; `eval_term` is the direct evaluator, used on the infinite
+chains and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ __all__ = [
     "parse_quasiequation",
     "term_to_str",
     "eval_term",
+    "compile_law",
     "check_equation",
     "check_equation_sampled",
     "gen_Lc",
@@ -396,19 +399,27 @@ _MAX_LOOPS = 16  # CPython refuses more than 20 statically nested blocks
 Law = Union[Equation, QuasiEquation]
 
 
+def _no_tables(s) -> ValueError:
+    return ValueError(f"cannot check a law exhaustively on a {type(s).__name__}, "
+                      "which has no tables; use check_equation_sampled")
+
+
 @functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
-def _compile(law: Law) -> tuple[tuple[str, ...], Callable]:
+def _compile(law: Law) -> Callable[[object], Verdict]:
     """Compile `law` into nested loops over the tables of a finite structure.
 
-    Returns the variable names in sorted order and a function of
-    (elements, unit, mul, ldiv, rdiv, meet, join) that runs one loop per
-    variable, in that order (variables past the _MAX_LOOPS-th share the
-    innermost loop through itertools.product, which keeps the order).  Each
-    distinct subterm is computed once per assignment of the variables it
-    depends on, at the outermost loop where they are all bound.  A premise
-    is tested at that level too and skips the inner loops when it fails;
-    the conclusion is tested innermost.  The function returns None when the
-    law holds, else the values of the first failing assignment.
+    Returns a function of the structure `s` that reads `s.elements`,
+    `s.unit` and only the tables the law indexes (`s.mul_table` for `*`,
+    and so on), and raises ValueError when one is missing.  It then runs
+    one loop per variable, the variables in sorted name order (variables
+    past the _MAX_LOOPS-th share the innermost loop through
+    itertools.product, which keeps the order).  Each distinct subterm is
+    computed once per assignment of the variables it depends on, at the
+    outermost loop where they are all bound.  A premise is tested at that
+    level too and skips the inner loops when it fails; the conclusion is
+    tested innermost.  The function returns HOLDS when the law holds, else
+    a Verdict whose witness maps each variable to its value at the first
+    failing assignment.
 
     From the second loop on, a loop may be memoised.  Loop L's key is the
     set of names bound in loops 1..L-1 that loop L and the loops inside it
@@ -422,7 +433,8 @@ def _compile(law: Law) -> tuple[tuple[str, ...], Callable]:
     keys, and lives for one call.  A row hoisted in the loop just outside a
     memoised loop is fetched after the check, so a skipped key fetches none.
 
-    The generated source names only the parameters above and generated
+    The generated source names `s`, the fetched `elements`, `unit` and
+    tables (`mul`, `ldiv`, `rdiv`, `meet`, `join`), and generated
     variables: v<i> for the i-th variable, t<j> for a subterm, r<j> for a
     table row hoisted out of inner loops, and k and seen<L> for the memo.
     """
@@ -436,6 +448,7 @@ def _compile(law: Law) -> tuple[tuple[str, ...], Callable]:
     body: list[list[str]] = [[] for _ in range(loops + 1)]
     slots: dict[Term, tuple[str, int]] = {}
     rows: dict[str, str] = {}
+    tables: set[str] = set()
     reads: list[set[tuple[str, int]]] = [set() for _ in range(loops + 1)]  # of outer values, by level
 
     def emit(t: Term) -> tuple[str, int]:
@@ -449,6 +462,7 @@ def _compile(law: Law) -> tuple[tuple[str, ...], Callable]:
                 a, la = emit(t.left)
                 b, lb = emit(t.right)
                 at = max(la, lb)
+                tables.add(_OPS[t.kind][1])
                 row = f"{_OPS[t.kind][1]}[{a}]"
                 if la < lb:  # hoist the table row out of the loops over b's variables
                     if row not in rows:
@@ -472,10 +486,10 @@ def _compile(law: Law) -> tuple[tuple[str, ...], Callable]:
 
     for p in premises:
         test, at = differs(p)
-        body[at].append(f"if {test}: " + ("continue" if at else "return None"))
+        body[at].append(f"if {test}: " + ("continue" if at else "return HOLDS"))
     test, _ = differs(conclusion, loops)
-    witness = "".join(f"v{i}, " for i in range(len(names)))
-    body[loops].append(f"if {test}: return ({witness})")
+    witness = ", ".join(f"{name!r}: v{i}" for i, name in enumerate(names))
+    body[loops].append(f"if {test}: return Verdict(False, {{{witness}}})")
 
     memo: dict[int, list[str]] = {}
     inner: set[tuple[str, int]] = set()  # the outer values that levels at..loops read
@@ -486,7 +500,9 @@ def _compile(law: Law) -> tuple[tuple[str, ...], Callable]:
             memo[at] = key
 
     hoisted = {f"{r} = {row}" for row, r in rows.items()}
-    lines = ["def law(elements, unit, mul, ldiv, rdiv, meet, join):"]
+    lines = ["def law(s):", "    try:", "        elements = s.elements", "        unit = s.unit"]
+    lines += [f"        {table} = s.{table}_table" for table in sorted(tables)]
+    lines += ["    except AttributeError:", "        raise no_tables(s) from None"]
     lines += [f"    seen{at} = set()" for at in sorted(memo)]
     lines += ["    " + stmt for stmt in body[0]]
     deferred: list[str] = []  # rows of the loop before a memoised one, fetched after its check
@@ -500,30 +516,30 @@ def _compile(law: Law) -> tuple[tuple[str, ...], Callable]:
         lines.append("    " * at + f"for {', '.join(bound)} in {source}:")
         deferred = [stmt for stmt in body[at] if stmt in hoisted] if at + 1 in memo else []
         lines += ["    " * (at + 1) + stmt for stmt in body[at] if stmt not in deferred]
-    lines.append("    return None")
-    namespace = {"product": itertools.product}
+    lines.append("    return HOLDS")
+    namespace = {"product": itertools.product, "Verdict": Verdict, "HOLDS": HOLDS,
+                 "no_tables": _no_tables}
     exec(compile("\n".join(lines), "<law>", "exec"), namespace)
-    return names, namespace["law"]
+    return namespace["law"]
+
+
+def compile_law(law: Law) -> Callable[[object], Verdict]:
+    """The exhaustive check of an equation or quasi-equation, compiled once:
+    a function of a finite structure (any object with `elements`, `unit`
+    and the tables the law indexes) that returns HOLDS or the
+    lexicographically-first witness (variables in sorted name order,
+    elements in carrier index order), and raises ValueError for a structure
+    without tables, such as a rule-given chain.  Raises ValueError for a
+    `law` that is neither, before the compile cache is read."""
+    if not isinstance(law, (Equation, QuasiEquation)):
+        raise ValueError(f"law must be an Equation or a QuasiEquation, got {law!r}")
+    return _compile(law)
 
 
 def check_equation(law: Law, s) -> Verdict:
     """Exhaustive check of an equation or quasi-equation over a finite
-    structure (a FiniteResLat).
-
-    On failure returns the lexicographically-first witness (variables in
-    sorted name order, elements in carrier index order).  Raises ValueError
-    for a structure without tables, such as a rule-given chain.
-    """
-    names, run = _compile(law)
-    try:  # the compiled law only indexes tables, so only the reads can raise this
-        found = run(s.elements, s.unit, s.mul_table, s.ldiv_table, s.rdiv_table,
-                    s.meet_table, s.join_table)
-    except AttributeError:
-        raise ValueError(f"cannot check a law exhaustively on a {type(s).__name__}, "
-                         "which has no tables; use check_equation_sampled") from None
-    if found is None:
-        return HOLDS
-    return Verdict(False, dict(zip(names, found)))
+    structure: `compile_law(law)(s)`, with its verdicts and refusals."""
+    return compile_law(law)(s)
 
 
 def check_equation_sampled(eq: Equation, s, assignments: Iterable[Mapping]) -> Verdict:

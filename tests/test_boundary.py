@@ -101,6 +101,19 @@ REFUSALS = {
                           "unbound variable 'y'"),
     "check_named_property name": (lambda: finite.check_named_property(models.godel3(), ["LPL"]),
                                   str(finite._unknown_property(["LPL"]))),
+    # a law is an Equation or a QuasiEquation, refused before the compile cache is read
+    "check_equation str": (lambda: terms.check_equation("x*y = y*x", models.godel3()),
+                           "law must be an Equation or a QuasiEquation, got 'x*y = y*x'"),
+    "check_equation None": (lambda: terms.check_equation(None, models.godel3()),
+                            "law must be an Equation or a QuasiEquation, got None"),
+    "check_equation Term": (lambda: terms.check_equation(terms.var("x"), models.godel3()),
+                            f"law must be an Equation or a QuasiEquation, got {terms.var('x')!r}"),
+    "check_equation list": (lambda: terms.check_equation([1], models.godel3()),
+                            "law must be an Equation or a QuasiEquation, got [1]"),
+    "compile_law str": (lambda: terms.compile_law("x*y = y*x"),
+                        "law must be an Equation or a QuasiEquation, got 'x*y = y*x'"),
+    "compile_law list": (lambda: terms.compile_law([1]),
+                         "law must be an Equation or a QuasiEquation, got [1]"),
     "enumerate_chain_models constraint": (
         lambda: finite.enumerate_chain_models(3, constraints=[["LPL"]]),
         str(finite._unknown_property(["LPL"]))),

@@ -57,7 +57,9 @@ def test_internal_error_exits_4_with_its_traceback(capsys, monkeypatch):
 ])
 def test_a_witness_the_terms_do_not_refute_is_an_internal_error(
         capsys, monkeypatch, argv, module, witness):
-    monkeypatch.setattr(module, "check_equation", lambda law, s: terms.Verdict(False, witness))
+    # plant the witness in the function whose verdict `check` reports on each route
+    planted = "check_equation" if module is terms else "check_named_property"
+    monkeypatch.setattr(module, planted, lambda *args: terms.Verdict(False, witness))
     code, out, err = run(capsys, "check", *argv)
     assert (code, out) == (4, "")
     assert err.startswith(f"internal error: RuntimeError: {argv[1]} does not fail at the witness")

@@ -507,6 +507,46 @@ def test_heyting5_fails_lpl_but_not_lpl3():
     assert not v.holds and v.witness == {"x": 1, "y": 2}
 
 
+def _first_failing_law(s, name):
+    for law in R.PROPERTIES[name]:
+        v = R.check_equation(law, s)
+        if not v.holds:
+            return v
+    return R.HOLDS
+
+
+def test_a_named_property_is_the_verdict_of_its_first_failing_law():
+    universe = models.model_library() + [s for n in range(1, 6) for s in R.enumerate_chain_models(n)]
+    chains6 = R.enumerate_chain_models(6)
+    assert (len(universe), len(chains6), len(R.PROPERTY_NAMES)) == (115, 575, 19)
+    for s in universe + chains6:
+        for name in R.PROPERTY_NAMES:
+            got, want = R.check_named_property(s, name), _first_failing_law(s, name)
+            assert got == want and got.witness == want.witness, (s, name)
+            assert (got is R.HOLDS) == want.holds
+
+
+def test_a_structure_without_tables_is_refused_alike_by_every_route():
+    law = R.PROPERTIES["LPL"][0]
+    for s in (R.S2Instance, None):
+        refusal = (f"cannot check a law exhaustively on a {type(s).__name__}, which has no tables; "
+                   "use check_equation_sampled")
+        for call in (lambda: R.check_named_property(s, "LPL"), lambda: R.check_equation(law, s),
+                     lambda: R.compile_law(law)(s)):
+            with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$") as info:
+                call()
+            assert info.type is ValueError
+
+
+def test_an_unknown_property_is_refused_before_anything_compiles():
+    before = R.terms._compile.cache_info()
+    for name in ("nonsense", "lpl", None, ["LPL"], ("LPL",)):
+        with pytest.raises(ValueError, match="^unknown property "):
+            R.check_named_property(models.godel3(), name)
+    assert R.terms._compile.cache_info() == before
+    assert set(finite._CHECKERS) <= set(R.PROPERTY_NAMES)
+
+
 def test_negative_cone():
     s3 = models.sugihara3()
     cone = R.negative_cone(s3)
@@ -688,6 +728,18 @@ def test_pruned_fill_matches_the_reference_fill(n):
 
 def test_enumeration_counts():
     assert [len(R.enumerate_chain_models(n)) for n in range(1, 7)] == [1, 1, 3, 15, 84, 575]
+
+
+def test_equal_rows_of_one_enumeration_are_one_object():
+    chains6 = R.enumerate_chain_models(6)
+    assert len(chains6) == 575
+    rows = [row for s in chains6 for table in (s.mul_table, s.ldiv_table, s.rdiv_table)
+            for row in table]
+    assert len({id(row) for row in rows}) == len(set(rows)) < len(rows) // 20
+    # the shared rows are the rows each table derives on its own
+    for s in chains6[::23]:
+        alone = R.derive_residuals(s.leq, s.mul_table, s.unit, s.name)
+        assert alone == s and alone.rdiv_table == s.rdiv_table
 
 
 def test_seven_element_tables_are_closed_under_transpose():

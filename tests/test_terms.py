@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import types
 import weakref
 
 import pytest
@@ -229,6 +230,30 @@ def test_a_rule_given_chain_is_refused_by_the_exhaustive_checks():
         R.check_equation(R.gen_Lc(2), R.S2Instance)
     with pytest.raises(ValueError, match=f"^{refusal}$"):
         R.check_named_property(R.S2Instance, "LPL")
+
+
+def test_a_compiled_law_sweeps_the_chains_with_at_most_one_compile():
+    law = R.parse_equation("(x ^ e)*y = y*(x ^ e)")
+    chains6 = finite.enumerate_chain_models(6)
+    before = _compile.cache_info()
+    check = R.compile_law(law)
+    verdicts = [check(s) for s in chains6]
+    assert _compile.cache_info().misses <= before.misses + 1
+    assert verdicts == [_reference(law, s) for s in chains6]
+    assert 0 < sum(v.holds for v in verdicts) < len(chains6)
+
+
+def test_a_compiled_law_reads_the_unit_the_elements_and_only_the_tables_it_indexes():
+    commutes = R.parse_equation("x*y = y*x")
+    s = next(s for s in finite.enumerate_chain_models(4) if not R.check_equation(commutes, s).holds)
+    for full in (models.godel3(), s):
+        bare = types.SimpleNamespace(elements=full.elements, unit=full.unit, mul_table=full.mul_table)
+        assert R.check_equation(commutes, bare) == R.check_equation(commutes, full)
+        assert R.compile_law(commutes)(bare) == _reference(commutes, full)
+    refusal = ("cannot check a law exhaustively on a SimpleNamespace, which has no tables; "
+               "use check_equation_sampled")
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        R.check_equation(R.parse_equation("x\\e = e"), bare)
 
 
 def test_a_sampled_check_refuses_a_quasi_equation():
@@ -606,7 +631,7 @@ def test_memoised_loops_agree_on_random_laws_of_four_and_five_variables(monkeypa
             z = var(names[-1])
             premises = (R.Equation(rng.choice(_SHAPED_OPS)(pairs[-2][0], z), z),)
         law = R.QuasiEquation(premises, R.Equation(*pairs[-1])) if premises else R.Equation(*pairs[-1])
-        memoised += any(name.startswith("seen") for name in _compile(law)[1].__code__.co_varnames)
+        memoised += any(name.startswith("seen") for name in _compile(law).__code__.co_varnames)
         assert all(len(key) <= 2 for key in _memo_keys(law, monkeypatch).values()), law
         # five variables on 3 elements, four on 4: 243 or 256 assignments
         sized = [s for s in structures if len(s.elements) == 8 - len(names)]

@@ -9,7 +9,9 @@ SUITE is one of (each job's set-up, expression and unit are in SUITES):
   list; a request that exits with another code than its job expects fails.
 - `enumerate`: the chain enumerator at sizes 5 to 7, `derive_residuals`,
   `validate_axioms`, the JSON round trip, the named properties on the
-  library and the chains up to size 5, and `models.model_library()`.
+  library and the chains up to size 5, the four per-model properties of
+  the benchmark's `finite` workload on the size-6 chains, and
+  `models.model_library()`.
 - `triples`: the `HeisTriple` class call, `heis_mul`, `residual_search` on
   `S2Instance` and `M1Instance`, `m1_cmp`, `frac_cmp_witness`, and
   `verify_conucleus(1000, 8, 20240826)`, the conucleus battery that the
@@ -124,6 +126,11 @@ with open("product.json", "w") as fh:
     json.dump(finite.structure_to_json(product), fh)
 """
 _CHAINS6 = "chains6 = finite.enumerate_chain_models(6)"
+# the four properties that the benchmark's `finite` workload checks on each enumerated chain
+_PER_MODEL = _CHAINS6 + """
+checks = [(s, p) for s in chains6 for p in ("integral", "commutative", "e-cyclic", "LPL")]
+[finite.check_named_property(s, p) for s, p in checks]
+"""
 _UNIVERSE = """
 universe = models.model_library() + [
     s for n in range(1, 6) for s in finite.enumerate_chain_models(n)]
@@ -281,6 +288,9 @@ SUITES = {
             "named_properties_x100": (
                 _UNIVERSE, "len([finite.check_named_property(s, p)"
                            " for _ in range(100) for s, p in checks])", "us per check"),
+            "named_properties_chains6": (
+                _PER_MODEL, "len([finite.check_named_property(s, p) for s, p in checks])",
+                "us per check"),
             "model_library": ("", "len(models.model_library())", "us per structure"),
         }),
     "triples": Suite(
