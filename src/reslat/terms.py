@@ -404,6 +404,10 @@ def _no_tables(s) -> ValueError:
                       "which has no tables; use check_equation_sampled")
 
 
+_GENERATED = {"product": itertools.product, "Verdict": Verdict, "HOLDS": HOLDS,
+              "no_tables": _no_tables}  # one globals dict for every compiled law, not one each
+
+
 @functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
 def _compile(law: Law) -> Callable[[object], Verdict]:
     """Compile `law` into nested loops over the tables of a finite structure.
@@ -517,9 +521,8 @@ def _compile(law: Law) -> Callable[[object], Verdict]:
         deferred = [stmt for stmt in body[at] if stmt in hoisted] if at + 1 in memo else []
         lines += ["    " * (at + 1) + stmt for stmt in body[at] if stmt not in deferred]
     lines.append("    return HOLDS")
-    namespace = {"product": itertools.product, "Verdict": Verdict, "HOLDS": HOLDS,
-                 "no_tables": _no_tables}
-    exec(compile("\n".join(lines), "<law>", "exec"), namespace)
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<law>", "exec"), _GENERATED, namespace)
     return namespace["law"]
 
 

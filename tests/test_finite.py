@@ -526,6 +526,18 @@ def test_a_named_property_is_the_verdict_of_its_first_failing_law():
             assert (got is R.HOLDS) == want.holds
 
 
+def test_a_named_property_checks_its_laws_in_order(monkeypatch):
+    # no registered property has two laws that fail at different witnesses on
+    # the chains up to size 7 or the library, so plant one
+    laws = [R.parse_equation("x*y = y*x"), R.parse_equation("x ^ e = x")]
+    s = next(s for s in R.enumerate_chain_models(4)
+             if not any(R.check_equation(law, s).holds for law in laws))
+    for order in (laws, laws[::-1]):
+        monkeypatch.setitem(finite.PROPERTIES, "commutative", order)
+        monkeypatch.setattr(finite, "_CHECKERS", {})  # built from PROPERTIES on a name's first check
+        assert R.check_named_property(s, "commutative") == R.check_equation(order[0], s)
+
+
 def test_a_structure_without_tables_is_refused_alike_by_every_route():
     law = R.PROPERTIES["LPL"][0]
     for s in (R.S2Instance, None):
