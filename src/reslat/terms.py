@@ -399,13 +399,10 @@ _MAX_LOOPS = 16  # CPython refuses more than 20 statically nested blocks
 Law = Union[Equation, QuasiEquation]
 
 
-def _no_tables(s) -> ValueError:
-    return ValueError(f"cannot check a law exhaustively on a {type(s).__name__}, "
-                      "which has no tables; use check_equation_sampled")
-
-
-_GENERATED = {"product": itertools.product, "Verdict": Verdict, "HOLDS": HOLDS,
-              "no_tables": _no_tables}  # one globals dict for every compiled law, not one each
+_GENERATED = {  # one globals dict for every compiled law, not one each
+    "product": itertools.product, "Verdict": Verdict, "HOLDS": HOLDS,
+    "no_tables": lambda s: ValueError(f"cannot check a law exhaustively on a {type(s).__name__}, "
+                                      "which has no tables; use check_equation_sampled")}
 
 
 @functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
@@ -438,9 +435,10 @@ def _compile(law: Law) -> Callable[[object], Verdict]:
     memoised loop is fetched after the check, so a skipped key fetches none.
 
     The generated source names `s`, the fetched `elements`, `unit` and
-    tables (`mul`, `ldiv`, `rdiv`, `meet`, `join`), and generated
-    variables: v<i> for the i-th variable, t<j> for a subterm, r<j> for a
-    table row hoisted out of inner loops, and k and seen<L> for the memo.
+    tables (`mul`, `ldiv`, `rdiv`, `meet`, `join`), the globals in
+    _GENERATED, and generated variables: v<i> for the i-th variable, t<j>
+    for a subterm, r<j> for a table row hoisted out of inner loops, and k
+    and seen<L> for the memo.
     """
     if isinstance(law, QuasiEquation):
         premises, conclusion = law.premises, law.conclusion

@@ -538,18 +538,6 @@ def test_a_named_property_checks_its_laws_in_order(monkeypatch):
         assert R.check_named_property(s, "commutative") == R.check_equation(order[0], s)
 
 
-def test_a_structure_without_tables_is_refused_alike_by_every_route():
-    law = R.PROPERTIES["LPL"][0]
-    for s in (R.S2Instance, None):
-        refusal = (f"cannot check a law exhaustively on a {type(s).__name__}, which has no tables; "
-                   "use check_equation_sampled")
-        for call in (lambda: R.check_named_property(s, "LPL"), lambda: R.check_equation(law, s),
-                     lambda: R.compile_law(law)(s)):
-            with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$") as info:
-                call()
-            assert info.type is ValueError
-
-
 def test_an_unknown_property_is_refused_before_anything_compiles():
     before = R.terms._compile.cache_info()
     for name in ("nonsense", "lpl", None, ["LPL"], ("LPL",)):

@@ -225,11 +225,16 @@ def test_check_equation_sampled():
 
 
 def test_a_rule_given_chain_is_refused_by_the_exhaustive_checks():
-    refusal = "cannot check a law exhaustively on a Chain, which has no tables; use check_equation_sampled"
-    with pytest.raises(ValueError, match=f"^{refusal}$"):
-        R.check_equation(R.gen_Lc(2), R.S2Instance)
-    with pytest.raises(ValueError, match=f"^{refusal}$"):
-        R.check_named_property(R.S2Instance, "LPL")
+    # and so is anything else without tables, alike by every exhaustive route
+    law = R.gen_Lc(2)
+    for s in (R.S2Instance, None):
+        refusal = (f"cannot check a law exhaustively on a {type(s).__name__}, which has no tables; "
+                   "use check_equation_sampled")
+        for call in (lambda: R.check_equation(law, s), lambda: R.compile_law(law)(s),
+                     lambda: R.check_named_property(s, "LPL")):
+            with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$") as info:
+                call()
+            assert info.type is ValueError
 
 
 def test_a_compiled_law_sweeps_the_chains_with_at_most_one_compile():
