@@ -491,7 +491,8 @@ _CHECKERS: dict[str, tuple] = {}  # a name's compiled laws, built on its first c
 
 def check_named_property(s, name: str) -> Verdict:
     """The first failing law's verdict, as `check_equation` gives it, or
-    HOLDS.  Raises ValueError for an unknown name, before anything compiles."""
+    HOLDS.  Raises ValueError for an unknown name, before anything compiles,
+    and for a structure without tables."""
     try:
         checks = _CHECKERS[name]
     except (KeyError, TypeError):  # not checked before, or unhashable
