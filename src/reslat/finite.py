@@ -644,8 +644,10 @@ def _chain_tables(n: int, unit: int, rows: Optional[dict] = None) -> Iterator[Ta
     by those neighbours.  After each cell is set, every associativity triple
     that uses it and has all four cells set is tested, so each triple is
     tested as soon as its last cell is set and a failing table is cut there.
-    `at[v]` lists the set cells that hold v, so the triples through a cell
-    that is a product a·b are found without scanning the grid.  A table
+    A triple through 0 or the unit holds, since their rows and columns are 0
+    and the identity, so only triples of free rows and columns are tested:
+    `at[v]` lists the set free cells that hold v, so the triples through a
+    cell that is a product a·b are found without scanning the grid.  A table
     shares the rows unchanged since the last one, and `rows` maps each row
     it freezes to one equal row object."""
     grid: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
@@ -654,9 +656,10 @@ def _chain_tables(n: int, unit: int, rows: Optional[dict] = None) -> Iterator[Ta
         grid[j][unit] = j
         grid[0][j] = 0
         grid[j][0] = 0
-    rng = range(n)
-    free = [(i, j) for i in rng for j in rng if i not in (0, unit) and j not in (0, unit)]
-    at = [[(i, j) for i in rng for j in rng if grid[i][j] == v] for v in rng]
+    inner = [c for c in range(n) if c not in (0, unit)]  # the free rows and columns
+    inner_rows = [grid[c] for c in inner]
+    free = [(i, j) for i in inner for j in inner]
+    at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     rows = {} if rows is None else rows
     frozen: list = [None] * n  # the rows of the table last yielded
     dirty = 0  # the first row set since then
@@ -666,13 +669,13 @@ def _chain_tables(n: int, unit: int, rows: Optional[dict] = None) -> Iterator[Ta
         # each tested once its four cells are set: (a·b)·c against a·(b·c)
         row_i, row_j, v = grid[i], grid[j], grid[i][j]
         row_v = grid[v]
-        for c in rng:  # (i, j, c)
+        for c in inner:  # (i, j, c)
             jc = row_j[c]
             if jc is not None:
                 left, right = row_v[c], row_i[jc]
                 if left is not None and right is not None and left != right:
                     return False
-        for row_c in grid:  # (c, i, j)
+        for row_c in inner_rows:  # (c, i, j)
             ci = row_c[i]
             if ci is not None:
                 left, right = grid[ci][j], row_c[v]

@@ -21,6 +21,15 @@ Equations are written "t = s" (or with the unicode approx sign),
 quasi-equations "p1, p2 => c".  `Term` refuses a term deeper than
 MAX_DEPTH, and the parser parentheses nested deeper than it.
 
+The parser reads the text as one list of tokens (`_TOKEN`): an identifier,
+taken as long as it goes, "=>", or any other single character.  Whitespace,
+exactly the characters that str.isspace accepts, only separates tokens, so
+"v" alone is the join and "v1" a variable.  A TermSyntaxError's offset
+counts characters from the start of the whole text: it is the start of the
+token where the problem is found, except for a product deeper than
+MAX_DEPTH, which is refused at the end of its right operand.  The tests
+hold every offset and message to a character-by-character reference parser.
+
 Exhaustive checks on finite structures compile each law once into nested
 loops over the tables it reads (see `_compile`), a function of the
 structure that `compile_law` returns, so a sweep checks many structures
@@ -38,7 +47,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from ._check import check_int
+from ._check import check_instance, check_int
 
 __all__ = [
     "Term",
@@ -192,6 +201,10 @@ class Equation:
     lhs: Term
     rhs: Term
 
+    def __post_init__(self):
+        check_instance(self.lhs, "lhs", Term)
+        check_instance(self.rhs, "rhs", Term)
+
     def free_vars(self) -> frozenset[str]:
         return self.lhs.free_vars() | self.rhs.free_vars()
 
@@ -201,8 +214,18 @@ class Equation:
 
 @dataclass(frozen=True)
 class QuasiEquation:
+    """Premises given as a list are stored as a tuple, so the law hashes."""
+
     premises: tuple[Equation, ...]
     conclusion: Equation
+
+    def __post_init__(self):
+        if not isinstance(self.premises, (list, tuple)):
+            raise ValueError(f"premises must be a list or tuple of Equations, got {self.premises!r}")
+        for i, p in enumerate(self.premises):
+            check_instance(p, f"premises[{i}]", Equation)
+        check_instance(self.conclusion, "conclusion", Equation)
+        object.__setattr__(self, "premises", tuple(self.premises))
 
     def free_vars(self) -> frozenset[str]:
         vs = self.conclusion.free_vars()
@@ -220,8 +243,7 @@ class QuasiEquation:
 # parsing
 
 
-_SPACE = re.compile(r"\s*")  # matches the characters that str.isspace accepts
-_JOIN_OP = re.compile(r"v(?![a-z0-9])")  # a bare "v"; "v1" is an identifier
+_TOKEN = re.compile(_IDENT.pattern + r"|=>|\S|\Z")  # "" is the end of the text
 
 
 class _Parser:
@@ -229,56 +251,44 @@ class _Parser:
         if not isinstance(text, str):
             raise ValueError(f"term text must be a string, got {text!r}")
         self.text = text
-        self.pos = 0
+        self.tokens = _TOKEN.findall(text)
+        self.i = 0  # the next token
         self.nesting = 0
 
-    def error(self, msg: str) -> TermSyntaxError:
-        return TermSyntaxError(msg, self.pos)
-
     def peek(self) -> str:
-        """The next character after the whitespace, which is skipped; '' at the end."""
-        c = self.text[self.pos:self.pos + 1]
-        if c.isspace():  # most calls start at a token, where a match costs more than this test
-            self.pos = _SPACE.match(self.text, self.pos).end()
-            c = self.text[self.pos:self.pos + 1]
-        return c
+        return self.tokens[self.i]
 
-    def at(self, token: str) -> bool:
-        self.peek()
-        return self.text.startswith(token, self.pos)
+    def error(self, msg: str, end: bool = False) -> TermSyntaxError:
+        """A syntax error at the next token's start, or with `end` at the last one's end."""
+        spans = [m.span() for m in _TOKEN.finditer(self.text)]
+        return TermSyntaxError(msg, spans[self.i - 1][1] if end else spans[self.i][0])
 
     def whole(self, rule: Callable[["_Parser"], object]):
         """What `rule` parses from the text, which it must use up."""
         found = rule(self)
         if self.peek():
-            raise self.error(f"unexpected {self.text[self.pos]!r}")
+            raise self.error(f"unexpected {self.peek()[0]!r}")
         return found
-
-    def node(self, op: str, left: Term, right: Term) -> Term:
-        try:
-            return Term(op, left=left, right=right)
-        except ValueError as exc:  # deeper than MAX_DEPTH
-            raise self.error(str(exc)) from None
 
     def equation(self) -> Equation:
         lhs = self.term()
-        if self.peek() not in ("=", "≈") or self.at("=>"):
+        if self.peek() not in ("=", "≈"):
             raise self.error("expected '='")
-        self.pos += 1
+        self.i += 1
         return Equation(lhs, self.term())
 
     def quasiequation(self) -> QuasiEquation:
         if "=>" not in self.text:
             return QuasiEquation((), self.equation())
         premises = []
-        while not self.at("=>"):
-            if self.at(","):
-                self.pos += 1
+        while self.peek() != "=>":
+            if self.peek() == ",":
+                self.i += 1
                 continue
             premises.append(self.equation())
-            if not (self.at(",") or self.at("=>")):
+            if self.peek() not in (",", "=>"):
                 raise self.error("expected ',' or '=>'")
-        self.pos += 2
+        self.i += 1
         return QuasiEquation(tuple(premises), self.equation())
 
     def term(self, lowest: int = 0) -> Term:
@@ -286,46 +296,49 @@ class _Parser:
         An atom juxtaposed to the term is a product."""
         t = self.atom()
         while True:
-            c = self.peek()
-            if c in _OPS and (c != "v" or _JOIN_OP.match(self.text, self.pos)):
-                op = c
-            elif c == "(" or c.isalpha():
+            token = self.peek()
+            if token in _OPS:
+                op = token
+            elif token == "(" or token[:1].isalpha():
                 op = "*"
             else:
                 return t
             strength = _OPS[op][0]
             if strength < lowest:
                 return t
-            if op == c:
-                self.pos += 1
+            if op == token:
+                self.i += 1
             # the right operand binds tighter than op, so op is left-associative; that
             # of the tightest op is an atom, so a depth error points at the atom's end
-            t = self.node(op, t, self.atom() if strength == _TIGHTEST else self.term(strength + 1))
+            right = self.atom() if strength == _TIGHTEST else self.term(strength + 1)
+            try:
+                t = Term(op, left=t, right=right)
+            except ValueError as exc:  # deeper than MAX_DEPTH
+                raise self.error(str(exc), end=strength == _TIGHTEST) from None
 
     def atom(self) -> Term:
-        if self.peek() == "(":
+        token = self.peek()
+        if token == "(":
             self.nesting += 1
             if self.nesting > MAX_DEPTH:
                 raise self.error(f"parentheses nested deeper than {MAX_DEPTH}")
-            self.pos += 1
+            self.i += 1
             t = self.term()
             if self.peek() != ")":
                 raise self.error("expected ')'")
-            self.pos += 1
+            self.i += 1
             self.nesting -= 1
             return t
-        m = _IDENT.match(self.text, self.pos)
-        if m is None:
+        if not _IDENT.fullmatch(token):
             raise self.error("expected a term")
-        if m.group() == "v":
+        if token == "v":
             raise self.error("'v' is the join operator, not an identifier")
-        self.pos = m.end()
-        return E if m.group() == "e" else var(m.group())
+        self.i += 1
+        return E if token == "e" else var(token)
 
 
 def parse_term(text: str) -> Term:
-    """Parse `text` into a Term; raises TermSyntaxError with the offset of
-    the problem in `text`."""
+    """Parse `text` into a Term; a TermSyntaxError gives the problem's offset in `text`."""
     return _Parser(text).whole(_Parser.term)
 
 

@@ -114,6 +114,19 @@ REFUSALS = {
                         "law must be an Equation or a QuasiEquation, got 'x*y = y*x'"),
     "compile_law list": (lambda: terms.compile_law([1]),
                          "law must be an Equation or a QuasiEquation, got [1]"),
+    # a law is typed when it is built, so the compile never sees a non-term
+    "check_equation Equation of ints": (
+        lambda: terms.check_equation(terms.Equation(1, 2), models.godel3()),
+        "lhs must be a Term, got 1"),
+    "check_equation QuasiEquation list of ints": (
+        lambda: terms.check_equation(terms.QuasiEquation([1], terms.parse_equation("x=x")),
+                                     models.godel3()),
+        "premises[0] must be an Equation, got 1"),
+    "Equation rhs None": (lambda: terms.Equation(terms.var("x"), None), "rhs must be a Term, got None"),
+    "QuasiEquation premises str": (lambda: terms.QuasiEquation("x=x", terms.parse_equation("x=x")),
+                                   "premises must be a list or tuple of Equations, got 'x=x'"),
+    "QuasiEquation conclusion Term": (lambda: terms.QuasiEquation((), terms.var("x")),
+                                      f"conclusion must be an Equation, got {terms.var('x')!r}"),
     "enumerate_chain_models constraint": (
         lambda: finite.enumerate_chain_models(3, constraints=[["LPL"]]),
         str(finite._unknown_property(["LPL"]))),

@@ -224,6 +224,14 @@ def test_check_equation_sampled():
     assert v.holds
 
 
+def test_premises_given_as_a_list_are_stored_as_a_tuple():
+    premise, conclusion = R.parse_equation("x = y"), R.parse_equation("y = x")
+    law = R.QuasiEquation([premise], conclusion)
+    assert law.premises == (premise,) and law == parse_quasiequation("x = y => y = x")
+    assert hash(law) == hash(R.QuasiEquation((premise,), conclusion))
+    assert R.check_equation(law, models.godel3()) is HOLDS
+
+
 def test_a_rule_given_chain_is_refused_by_the_exhaustive_checks():
     # and so is anything else without tables, alike by every exhaustive route
     law = R.gen_Lc(2)
@@ -431,12 +439,12 @@ def _named_term(rng, depth):
     return op(_named_term(rng, depth - 1), _named_term(rng, depth - 1))
 
 
-def _edited(text, rng):
+def _edited(text, rng, edits=_EDITS):
     """`text` after one to three edits: a token inserted, a character deleted or replaced."""
     for _ in range(rng.randint(1, 3)):
         i = rng.randint(0, len(text))
         kind = rng.randrange(3)
-        token = rng.choice(_EDITS)
+        token = rng.choice(edits)
         text = text[:i] + (token if kind != 1 else "") + text[i + (kind != 0):]
     return text
 
@@ -474,6 +482,44 @@ def test_the_parser_agrees_with_the_recursive_descent_reference():
             assert _outcome(parse, text) == expected, (parse.__name__, text)
             kinds[expected[0] if isinstance(expected, tuple) else type(expected).__name__] += 1
     assert len(texts) == 2983 and min(kinds.values()) >= 9, kinds
+
+
+# the tokenizer's edges: letters outside [a-z], a digit after an identifier, near
+# misses of "=>", doubled commas, identifiers that start with "v", and whitespace
+# that only str.isspace knows
+_EDGE_EDITS = ["Y", "é", "x7", "v7", "7", "==>", "= >", ",,", "v1", "vx", "v", "\x1c", "\u00a0",
+               "\u2028"]
+
+
+def test_the_tokenizer_edges_agree_with_the_recursive_descent_reference():
+    rng = random.Random(48)
+    texts = []
+    for i in range(150):
+        eqs = [R.Equation(_named_term(rng, 2), _named_term(rng, 2)) for _ in range(1 + i % 3)]
+        written = [_written(eq.lhs, rng) + rng.choice([" = ", "=", " ≈ "]) + _written(eq.rhs, rng)
+                   for eq in eqs]
+        texts.append(", ".join(written[:-1]) + " => " + written[-1] if i % 3 else written[0])
+        texts += [] if i % 2 else [_written(eqs[0].lhs, rng)]
+    texts = [_edited(text, rng, _EDGE_EDITS) for text in texts for _ in range(4)]
+    kinds = collections.Counter()
+    for text in texts:
+        for parse, reference in _ENTRY_POINTS:
+            expected = _outcome(reference, text)
+            assert _outcome(parse, text) == expected, (parse.__name__, text)
+            kinds[expected[0] if isinstance(expected, tuple) else type(expected).__name__] += 1
+    assert len(texts) == 900 and min(kinds.values()) >= 9, kinds
+    assert all(any(edit in text for text in texts) for edit in _EDGE_EDITS)
+
+
+def test_whitespace_is_what_str_isspace_accepts():
+    x = var("x")
+    for code in range(0x10000):
+        c = chr(code)
+        try:
+            parsed = R.parse_term(c + "x")
+        except R.TermSyntaxError:
+            parsed = None
+        assert (parsed is x) == c.isspace(), hex(code)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ FIELDS = {"count", "median", "runs"}  # of every job's result
     ("battery", "divisibility-failures", 1, {"count": 1}),
     ("triples", "verify_conucleus", 1, {"count": 1}),
     ("enumerate", "model_library", 1, {"count": 11}),
+    ("laws", "parse_random", 1, {"count": 990}),
 ])
 def test_one_short_job_of_each_suite(tmp_path, monkeypatch, capsys, suite, job, rounds, value):
     short = bench.SUITES[suite]._replace(jobs={job: bench.SUITES[suite].jobs[job]})

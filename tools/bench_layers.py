@@ -20,7 +20,9 @@ SUITE is one of (each job's set-up, expression and unit are in SUITES):
   `BatteryConfig()`; a claim that does not pass fails its job.
 - `laws`: `L_3`, `L_4` and `L_5` on the 15-element `heyting5 x godel3`,
   compiling `L_4` and every named property, and parsing the source text
-  of every named property.
+  of every named property and the `finite` workload's 330 random
+  equations (bench/gen.py at seed 1, generated here and passed to the
+  child as literals).
 
 A job is (set-up, expression, unit): the expression does some units of
 work and returns how many.  Each job runs REPEAT times, each run in one
@@ -58,9 +60,11 @@ from __future__ import annotations
 import argparse
 import glob
 import hashlib
+import importlib.util
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -216,9 +220,9 @@ def compiles(laws):
             terms._compile(law)
         return len(laws)
     return timed
-def parses(n):
-    texts = [text for src in finite._PROPERTY_SOURCES.values()
-             for text in ([src] if isinstance(src, str) else src)]
+named_texts = [text for src in finite._PROPERTY_SOURCES.values()
+               for text in ([src] if isinstance(src, str) else src)]
+def parses(n, texts):
     def timed():
         for _ in range(n):
             for text in texts:
@@ -226,6 +230,18 @@ def parses(n):
         return n * len(texts)
     return timed
 """
+
+
+def _random_equations() -> list:
+    """The texts of the `finite` workload's 330 random equations (11 library
+    models, 30 each), drawn by bench/gen.py from `random.Random(1)`."""
+    spec = importlib.util.spec_from_file_location("gen", os.path.join(ROOT, "bench", "gen.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = random.Random(1)
+    return [gen.random_equation(rng)[0] for _ in range(330)]
+
+
 _CLAIM = """
 def claim(name):
     (result,) = battery.run_battery(battery.BatteryConfig(), only=name)
@@ -316,7 +332,9 @@ SUITES = {
             "compile_L4": ("timed = compiles([terms.gen_Lc(4)] * 20)", "timed()",
                            "us per compile"),
             "compile_named": ("timed = compiles(named * 5)", "timed()", "us per compile"),
-            "parse_named": ("timed = parses(20)", "timed()", "us per parse"),
+            "parse_named": ("timed = parses(20, named_texts)", "timed()", "us per parse"),
+            "parse_random": (f"timed = parses(3, {_random_equations()!r})", "timed()",
+                             "us per parse"),
         }),
 }
 
