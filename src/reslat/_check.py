@@ -11,9 +11,11 @@ def check_int(value, name: str, least=None, most=None) -> None:
     raise ValueError(f"{name} must be an integer{span}, got {value!r}")
 
 
-def check_instance(value, name: str, kind: type) -> None:
-    """Refuse with ValueError a value that is not an instance of `kind`,
-    naming the argument: `s must be a FiniteResLat, got None`."""
+def check_instance(value, name: str, kind) -> None:
+    """Refuse with ValueError a value that is not an instance of `kind`, a
+    class or a tuple of them, naming the argument: `s must be a FiniteResLat,
+    got None`, `law must be an Equation or a QuasiEquation, got 'x = x'`."""
     if not isinstance(value, kind):
-        article = "an" if kind.__name__[0] in "AEIOU" else "a"
-        raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+        kinds = " or ".join(("an " if k.__name__[0] in "AEIOU" else "a ") + k.__name__
+                            for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ValueError(f"{name} must be {kinds}, got {value!r}")

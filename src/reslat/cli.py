@@ -65,17 +65,6 @@ def _load_model(spec: str) -> finite.FiniteResLat:
     raise ValueError("model exceeds RESLAT_MAX_SIZE")
 
 
-def _fails_at(law, at: dict, s) -> bool:
-    """Whether `law` fails in `s` at `at` by `eval_term`; False if `at` leaves a variable unbound."""
-    def holds(eq) -> bool:
-        return terms.eval_term(eq.lhs, at, s) == terms.eval_term(eq.rhs, at, s)
-    try:
-        return all(map(holds, getattr(law, "premises", ()))) and not holds(
-            getattr(law, "conclusion", law))
-    except terms.EvalError:
-        return False
-
-
 def cmd_check(args) -> int:
     s = _load_model(args.model)
     if args.property:
@@ -89,7 +78,13 @@ def cmd_check(args) -> int:
         _emit({"holds": True, "statement": label, "model": args.model}, args.json,
               f"holds: {label} on {args.model}")
         return EXIT_HOLDS
-    if not any(_fails_at(law, v.witness, s) for law in laws):  # the route that did not find it
+    def refutes(law) -> bool:  # by the route that did not find the witness
+        try:
+            return not terms.check_equation_sampled(law, s, [v.witness])
+        except terms.EvalError:  # the witness leaves a variable of this law unbound
+            return False
+
+    if not any(map(refutes, laws)):
         raise RuntimeError(f"{label} does not fail at the witness {v.witness}")
     at = ", ".join(f"{x}={v.witness[x]}" for x in sorted(v.witness))
     _emit({"holds": False, "statement": label, "model": args.model, "witness": v.witness},

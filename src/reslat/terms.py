@@ -68,7 +68,6 @@ __all__ = [
     "parse_term",
     "parse_equation",
     "parse_quasiequation",
-    "term_to_str",
     "eval_term",
     "compile_law",
     "check_equation",
@@ -166,7 +165,23 @@ class Term:
         return self.left.free_vars() | self.right.free_vars()
 
     def __str__(self) -> str:
-        return term_to_str(self)
+        if self.kind == "var":
+            return self.name
+        if self.kind == "e":
+            return "e"
+        strength = _OPS[self.kind][0]
+
+        def side(child: Term, is_right: bool) -> str:
+            s = str(child)
+            # parenthesize an operator that binds looser, and on the right one that binds
+            # as tight, since every operator is left-associative
+            if child.kind in _OPS and _OPS[child.kind][0] < strength + is_right:
+                return "(" + s + ")"
+            return s
+
+        # the lattice operations, which bind looser than the residuals, print spaced
+        sep = self.kind if strength >= _OPS["/"][0] else f" {self.kind} "
+        return side(self.left, False) + sep + side(self.right, True)
 
 
 def var(name: str) -> Term:
@@ -351,30 +366,6 @@ def parse_quasiequation(text: str) -> QuasiEquation:
 
 
 # ---------------------------------------------------------------------------
-# printing
-
-
-def term_to_str(t: Term) -> str:
-    if t.kind == "var":
-        return t.name
-    if t.kind == "e":
-        return "e"
-    strength = _OPS[t.kind][0]
-
-    def side(child: Term, is_right: bool) -> str:
-        s = term_to_str(child)
-        # parenthesize an operator that binds looser, and on the right one that binds
-        # as tight, since every operator is left-associative
-        if child.kind in _OPS and _OPS[child.kind][0] < strength + is_right:
-            return "(" + s + ")"
-        return s
-
-    # the lattice operations, which bind looser than the residuals, print spaced
-    sep = t.kind if strength >= _OPS["/"][0] else f" {t.kind} "
-    return side(t.left, False) + sep + side(t.right, True)
-
-
-# ---------------------------------------------------------------------------
 # evaluation and checking
 
 
@@ -545,8 +536,7 @@ def compile_law(law: Law) -> Callable[[object], Verdict]:
     elements in carrier index order), and raises ValueError for a structure
     without tables, such as a rule-given chain.  Raises ValueError for a
     `law` that is neither, before the compile cache is read."""
-    if not isinstance(law, (Equation, QuasiEquation)):
-        raise ValueError(f"law must be an Equation or a QuasiEquation, got {law!r}")
+    check_instance(law, "law", (Equation, QuasiEquation))
     return _compile(law)
 
 
@@ -556,13 +546,24 @@ def check_equation(law: Law, s) -> Verdict:
     return compile_law(law)(s)
 
 
-def check_equation_sampled(eq: Equation, s, assignments: Iterable[Mapping]) -> Verdict:
-    """Check `eq` on the given assignments only (for infinite structures).
-    Raises ValueError for a quasi-equation."""
-    if not isinstance(eq, Equation):
-        raise ValueError(f"check_equation_sampled takes an Equation, not a {type(eq).__name__}")
-    for a in assignments:
-        if eval_term(eq.lhs, a, s) != eval_term(eq.rhs, a, s):
+def check_equation_sampled(law: Law, s, assignments: Iterable[Mapping]) -> Verdict:
+    """The interpreted route: decide an equation or quasi-equation by
+    `eval_term` in `s`, any structure, at the given assignments only.  An
+    assignment refutes the law when every premise holds there, tested in
+    order, and the sides of the conclusion differ.  Returns HOLDS, or a
+    Verdict with a copy of the first refuting assignment.  Raises ValueError
+    for a `law` that is neither or an assignment that is not a Mapping, and
+    EvalError when it evaluates a variable the assignment leaves unbound."""
+    check_instance(law, "law", (Equation, QuasiEquation))
+    premises, conclusion = (law.premises, law.conclusion) if isinstance(law, QuasiEquation) \
+        else ((), law)
+
+    def holds(eq: Equation, a: Mapping) -> bool:
+        return eval_term(eq.lhs, a, s) == eval_term(eq.rhs, a, s)
+
+    for i, a in enumerate(assignments):
+        check_instance(a, f"assignments[{i}]", Mapping)
+        if all(holds(p, a) for p in premises) and not holds(conclusion, a):
             return Verdict(False, dict(a))
     return HOLDS
 

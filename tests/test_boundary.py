@@ -114,6 +114,12 @@ REFUSALS = {
                         "law must be an Equation or a QuasiEquation, got 'x*y = y*x'"),
     "compile_law list": (lambda: terms.compile_law([1]),
                          "law must be an Equation or a QuasiEquation, got [1]"),
+    "check_equation_sampled str": (
+        lambda: terms.check_equation_sampled("x = x", models.godel3(), [{"x": 0}]),
+        "law must be an Equation or a QuasiEquation, got 'x = x'"),
+    "check_equation_sampled assignment int": (
+        lambda: terms.check_equation_sampled(terms.parse_equation("x = x"), models.godel3(), [1]),
+        "assignments[0] must be a Mapping, got 1"),
     # a law is typed when it is built, so the compile never sees a non-term
     "check_equation Equation of ints": (
         lambda: terms.check_equation(terms.Equation(1, 2), models.godel3()),

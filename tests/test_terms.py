@@ -269,10 +269,62 @@ def test_a_compiled_law_reads_the_unit_the_elements_and_only_the_tables_it_index
         R.check_equation(R.parse_equation("x\\e = e"), bare)
 
 
-def test_a_sampled_check_refuses_a_quasi_equation():
-    law = finite.PROPERTIES["semilin-qeq"][0]
-    with pytest.raises(ValueError, match="^check_equation_sampled takes an Equation, not a QuasiEquation$"):
-        R.check_equation_sampled(law, R.S2Instance, [])
+def _lex_assignments(law, s):
+    names = sorted(law.free_vars())
+    return (dict(zip(names, values)) for values in itertools.product(s.elements, repeat=len(names)))
+
+
+def test_the_sampled_route_gives_the_exhaustive_verdict_on_every_library_model():
+    # semilin-qeq holds on every library model, so quasi-equations that fail on some ride along
+    laws = [law for laws in R.PROPERTIES.values() for law in laws]
+    quasi = list(map(parse_quasiequation, ["x*y = x*z => y = z", "x*x = x => x ^ e = x",
+                                           "x v y = e => x = e", "y = e => x = e"]))
+    assert len(laws) == 22 and any(isinstance(law, R.QuasiEquation) for law in laws)
+    refuted = 0
+    for s in models.model_library():
+        for law in laws + quasi:
+            v = R.check_equation_sampled(law, s, _lex_assignments(law, s))
+            assert v == R.check_equation(law, s), (s.name, str(law))
+            refuted += law in quasi and not v
+    assert refuted > 10
+
+
+def _s2_samples(names, count, seed):
+    """Seeded S2 elements, x = e in every third sample."""
+    rng, box = random.Random(seed), list(R.s2_box(3))
+    samples = [{name: rng.choice(box) for name in names} for _ in range(count)]
+    for a in samples[::3]:
+        a["x"] = R.S2Instance.unit
+    return samples
+
+
+def test_the_sampled_route_decides_quasi_equations_on_s2():
+    s2 = R.S2Instance
+    semilin = R.PROPERTIES["semilin-qeq"][0]
+    samples = _s2_samples("uwxy", 300, 20240826)
+    premise = semilin.premises[0]
+    # e is the top of S2, so x = e makes the premise x v y = e hold
+    held = sum(R.eval_term(premise.lhs, a, s2) == s2.unit for a in samples)
+    assert held >= 100
+    assert R.check_equation_sampled(semilin, s2, samples) is HOLDS
+
+    lc2 = R.gen_Lc(2)
+    samples = _s2_samples(["x", "y", "z1"], 300, 20240827)
+    assert R.check_equation_sampled(R.QuasiEquation((), lc2), s2, samples) is HOLDS
+    assert R.check_equation_sampled(lc2, s2, samples) is HOLDS
+    # S2 is not commutative: L_1 fails at the first sample where x and y do not commute
+    lc1 = R.QuasiEquation((), R.gen_Lc(1))
+    first = next(a for a in samples if s2.mul(a["x"], a["y"]) != s2.mul(a["y"], a["x"]))
+    v = R.check_equation_sampled(lc1, s2, samples)
+    assert v == R.Verdict(False, first) and v.witness is not first
+
+
+def test_the_sampled_route_evaluates_a_premise_before_the_conclusion():
+    g3 = models.godel3()  # its unit is 2
+    law = parse_quasiequation("x = e => y = e")
+    assert R.check_equation_sampled(law, g3, [{"x": 0}]) is HOLDS
+    with pytest.raises(R.EvalError, match="^unbound variable 'y'$"):
+        R.check_equation_sampled(law, g3, [{"x": 0}, {"x": 2}])
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ FIELDS = {"count", "median", "runs"}  # of every job's result
 
 @pytest.mark.parametrize("suite, job, rounds, value", [
     ("cli", "check_file", 3, {"count": 1}),
+    ("cli", "check_qeq_fails", 3, {"count": 1}),
     ("enumerate", "tables_n5", 1, {"count": 84}),
     ("triples", "class_call", 1, {"count": 200_000}),
     ("laws", "compile_L4", 1, {"count": 20}),

@@ -260,6 +260,8 @@ SUITES = {
             "check": ("", 'request(["check", "heyting5", "x*(y v z) = x*y v x*z", "--json"])', US),
             "check_file": (_PRODUCT, 'request(["check", "product.json", "LPL", "-p", "--json"], 1)',
                            US),
+            "check_qeq_fails": ("", 'request(["check", "godel3", "x*y = x => y = e", "--json"], 1)',
+                                US),
             "residual": ("", 'request(["residual", "s2", "left", "1,2,1", "2,1,0", "--json"])', US),
             "residual_search": ("", 'request(["residual", "s2", "left", "1,2,1", "2,1,0", "--json",'
                                     ' "--search", "--bound", "14"])', US),
