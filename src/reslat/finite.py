@@ -451,6 +451,8 @@ _half = "(x ^ e)*(x ^ e)"
 
 # An entry is one law or a list of laws; a law with "=>" is a quasi-equation.
 # weakly-abelian and hamilt-eq are inequalities t <= s, written as t ^ s = t.
+# semilin-qeq follows from semilinearity but does not characterise it: it
+# holds on heyting5, which fails LPL and so is not semilinear.
 _PROPERTY_SOURCES: dict[str, Union[str, list[str]]] = {
     "LPL": "(x\\y ^ e) v (y\\x ^ e) = e",
     "RPL": "(x/y ^ e) v (y/x ^ e) = e",

@@ -33,8 +33,12 @@ hold every offset and message to a character-by-character reference parser.
 Exhaustive checks on finite structures compile each law once into nested
 loops over the tables it reads (see `_compile`), a function of the
 structure that `compile_law` returns, so a sweep checks many structures
-on one compile; `eval_term` is the direct evaluator, used on the infinite
-chains and as the tests' oracle.
+on one compile.  `check_equation_sampled` is the interpreted route: it
+decides an equation or quasi-equation by `eval_term` at given assignments
+only, on any structure, the rule-given chains included, and returns the
+first assignment where every premise holds and the conclusion fails.  It
+shares no code with the compiled loops, so `reslat check` re-checks each
+witness that a compiled check finds through it.
 """
 
 from __future__ import annotations
