@@ -12,9 +12,8 @@ def check_int(value, name: str, least=None, most=None) -> None:
 
 
 def check_instance(value, name: str, kind) -> None:
-    """Refuse with ValueError a value that is not an instance of `kind`, a
-    class or a tuple of them, naming the argument: `s must be a FiniteResLat,
-    got None`, `law must be an Equation or a QuasiEquation, got 'x = x'`."""
+    """Refuse with ValueError a value that is not an instance of `kind`, a class
+    or a tuple of them, naming the argument: `s must be a FiniteResLat, got None`."""
     if not isinstance(value, kind):
         kinds = " or ".join(("an " if k.__name__[0] in "AEIOU" else "a ") + k.__name__
                             for k in (kind if isinstance(kind, tuple) else (kind,)))

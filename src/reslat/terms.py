@@ -33,12 +33,10 @@ hold every offset and message to a character-by-character reference parser.
 Exhaustive checks on finite structures compile each law once into nested
 loops over the tables it reads (see `_compile`), a function of the
 structure that `compile_law` returns, so a sweep checks many structures
-on one compile.  `check_equation_sampled` is the interpreted route: it
-decides an equation or quasi-equation by `eval_term` at given assignments
-only, on any structure, the rule-given chains included, and returns the
-first assignment where every premise holds and the conclusion fails.  It
-shares no code with the compiled loops, so `reslat check` re-checks each
-witness that a compiled check finds through it.
+on one compile.  `check_equation_sampled` is the interpreted route, which
+shares no code with those loops: it decides a law by `eval_term` at given
+assignments, on any structure, and `reslat check` re-checks each witness
+of a compiled check through it.
 """
 
 from __future__ import annotations
@@ -551,16 +549,14 @@ def check_equation(law: Law, s) -> Verdict:
 
 
 def check_equation_sampled(law: Law, s, assignments: Iterable[Mapping]) -> Verdict:
-    """The interpreted route: decide an equation or quasi-equation by
-    `eval_term` in `s`, any structure, at the given assignments only.  An
-    assignment refutes the law when every premise holds there, tested in
-    order, and the sides of the conclusion differ.  Returns HOLDS, or a
-    Verdict with a copy of the first refuting assignment.  Raises ValueError
-    for a `law` that is neither or an assignment that is not a Mapping, and
-    EvalError when it evaluates a variable the assignment leaves unbound."""
+    """The interpreted route: decide an equation or quasi-equation by `eval_term`
+    in `s`, any structure, at the given assignments only.  The first assignment
+    where every premise holds, tested in order, and the conclusion's sides
+    differ is the witness (a copy); else HOLDS.  Raises ValueError for a `law`
+    that is neither or an assignment that is not a Mapping, and EvalError when
+    it evaluates a variable the assignment leaves unbound."""
     check_instance(law, "law", (Equation, QuasiEquation))
-    premises, conclusion = (law.premises, law.conclusion) if isinstance(law, QuasiEquation) \
-        else ((), law)
+    premises, conclusion = getattr(law, "premises", ()), getattr(law, "conclusion", law)
 
     def holds(eq: Equation, a: Mapping) -> bool:
         return eval_term(eq.lhs, a, s) == eval_term(eq.rhs, a, s)
