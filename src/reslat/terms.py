@@ -172,18 +172,15 @@ class Term:
         if self.kind == "e":
             return "e"
         strength = _OPS[self.kind][0]
-
-        def side(child: Term, is_right: bool) -> str:
-            s = str(child)
-            # parenthesize an operator that binds looser, and on the right one that binds
-            # as tight, since every operator is left-associative
-            if child.kind in _OPS and _OPS[child.kind][0] < strength + is_right:
-                return "(" + s + ")"
-            return s
-
+        left, right = str(self.left), str(self.right)
+        # parenthesize an operator that binds looser, and on the right one that binds
+        # as tight, since every operator is left-associative
+        if self.left.kind in _OPS and _OPS[self.left.kind][0] < strength:
+            left = "(" + left + ")"
+        if self.right.kind in _OPS and _OPS[self.right.kind][0] <= strength:
+            right = "(" + right + ")"
         # the lattice operations, which bind looser than the residuals, print spaced
-        sep = self.kind if strength >= _OPS["/"][0] else f" {self.kind} "
-        return side(self.left, False) + sep + side(self.right, True)
+        return left + (self.kind if strength >= _OPS["/"][0] else f" {self.kind} ") + right
 
 
 def var(name: str) -> Term:
@@ -558,12 +555,10 @@ def check_equation_sampled(law: Law, s, assignments: Iterable[Mapping]) -> Verdi
     check_instance(law, "law", (Equation, QuasiEquation))
     premises, conclusion = getattr(law, "premises", ()), getattr(law, "conclusion", law)
 
-    def holds(eq: Equation, a: Mapping) -> bool:
-        return eval_term(eq.lhs, a, s) == eval_term(eq.rhs, a, s)
-
     for i, a in enumerate(assignments):
         check_instance(a, f"assignments[{i}]", Mapping)
-        if all(holds(p, a) for p in premises) and not holds(conclusion, a):
+        if all(eval_term(p.lhs, a, s) == eval_term(p.rhs, a, s) for p in premises) \
+                and eval_term(conclusion.lhs, a, s) != eval_term(conclusion.rhs, a, s):
             return Verdict(False, dict(a))
     return HOLDS
 
