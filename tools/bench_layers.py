@@ -6,7 +6,9 @@
 SUITE is one of (each job's set-up, expression and unit are in SUITES):
 
 - `cli`: one in-process request of each kind in the benchmark's `cli` job
-  list; a request that exits with another code than its job expects fails.
+  list, and `check_qeq_fails`, a quasi-equation that fails, so that its
+  witness is re-checked; a request that exits with another code than its
+  job expects fails.
 - `enumerate`: the chain enumerator at sizes 5 to 7, `derive_residuals`,
   `validate_axioms`, the JSON round trip, the named properties on the
   library and the chains up to size 5, the four per-model properties of
