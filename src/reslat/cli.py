@@ -28,11 +28,13 @@ EXIT_INTERNAL = 4
 _REL = {-1: "<", 0: "=", 1: ">"}  # a comparison result as printed
 
 
+def _json(payload) -> str:
+    """The `--json` text of every command: sorted keys, no spaces."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def _emit(payload: dict, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        print(text)
+    print(_json(payload) if as_json else text)
 
 
 def _max_size(default: int) -> int:
@@ -81,7 +83,7 @@ def cmd_check(args) -> int:
     def refutes(law) -> bool:  # by the route that did not find the witness
         try:
             return not terms.check_equation_sampled(law, s, [v.witness])
-        except terms.EvalError:  # the witness leaves a variable of this law unbound
+        except ValueError:  # a variable of this law unbound, or a value not in s
             return False
 
     if not any(map(refutes, laws)):
@@ -96,8 +98,7 @@ def cmd_enumerate(args) -> int:
     found = finite.enumerate_chain_models(args.size, constraints=args.require or (),
                                           cap=_max_size(finite.DEFAULT_ENUM_CAP))
     if args.json:
-        print(json.dumps([finite.structure_to_json(s) for s in found], sort_keys=True,
-                         separators=(",", ":")))
+        print(_json([finite.structure_to_json(s) for s in found]))
     else:
         print(f"{len(found)} residuated chain(s) of size {args.size}")
         for i, s in enumerate(found):
@@ -157,26 +158,35 @@ def cmd_residual(args) -> int:
     return EXIT_HOLDS
 
 
-def _second(args, parse, binary: tuple[str, ...]):
-    """The parsed second operand `h`, which an op has iff it is in `binary`
-    (None for the other ops); a missing or surplus `h` is a usage error."""
-    if (args.h is not None) != (args.op in binary):
+# each op of `heis`, `s2` and `dyadic`: its function and what it takes after
+# g, a second operand "h", the exponent "n" (-n), or nothing (None)
+_HEIS = {"mul": (nilpotent.heis_mul, "h"), "inv": (nilpotent.heis_inv, None),
+         "pow": (nilpotent.heis_pow, "n"), "commutator": (nilpotent.heis_commutator, "h"),
+         "root": (nilpotent.nth_root, "n")}
+_S2 = {"member": (nilpotent.s2_member, None), "cmp": (nilpotent.s2_cmp, "h")}
+_DYADIC = {"mul": (nilpotent.dyadic_mul, "h"), "inv": (nilpotent.dyadic_inv, None),
+           "pow": (nilpotent.dyadic_pow, "n"), "conjugate": (nilpotent.dyadic_conjugate, "h"),
+           "cmp": (nilpotent.dyadic_cmp, "h")}
+
+
+def _apply(args, table: dict, parse) -> tuple:
+    """(g, h, result) of the op's row of `table`, h None unless the op takes
+    it.  g is parsed before the arity rule is applied, and h after it: a
+    missing or surplus h is a usage error."""
+    fn, takes = table[args.op]
+    g = parse(args.g)
+    if (args.h is not None) != (takes == "h"):
         raise ValueError(f"{args.op} takes one operand" if args.h is not None
                          else f"{args.op} needs a second operand")
-    return None if args.h is None else parse(args.h)
+    if takes == "h":
+        h = parse(args.h)
+        return g, h, fn(g, h)
+    return g, None, fn(g, args.n) if takes == "n" else fn(g)
 
 
 def cmd_heis(args) -> int:
-    g = _parse_triple(args.g)
-    h = _second(args, _parse_triple, ("mul", "commutator"))
-    r = {
-        "mul": lambda: nilpotent.heis_mul(g, h),
-        "inv": lambda: nilpotent.heis_inv(g),
-        "pow": lambda: nilpotent.heis_pow(g, args.n),
-        "commutator": lambda: nilpotent.heis_commutator(g, h),
-        "root": lambda: nilpotent.nth_root(g, args.n),
-    }[args.op]()
-    if r is None:
+    g, _, r = _apply(args, _HEIS, _parse_triple)
+    if r is None:  # root: g has no n-th root
         _emit({"op": "root", "g": list(g.triple()), "n": args.n, "root": None},
               args.json, "no root")
         return EXIT_FAILS
@@ -185,14 +195,11 @@ def cmd_heis(args) -> int:
 
 
 def cmd_s2(args) -> int:
-    g = _parse_triple(args.g)
-    h = _second(args, _parse_triple, ("cmp",))
+    g, h, r = _apply(args, _S2, _parse_triple)
     if args.op == "member":
-        ok = nilpotent.s2_member(g)
-        _emit({"member": ok, "g": list(g.triple())}, args.json, "member" if ok else "not a member")
-        return EXIT_HOLDS if ok else EXIT_FAILS
-    c = nilpotent.s2_cmp(g, h)
-    _emit({"cmp": c, "g": list(g.triple()), "h": list(h.triple())}, args.json, _REL[c])
+        _emit({"member": r, "g": list(g.triple())}, args.json, "member" if r else "not a member")
+        return EXIT_HOLDS if r else EXIT_FAILS
+    _emit({"cmp": r, "g": list(g.triple()), "h": list(h.triple())}, args.json, _REL[r])
     return EXIT_HOLDS
 
 
@@ -205,26 +212,18 @@ def _dyadic_text(d) -> str:
 
 
 def cmd_dyadic(args) -> int:
-    g = _parse_dyadic(args.g)
-    h = _second(args, _parse_dyadic, ("mul", "conjugate", "cmp"))
+    _, _, r = _apply(args, _DYADIC, _parse_dyadic)
     if args.op == "cmp":
-        c = nilpotent.dyadic_cmp(g, h)
-        _emit({"cmp": c}, args.json, _REL[c])
-        return EXIT_HOLDS
-    r = {
-        "mul": lambda: nilpotent.dyadic_mul(g, h),
-        "inv": lambda: nilpotent.dyadic_inv(g),
-        "pow": lambda: nilpotent.dyadic_pow(g, args.n),
-        "conjugate": lambda: nilpotent.dyadic_conjugate(g, h),
-    }[args.op]()
-    _emit({"op": args.op, "result": _dyadic_json(r)}, args.json, _dyadic_text(r))
+        _emit({"cmp": r}, args.json, _REL[r])
+    else:
+        _emit({"op": args.op, "result": _dyadic_json(r)}, args.json, _dyadic_text(r))
     return EXIT_HOLDS
 
 
 def cmd_ore(args) -> int:
     f = ore.OreFraction(_parse_triple(args.den), _parse_triple(args.num))
     if args.op != "cmp":
-        # the arity rule of `_second`: a one-fraction op takes no second fraction
+        # the arity rule of `_apply`: a one-fraction op takes no second fraction
         if args.den2 is not None or args.num2 is not None:
             raise ValueError(f"{args.op} takes one operand")
         if args.witness:
@@ -282,9 +281,8 @@ def cmd_verify_paper(args) -> int:
                                 samples=args.samples, seed=args.seed)
     results = battery.run_battery(cfg, only=args.only)
     if args.json:
-        print(json.dumps(
-            [{"claim": r.claim, "status": r.status, "detail": r.detail} for r in results],
-            sort_keys=True, separators=(",", ":")))
+        print(_json([{"claim": r.claim, "status": r.status, "detail": r.detail}
+                     for r in results]))
     else:
         for r in results:
             print(f"{r.status.upper():7s} {r.claim}: {r.detail} ({r.seconds:.1f}s)")
@@ -324,18 +322,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bound", type=int, default=None)
 
     sp = add("heis", cmd_heis, help="arithmetic in the free class-2 group on two generators")
-    sp.add_argument("op", choices=["mul", "inv", "pow", "commutator", "root"])
+    sp.add_argument("op", choices=_HEIS)
     sp.add_argument("g")
     sp.add_argument("h", nargs="?")
     sp.add_argument("-n", type=int, default=2)
 
     sp = add("s2", cmd_s2, help="membership and chain order in the positive monoid")
-    sp.add_argument("op", choices=["member", "cmp"])
+    sp.add_argument("op", choices=_S2)
     sp.add_argument("g")
     sp.add_argument("h", nargs="?")
 
     sp = add("dyadic", cmd_dyadic, help="arithmetic in the lex-ordered dyadic group")
-    sp.add_argument("op", choices=["mul", "inv", "pow", "conjugate", "cmp"])
+    sp.add_argument("op", choices=_DYADIC)
     sp.add_argument("g")
     sp.add_argument("h", nargs="?")
     sp.add_argument("-n", type=int, default=2)

@@ -156,6 +156,10 @@ class FiniteResLat:
     def le(self, a: int, b: int) -> bool:
         return self.leq[a][b]
 
+    def member(self, a) -> bool:
+        """The element rule: an int, not a bool, in range(n)."""
+        return _is_element(a, len(self.leq))
+
     def __repr__(self) -> str:
         return f"<FiniteResLat {self.name or f'{len(self.leq)}-element'}>"
 
@@ -525,7 +529,7 @@ def negative_cone(s: FiniteResLat) -> FiniteResLat:
 def _require_elements(s: FiniteResLat, *elements) -> None:
     check_instance(s, "s", FiniteResLat)
     for a in elements:
-        if not _is_element(a, s.n):
+        if not s.member(a):
             raise ValueError(f"element {a!r} is not in range({s.n})")
 
 

@@ -3,7 +3,7 @@ positive monoid with the integral chain order, and the dyadic ordered group
 used as the non-Hamiltonian witness chain.
 
 Elements of the free 2-nilpotent group are written in the normal form
-x^alpha y^beta [x,y]^gamma and stored as integer triples.  The product law
+x^alpha y^beta [y,x]^gamma and stored as integer triples.  The product law
 
     (a1,b1,g1)(a2,b2,g2) = (a1+a2, b1+b2, g1+g2+b1*a2)
 

@@ -550,13 +550,24 @@ def check_equation_sampled(law: Law, s, assignments: Iterable[Mapping]) -> Verdi
     in `s`, any structure, at the given assignments only.  The first assignment
     where every premise holds, tested in order, and the conclusion's sides
     differ is the witness (a copy); else HOLDS.  Raises ValueError for a `law`
-    that is neither or an assignment that is not a Mapping, and EvalError when
-    it evaluates a variable the assignment leaves unbound."""
+    that is neither, `assignments` that are not iterable, an assignment that
+    is not a Mapping, or, where `s` has a `member` rule, a value it refuses;
+    and EvalError when it evaluates a variable the assignment leaves unbound."""
     check_instance(law, "law", (Equation, QuasiEquation))
     premises, conclusion = getattr(law, "premises", ()), getattr(law, "conclusion", law)
+    try:
+        assignments = iter(assignments)
+    except TypeError:
+        raise ValueError(f"assignments must be iterable, got {assignments!r}") from None
+    member = getattr(s, "member", None)  # None: `s` states no element rule
 
     for i, a in enumerate(assignments):
         check_instance(a, f"assignments[{i}]", Mapping)
+        if member is not None:
+            for x, v in a.items():
+                if not member(v):
+                    raise ValueError(f"assignments[{i}][{x!r}] = {v!r} is not an element "
+                                     f"of {s.name!r}")
         if all(eval_term(p.lhs, a, s) == eval_term(p.rhs, a, s) for p in premises) \
                 and eval_term(conclusion.lhs, a, s) != eval_term(conclusion.rhs, a, s):
             return Verdict(False, dict(a))

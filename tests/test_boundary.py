@@ -120,6 +120,30 @@ REFUSALS = {
     "check_equation_sampled assignment int": (
         lambda: terms.check_equation_sampled(terms.parse_equation("x = x"), models.godel3(), [1]),
         "assignments[0] must be a Mapping, got 1"),
+    # a value the structure's `member` rule refuses, named with its assignment and variable
+    "check_equation_sampled value -1": (
+        lambda: terms.check_equation_sampled(terms.parse_equation("x = x*x"), models.godel3(),
+                                             [{"x": -1}]),
+        "assignments[0]['x'] = -1 is not an element of 'godel3'"),
+    "check_equation_sampled value True": (
+        lambda: terms.check_equation_sampled(terms.parse_equation("x = x*x"), models.godel3(),
+                                             [{"x": True}]),
+        "assignments[0]['x'] = True is not an element of 'godel3'"),
+    "check_equation_sampled value 7": (
+        lambda: terms.check_equation_sampled(terms.parse_equation("x*y = y*x"), models.godel3(),
+                                             [{"x": 0, "y": 1}, {"x": 7, "y": 1}]),
+        "assignments[1]['x'] = 7 is not an element of 'godel3'"),
+    "check_equation_sampled assignments None": (
+        lambda: terms.check_equation_sampled(terms.parse_equation("x = x"), models.godel3(), None),
+        "assignments must be iterable, got None"),
+    "check_equation_sampled s2 value": (
+        lambda: terms.check_equation_sampled(terms.gen_Lc(1), omon.S2Instance,
+                                             [{"x": X, "y": (-1, 0, 0)}]),
+        "assignments[0]['y'] = (-1, 0, 0) is not an element of 's2'"),
+    "check_equation_sampled m1 value": (
+        lambda: terms.check_equation_sampled(terms.gen_Lc(1), omon.M1Instance,
+                                             [{"x": (0, 1), "y": [1, 0]}]),
+        "assignments[0]['y'] = [1, 0] is not an element of 'm1'"),
     # a law is typed when it is built, so the compile never sees a non-term
     "check_equation Equation of ints": (
         lambda: terms.check_equation(terms.Equation(1, 2), models.godel3()),

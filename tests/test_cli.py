@@ -7,7 +7,7 @@ import pathlib
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from reslat import battery, finite, models, terms
+from reslat import battery, cli, finite, models, terms
 from reslat.cli import build_parser, main
 
 _spec = importlib.util.spec_from_file_location(
@@ -63,6 +63,14 @@ def test_a_witness_the_terms_do_not_refute_is_an_internal_error(
     code, out, err = run(capsys, "check", *argv)
     assert (code, out) == (4, "")
     assert err.startswith(f"internal error: RuntimeError: {argv[1]} does not fail at the witness")
+
+
+@pytest.mark.parametrize("witness", [{"x": 7, "y": 1}, {"x": -1, "y": 0}, {"x": True, "y": 0}])
+def test_a_witness_outside_the_model_is_an_internal_error(capsys, monkeypatch, witness):
+    monkeypatch.setattr(terms, "check_equation", lambda *args: terms.Verdict(False, witness))
+    code, out, err = run(capsys, "check", "godel3", "x*y = y*x")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: RuntimeError: x*y = y*x does not fail at the witness")
 
 
 def test_check_quasiequation(capsys):
@@ -305,6 +313,24 @@ def test_dyadic(capsys):
     (("heis", "inv", "--", "--"), "'--' cannot be an operand"),
 ])
 def test_missing_or_bad_operand_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+OPERAND = {"heis": "1,0,0", "s2": "1,0,0", "dyadic": "1,1"}  # an element of each command's group
+
+
+@pytest.mark.parametrize("cmd, op, takes", [
+    pytest.param(cmd, op, takes, id=f"{cmd}-{op}")
+    for cmd, table in (("heis", cli._HEIS), ("s2", cli._S2), ("dyadic", cli._DYADIC))
+    for op, (_, takes) in table.items()
+])
+def test_each_op_takes_h_exactly_when_its_table_row_says_so(capsys, cmd, op, takes):
+    g = OPERAND[cmd]
+    if takes == "h":
+        argv, message = (cmd, op, g), f"{op} needs a second operand"
+    else:
+        argv, message = (cmd, op, g, g), f"{op} takes one operand"
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 

@@ -1,6 +1,6 @@
 """tools/bench_layers.py: one short job of each suite, src/ paired with
 itself through the child runner, with the record written under a
-temporary root."""
+temporary root; and tools/golden.py's report of a record that moved."""
 
 import hashlib
 import importlib.util
@@ -16,6 +16,9 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_layers", REPO / "tools" / "bench_layers.py")
 bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
+_spec = importlib.util.spec_from_file_location("golden", REPO / "tools" / "golden.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
 
 
 FIELDS = {"count", "median", "runs"}  # of every job's result
@@ -224,3 +227,25 @@ def test_labels_must_match_the_sources(monkeypatch, argv):
     with pytest.raises(SystemExit) as exc:
         bench.main(["laws", *argv])
     assert exc.value.code == 2
+
+
+def test_golden_diffs_each_record_that_moved(monkeypatch, capsys):
+    held = {p.name: p.read_text() for p in golden.GOLDEN.iterdir()}
+    moved = held["nilpotent_group.txt"].replace("yx = (1, 1, 1)", "yx = (1, 1, 2)")
+    monkeypatch.setattr(golden, "records", lambda: {**held, "nilpotent_group.txt": moved})
+    assert golden.main([]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "differs: tests/golden/nilpotent_group.txt"
+    assert "-yx = (1, 1, 1)  (the generators do not commute)" in out
+    assert "+yx = (1, 1, 2)  (the generators do not commute)" in out
+    assert len(out) <= 1 + golden.DIFF_LINES
+
+
+def test_golden_caps_the_diff_of_a_record(monkeypatch, capsys):
+    held = {p.name: p.read_text() for p in golden.GOLDEN.iterdir()}
+    moved = "".join(f"line {i}\n" for i in range(100))
+    monkeypatch.setattr(golden, "records", lambda: {**held, "finite_models.txt": moved})
+    assert golden.main([]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "differs: tests/golden/finite_models.txt"
+    assert len(out) == 1 + golden.DIFF_LINES

@@ -1,7 +1,7 @@
 """Check or rewrite the golden record in tests/golden/: what the CLI and the
 demos print for fixed input, so that tier-1 fails when an answer moves.
 
-    python tools/golden.py           # name each record that differs, exit 1 if any
+    python tools/golden.py           # name and diff each record that differs, exit 1 if any
     python tools/golden.py --write   # rewrite every record
 
 The records are the stdout of `reslat verify-paper --json` (acceptance
@@ -14,7 +14,9 @@ change that rewrites a record says which and why in CHANGES.md.
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -24,6 +26,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DIFF_LINES = 20  # the most lines of a record's diff that are printed
 
 
 def digest(text: str) -> str:
@@ -51,15 +54,21 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--write", action="store_true", help="rewrite every record")
     args = p.parse_args(argv)
-    differ = []
+    differ = False
     for name, text in records().items():
         path = GOLDEN / name
         if args.write:
             GOLDEN.mkdir(exist_ok=True)
             path.write_text(text)
-        elif not path.exists() or path.read_text() != text:
-            differ.append(name)
+            continue
+        held = path.read_text() if path.exists() else None
+        if held != text:
+            differ = True
             print(f"differs: tests/golden/{name}")
+            diff = difflib.unified_diff((held or "").splitlines(), text.splitlines(),
+                                        f"tests/golden/{name}", "now", lineterm="")
+            for line in itertools.islice(diff, DIFF_LINES):
+                print(line)
     return 1 if differ else 0
 
 
