@@ -393,6 +393,41 @@ def heyting_algebra(leq: Sequence[Sequence[bool]], name: str = "") -> FiniteResL
 # axiom validation (report-valued; works on tables that break laws)
 
 
+@functools.lru_cache(maxsize=_ORDER_CACHE_SIZE)
+def _lattice_report(leq, meet: Table, join: Table) -> tuple[tuple[str, tuple], ...]:
+    """The order, `meet-glb` and `join-lub` entries of `validate_axioms`,
+    each witness a tuple of (key, element) items.  Memoised on the three
+    tables, so the caller builds fresh dicts from it."""
+    rng = range(len(leq))
+    up, down = _masks(leq)
+    out = [(f"order-{prop}", tuple(zip("abc", witness)))
+           for prop, witness in _order_violations(leq, up)]
+    for a in rng:
+        for b in rng:
+            m = meet[a][b]
+            if not (leq[m][a] and leq[m][b]) or down[a] & down[b] & ~down[m]:
+                out.append(("meet-glb", (("a", a), ("b", b))))
+            j = join[a][b]
+            if not (leq[a][j] and leq[b][j]) or up[a] & up[b] & ~up[j]:
+                out.append(("join-lub", (("a", a), ("b", b))))
+    return tuple(out)
+
+
+def _laws_hold(leq, mul: Table, ldiv: Table, rdiv: Table) -> bool:
+    """Whether x(yz) = (xy)z, [xy <= z] = [x <= z/y] and [yx <= z] = [x <= y\\z]
+    hold, each tested per x over all (y, z) as bytes (so n <= 256): the
+    flattened mul, rdiv by divisor and ldiv translated by row x of mul or
+    leq, against the mul or leq rows joined by row or column x of mul."""
+    pad = bytes(256 - len(leq))
+    rows, ups = [bytes(row) for row in mul], [bytes(row) for row in leq]
+    flat, by_divisor = b"".join(rows), b"".join(map(bytes, zip(*rdiv)))  # [y][z] = z/y
+    flat_ldiv = b"".join(map(bytes, ldiv))
+    return all(flat.translate(rows[x] + pad) == b"".join(map(rows.__getitem__, mul_x))
+               and by_divisor.translate(ups[x] + pad) == b"".join(map(ups.__getitem__, mul_x))
+               and flat_ldiv.translate(ups[x] + pad) == b"".join(map(ups.__getitem__, col_x))
+               for x, (mul_x, col_x) in enumerate(zip(mul, zip(*mul))))
+
+
 def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
     """Re-check every axiom from the raw tables; returns a violation list.
 
@@ -404,28 +439,23 @@ def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
     a(b v c) = ab v ac; the left residual preserves meets by the dual.  The
     tables need not obey any law, but their shape is sound: the constructor
     refuses a structure that is not n x n tables of elements.
+
+    The order and lattice entries are computed once per (leq, meet, join)
+    by the memo `_lattice_report`, and each call gets fresh dicts.  Up to
+    256 elements, whole-row byte gathers (`_laws_hold`) first test the
+    product laws; when they hold no entry can follow, so the (a, b, c)
+    walk, the one code that names their witnesses, runs only where a law
+    fails or an element does not fit in a byte.
     """
     check_instance(s, "s", FiniteResLat)
-    leq, mul = s.leq, s.mul_table
+    leq, mul, ldiv = s.leq, s.mul_table, s.ldiv_table
     rng = range(len(leq))
-    up, down = _masks(leq)
-    out: list[tuple[str, dict]] = [
-        (f"order-{prop}", dict(zip("abc", witness))) for prop, witness in _order_violations(leq, up)
-    ]
-
-    meet, join, ldiv = s.meet_table, s.join_table, s.ldiv_table
-    for a in rng:
-        for b in rng:
-            m = meet[a][b]
-            if not (leq[m][a] and leq[m][b]) or down[a] & down[b] & ~down[m]:
-                out.append(("meet-glb", {"a": a, "b": b}))
-            j = join[a][b]
-            if not (leq[a][j] and leq[b][j]) or up[a] & up[b] & ~up[j]:
-                out.append(("join-lub", {"a": a, "b": b}))
-
+    out = [(law, dict(witness)) for law, witness in _lattice_report(leq, s.meet_table, s.join_table)]
     for a in rng:
         if mul[s.unit][a] != a or mul[a][s.unit] != a:
             out.append(("monoid-unit", {"a": a}))
+    if len(leq) <= 256 and _laws_hold(leq, mul, ldiv, s.rdiv_table):
+        return out
 
     # one pass over (a, b, c), each row bound once per a or (a, b): the
     # first associativity failure, then the adjunction failures in order

@@ -94,8 +94,10 @@ class Chain:
     `candidates(bound)`, streaming a finite box strictly descending from the
     unit in rows (tuples) along which a*c and c*a descend for each a, and
     `member(a)`, False (never an error) for any value that is not an
-    element, which the scans check operands with.  `box_holds(b, bound)` is
-    False where that box may miss a residual into b (None: it is an up-set).
+    element, which the scans check operands with; `check_equation_sampled`
+    checks values with `member` alone, which the group chains give too.
+    `box_holds(b, bound)` is False where that box may miss a residual into
+    b (None: it is an up-set).
     """
 
     name: str
@@ -354,13 +356,17 @@ S2Instance = Chain(
 # truncated-product Hamiltonian-failure witness
 
 
-def group_chain(name: str, unit, mul: Callable, inv: Callable, cmp: Callable) -> Chain:
-    """A totally ordered group as a residuated chain: a\\b = a^-1 b and a/b = a b^-1."""
+def group_chain(name: str, unit, mul: Callable, inv: Callable, cmp: Callable,
+                member: Optional[Callable[[object], bool]] = None) -> Chain:
+    """A totally ordered group as a residuated chain: a\\b = a^-1 b and
+    a/b = a b^-1, with the element rule `member` if one is given."""
     return Chain(name, unit, mul, cmp, ldiv=lambda a, b: mul(inv(a), b),
-                 rdiv=lambda a, b: mul(a, inv(b)))
+                 rdiv=lambda a, b: mul(a, inv(b)), member=member)
 
 
-DyadicInstance = group_chain("dyadic", DYADIC_UNIT, dyadic_mul, dyadic_inv, dyadic_cmp)
+# a DyadicPair checks its fields when it is built, so every instance is an element
+DyadicInstance = group_chain("dyadic", DYADIC_UNIT, dyadic_mul, dyadic_inv, dyadic_cmp,
+                             member=lambda g: isinstance(g, DyadicPair))
 
 # the pair of `hamvty_witness`, which the battery's dyadic claims check too
 HAMVTY_BASE = DyadicPair(Fraction(-1), 0)

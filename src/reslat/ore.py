@@ -35,8 +35,14 @@ __all__ = [
     "random_triple",
 ]
 
+
+def _f2_member(g) -> bool:
+    """The group's element rule, as `heis_pow` checks it: a triple of ints."""
+    return isinstance(g, tuple) and len(g) == 3 and all(x.__class__ is int for x in g)
+
+
 # the whole group under the extended order, as a residuated chain
-F2Instance = group_chain("f2", HEIS_UNIT, heis_mul, heis_inv, heis_cmp)
+F2Instance = group_chain("f2", HEIS_UNIT, heis_mul, heis_inv, heis_cmp, member=_f2_member)
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,14 @@ REFUSALS = {
         lambda: terms.check_equation_sampled(terms.gen_Lc(1), omon.M1Instance,
                                              [{"x": (0, 1), "y": [1, 0]}]),
         "assignments[0]['y'] = [1, 0] is not an element of 'm1'"),
+    "check_equation_sampled f2 value": (
+        lambda: terms.check_equation_sampled(terms.parse_equation("x*y = y*x"), ore.F2Instance,
+                                             [{"x": (1.5, 0, 0), "y": (0, 1, 0)}]),
+        "assignments[0]['x'] = (1.5, 0, 0) is not an element of 'f2'"),
+    "check_equation_sampled dyadic value": (
+        lambda: terms.check_equation_sampled(terms.parse_equation("x*y = y*x"), omon.DyadicInstance,
+                                             [{"x": DyadicPair(1, 0), "y": (0, 1)}]),
+        "assignments[0]['y'] = (0, 1) is not an element of 'dyadic'"),
     # a law is typed when it is built, so the compile never sees a non-term
     "check_equation Equation of ints": (
         lambda: terms.check_equation(terms.Equation(1, 2), models.godel3()),

@@ -431,6 +431,45 @@ def test_validate_axioms_report_matches_the_reference_under_one_cell_corruptions
                     "join-lub", "monoid-unit", "monoid-associative", "adjunction"}
 
 
+def test_the_lattice_report_memo_is_bounded_like_the_order_memo():
+    assert finite._lattice_report.cache_info().maxsize == finite._ORDER_CACHE_SIZE
+
+
+def test_the_lattice_report_memo_is_keyed_on_meet_and_join_too():
+    s = R.enumerate_chain_models(4)[0]
+    assert R.validate_axioms(s) == []
+    for field in ("meet_table", "join_table"):
+        rows = [list(row) for row in getattr(s, field)]
+        rows[1][2] = 0 if field == "meet_table" else 3
+        broken = finite.FiniteResLat(**{**s.__dict__, field: rows})
+        assert broken.leq == s.leq
+        report = R.validate_axioms(broken)
+        assert report == _reference_validate_axioms(broken)
+        assert ({law for law, _ in report}
+                == {"meet-glb" if field == "meet_table" else "join-lub"}), report
+
+
+def test_a_report_is_the_callers_to_mutate():
+    s = R.enumerate_chain_models(4)[0]
+    rows = [list(row) for row in s.meet_table]
+    rows[1][2] = 0
+    broken = finite.FiniteResLat(**{**s.__dict__, "meet_table": rows})
+    report = R.validate_axioms(broken)
+    expected = _reference_validate_axioms(broken)
+    assert report == expected
+    report[0][1]["a"] = 99
+    report[0][1].clear()
+    report.append(("extra", {}))
+    assert R.validate_axioms(broken) == expected
+
+
+def test_the_byte_test_passes_every_clean_structure():
+    # the (a, b, c) walk is skipped exactly where it would report nothing
+    structures = [*models.model_library(), *(s for n in range(1, 6) for s in R.enumerate_chain_models(n))]
+    for s in structures:
+        assert finite._laws_hold(s.leq, s.mul_table, s.ldiv_table, s.rdiv_table), s
+
+
 def test_equal_orders_share_one_lattice_order():
     for leq in ([list(row) for row in finite.chain_leq(4)], finite.chain_leq(5)):
         n = len(leq)

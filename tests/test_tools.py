@@ -249,3 +249,20 @@ def test_golden_caps_the_diff_of_a_record(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "differs: tests/golden/finite_models.txt"
     assert len(out) == 1 + golden.DIFF_LINES
+
+
+def test_golden_names_the_verify_paper_claim_that_moved(monkeypatch, capsys):
+    held = {p.name: p.read_text() for p in golden.GOLDEN.iterdir()}
+    claims = json.loads(held["verify-paper.json"])
+    assert claims[5] == {**claims[5], "claim": "divisibility-failures", "status": "pass"}
+    claims[5]["status"] = "fail"
+    moved = json.dumps(claims, sort_keys=True, separators=(",", ":")) + "\n"
+    monkeypatch.setattr(golden, "records", lambda: {**held, "verify-paper.json": moved})
+    assert golden.main([]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "differs: tests/golden/verify-paper.json"
+    assert '     "claim": "divisibility-failures",' in out
+    assert '-    "status": "pass"' in out and '+    "status": "fail"' in out
+    assert [line for line in out if line[:1] in "-+" and "status" in line] == [
+        '-    "status": "pass"', '+    "status": "fail"']
+    assert max(map(len, out)) < 80

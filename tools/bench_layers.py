@@ -9,8 +9,9 @@ SUITE is one of (each job's set-up, expression and unit are in SUITES):
   list, and `check_qeq_fails`, a quasi-equation that fails, so that its
   witness is re-checked; a request that exits with another code than its
   job expects fails.
-- `enumerate`: the chain enumerator at sizes 5 to 7, `derive_residuals`,
-  `validate_axioms`, the JSON round trip, the named properties on the
+- `enumerate`: the chain enumerator at sizes 5 to 7, `derive_residuals`
+  and `validate_axioms` on the size-6 chains and on the 15-element
+  `heyting5 x godel3`, the JSON round trip, the named properties on the
   library and the chains up to size 5, the four per-model properties of
   the benchmark's `finite` workload on the size-6 chains, and
   `models.model_library()`.
@@ -301,6 +302,9 @@ SUITES = {
             "validate_axioms_chains6": (
                 _CHAINS6, "sum(not finite.validate_axioms(s) for s in chains6)",
                 "us per structure"),
+            "validate_axioms_prod15": (
+                "product = models.direct_product(models.heyting5(), models.godel3())",
+                "sum(not finite.validate_axioms(product) for _ in range(100))", "us per structure"),
             "json_round_trip_chains6": (
                 _CHAINS6,
                 "len([finite.structure_from_json(finite.structure_to_json(s)) for s in chains6])",

@@ -8,7 +8,9 @@ The records are the stdout of `reslat verify-paper --json` (acceptance
 config), of each walkthrough in demos/, and the model count and sha256 of
 `reslat enumerate 6 --json`, whose 224 kB are pinned by their digest.  Each
 is run from src/ in a fresh interpreter with RESLAT_MAX_SIZE unset.  A
-change that rewrites a record says which and why in CHANGES.md.
+JSON record is diffed pretty-printed, so the diff of verify-paper names
+the claim that moved.  A change that rewrites a record says which and why
+in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -50,6 +52,17 @@ def records() -> dict:
     return out
 
 
+def lines(name: str, text: str) -> list[str]:
+    """A record's lines to diff: a JSON record one field a line, keys sorted,
+    so a claim's `"claim"` line is context to its other fields."""
+    if name.endswith(".json"):
+        try:
+            text = json.dumps(json.loads(text), indent=2, sort_keys=True)
+        except ValueError:  # not JSON (a hand edit, or no record held): diff it as it is
+            pass
+    return text.splitlines()
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--write", action="store_true", help="rewrite every record")
@@ -65,7 +78,7 @@ def main(argv=None) -> int:
         if held != text:
             differ = True
             print(f"differs: tests/golden/{name}")
-            diff = difflib.unified_diff((held or "").splitlines(), text.splitlines(),
+            diff = difflib.unified_diff(lines(name, held or ""), lines(name, text),
                                         f"tests/golden/{name}", "now", lineterm="")
             for line in itertools.islice(diff, DIFF_LINES):
                 print(line)
