@@ -463,6 +463,21 @@ def test_a_report_is_the_callers_to_mutate():
     assert R.validate_axioms(broken) == expected
 
 
+def test_a_residuated_product_that_is_not_associative_is_reported():
+    # on a chain, a monotone product with 0 absorbing has both residuals, so
+    # only associativity fails: (2·2)·1 = 0 but 2·(2·1) = 1
+    mul = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 1, 2), (0, 1, 2, 3))
+    rng = range(4)
+    s = finite.FiniteResLat(
+        leq=finite.chain_leq(4), mul_table=mul, unit=3,
+        meet_table=[[min(a, b) for b in rng] for a in rng],
+        join_table=[[max(a, b) for b in rng] for a in rng],
+        ldiv_table=[[max(c for c in rng if mul[a][c] <= b) for b in rng] for a in rng],
+        rdiv_table=[[max(c for c in rng if mul[c][b] <= a) for b in rng] for a in rng])
+    assert R.validate_axioms(s) == _reference_validate_axioms(s) == [
+        ("monoid-associative", {"a": 2, "b": 2, "c": 1})]
+
+
 def test_the_byte_test_passes_every_clean_structure():
     # the (a, b, c) walk is skipped exactly where it would report nothing
     structures = [*models.model_library(), *(s for n in range(1, 6) for s in R.enumerate_chain_models(n))]
