@@ -296,71 +296,126 @@ def build_parser() -> argparse.ArgumentParser:
     p.commands = {}  # name -> the command's own parser, which main hands the rest of argv
 
     def add(name, fn, **kw):
+        """Add a command; returns its add_argument, which also keeps each Action."""
         sp = p.commands[name] = sub.add_parser(name, **kw)
-        sp.add_argument("--json", action="store_true", help="machine readable output")
         sp.set_defaults(fn=fn)
-        return sp
+        sp.plain = defaults, options, operands = {"fn": fn}, {}, []
 
-    sp = add("check", cmd_check, help="check an equation or named property on a finite model")
-    sp.add_argument("model", help="builtin model name or path to a structure JSON file")
-    sp.add_argument("equation", help="equation source text, or a property name with -p")
-    sp.add_argument("-p", "--property", action="store_true",
-                    help="treat the second argument as a named property")
+        def arg(*names, **kw):
+            a = sp.add_argument(*names, **kw)
+            defaults[a.dest] = a.default
+            if not a.option_strings:
+                operands.append(a)
+            elif kw.get("action") != "append":  # a repeatable option is argparse's
+                options.update(dict.fromkeys(a.option_strings, a))
 
-    sp = add("enumerate", cmd_enumerate, help="enumerate residuated chains of a given size")
-    sp.add_argument("size", type=int)
-    sp.add_argument("--require", action="append", metavar="PROP",
-                    help="keep only models satisfying PROP (repeatable)")
+        arg("--json", action="store_true", help="machine readable output")
+        return arg
 
-    sp = add("residual", cmd_residual, help="residual in an infinite residuated chain")
-    sp.add_argument("monoid", choices=["m1", "s2"])
-    sp.add_argument("side", choices=["left", "right"])
-    sp.add_argument("a")
-    sp.add_argument("b")
-    sp.add_argument("--search", action="store_true",
-                    help="use the brute-force scan instead of the closed form")
-    sp.add_argument("--bound", type=int, default=None)
+    arg = add("check", cmd_check, help="check an equation or named property on a finite model")
+    arg("model", help="builtin model name or path to a structure JSON file")
+    arg("equation", help="equation source text, or a property name with -p")
+    arg("-p", "--property", action="store_true",
+        help="treat the second argument as a named property")
 
-    sp = add("heis", cmd_heis, help="arithmetic in the free class-2 group on two generators")
-    sp.add_argument("op", choices=_HEIS)
-    sp.add_argument("g")
-    sp.add_argument("h", nargs="?")
-    sp.add_argument("-n", type=int, default=2)
+    arg = add("enumerate", cmd_enumerate, help="enumerate residuated chains of a given size")
+    arg("size", type=int)
+    arg("--require", action="append", metavar="PROP",
+        help="keep only models satisfying PROP (repeatable)")
 
-    sp = add("s2", cmd_s2, help="membership and chain order in the positive monoid")
-    sp.add_argument("op", choices=_S2)
-    sp.add_argument("g")
-    sp.add_argument("h", nargs="?")
+    arg = add("residual", cmd_residual, help="residual in an infinite residuated chain")
+    arg("monoid", choices=["m1", "s2"])
+    arg("side", choices=["left", "right"])
+    arg("a")
+    arg("b")
+    arg("--search", action="store_true",
+        help="use the brute-force scan instead of the closed form")
+    arg("--bound", type=int, default=None)
 
-    sp = add("dyadic", cmd_dyadic, help="arithmetic in the lex-ordered dyadic group")
-    sp.add_argument("op", choices=_DYADIC)
-    sp.add_argument("g")
-    sp.add_argument("h", nargs="?")
-    sp.add_argument("-n", type=int, default=2)
+    arg = add("heis", cmd_heis, help="arithmetic in the free class-2 group on two generators")
+    arg("op", choices=_HEIS)
+    arg("g")
+    arg("h", nargs="?")
+    arg("-n", type=int, default=2)
 
-    sp = add("ore", cmd_ore, help="fractions over the positive monoid")
-    sp.add_argument("op", choices=["cmp", "sigma", "value"])
-    sp.add_argument("den")
-    sp.add_argument("num")
-    sp.add_argument("--den2")
-    sp.add_argument("--num2")
-    sp.add_argument("--witness", action="store_true",
-                    help="decide the order by the witness pair of L_2, not group arithmetic")
+    arg = add("s2", cmd_s2, help="membership and chain order in the positive monoid")
+    arg("op", choices=_S2)
+    arg("g")
+    arg("h", nargs="?")
 
-    sp = add("omon", cmd_omon, help="ordered-monoid utilities")
-    sp.add_argument("monoid", choices=["m1", "s2"])
-    sp.add_argument("op", choices=["prefix", "hamvty"])
-    sp.add_argument("--count", type=int)  # the defaults are in cmd_omon
-    sp.add_argument("--bound", type=int)
-    sp.add_argument("--size", type=int)
+    arg = add("dyadic", cmd_dyadic, help="arithmetic in the lex-ordered dyadic group")
+    arg("op", choices=_DYADIC)
+    arg("g")
+    arg("h", nargs="?")
+    arg("-n", type=int, default=2)
 
-    sp = add("verify-paper", cmd_verify_paper,
-             help="run the full claim battery and report pass/fail per claim")
-    sp.add_argument("--only", default=None, metavar="CLAIM")
-    sp.add_argument("--samples", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=battery.DEFAULT_SEED)
+    arg = add("ore", cmd_ore, help="fractions over the positive monoid")
+    arg("op", choices=["cmp", "sigma", "value"])
+    arg("den")
+    arg("num")
+    arg("--den2")
+    arg("--num2")
+    arg("--witness", action="store_true",
+        help="decide the order by the witness pair of L_2, not group arithmetic")
+
+    arg = add("omon", cmd_omon, help="ordered-monoid utilities")
+    arg("monoid", choices=["m1", "s2"])
+    arg("op", choices=["prefix", "hamvty"])
+    arg("--count", type=int)  # the defaults are in cmd_omon
+    arg("--bound", type=int)
+    arg("--size", type=int)
+
+    arg = add("verify-paper", cmd_verify_paper,
+              help="run the full claim battery and report pass/fail per claim")
+    arg("--only", default=None, metavar="CLAIM")
+    arg("--samples", type=int, default=1000)
+    arg("--seed", type=int, default=battery.DEFAULT_SEED)
 
     return p
+
+
+def _parse_plain(command, argv):
+    """`command.parse_args(argv)` read from the command's kept Actions, or
+    None unless argv is plain: full option strings given once, each value
+    with no leading "-", one run of operands, at most one "--", right before
+    that run, and every value passing its type and choices.  argparse parses
+    every other argv; it alone prints usage, help and errors."""
+    defaults, options, operands = command.plain
+    run = None
+    if "--" in argv:
+        k = argv.index("--")
+        argv, run = argv[:k], argv[k + 1:]
+        if not run or "--" in run:
+            return None
+    values, seen, pairs, loose, closed = dict(defaults), set(), [], [], False
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):  # an operand, which must extend the run
+            if run is not None or closed:
+                return None
+            loose.append(token)
+            continue
+        a = options.get(token)
+        if a is None or a.dest in seen:
+            return None
+        seen.add(a.dest)
+        closed = bool(loose)
+        value = a.const if a.nargs == 0 else next(tokens, "-")
+        if a.nargs != 0 and value.startswith("-"):
+            return None
+        pairs.append((a, value))
+    run = loose if run is None else run
+    if not sum(a.nargs is None for a in operands) <= len(run) <= len(operands):
+        return None
+    try:
+        for a, value in chain(pairs, zip(operands, run)):
+            value = value if a.type is None else a.type(value)
+            if a.choices is not None and value not in a.choices:
+                return None
+            values[a.dest] = value
+    except (TypeError, ValueError):
+        return None
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
@@ -371,9 +426,14 @@ def main(argv=None) -> int:
     bug: an `internal error:` line and its traceback on stderr, exit 4."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
+    if not isinstance(argv, (list, tuple)) or not all(isinstance(a, str) for a in argv):
+        print("error: argv must be a list of strings", file=sys.stderr)
+        return EXIT_USAGE
     command = parser.commands.get(argv[0]) if argv else None  # None: --help, or no known command
+    args = None if command is None else _parse_plain(command, argv[1:])
     try:
-        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
+        if args is None:
+            args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already; normalize --help to 0
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -93,6 +93,7 @@ MAX_SIZE = 64
 """The largest chain `chain_leq` builds and `enumerate_chain_models` takes,
 and the default size cap of `reslat check` (RESLAT_MAX_SIZE)."""
 _ORDER_CACHE_SIZE = 16
+_BYTE_ELEMENTS = 256  # the most elements `_laws_hold` can encode, one byte each
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -415,10 +416,10 @@ def _lattice_report(leq, meet: Table, join: Table) -> tuple[tuple[str, tuple], .
 
 def _laws_hold(leq, mul: Table, ldiv: Table, rdiv: Table) -> bool:
     """Whether x(yz) = (xy)z, [xy <= z] = [x <= z/y] and [yx <= z] = [x <= y\\z]
-    hold, each tested per x over all (y, z) as bytes (so n <= 256): the
-    flattened mul, rdiv by divisor and ldiv translated by row x of mul or
-    leq, against the mul or leq rows joined by row or column x of mul."""
-    pad = bytes(256 - len(leq))
+    hold, each tested per x over all (y, z) as bytes (so n <= _BYTE_ELEMENTS):
+    the flattened mul, rdiv by divisor and ldiv translated by row x of mul
+    or leq, against the mul or leq rows joined by row or column x of mul."""
+    pad = bytes(_BYTE_ELEMENTS - len(leq))
     rows, ups = [bytes(row) for row in mul], [bytes(row) for row in leq]
     flat, by_divisor = b"".join(rows), b"".join(map(bytes, zip(*rdiv)))  # [y][z] = z/y
     flat_ldiv = b"".join(map(bytes, ldiv))
@@ -442,10 +443,10 @@ def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
 
     The order and lattice entries are computed once per (leq, meet, join)
     by the memo `_lattice_report`, and each call gets fresh dicts.  Up to
-    256 elements, whole-row byte gathers (`_laws_hold`) first test the
-    product laws; when they hold no entry can follow, so the (a, b, c)
-    walk, the one code that names their witnesses, runs only where a law
-    fails or an element does not fit in a byte.
+    `_BYTE_ELEMENTS` (256) elements, whole-row byte gathers (`_laws_hold`)
+    first test the product laws; when they hold no entry can follow, so
+    the (a, b, c) walk, the one code that names their witnesses, runs only
+    where a law fails or an element does not fit in a byte.
     """
     check_instance(s, "s", FiniteResLat)
     leq, mul, ldiv = s.leq, s.mul_table, s.ldiv_table
@@ -454,7 +455,7 @@ def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
     for a in rng:
         if mul[s.unit][a] != a or mul[a][s.unit] != a:
             out.append(("monoid-unit", {"a": a}))
-    if len(leq) <= 256 and _laws_hold(leq, mul, ldiv, s.rdiv_table):
+    if len(leq) <= _BYTE_ELEMENTS and _laws_hold(leq, mul, ldiv, s.rdiv_table):
         return out
 
     # one pass over (a, b, c), each row bound once per a or (a, b): the

@@ -592,3 +592,73 @@ def test_fuzz_every_request_ends_in_an_exit_code(structure_files, data):
     else:
         assert err == ""
         assert code == 0 or out  # a failure comes with its witness
+
+
+# --- the plain-argv parse: argparse's Namespace, or argparse itself ---------
+
+@pytest.mark.parametrize("argv", [[1], ["heis", 1], [["x"]], ["check", "godel3", "x = x", None],
+                                  "heis", ("s2", b"cmp")])
+def test_an_argv_that_is_not_a_list_of_strings_is_a_usage_error(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", "error: argv must be a list of strings\n")
+
+
+def _plain(argv):
+    return cli._parse_plain(build_parser().commands[argv[0]], argv[1:])
+
+
+# one argv per shape that argparse alone reads: help, an abbreviation, an
+# attached value, a value with a leading "-", an option between operands,
+# a second "--" or an empty run after it, a repeated or appended option, too
+# few or too many operands, a missing value, an operand with a leading "-"
+# before any "--", and a failed conversion or choice
+_ARGPARSE_ONLY = [
+    ["heis", "--help"], ["check", "-h"],
+    ["ore", "cmp", "1,0,0", "1,1,0", "--den2", "0,0,0", "--num2", "0,1,0", "--wit"],
+    ["residual", "s2", "left", "1,2,1", "2,1,0", "--search", "--bound=14"],
+    ["heis", "-n3", "pow", "1,1,1"], ["heis", "-n", "-3", "pow", "1,1,1"],
+    ["s2", "cmp", "1,2,1", "--json", "2,1,0"], ["heis", "pow", "--json", "1,1,1"],
+    ["heis", "--", "pow", "--", "1,1,1"], ["heis", "--", "pow", "1,1,1", "--"],
+    ["heis", "pow", "--", "1,1,1"], ["verify-paper", "--"], ["heis", "pow", "1,1,1", "--"],
+    ["s2", "cmp", "1,2,1", "2,1,0", "--json", "--json"], ["check", "godel3", "LPL", "-p", "--property"],
+    ["enumerate", "3", "--require", "integral"], ["s2", "cmp"], ["s2", "cmp", "1,0,0", "1,0,0", "1,0,0"],
+    ["heis", "pow", "1,1,1", "-n"], ["heis", "pow", "-1,0,0"], ["enumerate", "x"],
+    ["heis", "-n", "x", "pow", "1,1,1"], ["heis", "bogus", "1,1,1"], ["residual", "z3", "left", "e", "e"],
+]
+# one argv per request of the layer bench's cli suite
+_PLAIN = [
+    ["check", "heyting5", "x*(y v z) = x*y v x*z", "--json"],
+    ["check", "product.json", "LPL", "-p", "--json"],
+    ["check", "godel3", "x*y = x => y = e", "--json"],
+    ["residual", "s2", "left", "1,2,1", "2,1,0", "--json"],
+    ["residual", "s2", "left", "1,2,1", "2,1,0", "--json", "--search", "--bound", "14"],
+    ["heis", "-n", "3", "--json", "--", "pow", "-2,5,7"],
+    ["s2", "cmp", "1,2,1", "2,1,0", "--json"],
+    ["dyadic", "-n", "3", "--json", "--", "conjugate", "(-1,0)", "(0,-2)"],
+    ["ore", "cmp", "1,0,0", "1,1,0", "--den2", "0,0,0", "--num2", "0,1,0", "--witness", "--json"],
+    ["omon", "s2", "hamvty", "--size", "6", "--json"],
+    ["enumerate", "4", "--json"],
+    ["verify-paper", "--only", "divisibility-failures", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", _ARGPARSE_ONLY)
+def test_every_other_argv_is_left_to_argparse(argv):
+    assert _plain(argv) is None
+
+
+@pytest.mark.parametrize("argv", _PLAIN)
+def test_each_benchmarked_request_is_plain(argv):
+    plain = _plain(argv)
+    assert plain is not None and plain == build_parser().commands[argv[0]].parse_args(argv[1:])
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_plain_argv_parses_as_argparse_parses_it(data):
+    argv = data.draw(_argv(["godel3", "heyting5"], ["no-such-model"]))
+    plain = _plain(argv)
+    if plain is not None:  # argparse exits on an argv it refuses, failing the test
+        assert plain == build_parser().commands[argv[0]].parse_args(argv[1:])

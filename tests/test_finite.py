@@ -431,6 +431,22 @@ def test_validate_axioms_report_matches_the_reference_under_one_cell_corruptions
                     "join-lub", "monoid-unit", "monoid-associative", "adjunction"}
 
 
+def test_the_walk_past_the_byte_bound_reports_as_the_reference(monkeypatch):
+    # every chain here has more elements than the lowered bound, so each
+    # report comes from the (a, b, c) walk, not from the byte test
+    monkeypatch.setattr(finite, "_BYTE_ELEMENTS", 1)
+    laws, count = set(), 0
+    for s in (s for n in range(2, 5) for s in R.enumerate_chain_models(n)):
+        assert R.validate_axioms(s) == _reference_validate_axioms(s) == [], s
+        for broken in itertools.islice(_one_cell_corruptions(s), 0, None, 3):  # every third
+            report = R.validate_axioms(broken)
+            assert report == _reference_validate_axioms(broken), broken.__dict__
+            laws.update(law for law, _ in report)
+            count += 1
+    assert count == 1_397
+    assert {"monoid-associative", "adjunction"} <= laws
+
+
 def test_the_lattice_report_memo_is_bounded_like_the_order_memo():
     assert finite._lattice_report.cache_info().maxsize == finite._ORDER_CACHE_SIZE
 

@@ -6,9 +6,10 @@
 SUITE is one of (each job's set-up, expression and unit are in SUITES):
 
 - `cli`: one in-process request of each kind in the benchmark's `cli` job
-  list, and `check_qeq_fails`, a quasi-equation that fails, so that its
-  witness is re-checked; a request that exits with another code than its
-  job expects fails.
+  list; `check_qeq_fails`, a quasi-equation that fails, so that its
+  witness is re-checked; and `residual_search_eq`, the `residual_search`
+  request with `--bound=14`, an argv that argparse parses; a request that
+  exits with another code than its job expects fails.
 - `enumerate`: the chain enumerator at sizes 5 to 7, `derive_residuals`
   and `validate_axioms` on the size-6 chains and on the 15-element
   `heyting5 x godel3`, the JSON round trip, the named properties on the
@@ -268,6 +269,8 @@ SUITES = {
             "residual": ("", 'request(["residual", "s2", "left", "1,2,1", "2,1,0", "--json"])', US),
             "residual_search": ("", 'request(["residual", "s2", "left", "1,2,1", "2,1,0", "--json",'
                                     ' "--search", "--bound", "14"])', US),
+            "residual_search_eq": ("", 'request(["residual", "s2", "left", "1,2,1", "2,1,0",'
+                                       ' "--json", "--search", "--bound=14"])', US),
             "heis": ("", 'request(["heis", "-n", "3", "--json", "--", "pow", "-2,5,7"])', US),
             "s2": ("", 'request(["s2", "cmp", "1,2,1", "2,1,0", "--json"])', US),
             "dyadic": ("", 'request(["dyadic", "-n", "3", "--json", "--", "conjugate", "(-1,0)",'
