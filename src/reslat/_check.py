@@ -1,4 +1,4 @@
-"""The one rule for integer arguments: sizes, bounds, counts and exponents."""
+"""The one rule for integer arguments: sizes, bounds, counts, exponents and F2's triples."""
 
 
 def check_int(value, name: str, least=None, most=None) -> None:
@@ -18,3 +18,8 @@ def check_instance(value, name: str, kind) -> None:
         kinds = " or ".join(("an " if k.__name__[0] in "AEIOU" else "a ") + k.__name__
                             for k in (kind if isinstance(kind, tuple) else (kind,)))
         raise ValueError(f"{name} must be {kinds}, got {value!r}")
+
+
+def is_int_triple(value) -> bool:
+    """Whether `value` is an element of the group F2: a tuple of three ints, none a bool."""
+    return isinstance(value, tuple) and len(value) == 3 and all(x.__class__ is int for x in value)

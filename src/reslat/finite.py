@@ -93,7 +93,7 @@ MAX_SIZE = 64
 """The largest chain `chain_leq` builds and `enumerate_chain_models` takes,
 and the default size cap of `reslat check` (RESLAT_MAX_SIZE)."""
 _ORDER_CACHE_SIZE = 16
-_BYTE_ELEMENTS = 256  # the most elements `_laws_hold` can encode, one byte each
+_BYTE_ELEMENTS = 256  # the most elements `_product_law_report` encodes one byte each
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -414,19 +414,42 @@ def _lattice_report(leq, meet: Table, join: Table) -> tuple[tuple[str, tuple], .
     return tuple(out)
 
 
-def _laws_hold(leq, mul: Table, ldiv: Table, rdiv: Table) -> bool:
-    """Whether x(yz) = (xy)z, [xy <= z] = [x <= z/y] and [yx <= z] = [x <= y\\z]
-    hold, each tested per x over all (y, z) as bytes (so n <= _BYTE_ELEMENTS):
-    the flattened mul, rdiv by divisor and ldiv translated by row x of mul
-    or leq, against the mul or leq rows joined by row or column x of mul."""
-    pad = bytes(_BYTE_ELEMENTS - len(leq))
-    rows, ups = [bytes(row) for row in mul], [bytes(row) for row in leq]
-    flat, by_divisor = b"".join(rows), b"".join(map(bytes, zip(*rdiv)))  # [y][z] = z/y
-    flat_ldiv = b"".join(map(bytes, ldiv))
-    return all(flat.translate(rows[x] + pad) == b"".join(map(rows.__getitem__, mul_x))
-               and by_divisor.translate(ups[x] + pad) == b"".join(map(ups.__getitem__, mul_x))
-               and flat_ldiv.translate(ups[x] + pad) == b"".join(map(ups.__getitem__, col_x))
-               for x, (mul_x, col_x) in enumerate(zip(mul, zip(*mul))))
+def _differences(p, q, n: int):  # the (y, z) where p and q differ at y*n + z, in order
+    return ((y, z) for y in range(n) if p[y * n:y * n + n] != q[y * n:y * n + n]
+            for z in range(n) if p[y * n + z] != q[y * n + z])
+
+
+def _product_law_report(leq, mul: Table, ldiv: Table, rdiv: Table) -> list[tuple[str, dict]]:
+    """The `monoid-associative` entry of the first (a, b, c) where a(bc) !=
+    (ab)c, then an `adjunction` entry for each (a, b, c), in order, where
+    [ab <= c] differs from [a <= c/b] or [b <= a\\c].  Per x over all (y, z),
+    at y*n + z, the flattened mul, rdiv by divisor and ldiv translated by row
+    x of mul or leq give x(yz), [x <= z/y] and [x <= y\\z], and the mul or
+    leq rows that row or column x of mul names, joined, give (xy)z, [xy <= z]
+    and [yx <= z]; a pair that differs is decoded as (x, y, z), or (y, x, z)
+    in the third.  An element is a byte up to _BYTE_ELEMENTS (a row padded to
+    256 bytes is a table), and past it a character (a row is its own table)."""
+    n = len(leq)
+    encode, pad, join = ((bytes, bytes(_BYTE_ELEMENTS - n), b"".join) if n <= _BYTE_ELEMENTS
+                         else (lambda row: "".join(map(chr, row)), "", "".join))
+    rows, ups = [encode(row) for row in mul], [encode(row) for row in leq]
+    flat, by_divisor = join(rows), join(map(encode, zip(*rdiv)))  # [y][z] = z/y
+    flat_ldiv = join(map(encode, ldiv))
+    out, adjunction = [], set()
+    for x, (mul_x, col_x) in enumerate(zip(mul, zip(*mul))):
+        up = ups[x] + pad
+        x_yz, xy_z = flat.translate(rows[x] + pad), join(map(rows.__getitem__, mul_x))
+        x_le_zy, xy_le_z = by_divisor.translate(up), join(map(ups.__getitem__, mul_x))
+        x_le_yz, yx_le_z = flat_ldiv.translate(up), join(map(ups.__getitem__, col_x))
+        if x_yz == xy_z and x_le_zy == xy_le_z and x_le_yz == yx_le_z:
+            continue
+        if not out and x_yz != xy_z:
+            y, z = next(_differences(x_yz, xy_z, n))
+            out.append(("monoid-associative", {"a": x, "b": y, "c": z}))
+        adjunction.update((x, y, z) for y, z in _differences(x_le_zy, xy_le_z, n))
+        adjunction.update((y, x, z) for y, z in _differences(x_le_yz, yx_le_z, n))
+    return (out + [("adjunction", dict(zip("abc", t))) for t in sorted(adjunction)]
+            if adjunction else out)
 
 
 def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
@@ -442,41 +465,17 @@ def validate_axioms(s: FiniteResLat) -> list[tuple[str, dict]]:
     refuses a structure that is not n x n tables of elements.
 
     The order and lattice entries are computed once per (leq, meet, join)
-    by the memo `_lattice_report`, and each call gets fresh dicts.  Up to
-    `_BYTE_ELEMENTS` (256) elements, whole-row byte gathers (`_laws_hold`)
-    first test the product laws; when they hold no entry can follow, so
-    the (a, b, c) walk, the one code that names their witnesses, runs only
-    where a law fails or an element does not fit in a byte.
+    by the memo `_lattice_report`, and each call gets fresh dicts.  The
+    product laws are tested, and their witnesses named, by whole-row
+    gathers, one element x at a time (`_product_law_report`).
     """
     check_instance(s, "s", FiniteResLat)
-    leq, mul, ldiv = s.leq, s.mul_table, s.ldiv_table
-    rng = range(len(leq))
+    leq, mul = s.leq, s.mul_table
     out = [(law, dict(witness)) for law, witness in _lattice_report(leq, s.meet_table, s.join_table)]
-    for a in rng:
+    for a in range(len(leq)):
         if mul[s.unit][a] != a or mul[a][s.unit] != a:
             out.append(("monoid-unit", {"a": a}))
-    if len(leq) <= _BYTE_ELEMENTS and _laws_hold(leq, mul, ldiv, s.rdiv_table):
-        return out
-
-    # one pass over (a, b, c), each row bound once per a or (a, b): the
-    # first associativity failure, then the adjunction failures in order
-    bad = None
-    adjunction: list[tuple[str, dict]] = []
-    rdiv_by_divisor = tuple(zip(*s.rdiv_table))  # [b][c] = c/b
-    for a in rng:
-        mul_a, ldiv_a, leq_a = mul[a], ldiv[a], leq[a]
-        for b in rng:
-            ab = mul_a[b]
-            mul_b, mul_ab, leq_ab, leq_b, rdiv_b = mul[b], mul[ab], leq[ab], leq[b], rdiv_by_divisor[b]
-            for c in rng:
-                if mul_ab[c] != mul_a[mul_b[c]] and bad is None:
-                    bad = (a, b, c)
-                adj = leq_ab[c]
-                if adj != leq_a[rdiv_b[c]] or adj != leq_b[ldiv_a[c]]:
-                    adjunction.append(("adjunction", {"a": a, "b": b, "c": c}))
-    if bad is not None:
-        out.append(("monoid-associative", dict(zip("abc", bad))))
-    return out + adjunction
+    return out + _product_law_report(leq, mul, s.ldiv_table, s.rdiv_table)
 
 
 # ---------------------------------------------------------------------------

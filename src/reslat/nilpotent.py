@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
-from ._check import check_instance, check_int
+from ._check import check_instance, check_int, is_int_triple
 
 __all__ = [
     "HeisTriple",
@@ -88,7 +88,7 @@ def heis_inv(g: HeisTriple) -> HeisTriple:
 
 
 def _check_triple(g) -> None:
-    if not (isinstance(g, tuple) and len(g) == 3 and all(x.__class__ is int for x in g)):
+    if not is_int_triple(g):
         raise ValueError(f"g must be a triple of ints, got {g!r}")
 
 

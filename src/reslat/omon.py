@@ -357,9 +357,9 @@ S2Instance = Chain(
 
 
 def group_chain(name: str, unit, mul: Callable, inv: Callable, cmp: Callable,
-                member: Optional[Callable[[object], bool]] = None) -> Chain:
+                member: Callable[[object], bool]) -> Chain:
     """A totally ordered group as a residuated chain: a\\b = a^-1 b and
-    a/b = a b^-1, with the element rule `member` if one is given."""
+    a/b = a b^-1; a sampled check refuses a value that the rule `member` refuses."""
     return Chain(name, unit, mul, cmp, ldiv=lambda a, b: mul(inv(a), b),
                  rdiv=lambda a, b: mul(a, inv(b)), member=member)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ._check import check_instance, check_int
+from ._check import check_instance, check_int, is_int_triple
 from .nilpotent import HEIS_UNIT, HeisTriple, heis_cmp, heis_inv, heis_mul, s2_member, s2_require
 from .omon import S2Instance, group_chain
 
@@ -36,13 +36,8 @@ __all__ = [
 ]
 
 
-def _f2_member(g) -> bool:
-    """The group's element rule, as `heis_pow` checks it: a triple of ints."""
-    return isinstance(g, tuple) and len(g) == 3 and all(x.__class__ is int for x in g)
-
-
 # the whole group under the extended order, as a residuated chain
-F2Instance = group_chain("f2", HEIS_UNIT, heis_mul, heis_inv, heis_cmp, member=_f2_member)
+F2Instance = group_chain("f2", HEIS_UNIT, heis_mul, heis_inv, heis_cmp, member=is_int_triple)
 
 
 @dataclass(frozen=True)
