@@ -93,6 +93,7 @@ MAX_SIZE = 64
 """The largest chain `chain_leq` builds and `enumerate_chain_models` takes,
 and the default size cap of `reslat check` (RESLAT_MAX_SIZE)."""
 _ORDER_CACHE_SIZE = 16
+_ROW_MEMO_SIZE = 2048  # entries in an order's `lines` and `rows` that `_checked_order` allows
 _BYTE_ELEMENTS = 256  # the most elements `_product_law_report` encodes one byte each
 
 Table = tuple[tuple[int, ...], ...]
@@ -197,27 +198,21 @@ def _order_violations(leq, up: list[int]) -> Iterator[tuple[str, tuple[int, ...]
                     yield from (("transitive", (a, b, c)) for c in range(n) if bad >> c & 1)
 
 
-def _first_gap(s: Sequence[Sequence], t: Sequence[Sequence]) -> Optional[tuple[int, int]]:
-    """The first cell in row-major order that is None in `s` or in `t`."""
-    if all(None not in row for row in (*s, *t)):
-        return None
-    return next((a, b) for a, (rs, rt) in enumerate(zip(s, t))
-                for b, (x, y) in enumerate(zip(rs, rt)) if x is None or y is None)
-
-
 class _LatticeOrder(NamedTuple):
     """A checked lattice order with its meet and join tables, and what the
     monoid part of `derive_residuals` needs of it: `principal` maps each
     down-set mask to the element it is the down-set of, and `covers` lists
     every pair (b, d) with d a lower cover of b, with b running along a
-    linear extension.  Records are memoised and shared between calls, so
-    they and their tables are read-only."""
+    linear extension.  Records are memoised and shared between calls: the
+    fields above are read-only; `lines` and `rows` are `_residuated`'s memo."""
 
     leq: tuple[tuple[bool, ...], ...]
     meet: Table
     join: Table
     principal: dict[int, int]
     covers: tuple[tuple[int, int], ...]
+    lines: dict
+    rows: dict
 
 
 @functools.lru_cache(maxsize=_ORDER_CACHE_SIZE)
@@ -236,77 +231,83 @@ def _lattice_order(leq: tuple[tuple[bool, ...], ...]) -> _LatticeOrder:
     above = {m: a for a, m in enumerate(up)}
     meet = tuple(tuple(principal.get(x & y) for y in down) for x in down)
     join = tuple(tuple(above.get(x & y) for y in up) for x in up)
-    gap = _first_gap(meet, join)
-    if gap is not None:
-        raise NotALattice(f"missing meet or join for ({gap[0]},{gap[1]})")
+    if any(None in row for row in (*meet, *join)):
+        a, b = next((a, b) for a in rng for b in rng if meet[a][b] is None or join[a][b] is None)
+        raise NotALattice(f"missing meet or join for ({a},{b})")
     # d is a lower cover of b iff the interval [d, b] is {d, b}
     covers = tuple((b, d) for b in sorted(rng, key=lambda b: down[b].bit_count())
                    for d in rng if (down[b] & up[d]).bit_count() == 2)
-    return _LatticeOrder(leq, meet, join, principal, covers)
+    return _LatticeOrder(leq, meet, join, principal, covers, {}, {})
 
 
-def _residual_row(order: _LatticeOrder, row: Sequence[int]) -> tuple[Optional[int], ...]:
-    """For each b, the c whose down-set is {c : row[c] <= b}, or None if that
-    set is not a principal down-set.  The set is the union of the preimages
-    of everything below b, accumulated along lower covers."""
-    below = [0] * len(row)
-    for c, v in enumerate(row):
+def _residual_row(order: _LatticeOrder, line: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """For each b, the c whose down-set is {c : line[c] <= b}, the union of
+    the preimages of everything below b, accumulated along lower covers; put
+    in the order's memo, or None, kept nowhere, if a set is not principal."""
+    below = [0] * len(line)
+    for c, v in enumerate(line):
         below[v] |= 1 << c
     for b, d in order.covers:
         below[b] |= below[d]
-    return tuple(map(order.principal.get, below))
+    try:
+        row = tuple(map(order.principal.__getitem__, below))
+    except KeyError:
+        return None
+    row = order.lines[line] = order.rows.setdefault(row, row)
+    return row
 
 
-def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str,
-                memo: Optional[dict] = None, rows: Optional[dict] = None) -> FiniteResLat:
+def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str) -> FiniteResLat:
     """The residuation part of `derive_residuals`: derive both residual
-    tables of a monoid table `mul` over a checked lattice order.  `memo` maps
-    a row or column of `mul` to its `_residual_row`; one call may share it
-    between tables on this order, and then `rows` maps each residual row to
-    one equal row object.  Monotonicity has no test of its own: when every
-    {c : a*c <= b} and {c : c*a <= b} is a principal down-set, c <= c'
-    gives a*c <= a*c' and c*a <= c'*a.  So a product that is not
-    order-preserving always leaves a residual gap, and a gap is first
-    reported as that failure, at its lex-first witness."""
-    leq = order.leq
-    rng = range(len(leq))
-    memo = {} if memo is None else memo
-    cols = tuple(zip(*mul))
-    for line in (*mul, *cols):
-        if line not in memo:
-            row = _residual_row(order, line)
-            memo[line] = row if rows is None else rows.setdefault(row, row)
-    ldiv = tuple(map(memo.__getitem__, mul))
-    rdiv_by_divisor = tuple(map(memo.__getitem__, cols))
-    gap = _first_gap(ldiv, rdiv_by_divisor)
-    if gap is not None:
-        for a in rng:
+    tables of a monoid table `mul` over a checked lattice order.  The
+    order's `lines` maps each row or column of a product on it to its
+    `_residual_row`, and its `rows` each row of those tables to one equal
+    row object; a line is read from them once, so emptying them in another
+    thread costs a re-derivation, never a KeyError.  Monotonicity has no
+    test of its own: when every {c : a*c <= b} and {c : c*a <= b} is a
+    principal down-set, c <= c' gives a*c <= a*c' and c*a <= c'*a.  So a
+    product that is not order-preserving always leaves a residual gap, and
+    a gap is first reported as that failure, at its lex-first witness;
+    else at the first (a, b) whose set, a down-set now, has no or two
+    maximal elements."""
+    leq, n = order.leq, len(order.leq)
+    rng = range(n)
+    lines = (*mul, *zip(*mul))
+    get = order.lines.get
+    found = tuple(map(get, lines))
+    if None in found:  # a line new to the memo, or one with a gap, which it does not keep
+        found = tuple(row or get(line) or _residual_row(order, line)
+                      for row, line in zip(found, lines))
+        if None in found:
+            for a in rng:
+                for b in rng:
+                    if leq[a][b]:
+                        for c in rng:
+                            if not leq[mul[a][c]][mul[b][c]] or not leq[mul[c][a]][mul[c][b]]:
+                                raise NotResiduated(f"product not order-preserving: {a}<={b} but "
+                                                    f"multiplication by {c} breaks it")
+            a = next(a for a in rng if found[a] is None or found[n + a] is None)
             for b in rng:
-                if leq[a][b]:
-                    for c in rng:
-                        if not leq[mul[a][c]][mul[b][c]] or not leq[mul[c][a]][mul[c][b]]:
-                            raise NotResiduated(
-                                f"product not order-preserving: {a}<={b} but "
-                                f"multiplication by {c} breaks it"
-                            )
-        a, b = gap
-        if ldiv[a][b] is None:
-            cand = [c for c in rng if leq[mul[a][c]][b]]
-            raise NotResiduated(
-                f"no left residual {a}\\{b}; maximal candidates {_two_maximal(leq, cand)}")
-        cand = [c for c in rng if leq[mul[c][a]][b]]
-        raise NotResiduated(
-            f"no right residual {b}/{a}; maximal candidates {_two_maximal(leq, cand)}")
+                top = _two_maximal(leq, [c for c in rng if leq[mul[a][c]][b]])
+                if len(top) != 1:
+                    raise NotResiduated(f"no left residual {a}\\{b}; maximal candidates {top}")
+                top = _two_maximal(leq, [c for c in rng if leq[mul[c][a]][b]])
+                if len(top) != 1:
+                    raise NotResiduated(f"no right residual {b}/{a}; maximal candidates {top}")
 
-    rdiv = tuple(zip(*rdiv_by_divisor))
-    if rows is not None:
-        rdiv = tuple(map(rows.setdefault, rdiv, rdiv))
-    # the tables built here are n x n tuples of elements: skip the shape check
-    s = object.__new__(FiniteResLat)
-    for key, value in zip(("leq", "mul_table", "unit", "meet_table", "join_table",
-                           "ldiv_table", "rdiv_table", "name"),
-                          (leq, mul, unit, order.meet, order.join, ldiv, rdiv, name)):
-        object.__setattr__(s, key, value)
+    rdiv = tuple(zip(*found[n:]))
+    rdiv = tuple(map(order.rows.setdefault, rdiv, rdiv))
+    # the tables built here are n x n tuples of elements: skip the shape check,
+    # and set the fields in their declared order, so that the instance dict shares its keys
+    s, set_ = object.__new__(FiniteResLat), object.__setattr__
+    set_(s, "leq", leq)
+    set_(s, "mul_table", mul)
+    set_(s, "unit", unit)
+    set_(s, "meet_table", order.meet)
+    set_(s, "join_table", order.join)
+    set_(s, "ldiv_table", found[:n])
+    set_(s, "rdiv_table", rdiv)
+    set_(s, "name", name)
     return s
 
 
@@ -341,9 +342,13 @@ def _check_shape(name, tables, *units) -> None:
 
 def _checked_order(name, tables, *units) -> _LatticeOrder:
     """The lattice order of the first of `tables`, the `leq` table, once
-    `_check_shape` passes."""
+    `_check_shape` passes, its memo emptied past _ROW_MEMO_SIZE entries."""
     _check_shape(name, tables, *units)
-    return _lattice_order(tuple(tuple(map(bool, row)) for row in tables[0][1]))
+    order = _lattice_order(tuple(tuple(map(bool, row)) for row in tables[0][1]))
+    if len(order.lines) + len(order.rows) > _ROW_MEMO_SIZE:
+        order.lines.clear()
+        order.rows.clear()
+    return order
 
 
 def derive_residuals(
@@ -766,8 +771,7 @@ def enumerate_chain_models(
     filtered by the named-property constraints.  Raises ValueError, before
     enumerating anything, unless `cap` is an int >= 1, `n` an int in
     1..min(cap, MAX_SIZE) (the sizes `chain_leq` builds) and `constraints`
-    a list or tuple of known names.  The tables share one memo of residual
-    rows, and equal rows of the tables are one object, for this call only."""
+    a list or tuple of known names."""
     check_int(cap, "cap", 1)
     check_int(n, "chain size", 1, min(cap, MAX_SIZE))
     if not isinstance(constraints, (list, tuple)):
@@ -775,18 +779,11 @@ def enumerate_chain_models(
     for c in constraints:
         if not isinstance(c, str) or c not in PROPERTIES:
             raise _unknown_property(c)
-    order = _lattice_order(chain_leq(n))
-    units = [0] if n == 1 else range(1, n)
-    found = []
-    memo: dict = {}
-    rows: dict = {}
-    for unit in units:
-        name = f"chain{n}-u{unit}"
-        for mul in _chain_tables(n, unit, rows):
-            s = _residuated(order, mul, unit, name, memo, rows)
-            if all(check_named_property(s, c).holds for c in constraints):
-                found.append(s)
-    return found
+    order = _checked_order("", (("leq", chain_leq(n)),))
+    names = {unit: f"chain{n}-u{unit}" for unit in ([0] if n == 1 else range(1, n))}
+    models = (_residuated(order, mul, unit, name) for unit, name in names.items()
+              for mul in _chain_tables(n, unit, order.rows))
+    return [s for s in models if all(check_named_property(s, c).holds for c in constraints)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from functools import cache, cmp_to_key
 from itertools import chain, product, starmap
 from typing import Callable, Iterable, Iterator, Optional
 
-from ._check import check_int
+from ._check import check_instance, check_int
 from .nilpotent import (
     DYADIC_POW_BOUND,
     DYADIC_UNIT,
@@ -118,6 +118,7 @@ class Chain:
 
 
 def _check_search(inst: Chain, side: str, *operands) -> None:
+    check_instance(inst, "inst", Chain)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if inst.candidates is None or inst.member is None:
@@ -131,11 +132,16 @@ def residual_search(inst: Chain, a, b, side: str = "left", bound: int = SEARCH_B
     """Greatest c with a*c <= b (left) or c*a <= b (right): the first hit of
     the descending candidates, read past a row's least element only in the
     first row where it hits.  Raises ResidualExhausted when the bound is too
-    small; never returns a wrong answer.  Raises ValueError for an operand
-    outside the chain, or a bound that is not an int in 1..SEARCH_BOUND; the
-    default is SEARCH_BOUND, the largest box."""
-    member = inst.member  # the checks in one test; _check_search raises the first refusal
-    if not (side in ("left", "right") and inst.candidates and member and member(a) and member(b)):
+    small; never returns a wrong answer.  Raises ValueError for an `inst`
+    that is not a Chain, an operand outside the chain, or a bound that is
+    not an int in 1..SEARCH_BOUND; the default is SEARCH_BOUND, the largest
+    box."""
+    try:  # the checks in one test; _check_search raises the first refusal
+        member = inst.member
+        fast = side in ("left", "right") and inst.candidates and member and member(a) and member(b)
+    except AttributeError:  # not a chain
+        fast = False
+    if not fast:
         _check_search(inst, side, a, b)
     if bound.__class__ is not int or not 0 < bound <= SEARCH_BOUND:
         check_int(bound, "bound", 1, SEARCH_BOUND)

@@ -84,6 +84,11 @@ REFUSALS = {
     "residual_scan side": (lambda: omon.residual_scan(omon.M1Instance, (0, 0), [(0, 0)], "up", 4),
                            "side must be 'left' or 'right'"),
     "s2_residual side": (lambda: omon.s2_residual(X, Y, "up"), "side must be 'left' or 'right'"),
+    # a search refuses a non-chain once its one-test fast path fails
+    "residual_search None": (lambda: omon.residual_search(None, (0, 0), (0, 0)),
+                             "inst must be a Chain, got None"),
+    "residual_scan None": (lambda: omon.residual_scan(None, (0, 0), [(0, 0)], "left", 3),
+                           "inst must be a Chain, got None"),
     "Term leaf with a child": (lambda: terms.Term("e", left=terms.var("x")), "leaf node with children"),
     "Term variable name": (lambda: terms.Term("var", "X"), "bad variable name 'X'"),
     "Term binary with one child": (lambda: terms.Term("*", left=terms.var("x")),
@@ -133,6 +138,9 @@ REFUSALS = {
         lambda: terms.check_equation_sampled(terms.parse_equation("x*y = y*x"), models.godel3(),
                                              [{"x": 0, "y": 1}, {"x": 7, "y": 1}]),
         "assignments[1]['x'] = 7 is not an element of 'godel3'"),
+    "check_equation_sampled s None": (
+        lambda: terms.check_equation_sampled(terms.parse_equation("x = x"), None, [{"x": 1}]),
+        "s must be a structure with unit, join, meet, ldiv, rdiv, mul, got None"),
     "check_equation_sampled assignments None": (
         lambda: terms.check_equation_sampled(terms.parse_equation("x = x"), models.godel3(), None),
         "assignments must be iterable, got None"),

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -809,6 +810,95 @@ def test_equal_rows_of_one_enumeration_are_one_object():
     for s in chains6[::23]:
         alone = R.derive_residuals(s.leq, s.mul_table, s.unit, s.name)
         assert alone == s and alone.rdiv_table == s.rdiv_table
+
+
+def _derived(leq, mul, unit):
+    """What `derive_residuals` gives, in the form `_reference_derive` does."""
+    try:
+        s = finite.derive_residuals(leq, mul, unit)
+    except finite.StructureError as exc:
+        return type(exc), str(exc)
+    return s.meet_table, s.join_table, s.ldiv_table, s.rdiv_table
+
+
+def _memo_inputs(mutants):
+    structures = models.model_library()
+    structures += [s for n in range(1, 7) for s in R.enumerate_chain_models(n)]
+    return [(s.leq, s.mul_table, s.unit) for s in structures] + list(
+        _mutants(structures, mutants, seed=20240827))
+
+
+def test_a_derivation_on_a_known_order_repeats_the_first():
+    # each order's memo of residual rows starts empty, then serves the second pass
+    inputs = _memo_inputs(1000)
+    finite._lattice_order.cache_clear()
+    first = [_derived(*args) for args in inputs]
+    second = [_derived(*args) for args in inputs]
+    assert first == second == [_reference_derive(*args) for args in inputs]
+    assert sum(isinstance(got[1], str) for got in first) > 500  # refusals are repeated too
+
+
+def test_the_row_memo_is_emptied_past_its_bound(monkeypatch):
+    inputs = _memo_inputs(300)
+    want = [_reference_derive(*args) for args in inputs]
+    chains = [R.enumerate_chain_models(n) for n in range(1, 7)]
+    monkeypatch.setattr(finite, "_ROW_MEMO_SIZE", 16)
+    finite._lattice_order.cache_clear()
+    for args, expected in zip(inputs, want):
+        assert _derived(*args) == expected
+        if expected[0] is not finite.NotALattice:
+            order = finite._lattice_order(tuple(tuple(map(bool, row)) for row in args[0]))
+            # a derivation adds at most its 2n lines, their rows and the n rows of rdiv
+            assert len(order.lines) + len(order.rows) <= 16 + 5 * len(args[0])
+    assert [R.enumerate_chain_models(n) for n in range(1, 7)] == chains
+
+
+def test_threads_deriving_on_one_order_while_its_memo_is_emptied_agree(monkeypatch):
+    monkeypatch.setattr(finite, "_ROW_MEMO_SIZE", 1)
+    chains6 = R.enumerate_chain_models(6)
+    inputs = [(s.leq, s.mul_table, s.unit) for s in chains6]
+    inputs += _mutants(chains6, 200, seed=20240828)
+    want = [_reference_derive(*args) for args in inputs] * 2
+    results, errors = {}, []
+
+    def derive_all(key):
+        try:
+            results[key] = [_derived(*args) for args in inputs * 2]
+        except Exception as exc:  # the test asserts there is none
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that clears land mid-derivation
+    try:
+        threads = [threading.Thread(target=derive_all, args=(key,)) for key in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert results == {0: want, 1: want}
+
+
+def test_equal_rows_of_two_enumerations_are_one_object():
+    first, second = R.enumerate_chain_models(5), R.enumerate_chain_models(5)
+    assert first == second
+    rows = [row for s in first + second for table in (s.mul_table, s.ldiv_table, s.rdiv_table)
+            for row in table]
+    assert len({id(row) for row in rows}) == len(set(rows))
+
+
+def test_the_seven_element_chains_fit_in_the_row_memo():
+    finite._lattice_order.cache_clear()
+    first = R.enumerate_chain_models(7, cap=7)
+    order = finite._lattice_order(finite.chain_leq(7))
+    assert (len(first), len(order.lines)) == (4687, 439)
+    assert len(order.lines) + len(order.rows) <= finite._ROW_MEMO_SIZE
+    # the second enumeration starts with the memo of the first, not an emptied one
+    kept = dict(order.lines)
+    second = R.enumerate_chain_models(7, cap=7)
+    assert order.lines == kept and second[-1].ldiv_table[-1] is first[-1].ldiv_table[-1]
 
 
 def test_seven_element_tables_are_closed_under_transpose():

@@ -12,7 +12,9 @@ SUITE is one of (each job's set-up, expression and unit are in SUITES):
   exits with another code than its job expects fails.
 - `enumerate`: the chain enumerator at sizes 5 to 7, `derive_residuals`
   and `validate_axioms` on the size-6 chains and on the 15-element
-  `heyting5 x godel3`, the JSON round trip, the named properties on the
+  `heyting5 x godel3`, `derive_residuals_chains6_cold` (each size-6 chain
+  derived after emptying its order's memo of residual rows, so each is a
+  first derivation on the order), the JSON round trip, the named properties on the
   library and the chains up to size 5, the four per-model properties of
   the benchmark's `finite` workload on the size-6 chains, and
   `models.model_library()`.
@@ -134,6 +136,18 @@ with open("product.json", "w") as fh:
     json.dump(finite.structure_to_json(product), fh)
 """
 _CHAINS6 = "chains6 = finite.enumerate_chain_models(6)"
+# the size-6 chains share one order; a source without its memo of residual
+# rows empties two dicts of its own, so that both sides pay for two clears
+_COLD = _CHAINS6 + """
+order = finite._lattice_order(finite.chain_leq(6))
+memo = [getattr(order, key, {}) for key in ("lines", "rows")]
+def cold_derivations():
+    for s in chains6:
+        for table in memo:
+            table.clear()
+        finite.derive_residuals(s.leq, s.mul_table, s.unit)
+    return len(chains6)
+"""
 # the four properties that the benchmark's `finite` workload checks on each enumerated chain
 _PER_MODEL = _CHAINS6 + """
 checks = [(s, p) for s in chains6 for p in ("integral", "commutative", "e-cyclic", "LPL")]
@@ -298,6 +312,7 @@ SUITES = {
                 _CHAINS6,
                 "len([finite.derive_residuals(s.leq, s.mul_table, s.unit) for s in chains6])",
                 "us per structure"),
+            "derive_residuals_chains6_cold": (_COLD, "cold_derivations()", "us per structure"),
             "derive_residuals_product_x100": (
                 "product = models.direct_product(models.heyting5(), models.godel3())",
                 "len([finite.derive_residuals(product.leq, product.mul_table, product.unit)"
