@@ -89,15 +89,15 @@ class Chain:
     is the greatest c with a*c <= b and `rdiv(a, b)` the greatest c with
     c*b <= a.  `S2Instance`, `F2Instance` and `M1Instance.mul`/`cmp` trust
     their operands, checked once where they enter; `m1_residual` (the m1
-    `ldiv`/`rdiv`) and every `DyadicInstance` operation check theirs.  A
-    chain that `residual_search` and `residual_scan` can scan gives
-    `candidates(bound)`, streaming a finite box strictly descending from the
-    unit in rows (tuples) along which a*c and c*a descend for each a, and
-    `member(a)`, False (never an error) for any value that is not an
-    element, which the scans check operands with; `check_equation_sampled`
-    checks values with `member` alone, which the group chains give too.
-    `box_holds(b, bound)` is False where that box may miss a residual into
-    b (None: it is an up-set).
+    `ldiv`/`rdiv`) and every `DyadicInstance` operation check theirs.
+    Every chain states its element rule `member(a)`, False (never an error)
+    for any value that is not an element, with which the scans check
+    operands and `check_equation_sampled` checks values.  A chain that
+    `residual_search` and `residual_scan` can scan gives `candidates(bound)`,
+    streaming a finite box strictly descending from the unit in rows
+    (tuples) along which a*c and c*a descend for each a.  `box_holds(b,
+    bound)` is False where that box may miss a residual into b (None: it is
+    an up-set).
     """
 
     name: str
@@ -106,9 +106,12 @@ class Chain:
     cmp: Callable
     ldiv: Callable
     rdiv: Callable
+    member: Callable[[object], bool]
     candidates: Optional[Callable[[int], Iterable]] = None
-    member: Optional[Callable[[object], bool]] = None
     box_holds: Optional[Callable[[object, int], bool]] = None
+
+    def __post_init__(self):
+        check_instance(self.member, "member", Callable)
 
     def meet(self, a, b):
         return a if self.cmp(a, b) <= 0 else b
@@ -121,7 +124,7 @@ def _check_search(inst: Chain, side: str, *operands) -> None:
     check_instance(inst, "inst", Chain)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if inst.candidates is None or inst.member is None:
+    if inst.candidates is None:
         raise ValueError(f"chain {inst.name!r} has no candidate stream to search")
     for x in operands:
         if not inst.member(x):
@@ -136,12 +139,8 @@ def residual_search(inst: Chain, a, b, side: str = "left", bound: int = SEARCH_B
     that is not a Chain, an operand outside the chain, or a bound that is
     not an int in 1..SEARCH_BOUND; the default is SEARCH_BOUND, the largest
     box."""
-    try:  # the checks in one test; _check_search raises the first refusal
-        member = inst.member
-        fast = side in ("left", "right") and inst.candidates and member and member(a) and member(b)
-    except AttributeError:  # not a chain
-        fast = False
-    if not fast:
+    if not (inst.__class__ is Chain and side in ("left", "right") and inst.candidates
+            and (member := inst.member)(a) and member(b)):  # _check_search names the refusal
         _check_search(inst, side, a, b)
     if bound.__class__ is not int or not 0 < bound <= SEARCH_BOUND:
         check_int(bound, "bound", 1, SEARCH_BOUND)

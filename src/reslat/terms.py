@@ -98,7 +98,6 @@ has depth 0, `x*y` depth 1), and the parser parentheses nested deeper."""
 _OPS = {"v": (0, "join"), "^": (1, "meet"), "\\": (2, "ldiv"), "/": (2, "rdiv"), "*": (3, "mul")}
 """Each binary operator's binding strength (higher binds tighter) and the
 name of its table and of its method on a structure."""
-_STRUCTURE = ("unit", *(name for _, name in _OPS.values()))  # what `eval_term` reads of `s`
 _TIGHTEST = max(strength for strength, _ in _OPS.values())
 _IDENT = re.compile(r"[a-z][a-z0-9]*")
 
@@ -548,30 +547,28 @@ def check_equation(law: Law, s) -> Verdict:
 
 def check_equation_sampled(law: Law, s, assignments: Iterable[Mapping]) -> Verdict:
     """The interpreted route: decide an equation or quasi-equation by `eval_term`
-    in `s`, any structure, at the given assignments only.  The first assignment
-    where every premise holds, tested in order, and the conclusion's sides
-    differ is the witness (a copy); else HOLDS.  Raises ValueError for a `law`
-    that is neither, `assignments` that are not iterable, an assignment that
-    is not a Mapping, or, where `s` has a `member` rule, a value it refuses,
-    and where it has none, an `s` without a unit and the five operations;
-    and EvalError when it evaluates a variable the assignment leaves unbound."""
+    in `s`, any structure with a `member` rule, at the given assignments only.
+    The first assignment where every premise holds, tested in order, and the
+    conclusion's sides differ is the witness (a copy); else HOLDS.  Raises
+    ValueError for a `law` that is neither, `assignments` that are not
+    iterable, an assignment that is not a Mapping, an `s` without a `member`
+    rule, or a value that rule refuses; and EvalError when it evaluates a
+    variable the assignment leaves unbound."""
     check_instance(law, "law", (Equation, QuasiEquation))
     premises, conclusion = getattr(law, "premises", ()), getattr(law, "conclusion", law)
     try:
         assignments = iter(assignments)
     except TypeError:
         raise ValueError(f"assignments must be iterable, got {assignments!r}") from None
-    member = getattr(s, "member", None)  # None: `s` states no element rule
-    if member is None and not all(hasattr(s, key) for key in _STRUCTURE):
-        raise ValueError(f"s must be a structure with {', '.join(_STRUCTURE)}, got {s!r}")
+    member = getattr(s, "member", None)
+    if not callable(member):
+        raise ValueError(f"s must be a structure with a member rule, got {s!r}")
 
     for i, a in enumerate(assignments):
         check_instance(a, f"assignments[{i}]", Mapping)
-        if member is not None:
-            for x, v in a.items():
-                if not member(v):
-                    raise ValueError(f"assignments[{i}][{x!r}] = {v!r} is not an element "
-                                     f"of {s.name!r}")
+        for x, v in a.items():
+            if not member(v):
+                raise ValueError(f"assignments[{i}][{x!r}] = {v!r} is not an element of {s.name!r}")
         if all(eval_term(p.lhs, a, s) == eval_term(p.rhs, a, s) for p in premises) \
                 and eval_term(conclusion.lhs, a, s) != eval_term(conclusion.rhs, a, s):
             return Verdict(False, dict(a))

@@ -140,7 +140,7 @@ REFUSALS = {
         "assignments[1]['x'] = 7 is not an element of 'godel3'"),
     "check_equation_sampled s None": (
         lambda: terms.check_equation_sampled(terms.parse_equation("x = x"), None, [{"x": 1}]),
-        "s must be a structure with unit, join, meet, ldiv, rdiv, mul, got None"),
+        "s must be a structure with a member rule, got None"),
     "check_equation_sampled assignments None": (
         lambda: terms.check_equation_sampled(terms.parse_equation("x = x"), models.godel3(), None),
         "assignments must be iterable, got None"),
@@ -291,6 +291,19 @@ def test_every_other_bad_argument_is_refused_with_one_message(site):
     call, message = REFUSALS[site]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# every structure the library reads states the rule its values must pass
+STRUCTURES = {**{name: build() for name, build in models.MODEL_BUILDERS.items()},
+              "m1": omon.M1Instance, "s2": omon.S2Instance, "f2": ore.F2Instance,
+              "dyadic": omon.DyadicInstance}
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_every_structure_has_an_element_rule(name):
+    s = STRUCTURES[name]
+    assert s.member(s.unit) is True
+    assert [s.member(v) for v in (None, True, 1.5)] == [False, False, False]
 
 
 # --- malformed input at the boundary ----------------------------------------

@@ -3,8 +3,10 @@ scripts under tools/ too), every top-level private name is referenced
 somewhere in the package (deleting code tends to leave both behind), no
 module imports another's private name, only the CLI reads the environment,
 no module tests for bool (integer arguments go through
-`_check.check_int`, which refuses any class but int), and no module, test
-or tool defines one top-level function or class name twice."""
+`_check.check_int`, which refuses any class but int), no module catches
+AttributeError (a structure states its contract, so nothing is duck-typed),
+and no module, test or tool defines one top-level function or class name
+twice."""
 
 import ast
 import collections
@@ -133,6 +135,19 @@ def test_no_module_tests_for_bool():
     # the bool policy of integer arguments lives in one function
     tests = [f"{module}:{line}" for module, tree in TREES.items() for line in _bool_tests(tree)]
     assert tests == []
+
+
+def _catches(handler: ast.ExceptHandler, name: str) -> bool:
+    kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(kind, ast.Name) and kind.id == name for kind in kinds)
+
+
+def test_no_module_catches_attribute_error():
+    # an `except AttributeError` guard accepts any object that has the right fields
+    handlers = [f"{module}:{node.lineno}" for module, tree in TREES.items()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ExceptHandler) and _catches(node, "AttributeError")]
+    assert handlers == []
 
 
 def test_no_module_defines_a_name_twice():

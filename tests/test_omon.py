@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import itertools
 import re
+import types
 from fractions import Fraction
 
 import pytest
@@ -301,10 +302,23 @@ def test_a_bool_bound_is_refused_before_any_scan():
             search()
 
 
-def test_a_chain_without_member_check_cannot_be_searched():
-    unchecked = dataclasses.replace(S2Instance, member=None)
-    with pytest.raises(ValueError, match="^chain 's2' has no candidate stream to search$"):
-        residual_search(unchecked, X, Y)
+def test_a_chain_is_built_with_an_element_rule():
+    # every chain states its member rule, so a search never meets a chain without one
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'member'"):
+        Chain("toy", 0, m1_mul, m1_cmp, ldiv=None, rdiv=None)
+    with pytest.raises(ValueError, match="^member must be a Callable, got None$"):
+        dataclasses.replace(S2Instance, member=None)
+
+
+def test_an_object_with_a_chains_fields_is_not_searched():
+    # the search's fast path tests the class, so both searches refuse what is not a Chain
+    duck = types.SimpleNamespace(**{f.name: getattr(M1Instance, f.name)
+                                    for f in dataclasses.fields(Chain)})
+    refusal = re.escape(f"inst must be a Chain, got {duck!r}")
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        residual_search(duck, (1, 0), (2, 1), "left", 8)
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        residual_scan(duck, (1, 0), [(2, 1)], "left", 8)
 
 
 def test_chain_algebra_interfaces():
