@@ -4,12 +4,12 @@ A structure is built from a partial-order relation, a monoid table and a
 unit via `derive_residuals`, which computes meet/join/residual tables and
 refuses anything that is not a residuated lattice, or, when the product is
 the meet and the unit the top, from the order alone via `heyting_algebra`.
-Both refuse a malformed table or unit by one shape rule (`_check_shape`),
-and so does the `FiniteResLat` constructor, so every structure has n x n
-tables of elements; `validate_axioms` re-checks its laws.  On top of that
-live the derived constructions:
-negative cones, absolute values, conjugates, convex subuniverses, the
-named-property battery, and a chain-model enumerator.
+Both refuse a malformed table or unit, and more than MAX_SIZE elements, by
+one shape rule (`_check_shape`), as does the `FiniteResLat` constructor, so
+every structure has n x n tables of elements; `validate_axioms` checks laws.
+On top of that live the derived constructions: negative cones, absolute
+values, conjugates, convex subuniverses, the named-property battery, and a
+chain-model enumerator.
 """
 
 from __future__ import annotations
@@ -90,11 +90,10 @@ class ModelTooLarge(StructureError):
 
 DEFAULT_ENUM_CAP = 6
 MAX_SIZE = 64
-"""The largest chain `chain_leq` builds and `enumerate_chain_models` takes,
+"""The most elements of a structure (`_check_shape`), so of a chain (`chain_leq`),
 and the default size cap of `reslat check` (RESLAT_MAX_SIZE)."""
 _ORDER_CACHE_SIZE = 16
 _ROW_MEMO_SIZE = 2048  # entries in an order's `lines` and `rows` that `_checked_order` allows
-_BYTE_ELEMENTS = 256  # the most elements `_product_law_report` encodes one byte each
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -109,12 +108,12 @@ _TABLES = ("leq", "mul_table", "meet_table", "join_table", "ldiv_table", "rdiv_t
 @dataclass(frozen=True)
 class FiniteResLat:
     """Finite residuated lattice; construct via `derive_residuals` or
-    `heyting_algebra`.  Its size `n` is len(leq), stored nowhere else.  Built
-    directly or by `dataclasses.replace`, it raises StructureError at the
-    first defect of the shape rule (`_check_shape`: the name, the tables in
-    field order, then the unit) and stores each table as tuples of tuples,
-    cells as given, so every structure hashes.  `validate_axioms` checks the
-    laws."""
+    `heyting_algebra`.  Its size `n` is len(leq), at most MAX_SIZE, stored
+    nowhere else.  Built directly or by `dataclasses.replace`, it raises
+    StructureError at the first defect of the shape rule (`_check_shape`:
+    the name, the size, the tables in field order, then the unit) and stores
+    each table as tuples of tuples, cells as given, so every structure
+    hashes.  `validate_axioms` checks the laws."""
 
     leq: tuple[tuple[bool, ...], ...]
     mul_table: Table
@@ -313,17 +312,20 @@ def _residuated(order: _LatticeOrder, mul: Table, unit: int, name: str) -> Finit
 
 def _check_shape(name, tables, *units) -> None:
     """Raise StructureError at the first defect of the shape rule: `name` is
-    a str and, for n the length of `leq`, the first of the (field, table)
-    `tables`, each table is a list or tuple of n rows that are lists or
-    tuples of n cells, each `leq` cell a bool or 0/1 and each other cell and
-    each of `units` an int (not a bool) in range(n).  Defects come in that
-    order, tables as given, row-major; a table of another length than `leq`
-    is a defect of its whole field."""
+    a str, `leq` (the first of the (field, table) `tables`) a list or tuple
+    of n <= MAX_SIZE rows, the one size bound, tested before any cell, and
+    each table a list or tuple of n rows that are lists or tuples of n
+    cells, each `leq` cell a bool or 0/1 and each other cell and each of
+    `units` an int (not a bool) in range(n).  Defects come in that order,
+    tables as given, row-major; a table of another length than `leq` is a
+    defect of its whole field."""
     if not isinstance(name, str):
         raise StructureError(f"name must be a string, got {name!r}")
     if not isinstance(tables[0][1], (list, tuple)):
         raise StructureError("leq must be a list of rows")
     n = len(tables[0][1])
+    if n > MAX_SIZE:
+        raise StructureError(f"leq has {n} rows, above MAX_SIZE={MAX_SIZE}")
     for key, table in tables:
         if not isinstance(table, (list, tuple)) or len(table) != n:
             raise StructureError(f"{key} must be a list of {n} rows")
@@ -361,7 +363,7 @@ def derive_residuals(
 
     Raises StructureError when `name` is not a str (the structure is
     hashed), then at the first defect of `leq`, `mul`, `unit` (row-major)
-    against the shape rule: n x n tables for n = len(leq), `leq` cells
+    against the shape rule: n x n tables for n = len(leq) <= MAX_SIZE, `leq` cells
     booleans or 0/1, `mul` cells and `unit` ints in range(n).  Raises
     NotALattice / NotAMonoid / NotResiduated with a witness in the message
     when the input fails the corresponding requirement.
@@ -432,17 +434,13 @@ def _product_law_report(leq, mul: Table, ldiv: Table, rdiv: Table) -> list[tuple
     x of mul or leq give x(yz), [x <= z/y] and [x <= y\\z], and the mul or
     leq rows that row or column x of mul names, joined, give (xy)z, [xy <= z]
     and [yx <= z]; a pair that differs is decoded as (x, y, z), or (y, x, z)
-    in the third.  An element is a byte up to _BYTE_ELEMENTS (a row padded to
-    256 bytes is a table), and past it a character (a row is its own table):
-    slower than the walk it replaced (3.2–4.1 s against 2.3 s on a 300-element
-    Gödel chain), and reached by no benchmark workload or test but the one
-    that lowers _BYTE_ELEMENTS."""
+    in the third.  An element is a byte, and a row padded to 256 bytes is a
+    table for `bytes.translate`."""
     n = len(leq)
-    encode, pad, join = ((bytes, bytes(_BYTE_ELEMENTS - n), b"".join) if n <= _BYTE_ELEMENTS
-                         else (lambda row: "".join(map(chr, row)), "", "".join))
-    rows, ups = [encode(row) for row in mul], [encode(row) for row in leq]
-    flat, by_divisor = join(rows), join(map(encode, zip(*rdiv)))  # [y][z] = z/y
-    flat_ldiv = join(map(encode, ldiv))
+    pad, join = bytes(256 - n), b"".join
+    rows, ups = [bytes(row) for row in mul], [bytes(row) for row in leq]
+    flat, by_divisor = join(rows), join(map(bytes, zip(*rdiv)))  # [y][z] = z/y
+    flat_ldiv = join(map(bytes, ldiv))
     out, adjunction = [], set()
     for x, (mul_x, col_x) in enumerate(zip(mul, zip(*mul))):
         up = ups[x] + pad
@@ -824,7 +822,8 @@ def structure_from_json(d: dict) -> FiniteResLat:
 def load_structure(path: str, max_n: Optional[int] = None) -> FiniteResLat:
     """Read a structure JSON file.  Any failure, from opening the file to
     checking its tables, raises StructureError naming the path.  A `leq` of
-    more than `max_n` (an int >= 1) rows is refused before any table is derived.
+    more than `max_n` (an int >= 1) rows, or than MAX_SIZE whatever `max_n`
+    is, is refused before any table is derived.
     A path that is not a str or an os.PathLike (an int would be opened as a
     file descriptor) is refused before anything is opened."""
     if max_n is not None:

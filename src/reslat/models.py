@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ._check import check_instance
-from .finite import FiniteResLat, chain_leq, derive_residuals, heyting_algebra
+from .finite import MAX_SIZE, FiniteResLat, StructureError, chain_leq, derive_residuals, heyting_algebra
 
 __all__ = [
     "trivial1",
@@ -61,9 +61,12 @@ MODEL_BUILDERS = {name: _builder(name, spec) for name, spec in _SPECS.items()}
 
 
 def direct_product(s: FiniteResLat, t: FiniteResLat) -> FiniteResLat:
-    """Componentwise product of two structures."""
+    """Componentwise product of two structures, refused above MAX_SIZE elements
+    before any table is built."""
     check_instance(s, "s", FiniteResLat)
     check_instance(t, "t", FiniteResLat)
+    if s.n * t.n > MAX_SIZE:
+        raise StructureError(f"a product of {s.n} and {t.n} elements is above MAX_SIZE={MAX_SIZE}")
     pairs = [(a, b) for a in s.elements for b in t.elements]
     idx = {p: i for i, p in enumerate(pairs)}
     leq = [

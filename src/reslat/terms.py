@@ -552,8 +552,8 @@ def check_equation_sampled(law: Law, s, assignments: Iterable[Mapping]) -> Verdi
     conclusion's sides differ is the witness (a copy); else HOLDS.  Raises
     ValueError for a `law` that is neither, `assignments` that are not
     iterable, an assignment that is not a Mapping, an `s` without a `member`
-    rule, or a value that rule refuses; and EvalError when it evaluates a
-    variable the assignment leaves unbound."""
+    rule, then one without `unit` or an operation, or a value that rule
+    refuses; and EvalError when it evaluates a variable left unbound."""
     check_instance(law, "law", (Equation, QuasiEquation))
     premises, conclusion = getattr(law, "premises", ()), getattr(law, "conclusion", law)
     try:
@@ -563,6 +563,9 @@ def check_equation_sampled(law: Law, s, assignments: Iterable[Mapping]) -> Verdi
     member = getattr(s, "member", None)
     if not callable(member):
         raise ValueError(f"s must be a structure with a member rule, got {s!r}")
+    for field in ("unit", *(op for _, op in _OPS.values())):
+        if not hasattr(s, field):
+            raise ValueError(f"s must be a structure with {field}, got {s!r}")
 
     for i, a in enumerate(assignments):
         check_instance(a, f"assignments[{i}]", Mapping)

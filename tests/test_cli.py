@@ -137,6 +137,16 @@ def test_model_size_is_checked_before_the_tables(capsys, tmp_path, monkeypatch):
     assert run(capsys, "check", "heyting5", "x = x") == (2, "", "error: model exceeds RESLAT_MAX_SIZE\n")
 
 
+def test_a_cap_above_the_size_bound_admits_no_larger_structure(capsys, tmp_path, monkeypatch):
+    n = finite.MAX_SIZE + 1
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"leq": [[int(a <= b) for b in range(n)] for a in range(n)],
+                                "mul": [[0] * n] * n, "unit": 0}))
+    monkeypatch.setenv("RESLAT_MAX_SIZE", "100")
+    assert run(capsys, "check", str(path), "x = x") == (
+        2, "", f"error: cannot load model {str(path)!r}: leq has {n} rows, above MAX_SIZE=64\n")
+
+
 def test_check_json_stable(capsys):
     code1, out1, _ = run(capsys, "check", "godel3", "x*y = y*x", "--json")
     code2, out2, _ = run(capsys, "check", "godel3", "x*y = y*x", "--json")

@@ -432,20 +432,16 @@ def test_validate_axioms_report_matches_the_reference_under_one_cell_corruptions
                     "join-lub", "monoid-unit", "monoid-associative", "adjunction"}
 
 
-def test_the_walk_past_the_byte_bound_reports_as_the_reference(monkeypatch):
-    # every chain here has more elements than the lowered bound, so each
-    # report comes from the character encoding, not from the byte encoding
-    monkeypatch.setattr(finite, "_BYTE_ELEMENTS", 1)
-    laws, count = set(), 0
-    for s in (s for n in range(2, 5) for s in R.enumerate_chain_models(n)):
-        assert R.validate_axioms(s) == _reference_validate_axioms(s) == [], s
-        for broken in itertools.islice(_one_cell_corruptions(s), 0, None, 3):  # every third
-            report = R.validate_axioms(broken)
-            assert report == _reference_validate_axioms(broken), broken.__dict__
-            laws.update(law for law, _ in report)
-            count += 1
-    assert count == 1_397
-    assert {"monoid-associative", "adjunction"} <= laws
+def test_validate_axioms_at_the_size_bound_reports_as_the_reference():
+    # the byte encoding at its largest size: rows of 64 elements padded with 192 bytes
+    s = R.heyting_algebra(R.chain_leq(finite.MAX_SIZE))
+    assert R.validate_axioms(s) == _reference_validate_axioms(s) == []
+    rows = [list(row) for row in s.mul_table]
+    rows[63][62] = 61  # 63 is the unit, so unit times 62 is 62
+    broken = finite.FiniteResLat(**{**s.__dict__, "mul_table": rows})
+    report = R.validate_axioms(broken)
+    assert report == _reference_validate_axioms(broken)
+    assert [law for law, _ in report] == ["monoid-unit", "monoid-associative", "adjunction"]
 
 
 def test_the_lattice_report_memo_is_bounded_like_the_order_memo():
@@ -969,6 +965,33 @@ def test_load_structure_refuses_a_model_above_its_cap(tmp_path):
     assert R.load_structure(str(path), max_n=5).n == 5
 
 
+def test_every_route_refuses_a_structure_above_the_size_bound(tmp_path):
+    # one message on every route, ahead of any cell: a junk (0,0) is not reached
+    n = finite.MAX_SIZE + 1
+    leq = [[a <= b for b in range(n)] for a in range(n)]
+    junk = [["no", *leq[0][1:]], *leq[1:]]
+    mul = [[0] * n] * n
+    message = f"leq has {n} rows, above MAX_SIZE={finite.MAX_SIZE}"
+    g3 = models.godel3()
+    routes = [
+        lambda leq: finite.FiniteResLat(**{**g3.__dict__, "leq": leq}),
+        lambda leq: dataclasses.replace(g3, leq=leq),
+        lambda leq: R.derive_residuals(leq, mul, 0),
+        R.heyting_algebra,
+        lambda leq: R.structure_from_json({"leq": leq, "mul": mul, "unit": 0}),
+    ]
+    path = tmp_path / "big.json"
+    for table in (leq, junk):
+        for route in routes:
+            with pytest.raises(R.StructureError, match=f"^{re.escape(message)}$"):
+                route(table)
+        path.write_text(json.dumps({"leq": table, "mul": mul, "unit": 0}))
+        for max_n in (None, 100):  # a cap above the bound admits no larger structure
+            with pytest.raises(R.StructureError,
+                               match=f"^{re.escape(f'cannot load model {str(path)!r}: {message}')}$"):
+                R.load_structure(str(path), max_n=max_n)
+
+
 def test_load_structure_refuses_a_path_that_is_not_a_str_or_pathlike(tmp_path):
     path = tmp_path / "g3.json"
     path.write_text(json.dumps(R.structure_to_json(models.godel3())))
@@ -1141,3 +1164,10 @@ def test_direct_product():
     assert p.n == 6
     assert R.validate_axioms(p) == []
     assert R.check_named_property(p, "integral").holds
+
+
+def test_direct_product_refuses_a_product_above_the_size_bound():
+    h9, h8 = (R.heyting_algebra(R.chain_leq(n)) for n in (9, 8))
+    with pytest.raises(R.StructureError, match=r"^a product of 9 and 8 elements is above MAX_SIZE=64$"):
+        models.direct_product(h9, h8)
+    assert models.direct_product(h8, h8).n == finite.MAX_SIZE

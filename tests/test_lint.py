@@ -5,6 +5,7 @@ module imports another's private name, only the CLI reads the environment,
 no module tests for bool (integer arguments go through
 `_check.check_int`, which refuses any class but int), no module catches
 AttributeError (a structure states its contract, so nothing is duck-typed),
+no module raises a built-in error that the library's typed errors replace,
 and no module, test or tool defines one top-level function or class name
 twice."""
 
@@ -148,6 +149,22 @@ def test_no_module_catches_attribute_error():
                 for node in ast.walk(tree)
                 if isinstance(node, ast.ExceptHandler) and _catches(node, "AttributeError")]
     assert handlers == []
+
+
+UNTYPED = {"IndexError", "KeyError", "AttributeError", "TypeError", "RecursionError"}
+
+
+def _raised(node: ast.Raise) -> str:
+    """The name a `raise` raises: `E` for `raise E` and `raise E(...)`, else ''."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else ""
+
+
+def test_no_module_raises_an_untyped_error():
+    # the library raises TermSyntaxError, StructureError or ValueError, never these
+    raises = [f"{module}:{node.lineno}" for module, tree in TREES.items()
+              for node in ast.walk(tree) if isinstance(node, ast.Raise) and _raised(node) in UNTYPED]
+    assert raises == []
 
 
 def test_no_module_defines_a_name_twice():

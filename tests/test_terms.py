@@ -327,6 +327,21 @@ def test_the_sampled_route_evaluates_a_premise_before_the_conclusion():
         R.check_equation_sampled(law, g3, [{"x": 0}, {"x": 2}])
 
 
+def test_the_sampled_route_refuses_a_structure_without_its_operations():
+    # each field the evaluator reads, named before any assignment is evaluated
+    fields = {"member": lambda v: True, "name": "x", "unit": 0,
+              "join": max, "meet": min, "ldiv": max, "rdiv": max, "mul": min}
+    law = R.parse_equation("x*y = y*x")
+    for missing in ("unit", "join", "meet", "ldiv", "rdiv", "mul"):
+        s = types.SimpleNamespace(**{k: v for k, v in fields.items() if k != missing})
+        with pytest.raises(ValueError, match=f"^s must be a structure with {missing}, got "):
+            R.check_equation_sampled(law, s, [{"x": 1, "y": 2}])
+    assert R.check_equation_sampled(law, types.SimpleNamespace(**fields), [{"x": 1, "y": 2}]) is HOLDS
+    with pytest.raises(ValueError, match="^s must be a structure with unit, got "):
+        R.check_equation_sampled(law, types.SimpleNamespace(member=lambda v: True, name="x"),
+                                 [{"x": 1, "y": 2}])
+
+
 # ---------------------------------------------------------------------------
 # the parser against the recursive-descent parser it replaced, one method per level
 

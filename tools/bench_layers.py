@@ -12,7 +12,8 @@ SUITE is one of (each job's set-up, expression and unit are in SUITES):
   exits with another code than its job expects fails.
 - `enumerate`: the chain enumerator at sizes 5 to 7, `derive_residuals`
   and `validate_axioms` on the size-6 chains and on the 15-element
-  `heyting5 x godel3`, `derive_residuals_chains6_cold` (each size-6 chain
+  `heyting5 x godel3`, `validate_axioms` on the 64-element Gödel chain (the
+  size bound), `derive_residuals_chains6_cold` (each size-6 chain
   derived after emptying its order's memo of residual rows, so each is a
   first derivation on the order), the JSON round trip, the named properties on the
   library and the chains up to size 5, the four per-model properties of
@@ -323,6 +324,9 @@ SUITES = {
             "validate_axioms_prod15": (
                 "product = models.direct_product(models.heyting5(), models.godel3())",
                 "sum(not finite.validate_axioms(product) for _ in range(100))", "us per structure"),
+            "validate_axioms_chain64": (
+                "chain64 = finite.heyting_algebra(finite.chain_leq(64))",
+                "sum(not finite.validate_axioms(chain64) for _ in range(10))", "us per structure"),
             "json_round_trip_chains6": (
                 _CHAINS6,
                 "len([finite.structure_from_json(finite.structure_to_json(s)) for s in chains6])",
